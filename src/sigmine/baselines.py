@@ -12,7 +12,6 @@ language can realize on the data; it draws no random bits at all.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .bounds import (
 from .data import Dataset, LabelVector
 from .discovery import Discovery, RunConfig, significant_patterns
 from .errors import ConfigError
-from .language import count_distinct_projections, projection_bound_log
+from .language import count_distinct_projections, pattern_count, projection_bound_log
 from .resample import STREAM_PERMUTE, generator
 from .search import SearchContext, sup_quality
 
@@ -82,21 +81,20 @@ def run_wy(
 
     Permutations preserve the label mean, so deviations are centered at the
     observed mean; the significance threshold is the delta-quantile of the
-    permutation supremum distribution.
+    permutation supremum distribution.  Permutations are searched in chunks,
+    one batched traversal per chunk, sized to the search's memory budget.
     """
     plan = plan if plan is not None else PermutationPlan(seed=cfg.seed)
     ctx = ctx if ctx is not None else SearchContext(dataset, cfg.language)
     mu_d = dataset.mean_target()
-
-    def one(j: int) -> float:
-        labels = permuted_labels(dataset.target, plan.seed, j)
-        return sup_quality(dataset, labels, mu_d, cfg.language, ctx=ctx).supremum
-
-    if cfg.threads > 1 and plan.p > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            devs = list(pool.map(one, range(plan.p)))
-    else:
-        devs = [one(j) for j in range(plan.p)]
+    size = ctx.batch_size()
+    devs: list[float] = []
+    for lo in range(0, plan.p, size):
+        chunk = [
+            permuted_labels(dataset.target, plan.seed, j)
+            for j in range(lo, min(plan.p, lo + size))
+        ]
+        devs += sup_quality(dataset, chunk, mu_d, cfg.language, ctx=ctx).suprema
     quantile = estimate_quantile(devs, cfg.delta)
 
     report = BoundReport(
@@ -138,6 +136,10 @@ def run_ub(
         n_hat_log = math.log(count_distinct_projections(dataset, cfg.language))
     elif n_hat_source == "closed_form":
         n_hat_log = projection_bound_log(m, dataset.n_features, cfg.language.z)
+        if n_hat_log < 0:
+            # below ln 1 on tiny m the closed form is no ceiling; the language
+            # size and the 2^m subsets of the data always bound distinct covers
+            n_hat_log = math.log(min(pattern_count(ctx.base, cfg.language), 2**m))
     else:
         raise ConfigError(f"unknown n_hat_source {n_hat_source!r}")
     r_hat, d_hat, eps = bound_statistic_ub(n_hat_log, nu_t, nu, m, cfg.delta)

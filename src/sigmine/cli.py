@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .baselines import PermutationPlan, run_ub, run_wy
@@ -58,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mine.add_argument("--seed", type=int, default=0)
     mine.add_argument("--top-k", type=int, default=None, dest="top_k")
-    mine.add_argument("--threads", type=int, default=0, help="0 = available parallelism")
     mine.add_argument("--output", default=None)
     mine.add_argument("--format", default="tsv", choices=["tsv", "json"])
 
@@ -99,7 +97,6 @@ def cmd_mine(args) -> int:
         if args.top_k is not None and args.top_k < 1:
             raise ConfigError("--top-k must be >= 1")
         language = LanguageConfig(z=args.depth, bins=args.bins, forms=_parse_forms(args.forms))
-        threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
         semantics = Mode.UNCONDITIONAL if args.mode in ("unconditional", "ub") else Mode.CONDITIONAL
         cfg = RunConfig(
             mode=semantics,
@@ -108,7 +105,6 @@ def cmd_mine(args) -> int:
             seed=args.seed,
             language=language,
             top_k=args.top_k,
-            threads=threads,
         )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

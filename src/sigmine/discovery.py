@@ -40,7 +40,6 @@ class RunConfig:
     seed: int = 0
     language: LanguageConfig = field(default_factory=LanguageConfig)
     top_k: int | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if isinstance(self.mode, str):
@@ -72,9 +71,7 @@ def compute_bounds(
     mu_hat = min(1.0, mu_d + eps_t)
     mu_check = max(0.0, mu_d - eps_t)
     resamples = resample_target(dataset, ResamplePlan(cfg.c, mu_hat, cfg.seed))
-    dev = estimate_deviation(
-        dataset, resamples, mu_check, cfg.language, ctx=ctx, threads=cfg.threads
-    )
+    dev = estimate_deviation(dataset, resamples, mu_check, cfg.language, ctx=ctx)
     sup_freq = ctx.sup_frequency()
     report = BoundReport(
         mode=cfg.mode,

@@ -135,8 +135,7 @@ def sweep_c(
     for mode in modes:
         for c in c_values:
             cell_cfg = RunConfig(
-                mode=mode, delta=cfg.delta, c=c, seed=cfg.seed,
-                language=cfg.language, threads=cfg.threads,
+                mode=mode, delta=cfg.delta, c=c, seed=cfg.seed, language=cfg.language
             )
             t0 = time.perf_counter()
             report = compute_bounds(dataset, cell_cfg, ctx=ctx)
@@ -169,8 +168,7 @@ def compare_methods(
 
     for mode in (Mode.CONDITIONAL, Mode.UNCONDITIONAL):
         run_cfg = RunConfig(
-            mode=mode, delta=cfg.delta, c=cfg.c, seed=cfg.seed,
-            language=cfg.language, threads=cfg.threads,
+            mode=mode, delta=cfg.delta, c=cfg.c, seed=cfg.seed, language=cfg.language
         )
         t0 = time.perf_counter()
         report = compute_bounds(dataset, run_cfg, ctx=ctx)

@@ -2,16 +2,15 @@
 
 Labels are drawn with a counter-based generator (Philox) keyed on
 (seed, stream, j): any resample is computable independently of the others,
-so parallel and serial runs produce bit-identical results, and entry (i, j)
-never depends on how many resamples were requested.  Bernoulli bits come
-from thresholding uniforms (bit = u < p), which couples vectors monotonically
-in p: raising p can only turn 0s into 1s for the same seed.
+so entry (i, j) never depends on how many resamples were requested.
+Bernoulli bits come from thresholding uniforms (bit = u < p), which couples
+vectors monotonically in p: raising p can only turn 0s into 1s for the same
+seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,21 +77,17 @@ def estimate_deviation(
     center: float,
     cfg: LanguageConfig,
     ctx: SearchContext | None = None,
-    threads: int = 1,
 ) -> DeviationEstimate:
     """d_j = sup quality of resample j at the given center; d_tilde = mean.
 
-    Each resample is an independent task over the shared immutable context;
-    the mean uses compensated summation so d_tilde is exactly (1/c) sum d_j.
+    One batched search serves all resamples (split only when c exceeds the
+    search's memory budget); each d_j equals a search of resample j alone.
+    The mean uses compensated summation so d_tilde is exactly (1/c) sum d_j.
     """
     ctx = ctx if ctx is not None else SearchContext(dataset, cfg)
-
-    def one(labels: LabelVector) -> float:
-        return sup_quality(dataset, labels, center, cfg, ctx=ctx).supremum
-
-    if threads > 1 and len(resamples) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            d = list(pool.map(one, resamples))
-    else:
-        d = [one(lv) for lv in resamples]
+    size = ctx.batch_size()
+    d: list[float] = []
+    for lo in range(0, len(resamples), size):
+        batch = resamples[lo : lo + size]
+        d += sup_quality(dataset, batch, center, cfg, ctx=ctx).suprema
     return DeviationEstimate(d, math.fsum(d) / len(d))

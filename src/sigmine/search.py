@@ -1,9 +1,10 @@
 """Pruned depth-first search over the pattern language.
 
 Three entry points share one enumeration: the supremum of the centered
-quality under a given label vector (the engine's hot loop, run once per
-resample), exact top-k mining, and the final thresholded scan that emits
-every pattern whose observed quality clears a frequency-dependent cutoff.
+quality under a batch of label vectors (the engine's hot loop: one traversal
+serves every resample, or a chunk of permutations), exact top-k mining, and
+the final thresholded scan that emits every pattern whose observed quality
+clears a frequency-dependent cutoff.
 
 Pruning is lossless: a pattern's refinements keep a subset of its cover, so
 (positives * (1 - center)) / m bounds every descendant's quality.  Ties are
@@ -14,7 +15,10 @@ deterministic and makes merges from disjoint subtrees associative.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import bitset
 from .data import Dataset, LabelVector
@@ -41,11 +45,16 @@ def optimistic_estimate(cover: Cover, labels: LabelVector, center: float) -> flo
     return pos * (1.0 - center) / labels.m
 
 
+# memory budget of the batched search's largest per-node temporary
+BATCH_BYTES = 4 << 20
+
+
 class SearchContext:
     """Precomputed per-dataset state shared by every search over one language.
 
     Selector covers are computed once and intersected incrementally down the
-    DFS; the context is immutable and safe to share across worker threads.
+    DFS; `words` holds the same covers as a (selectors, words) uint64 matrix
+    for the batched supremum search.  The context is immutable.
     """
 
     def __init__(self, dataset: Dataset, cfg: LanguageConfig):
@@ -55,6 +64,7 @@ class SearchContext:
         if not self.base:
             raise ConfigError("language has no base selectors")
         self.masks = [selector_cover(s, dataset) for s in self.base]
+        self.words = bitset.to_words(self.masks, dataset.m)
         self.m = dataset.m
         self.root = bitset.full(dataset.m)
         # first base index on a column strictly greater than base[i]'s
@@ -74,13 +84,36 @@ class SearchContext:
     def pattern(self, indices) -> Pattern:
         return Pattern(tuple(self.base[i] for i in indices))
 
+    def batch_size(self) -> int:
+        """Most label vectors one `sup_quality` call takes while its largest
+        temporary, (selectors x vectors x words) uint64, stays within
+        BATCH_BYTES."""
+        return max(1, BATCH_BYTES // self.words.nbytes)
+
 
 @dataclass
 class SearchResult:
-    supremum: float
-    argmax: Pattern | None
+    """Per-vector suprema and argmax patterns of one batched search, plus
+    the node counts of the traversal they shared."""
+
+    suprema: list[float]
+    argmaxes: list[Pattern | None]
     nodes_visited: int
     nodes_pruned: int
+
+    @property
+    def supremum(self) -> float:
+        return self._single(self.suprema)
+
+    @property
+    def argmax(self) -> Pattern | None:
+        return self._single(self.argmaxes)
+
+    @staticmethod
+    def _single(values):
+        if len(values) != 1:
+            raise ValueError(f"batch of {len(values)} vectors; read suprema/argmaxes")
+        return values[0]
 
 
 @dataclass
@@ -97,46 +130,113 @@ def _context(dataset, cfg, ctx: SearchContext | None) -> SearchContext:
 
 def sup_quality(
     dataset: Dataset,
-    labels: LabelVector,
+    labels: LabelVector | Sequence[LabelVector],
     center: float,
     cfg: LanguageConfig,
     ctx: SearchContext | None = None,
     prune: bool = True,
 ) -> SearchResult:
-    """Exact maximum of the centered quality over the whole language."""
+    """Exact maximum of the centered quality over the whole language, for one
+    label vector or for every vector of a batch in one traversal.
+
+    Covers and labels are packed into uint64 word matrices: each node forms
+    all its children with one ``&`` and counts frequencies and per-vector
+    positives with a popcount.  Before entering a subtree deeper than one
+    level the matrices are compacted to the subtree root's transactions, the
+    only ones its patterns can cover, so deep levels work on fewer words.
+
+    Every vector gets exactly the result of a search of its own: it only
+    looks at the nodes its own pruned search would visit (its live set),
+    updates its best with a strict ``>`` in canonical preorder, and so breaks
+    ties the same way.  A subtree is entered while any vector is live in it
+    and counts as pruned when none is.
+    """
     ctx = _context(dataset, cfg, ctx)
-    masks = ctx.masks
-    nsel = len(masks)
-    m = ctx.m
-    z = ctx.cfg.z
-    lmask = labels.mask
-    one_minus_c = 1.0 - center
+    batch = [labels] if isinstance(labels, LabelVector) else list(labels)
+    if not batch:
+        raise ConfigError("sup_quality needs at least one label vector")
+    search = _BatchSearch(ctx, len(batch), center, prune)
+    lab = bitset.to_words([lv.mask for lv in batch], ctx.m)
+    search.node(ctx.words, lab, ctx.m, (), 0, 0, np.ones(len(batch), dtype=bool))
+    argmaxes = [ctx.pattern(idx) if idx is not None else None for idx in search.best_idx]
+    return SearchResult(search.best.tolist(), argmaxes, search.visited, search.pruned)
 
-    best = float("-inf")
-    best_idx: tuple[int, ...] | None = None
-    visited = 0
-    pruned = 0
 
-    def rec(cover: Cover, chosen: tuple[int, ...], start: int, depth: int) -> None:
-        nonlocal best, best_idx, visited, pruned
-        for i in range(start, nsel):
-            child = cover & masks[i]
-            pos = (child & lmask).bit_count()
-            val = (pos - child.bit_count() * center) / m
-            visited += 1
+class _BatchSearch:
+    """Running maxima of one `sup_quality` call and its node counters."""
+
+    def __init__(self, ctx: SearchContext, c: int, center: float, prune: bool):
+        self.ctx = ctx
+        self.center = center
+        self.one_minus_c = 1.0 - center
+        self.prune = prune
+        self.best = np.full(c, -np.inf)
+        self.best_idx: list[tuple[int, ...] | None] = [None] * c
+        self.visited = 0
+        self.pruned = 0
+
+    def score(self, kids, lab):
+        """Positives (children x vectors) and centered qualities."""
+        n = np.bitwise_count(kids).sum(axis=1)
+        pos = np.bitwise_count(kids[:, None, :] & lab).sum(axis=2)
+        return pos, (pos - n[:, None] * self.center) / self.ctx.m
+
+    def leaves(self, kids, lab, chosen: tuple[int, ...], start: int, live) -> None:
+        """Children without subtrees: preorder among them is index order, and
+        argmax picks the first of equal maxima just as a strict > does."""
+        self.visited += len(kids)
+        _, vals = self.score(kids, lab)
+        at = vals.argmax(axis=0)
+        top = vals[at, np.arange(len(live))]
+        best = self.best
+        for j in np.flatnonzero(live & (top > best)):
+            best[j] = top[j]
+            self.best_idx[j] = chosen + (start + int(at[j]),)
+
+    def node(self, kids, lab, size: int, chosen, start: int, depth: int, live) -> None:
+        """Search below one node.  `kids` holds the covers of selectors
+        start.. and `lab` the label vectors, both restricted to the node's
+        `size` transactions, so they are already the children's covers."""
+        ctx = self.ctx
+        nsel = len(ctx.base)
+        if depth + 1 == ctx.cfg.z:
+            self.leaves(kids, lab, chosen, start, live)
+            return
+        self.visited += len(kids)
+        pos, vals = self.score(kids, lab)
+        bound = pos * self.one_minus_c / ctx.m
+        best = self.best
+        for r, i in enumerate(range(start, nsel)):
             here = chosen + (i,)
-            if val > best:
-                best = val
-                best_idx = here
-            if depth + 1 < z:
-                if not prune or pos * one_minus_c / m > best:
-                    rec(child, here, ctx.next_start[i], depth + 1)
-                else:
-                    pruned += 1
+            for j in np.flatnonzero(live & (vals[r] > best)):
+                best[j] = vals[r, j]
+                self.best_idx[j] = here
+            sub = live & (bound[r] > best) if self.prune else live
+            if not sub.any():
+                self.pruned += 1
+                continue
+            nxt = ctx.next_start[i]
+            if nxt == nsel:
+                continue
+            if depth + 2 < ctx.cfg.z:
+                keep = np.flatnonzero(bitset.unpack_rows(kids[r : r + 1], size)[0])
+                self.node(
+                    _restrict(kids[nxt - start :], size, keep),
+                    _restrict(lab, size, keep),
+                    len(keep), here, nxt, depth + 1, sub,
+                )
+            else:
+                self.leaves(kids[nxt - start :] & kids[r], lab, here, nxt, sub)
 
-    rec(ctx.root, (), 0, 0)
-    argmax = ctx.pattern(best_idx) if best_idx is not None else None
-    return SearchResult(best, argmax, visited, pruned)
+
+def _restrict(words: np.ndarray, size: int, keep: np.ndarray) -> np.ndarray:
+    """Packed rows over `size` transactions, cut down to the `keep` ones;
+    rows are unpacked in blocks of at most BATCH_BYTES."""
+    step = max(1, BATCH_BYTES // max(size, 1))
+    return np.concatenate([
+        bitset.pack_rows(bitset.unpack_rows(words[i : i + step], size).take(keep, axis=1))
+        for i in range(0, len(words), step)
+    ])
 
 
 def top_k(

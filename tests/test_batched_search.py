@@ -1,0 +1,155 @@
+"""The batched supremum search against single-vector searches and the
+brute-force oracle: every vector of a batch gets exactly its own result."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import sigmine.search
+from sigmine import (
+    ColumnSchema,
+    Dataset,
+    Kind,
+    LabelVector,
+    LanguageConfig,
+    PermutationPlan,
+    ResamplePlan,
+    RunConfig,
+    SearchContext,
+    estimate_deviation,
+    resample_target,
+    run_wy,
+    sup_quality,
+)
+from sigmine.oracle import (
+    CatColumn,
+    ContColumn,
+    NullIID,
+    SyntheticSpec,
+    brute_force_sup,
+    brute_force_top_k,
+    generate,
+)
+from sigmine.resample import bernoulli_labels
+from sigmine.suites import _random_tiny_instance
+
+
+def oracle(ds, labels, center, cfg):
+    """Brute-force supremum and its first maximizer in canonical order."""
+    (pattern, value), = brute_force_top_k(ds, labels, center, cfg, 1)
+    assert value == brute_force_sup(ds, labels, center, cfg)
+    return value, pattern
+
+
+def batch_for(ds, labels, size, seed):
+    rates = np.linspace(0.1, 0.9, size - 1) if size > 1 else []
+    return [labels] + [bernoulli_labels(ds.m, p, seed, j) for j, p in enumerate(rates)]
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("z", [None, 3, 4])  # z >= 3 compacts subtrees
+def test_batch_matches_single_and_brute_force(size, prune, z):
+    for seed in range(20):
+        ds, labels, center, cfg = _random_tiny_instance(seed + 6100)
+        if z is not None:
+            cfg = replace(cfg, z=z)
+        batch = batch_for(ds, labels, size, seed)
+        res = sup_quality(ds, batch, center, cfg, prune=prune)
+        assert len(res.suprema) == len(res.argmaxes) == size
+        for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
+            alone = sup_quality(ds, lv, center, cfg, prune=prune)
+            assert (sup, arg) == (alone.supremum, alone.argmax)
+            assert (sup, arg) == oracle(ds, lv, center, cfg)
+
+
+def test_batch_of_one_equals_bare_vector():
+    ds, labels, center, cfg = _random_tiny_instance(6300)
+    bare = sup_quality(ds, labels, center, cfg)
+    listed = sup_quality(ds, [labels], center, cfg)
+    assert bare == listed
+
+
+def test_batch_counts_cover_every_vector():
+    ds, labels, center, cfg = _random_tiny_instance(6301)
+    batch = batch_for(ds, labels, 7, 6301)
+    shared = sup_quality(ds, batch, center, cfg)
+    unpruned = sup_quality(ds, batch, center, cfg, prune=False)
+    alone = [sup_quality(ds, lv, center, cfg) for lv in batch]
+    assert max(r.nodes_visited for r in alone) <= shared.nodes_visited
+    assert shared.nodes_visited <= unpruned.nodes_visited
+    with pytest.raises(ValueError):
+        shared.supremum
+
+
+@pytest.fixture
+def wy_instance():
+    ds = generate(
+        SyntheticSpec(
+            90, (CatColumn((0.3, 0.3, 0.4)), ContColumn("normal"), CatColumn((0.5, 0.5))),
+            NullIID(0.4), seed=8,
+        )
+    )
+    return ds, RunConfig(language=LanguageConfig(z=2, bins=3), seed=3)
+
+
+def test_wy_chunking_keeps_deviations(wy_instance, monkeypatch):
+    ds, cfg = wy_instance
+    plan = PermutationPlan(p=7, seed=4)
+    ctx = SearchContext(ds, cfg.language)
+    assert ctx.batch_size() >= plan.p
+    _, whole = run_wy(ds, cfg, plan, ctx=ctx)
+    monkeypatch.setattr(sigmine.search, "BATCH_BYTES", 2 * ctx.words.nbytes)
+    assert ctx.batch_size() == 2
+    _, chunked = run_wy(ds, cfg, plan, ctx=ctx)
+    assert whole.deviations.tolist() == chunked.deviations.tolist()
+    assert whole.delta_quantile == chunked.delta_quantile
+
+
+def test_resample_chunking_keeps_deviations(wy_instance, monkeypatch):
+    ds, cfg = wy_instance
+    ctx = SearchContext(ds, cfg.language)
+    vecs = resample_target(ds, ResamplePlan(c=7, p=0.45, seed=12))
+    whole = estimate_deviation(ds, vecs, 0.4, cfg.language, ctx=ctx)
+    monkeypatch.setattr(sigmine.search, "BATCH_BYTES", 3 * ctx.words.nbytes)
+    chunked = estimate_deviation(ds, vecs, 0.4, cfg.language, ctx=ctx)
+    assert whole.d == chunked.d
+    assert whole.d == [brute_force_sup(ds, lv, 0.4, cfg.language) for lv in vecs]
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65])
+@pytest.mark.parametrize("prune", [True, False])
+def test_word_boundaries_and_degenerate_labels(m, prune):
+    ds = generate(
+        SyntheticSpec(m, (CatColumn((0.5, 0.5)), ContColumn("uniform"), CatColumn((0.2, 0.8))),
+                      NullIID(0.5), seed=m)
+    )
+    cfg = LanguageConfig(z=3, bins=3)
+    zeros = LabelVector(np.zeros(m, dtype=np.uint8))
+    ones = resample_target(ds, ResamplePlan(c=2, p=1.0, seed=m))  # constant resamples
+    assert all(lv.ones == m for lv in ones)
+    batch = [zeros, *ones, ds.target, *resample_target(ds, ResamplePlan(c=3, p=0.5, seed=m))]
+    for center in (0.0, 0.35, 1.0):
+        res = sup_quality(ds, batch, center, cfg, prune=prune)
+        for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
+            assert (sup, arg) == oracle(ds, lv, center, cfg)
+
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_empty_selector_cover_deep_language(prune):
+    # a constant continuous column makes `flat<2` cover nothing; without
+    # pruning its subtree is entered and compacted down to zero transactions
+    rng = np.random.default_rng(0)
+    m = 40
+    schema = [ColumnSchema("flat", Kind.CONTINUOUS)]
+    schema += [ColumnSchema(f"c{j}", Kind.CATEGORICAL) for j in range(3)]
+    values = [np.full(m, 2.0)] + [rng.integers(0, 2, m) for _ in range(3)]
+    labels = LabelVector(rng.integers(0, 2, m).astype(np.uint8))
+    ds = Dataset(schema, values, labels, {j: ["0", "1"] for j in range(1, 4)})
+    cfg = LanguageConfig(z=4, bins=2)
+    batch = [labels, LabelVector(np.zeros(m, dtype=np.uint8))]
+    res = sup_quality(ds, batch, 0.5, cfg, prune=prune)
+    for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
+        assert (sup, arg) == oracle(ds, lv, 0.5, cfg)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -109,6 +110,18 @@ def test_ingestion_error_exit_code(tmp_path, capsys):
     bad2 = tmp_path / "bad2.csv"
     bad2.write_text("a,y\n1,2\n")
     assert run_mine(bad2) == 3
+
+
+def test_ub_one_row_file(tmp_path):
+    # the closed-form projection count is below ln 1 at m=1
+    one = tmp_path / "one.csv"
+    one.write_text("a,y\nx,1\n")
+    out = tmp_path / "o.json"
+    code = run_mine(one, "--mode", "ub", "--depth", "2", "--format", "json", "--output", str(out))
+    assert code == 0
+    report = json.loads(out.read_text())["bound_report"]
+    assert report["n_hat_log"] == 0.0
+    assert math.isfinite(report["epsilon"])
 
 
 def test_validate_oracle_suite(capsys):

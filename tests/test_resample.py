@@ -53,15 +53,6 @@ def test_monotone_coupling_in_p(small_ds):
         assert a.mask & b.mask == a.mask  # raising p only adds ones
 
 
-def test_parallel_equals_serial(small_ds):
-    cfg = LanguageConfig(z=2)
-    vecs = resample_target(small_ds, ResamplePlan(c=6, p=0.5, seed=11))
-    serial = estimate_deviation(small_ds, vecs, 0.5, cfg, threads=1)
-    parallel = estimate_deviation(small_ds, vecs, 0.5, cfg, threads=4)
-    assert serial.d == parallel.d
-    assert serial.d_tilde == parallel.d_tilde
-
-
 def test_singleton_mean_and_constant_vectors(small_ds):
     cfg = LanguageConfig(z=2)
     one = estimate_deviation(
