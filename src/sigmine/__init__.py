@@ -19,7 +19,7 @@ from .bounds import (
     variance_bracket,
     variance_factor,
 )
-from .data import ColumnSchema, Dataset, Kind, LabelVector, load_csv, mean_target, to_csv
+from .data import ColumnSchema, Dataset, Kind, LabelVector, load_csv, to_csv
 from .discovery import Discovery, RunConfig, flag_top_k, run_discovery
 from .errors import (
     ComputationError,
@@ -99,7 +99,6 @@ __all__ = [
     "evaluate",
     "flag_top_k",
     "load_csv",
-    "mean_target",
     "optimistic_estimate",
     "projection_bound_closed_form",
     "projection_bound_log",

@@ -50,6 +50,15 @@ class QuantileEstimate:
     delta_quantile: float
     position: int
 
+    @property
+    def threshold(self) -> float:
+        """The least float above the quantile: a quality clears it with the
+        engine's inclusive ``>=`` exactly when it strictly beats the
+        quantile, the Westfall-Young rule.  Thresholding at the quantile
+        itself would report every quality-0 pattern on a constant target,
+        where every supremum is 0."""
+        return float(np.nextafter(self.delta_quantile, np.inf))
+
 
 def quantile_position(delta: float, p: int) -> int:
     """1-based position ceil(delta * p), nudged so exact products of decimal
@@ -80,9 +89,10 @@ def run_wy(
     """Permutation-quantile discovery.
 
     Permutations preserve the label mean, so deviations are centered at the
-    observed mean; the significance threshold is the delta-quantile of the
-    permutation supremum distribution.  Permutations are searched in chunks,
-    one batched traversal per chunk, sized to the search's memory budget.
+    observed mean; a pattern is significant when its quality strictly
+    exceeds the delta-quantile of the permutation supremum distribution.
+    Permutations are searched in chunks, one batched traversal per chunk,
+    sized to the search's memory budget.
     """
     plan = plan if plan is not None else PermutationPlan(seed=cfg.seed)
     ctx = ctx if ctx is not None else SearchContext(dataset, cfg.language)
@@ -107,7 +117,7 @@ def run_wy(
         mu_check=mu_d,
         eps_t=0.0,
         sup_freq=ctx.sup_frequency(),
-        epsilon=quantile.delta_quantile,
+        epsilon=quantile.threshold,
     )
     return significant_patterns(dataset, report, cfg, ctx=ctx), quantile
 

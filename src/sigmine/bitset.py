@@ -21,13 +21,6 @@ def pack(flags: np.ndarray) -> int:
     return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
 
 
-def unpack(mask: int, m: int) -> np.ndarray:
-    """Expand an int bitset back to a boolean array of length m."""
-    nbytes = (m + 7) // 8
-    raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:m].astype(bool)
-
-
 def from_indices(indices, m: int) -> int:
     """Bitset with exactly the given transaction indices set."""
     mask = 0

@@ -124,7 +124,7 @@ def cmd_mine(args) -> int:
             found, quantile = run_wy(
                 dataset, cfg, PermutationPlan(p=args.permutations, seed=args.seed), ctx=ctx
             )
-            eps, eps_t = quantile.delta_quantile, 0.0
+            eps, eps_t = quantile.threshold, 0.0
             extra_blocks["quantile"] = {
                 "permutations": args.permutations,
                 "position": quantile.position,

@@ -148,11 +148,6 @@ class Dataset:
         return h.hexdigest()[:16]
 
 
-def mean_target(dataset: Dataset) -> float:
-    """Fraction of transactions with target 1 (exact count / m)."""
-    return dataset.mean_target()
-
-
 def _parse_real(text: str) -> float | None:
     try:
         v = float(text)
@@ -179,22 +174,28 @@ def read_schema_file(path) -> list[ColumnSchema]:
     return out
 
 
-def _infer_schema(header: list[str], rows: list[list[str]], target_column: str | None) -> list[ColumnSchema]:
+def _infer_schema(
+    header: list[str], distinct: list[dict], target_column: str | None
+) -> list[ColumnSchema]:
     tgt = target_column if target_column is not None else header[-1]
     if tgt not in header:
         raise SchemaError(f"target column {tgt!r} not in header")
     out = []
-    for j, name in enumerate(header):
+    for name, values in zip(header, distinct):
         if name == tgt:
             out.append(ColumnSchema(name, Kind.TARGET))
-            continue
-        cells = [r[j] for r in rows]
-        numeric = all(_parse_real(c) is not None for c in cells)
-        if numeric and len(set(cells)) > INFER_DISTINCT_THRESHOLD:
+        elif len(values) > INFER_DISTINCT_THRESHOLD and all(
+            _parse_real(v) is not None for v in values
+        ):
             out.append(ColumnSchema(name, Kind.CONTINUOUS))
         else:
             out.append(ColumnSchema(name, Kind.CATEGORICAL))
     return out
+
+
+def _first_line(cells, bad) -> tuple[int, str]:
+    """File line and text of the first cell for which `bad` holds."""
+    return next((i + 2, cell) for i, cell in enumerate(cells) if bad(cell))
 
 
 def load_csv(path, schema="infer", target_column: str | None = None) -> Dataset:
@@ -204,6 +205,10 @@ def load_csv(path, schema="infer", target_column: str | None = None) -> Dataset:
     of kind target), the string "infer", or a path to a sidecar schema file.
     Under inference the last column is the target unless `target_column`
     overrides it.  Rows with empty cells are rejected rather than imputed.
+
+    Every check and conversion works on each column's distinct values, in
+    first-appearance order; the cells are scanned again only to name the
+    line of an error.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -211,20 +216,23 @@ def load_csv(path, schema="infer", target_column: str | None = None) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise IngestionError(f"{path}: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise IngestionError(
-                    f"{path}: line {lineno} has {len(row)} values, expected {len(header)}"
-                )
-            if any(cell.strip() == "" for cell in row):
-                raise IngestionError(f"{path}: line {lineno} has an empty cell")
-            rows.append(row)
+        rows = list(reader)
+    width = len(header)
+    ragged = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+    columns = list(zip(*rows[:ragged]))
+    distinct = [dict.fromkeys(col) for col in columns]
+    if any(not v.strip() for values in distinct for v in values):
+        lineno, _ = _first_line(rows, lambda row: any(not cell.strip() for cell in row))
+        raise IngestionError(f"{path}: line {lineno} has an empty cell")
+    if ragged < len(rows):
+        raise IngestionError(
+            f"{path}: line {ragged + 2} has {len(rows[ragged])} values, expected {width}"
+        )
     if not rows:
         raise IngestionError(f"{path}: no data rows")
 
     if isinstance(schema, str):
-        cols = _infer_schema(header, rows, target_column) if schema == "infer" else read_schema_file(schema)
+        cols = _infer_schema(header, distinct, target_column) if schema == "infer" else read_schema_file(schema)
     else:
         cols = list(schema)
     if len(cols) != len(header):
@@ -233,46 +241,35 @@ def load_csv(path, schema="infer", target_column: str | None = None) -> Dataset:
     if len(targets) != 1:
         raise SchemaError(f"schema must declare exactly one target column, found {len(targets)}")
     tcol = targets[0]
+    m = len(rows)
 
-    target_bits = np.empty(len(rows), dtype=np.uint8)
-    for i, row in enumerate(rows):
-        cell = row[tcol].strip()
-        if cell == "0":
-            target_bits[i] = 0
-        elif cell == "1":
-            target_bits[i] = 1
-        else:
-            raise SchemaError(
-                f"{path}: line {i + 2}: target value {cell!r} is not in {{0,1}}"
-            )
+    bits = {v: v.strip() for v in distinct[tcol]}
+    if not set(bits.values()) <= {"0", "1"}:
+        lineno, cell = _first_line(columns[tcol], lambda c: bits[c] not in ("0", "1"))
+        raise SchemaError(
+            f"{path}: line {lineno}: target value {cell.strip()!r} is not in {{0,1}}"
+        )
+    target_bits = np.fromiter(map(int, map(bits.__getitem__, columns[tcol])), np.uint8, m)
 
     feat_schema: list[ColumnSchema] = []
     feat_values: list[np.ndarray] = []
     cat_values: dict[int, list[str]] = {}
-    for j, col in enumerate(cols):
+    for col, cells, values in zip(cols, columns, distinct):
         if col.kind is Kind.TARGET:
             continue
-        cells = [r[j] for r in rows]
-        fidx = len(feat_schema)
         if col.kind is Kind.CONTINUOUS:
-            parsed = np.empty(len(cells), dtype=np.float64)
-            for i, cell in enumerate(cells):
-                v = _parse_real(cell)
-                if v is None:
-                    raise SchemaError(
-                        f"{path}: line {i + 2}: non-numeric value {cell!r} "
-                        f"in continuous column '{col.name}'"
-                    )
-                parsed[i] = v
-            feat_values.append(parsed)
+            parsed = {v: _parse_real(v) for v in values}
+            if None in parsed.values():
+                lineno, cell = _first_line(cells, lambda c: parsed[c] is None)
+                raise SchemaError(
+                    f"{path}: line {lineno}: non-numeric value {cell!r} "
+                    f"in continuous column '{col.name}'"
+                )
+            feat_values.append(np.fromiter(map(parsed.__getitem__, cells), np.float64, m))
         else:
-            codes = np.empty(len(cells), dtype=np.int32)
-            seen: dict[str, int] = {}
-            for i, cell in enumerate(cells):
-                code = seen.setdefault(cell, len(seen))
-                codes[i] = code
-            cat_values[fidx] = sorted(seen, key=seen.get)
-            feat_values.append(codes)
+            codes = {v: code for code, v in enumerate(values)}
+            cat_values[len(feat_schema)] = list(values)
+            feat_values.append(np.fromiter(map(codes.__getitem__, cells), np.int32, m))
         feat_schema.append(ColumnSchema(col.name, col.kind))
 
     return Dataset(

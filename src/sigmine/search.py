@@ -7,9 +7,11 @@ the final thresholded scan that emits every pattern whose observed quality
 clears a frequency-dependent cutoff.
 
 Pruning is lossless: a pattern's refinements keep a subset of its cover, so
-(positives * (1 - center)) / m bounds every descendant's quality.  Ties are
-broken toward the first pattern in canonical DFS order, which makes results
-deterministic and makes merges from disjoint subtrees associative.
+(positives - positives * center) / m bounds every descendant's quality, and
+computed in that form it also bounds every descendant's computed quality
+(see `optimistic_estimate`).  Ties are broken toward the first pattern in
+canonical DFS order, which makes results deterministic and makes merges from
+disjoint subtrees associative.
 """
 
 from __future__ import annotations
@@ -40,13 +42,22 @@ def optimistic_estimate(cover: Cover, labels: LabelVector, center: float) -> flo
     A refinement's cover is a subset of `cover`; the best it can do is keep
     all label-1 transactions and drop the rest, scoring positives*(1-center)/m.
     The bound also dominates the pattern's own quality since positives <= |cover|.
+
+    Computed as (pos - pos*center)/m, it dominates every descendant's
+    computed quality (pos' - n'*center)/m, not just the exact one:
+    pos'*center <= n'*center survives rounding, and pos - round(pos*center)
+    does not decrease with pos while 1 - center exceeds m * 2**-52 or center
+    is 1.  pos*(1-center)/m could fall one ulp below a pure descendant, so a
+    search pruning on it could lose a maximum that ties the bound.
     """
     pos = (cover & labels.mask).bit_count()
-    return pos * (1.0 - center) / labels.m
+    return (pos - pos * center) / labels.m
 
 
 # memory budget of the batched search's largest per-node temporary
 BATCH_BYTES = 4 << 20
+# memory budget of one chunk of (child, leaf) pairs in the last two levels
+PAIR_BYTES = 512 << 10
 
 
 class SearchContext:
@@ -54,7 +65,8 @@ class SearchContext:
 
     Selector covers are computed once and intersected incrementally down the
     DFS; `words` holds the same covers as a (selectors, words) uint64 matrix
-    for the batched supremum search.  The context is immutable.
+    for the batched supremum search, and `pair_*` index its (child, leaf)
+    pairs.  The context is immutable.
     """
 
     def __init__(self, dataset: Dataset, cfg: LanguageConfig):
@@ -76,6 +88,16 @@ class SearchContext:
             else:
                 nxt[i] = i + 1
         self.next_start = nxt
+        # the (child, leaf) pairs (i, k), k >= next_start[i], of the batched
+        # search's last two levels, sorted by i: the pairs below a node
+        # whose children start at selector i are those from pair_start[i]
+        # on (none when z=1, where children are leaves)
+        self.pair_count = (len(cols) - np.array(nxt, dtype=np.intp)) * (cfg.z > 1)
+        self.pair_start = np.concatenate([[0], np.cumsum(self.pair_count)])
+        self.pair_i = np.repeat(np.arange(len(cols), dtype=np.int32), self.pair_count)
+        # k is next_start[i] plus the pair's offset within i's block
+        offset = np.arange(len(self.pair_i)) - np.repeat(self.pair_start[:-1], self.pair_count)
+        self.pair_k = (offset + np.repeat(nxt, self.pair_count)).astype(np.int32)
 
     def sup_frequency(self) -> float:
         """max_P f_P over the whole language (attained at depth 1)."""
@@ -145,6 +167,14 @@ def sup_quality(
     level the matrices are compacted to the subtree root's transactions, the
     only ones its patterns can cover, so deep levels work on fewer words.
 
+    The last two levels are one vectorized pass per depth z-2 node (the
+    root when z=2): every (child, leaf) pair below it is scored against
+    every vector, each child's leaves are reduced to a per-vector maximum,
+    and a cumulative maximum over child values and leaf maxima in preorder
+    replays the per-child loop.  Leaves a vector's own search would prune
+    cannot raise its running best, because the estimate that prunes them
+    dominates their computed qualities.
+
     Every vector gets exactly the result of a search of its own: it only
     looks at the nodes its own pruned search would visit (its live set),
     updates its best with a strict ``>`` in canonical preorder, and so breaks
@@ -168,43 +198,34 @@ class _BatchSearch:
     def __init__(self, ctx: SearchContext, c: int, center: float, prune: bool):
         self.ctx = ctx
         self.center = center
-        self.one_minus_c = 1.0 - center
         self.prune = prune
         self.best = np.full(c, -np.inf)
         self.best_idx: list[tuple[int, ...] | None] = [None] * c
         self.visited = 0
         self.pruned = 0
 
-    def score(self, kids, lab):
-        """Positives (children x vectors) and centered qualities."""
-        n = np.bitwise_count(kids).sum(axis=1)
-        pos = np.bitwise_count(kids[:, None, :] & lab).sum(axis=2)
+    def score(self, covers, lab):
+        """Positives (covers x vectors) and centered qualities."""
+        n = np.bitwise_count(covers).sum(axis=1)
+        pos = np.bitwise_count(covers[:, None, :] & lab).sum(axis=2, dtype=np.int32)
         return pos, (pos - n[:, None] * self.center) / self.ctx.m
 
-    def leaves(self, kids, lab, chosen: tuple[int, ...], start: int, live) -> None:
-        """Children without subtrees: preorder among them is index order, and
-        argmax picks the first of equal maxima just as a strict > does."""
-        self.visited += len(kids)
-        _, vals = self.score(kids, lab)
-        at = vals.argmax(axis=0)
-        top = vals[at, np.arange(len(live))]
-        best = self.best
-        for j in np.flatnonzero(live & (top > best)):
-            best[j] = top[j]
-            self.best_idx[j] = chosen + (start + int(at[j]),)
+    def estimate(self, pos):
+        """Optimistic estimates: `optimistic_estimate` for every entry."""
+        return (pos - pos * self.center) / self.ctx.m
 
     def node(self, kids, lab, size: int, chosen, start: int, depth: int, live) -> None:
         """Search below one node.  `kids` holds the covers of selectors
         start.. and `lab` the label vectors, both restricted to the node's
         `size` transactions, so they are already the children's covers."""
         ctx = self.ctx
-        nsel = len(ctx.base)
-        if depth + 1 == ctx.cfg.z:
-            self.leaves(kids, lab, chosen, start, live)
+        if depth + 2 >= ctx.cfg.z:
+            self.last_levels(kids, lab, chosen, start, live)
             return
+        nsel = len(ctx.base)
         self.visited += len(kids)
         pos, vals = self.score(kids, lab)
-        bound = pos * self.one_minus_c / ctx.m
+        bound = self.estimate(pos)
         best = self.best
         for r, i in enumerate(range(start, nsel)):
             here = chosen + (i,)
@@ -218,15 +239,77 @@ class _BatchSearch:
             nxt = ctx.next_start[i]
             if nxt == nsel:
                 continue
-            if depth + 2 < ctx.cfg.z:
-                keep = np.flatnonzero(bitset.unpack_rows(kids[r : r + 1], size)[0])
-                self.node(
-                    _restrict(kids[nxt - start :], size, keep),
-                    _restrict(lab, size, keep),
-                    len(keep), here, nxt, depth + 1, sub,
-                )
-            else:
-                self.leaves(kids[nxt - start :] & kids[r], lab, here, nxt, sub)
+            keep = np.flatnonzero(bitset.unpack_rows(kids[r : r + 1], size)[0])
+            self.node(
+                _restrict(kids[nxt - start :], size, keep),
+                _restrict(lab, size, keep),
+                len(keep), here, nxt, depth + 1, sub,
+            )
+
+    def last_levels(self, kids, lab, chosen, start: int, live) -> None:
+        """The children of a depth z-2 node and all their children, the
+        leaves, in one pass (only the children when z=1).
+
+        In preorder every vector sees child value, best leaf below it,
+        child value, best leaf below it, ...; its running best is the
+        cumulative maximum of that sequence.  A vector skips a child's
+        leaves when the child's estimate does not beat its running best;
+        the estimate dominates those leaves, so counting them anyway leaves
+        the running best as it was.  The scan is therefore each vector's own
+        pruned search, maximizer and node counts included.
+        """
+        ctx = self.ctx
+        pos, vals = self.score(kids, lab)
+        seq = np.empty((2 * len(kids) + 1, len(live)))
+        seq[0] = self.best
+        seq[1::2] = vals
+        seq[2::2] = self.leaf_max(kids, lab, start)
+        run = np.maximum.accumulate(seq, axis=0)
+        self.visited += len(kids)
+        if ctx.cfg.z > 1:
+            entered = np.ones(len(kids), dtype=bool)  # live is never empty here
+            if self.prune:
+                entered = (live & (self.estimate(pos) > run[1::2])).any(axis=1)
+            self.pruned += len(kids) - int(entered.sum())
+            self.visited += int(ctx.pair_count[start:][entered].sum())
+        final = run[-1]
+        won = np.flatnonzero(live & (final > self.best))
+        firsts = (seq[1:, won] == final[won]).argmax(axis=0)
+        for j, f in zip(won, firsts):
+            r, leaf = divmod(int(f), 2)
+            here = chosen + (start + r,)
+            if leaf:  # rescore the child's leaves for the first maximizer
+                nxt = ctx.next_start[start + r]
+                _, leaf_vals = self.score(kids[nxt - start :] & kids[r], lab[j : j + 1])
+                here += (nxt + int(leaf_vals.argmax()),)
+            self.best[j] = final[j]
+            self.best_idx[j] = here
+
+    def leaf_max(self, kids, lab, start: int):
+        """Per child and vector, the best quality among the child's leaves
+        (-inf where it has none).
+
+        The node's (child, leaf) pairs are a suffix of the context's pair
+        index, grouped by child.  They are scored in chunks of at most
+        PAIR_BYTES of (pairs x vectors x words) temporary, and reduced per
+        child in blocks of at most PAIR_BYTES of (pairs x vectors) values."""
+        ctx = self.ctx
+        lo = ctx.pair_start[start]
+        pi = ctx.pair_i[lo:] - start
+        pk = ctx.pair_k[lo:] - start
+        top = np.full((len(kids), len(lab)), -np.inf)
+        block = max(1, PAIR_BYTES // (8 * len(lab)))
+        step = max(1, PAIR_BYTES // max(lab.nbytes, 1))
+        for b in range(0, len(pi), block):
+            i, k = pi[b : b + block], pk[b : b + block]
+            vals = np.empty((len(i), len(lab)))
+            for s in range(0, len(i), step):
+                chunk = slice(s, s + step)
+                _, vals[chunk] = self.score(kids[i[chunk]] & kids[k[chunk]], lab)
+            heads = np.flatnonzero(np.diff(i, prepend=-1))
+            r = i[heads]
+            top[r] = np.maximum(top[r], np.maximum.reduceat(vals, heads, axis=0))
+        return top
 
 
 def _restrict(words: np.ndarray, size: int, keep: np.ndarray) -> np.ndarray:
@@ -262,7 +345,6 @@ def top_k(
     m = ctx.m
     z = ctx.cfg.z
     lmask = labels.mask
-    one_minus_c = 1.0 - center
 
     # heap entries (value, -dfs_rank, chosen): among equal values the latest
     # arrival sorts smallest and is displaced first
@@ -283,7 +365,7 @@ def top_k(
                 heapq.heapreplace(heap, (val, -rank, here))
             if depth + 1 < z:
                 full = len(heap) == k
-                if not prune or not full or pos * one_minus_c / m > heap[0][0]:
+                if not prune or not full or (pos - pos * center) / m > heap[0][0]:
                     rec(child, here, ctx.next_start[i], depth + 1)
 
     rec(ctx.root, (), 0, 0)
@@ -323,7 +405,6 @@ def threshold_mine(
     m = ctx.m
     z = ctx.cfg.z
     lmask = labels.mask
-    one_minus_c = 1.0 - center
     out: list[tuple[Pattern, QualityStat]] = []
 
     def rec(cover: Cover, chosen: tuple[int, ...], start: int, depth: int) -> None:
@@ -335,7 +416,7 @@ def threshold_mine(
             here = chosen + (i,)
             if val >= eps + eps_t * (n / m):
                 out.append((ctx.pattern(here), QualityStat(val, n / m, pos)))
-            if depth + 1 < z and pos * one_minus_c / m >= eps:
+            if depth + 1 < z and (pos - pos * center) / m >= eps:
                 rec(child, here, ctx.next_start[i], depth + 1)
 
     rec(ctx.root, (), 0, 0)

@@ -17,7 +17,9 @@ from sigmine import (
     ResamplePlan,
     RunConfig,
     SearchContext,
+    empirical_quality,
     estimate_deviation,
+    optimistic_estimate,
     resample_target,
     run_wy,
     sup_quality,
@@ -32,7 +34,7 @@ from sigmine.oracle import (
     generate,
 )
 from sigmine.resample import bernoulli_labels
-from sigmine.suites import _random_tiny_instance
+from sigmine.suites import _random_tiny_instance, mushroom_class_spec
 
 
 def oracle(ds, labels, center, cfg):
@@ -49,7 +51,8 @@ def batch_for(ds, labels, size, seed):
 
 @pytest.mark.parametrize("size", [1, 2, 7])
 @pytest.mark.parametrize("prune", [True, False])
-@pytest.mark.parametrize("z", [None, 3, 4])  # z >= 3 compacts subtrees
+# z=1 has no leaf pairs, z=2 fuses at the root, z >= 3 compacts subtrees first
+@pytest.mark.parametrize("z", [None, 1, 2, 3, 4, 5])
 def test_batch_matches_single_and_brute_force(size, prune, z):
     for seed in range(20):
         ds, labels, center, cfg = _random_tiny_instance(seed + 6100)
@@ -62,6 +65,82 @@ def test_batch_matches_single_and_brute_force(size, prune, z):
             alone = sup_quality(ds, lv, center, cfg, prune=prune)
             assert (sup, arg) == (alone.supremum, alone.argmax)
             assert (sup, arg) == oracle(ds, lv, center, cfg)
+
+
+def own_search(ds, lv, center, cfg):
+    """A plain pruned DFS over int bitsets for one vector: supremum, first
+    maximizer, nodes visited and nodes whose subtree was cut."""
+    ctx = SearchContext(ds, cfg)
+    best, arg, visited, pruned = -np.inf, None, 0, 0
+
+    def walk(cover, chosen, start, depth):
+        nonlocal best, arg, visited, pruned
+        for i in range(start, len(ctx.masks)):
+            child, here = cover & ctx.masks[i], chosen + (i,)
+            visited += 1
+            val = empirical_quality(child, lv, center).value
+            if val > best:
+                best, arg = val, ctx.pattern(here)
+            if depth + 1 < cfg.z:
+                if optimistic_estimate(child, lv, center) > best:
+                    walk(child, here, ctx.next_start[i], depth + 1)
+                else:
+                    pruned += 1
+
+    walk(ctx.root, (), 0, 0)
+    return best, arg, visited, pruned
+
+
+@pytest.mark.parametrize("z", [1, 2, 3, 4])
+def test_single_vector_is_its_own_pruned_search(z):
+    # node counts included; all-0 and all-1 labels make estimates tie the
+    # running best, where only a strict > may prune
+    for seed in range(30):
+        ds, labels, center, cfg = _random_tiny_instance(seed + 6400)
+        cfg = replace(cfg, z=z)
+        flat = [LabelVector(np.full(ds.m, b, dtype=np.uint8)) for b in (0, 1)]
+        for lv in [labels, *flat]:
+            res = sup_quality(ds, lv, center, cfg)
+            own = own_search(ds, lv, center, cfg)
+            assert (res.supremum, res.argmax, res.nodes_visited, res.nodes_pruned) == own
+
+
+def fields(res):
+    return res.suprema, res.argmaxes, res.nodes_visited, res.nodes_pruned
+
+
+@pytest.mark.parametrize("z", [2, 3, 4])
+def test_batch_above_budget_and_split_pair_chunks(z, monkeypatch):
+    # the budgets only size temporaries: a batch beyond batch_size(), pairs
+    # scored one at a time, or a child's leaves split over reduction blocks
+    # all give the same suprema, maximizers and node counts
+    for seed in range(8):
+        ds, labels, center, cfg = _random_tiny_instance(seed + 6200)
+        cfg = replace(cfg, z=z)
+        batch = batch_for(ds, labels, 7, seed)
+        ctx = SearchContext(ds, cfg)
+        whole = fields(sup_quality(ds, batch, center, cfg, ctx=ctx))
+        monkeypatch.setattr(sigmine.search, "BATCH_BYTES", 2 * ctx.words.nbytes)
+        assert ctx.batch_size() == 2 < len(batch)
+        for budget in (1, 8 * len(batch) * 3, 8 * len(batch) * 5 + 7):
+            monkeypatch.setattr(sigmine.search, "PAIR_BYTES", budget)
+            assert fields(sup_quality(ds, batch, center, cfg, ctx=ctx)) == whole
+        monkeypatch.undo()
+        for lv, sup, arg in zip(batch, *whole[:2]):
+            assert (sup, arg) == oracle(ds, lv, center, cfg)
+
+
+@pytest.mark.parametrize(
+    "z, prune, visited, pruned",
+    [(2, True, 4023, 0), (3, True, 40253, 2408), (3, False, 111327, 0), (4, True, 80265, 35716)],
+)
+def test_node_counts_pinned(z, prune, visited, pruned):
+    # pinned from the per-child search that visited each child's leaves in
+    # a loop; the one-pass last two levels must reproduce its counts exactly
+    ds = generate(replace(mushroom_class_spec(3), m=600))
+    batch = [ds.target, *resample_target(ds, ResamplePlan(c=6, p=0.45, seed=2))]
+    res = sup_quality(ds, batch, ds.mean_target(), LanguageConfig(z=z, bins=3), prune=prune)
+    assert (res.nodes_visited, res.nodes_pruned) == (visited, pruned)
 
 
 def test_batch_of_one_equals_bare_vector():

@@ -124,6 +124,25 @@ def test_ub_one_row_file(tmp_path):
     assert math.isfinite(report["epsilon"])
 
 
+def test_wy_constant_target_reports_nothing(tmp_path):
+    # every permutation supremum is 0 and so is every quality: under the
+    # strict Westfall-Young rule no pattern beats the quantile
+    flat = tmp_path / "flat.csv"
+    flat.write_text("a,b,y\nx,u,0\nx,v,0\nz,v,0\n")
+    out = tmp_path / "o.json"
+    code = run_mine(flat, "--mode", "wy", "--permutations", "20", "--format", "json",
+                    "--output", str(out))
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["records"] == []
+    assert payload["quantile"]["delta_quantile"] == 0.0
+    code = run_mine(flat, "--mode", "wy", "--permutations", "20", "--top-k", "5",
+                    "--format", "json", "--output", str(out))
+    assert code == 0
+    records = json.loads(out.read_text())["records"]
+    assert records and not any(r["significant"] for r in records)
+
+
 def test_validate_oracle_suite(capsys):
     code = main(["validate", "--suite", "oracle", "--trials", "25", "--seed", "0"])
     assert code == 0

@@ -8,7 +8,6 @@ from sigmine import (
     LabelVector,
     SchemaError,
     load_csv,
-    mean_target,
     to_csv,
 )
 from sigmine.data import read_schema_file
@@ -25,13 +24,13 @@ def test_load_csv_basic(fruit):
 
 def test_mean_target_examples(fruit):
     # two of the three transactions carry label 1
-    assert mean_target(fruit) == 2 / 3
+    assert fruit.mean_target() == 2 / 3
     lv = LabelVector(np.zeros(5, dtype=np.uint8))
     assert lv.mean() == 0.0
 
 
 def test_mean_target_times_m_is_count(fruit):
-    assert mean_target(fruit) * fruit.m == pytest.approx(2, abs=1e-12)
+    assert fruit.mean_target() * fruit.m == pytest.approx(2, abs=1e-12)
     assert fruit.target.ones == 2
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigmine import (
     LabelVector,
@@ -42,10 +44,32 @@ def test_optimistic_estimate_dominates_descendants():
             oe = optimistic_estimate(cover, labels, center)
             for child in refine(pattern, base, cfg):
                 val = empirical_quality(evaluate(child, ds), labels, center).value
-                assert val <= oe + 1e-12
+                assert val <= oe
                 walk(child)
 
         walk(None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_optimistic_estimate_dominates_in_floating_point(data):
+    # a cover with `pos` positives and `neg` negatives, and a sub-cover with
+    # pos2 <= pos positives and neg2 <= neg negatives: the computed estimate
+    # must dominate the computed quality exactly, for the observed mean as
+    # center and for an arbitrary one
+    m = data.draw(st.integers(1, 1 << 20))
+    ones = data.draw(st.integers(0, m))
+    pos = data.draw(st.integers(0, ones))
+    pos2 = data.draw(st.integers(0, pos))
+    neg = data.draw(st.integers(0, m - ones))
+    neg2 = data.draw(st.integers(0, neg))
+    labels = LabelVector(np.arange(m) < ones)
+    cover = bitset.full(pos) | (bitset.full(neg) << ones)
+    child = bitset.full(pos2) | (bitset.full(neg2) << ones)
+    for center in (ones / m, data.draw(st.floats(0.0, 1.0 - 1e-9))):
+        oe = optimistic_estimate(cover, labels, center)
+        assert empirical_quality(child, labels, center).value <= oe
+        assert empirical_quality(cover, labels, center).value <= oe
 
 
 def test_degenerate_all_zero_labels():
