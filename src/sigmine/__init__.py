@@ -37,11 +37,10 @@ from .language import (
     base_selectors,
     count_distinct_projections,
     evaluate,
-    projection_bound_closed_form,
     projection_bound_log,
     refine,
 )
-from .quality import QualityStat, alpha_quality, empirical_quality
+from .quality import QualityStat, empirical_quality
 from .report import MethodRow, OutputRecord, SweepResult, compare_methods, sweep_c
 from .resample import DeviationEstimate, ResamplePlan, estimate_deviation, resample_target
 from .search import (
@@ -86,7 +85,6 @@ __all__ = [
     "SweepResult",
     "Selector",
     "TopKResult",
-    "alpha_quality",
     "base_selectors",
     "bound_statistic_conditional",
     "bound_statistic_ub",
@@ -100,7 +98,6 @@ __all__ = [
     "flag_top_k",
     "load_csv",
     "optimistic_estimate",
-    "projection_bound_closed_form",
     "projection_bound_log",
     "refine",
     "resample_target",

@@ -251,9 +251,11 @@ def count_distinct_projections(
     masks = [selector_cover(s, dataset) for s in base]
     columns = [s.column for s in base]
     seen: set[int] = set()
-    root = bitset.full(dataset.m)
-
-    def rec(cover: Cover, start: int, depth: int) -> None:
+    # an explicit stack: a recursive closure would refer to itself and keep
+    # `seen` alive until the garbage collector ran
+    stack = [(bitset.full(dataset.m), 0, 0)]
+    while stack:
+        cover, start, depth = stack.pop()
         for i in range(start, len(base)):
             child = cover & masks[i]
             seen.add(child)
@@ -261,9 +263,7 @@ def count_distinct_projections(
                 nxt = i + 1
                 while nxt < len(base) and columns[nxt] == columns[i]:
                     nxt += 1
-                rec(child, nxt, depth + 1)
-
-    rec(root, 0, 0)
+                stack.append((child, nxt, depth + 1))
     return len(seen)
 
 
@@ -277,11 +277,3 @@ def projection_bound_log(m: int, d_cont: int, z: int) -> float:
     if m < 1 or d_cont < 1 or z < 1:
         raise ConfigError("m, d_cont and z must all be >= 1")
     return z * (3.0 + math.log(d_cont * float(m) * float(m) / (4.0 * z**3)))
-
-
-def projection_bound_closed_form(m: int, d_cont: int, z: int) -> float:
-    """Plain-value variant of `projection_bound_log` (may be inf for huge inputs)."""
-    try:
-        return math.exp(projection_bound_log(m, d_cont, z))
-    except OverflowError:
-        return math.inf

@@ -29,18 +29,3 @@ def empirical_quality(cover: Cover, labels: LabelVector, center: float) -> Quali
     m = labels.m
     return QualityStat((pos - n * center) / m, n / m, pos)
 
-
-def alpha_quality(cover: Cover, labels: LabelVector, alpha: float) -> float:
-    """Generality^alpha times unusualness: f^a * (mean(l | cover) - mean(l)).
-
-    alpha=1 reproduces the centered quality at the observed mean; an empty
-    cover scores 0 for every alpha.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    n = cover.bit_count()
-    if n == 0:
-        return 0.0
-    pos = (cover & labels.mask).bit_count()
-    f = n / labels.m
-    return f**alpha * (pos / n - labels.mean())

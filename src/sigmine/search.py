@@ -4,7 +4,8 @@ Three entry points share one enumeration: the supremum of the centered
 quality under a batch of label vectors (the engine's hot loop: one traversal
 serves every resample, or a chunk of permutations), exact top-k mining, and
 the final thresholded scan that emits every pattern whose observed quality
-clears a frequency-dependent cutoff.
+clears a frequency-dependent cutoff.  The supremum search and the scan run
+on uint64-packed covers; top-k walks int bitsets.
 
 Pruning is lossless: a pattern's refinements keep a subset of its cover, so
 (positives - positives * center) / m bounds every descendant's quality, and
@@ -12,6 +13,13 @@ computed in that form it also bounds every descendant's computed quality
 (see `optimistic_estimate`).  Ties are broken toward the first pattern in
 canonical DFS order, which makes results deterministic and makes merges from
 disjoint subtrees associative.
+
+Many selectors are complements: at_least(c) of less_than(c), the last code
+of a categorical column of the other codes.  Such a *derived* selector is
+counted without a popcount: under any node its cover's size and positives
+are the node's minus those of its basis (see `SearchContext`).  These are
+integer identities, so every quality, and every result, is the one a
+popcount would give, bit for bit.
 """
 
 from __future__ import annotations
@@ -65,8 +73,27 @@ class SearchContext:
 
     Selector covers are computed once and intersected incrementally down the
     DFS; `words` holds the same covers as a (selectors, words) uint64 matrix
-    for the batched supremum search, and `pair_*` index its (child, leaf)
-    pairs.  The context is immutable.
+    for the batched supremum search.  The context is immutable.
+
+    Selector k is *derived* when its cover and the covers of `basis[k]`, a
+    non-empty set of earlier non-derived selectors on the same column, are
+    pairwise disjoint and together hold all m rows: each at_least(c) with
+    its less_than(c), the last code of a categorical column with the other
+    codes.  Any node cover C then splits the same way, so |C & k| = |C| -
+    the sum of |C & b| over the basis, and likewise for the positives under
+    every label vector.  These are exact integer identities, so a quality
+    computed from them is the same float as one computed from a popcount,
+    and the searches count derived selectors by subtraction.  The test runs
+    on the covers, not on selector forms, so ties, collapsed cuts, itemset
+    mode and interval forms derive only what truly partitions the rows; the
+    basis stays on the selector's column, so wherever the selector is a
+    child or a leaf, so is its basis.
+
+    For the last two levels of the packed searches, the (child, leaf) pairs
+    below a node are indexed once: `ss_*` the pairs of two scored selectors,
+    counted by popcount, and `pair_phases` the others with their basis
+    pairs (CSR), counted by subtraction in an order that counts every basis
+    first.
     """
 
     def __init__(self, dataset: Dataset, cfg: LanguageConfig):
@@ -79,25 +106,76 @@ class SearchContext:
         self.words = bitset.to_words(self.masks, dataset.m)
         self.m = dataset.m
         self.root = bitset.full(dataset.m)
+        nsel = len(self.base)
         # first base index on a column strictly greater than base[i]'s
         cols = [s.column for s in self.base]
-        nxt = [0] * len(cols)
-        for i in range(len(cols) - 1, -1, -1):
-            if i + 1 < len(cols) and cols[i + 1] == cols[i]:
+        nxt = [0] * nsel
+        for i in range(nsel - 1, -1, -1):
+            if i + 1 < nsel and cols[i + 1] == cols[i]:
                 nxt[i] = nxt[i + 1]
             else:
                 nxt[i] = i + 1
         self.next_start = nxt
+        self.next_start_a = np.array(nxt, dtype=np.intp)
+        self.basis = derive_bases(self.masks, cols, self.m)
+        self.is_derived = is_derived = np.array([b is not None for b in self.basis])
+        # a node whose children start at selector s counts the children
+        # scored[scored_from[s]:] by popcount and derived[derived_from[s]:]
+        # by subtraction; derived[d]'s basis is derived_basis[derived_ptr[d]
+        # : derived_ptr[d + 1]]
+        self.scored = np.flatnonzero(~is_derived)
+        self.derived = np.flatnonzero(is_derived)
+        self.scored_from = np.searchsorted(self.scored, np.arange(nsel + 1))
+        self.derived_from = np.searchsorted(self.derived, np.arange(nsel + 1))
+        sizes = [len(self.basis[k]) for k in self.derived]
+        self.derived_ptr = np.concatenate([[0], np.cumsum(sizes, dtype=np.intp)])
+        self.derived_basis = np.array(
+            [b for k in self.derived for b in self.basis[k]], dtype=np.intp
+        )
+
         # the (child, leaf) pairs (i, k), k >= next_start[i], of the batched
-        # search's last two levels, sorted by i: the pairs below a node
-        # whose children start at selector i are those from pair_start[i]
-        # on (none when z=1, where children are leaves)
-        self.pair_count = (len(cols) - np.array(nxt, dtype=np.intp)) * (cfg.z > 1)
+        # search's last two levels, sorted by (i, k): child i's pairs are the
+        # rows pair_start[i]:pair_start[i + 1] (none when z=1)
+        self.pair_count = (nsel - self.next_start_a) * (cfg.z > 1)
         self.pair_start = np.concatenate([[0], np.cumsum(self.pair_count)])
-        self.pair_i = np.repeat(np.arange(len(cols), dtype=np.int32), self.pair_count)
-        # k is next_start[i] plus the pair's offset within i's block
-        offset = np.arange(len(self.pair_i)) - np.repeat(self.pair_start[:-1], self.pair_count)
-        self.pair_k = (offset + np.repeat(nxt, self.pair_count)).astype(np.int32)
+        pi = np.repeat(np.arange(nsel), self.pair_count)
+        pk = _ranges(self.next_start_a, self.pair_count)
+        di, dk = is_derived[pi], is_derived[pk]
+        # pairs of two scored selectors are counted by popcount: rows
+        # ss_row[ss_start[i]:ss_start[i + 1]] for child i
+        ss = np.flatnonzero(~di & ~dk)
+        self.ss_row = ss.astype(np.int32)
+        self.ss_i, self.ss_k = pi[ss].astype(np.int32), pk[ss].astype(np.int32)
+        self.ss_start = np.searchsorted(ss, self.pair_start)
+        # the others by subtraction, in two phases whose bases are counted
+        # before them: a pair with one derived selector from pairs of two
+        # scored ones, then a pair of two derived selectors from pairs with
+        # a derived child and a scored leaf
+        one = np.flatnonzero(di != dk)
+        two = np.flatnonzero(di & dk)
+        self.pair_phases = [
+            self._pair_phase(one, dk[one], pi, pk),
+            self._pair_phase(two, np.ones(len(two), dtype=bool), pi, pk),
+        ]
+        self.col_heads = np.flatnonzero(np.diff(cols, prepend=-1))
+
+    def _pair_phase(self, rows, leaf_side, pi, pk):
+        """Derived pairs `rows` as (per-child starts, rows, total, basis
+        pointers, basis rows).  Pair (i, k) with derived k (leaf_side) is
+        child i's counts minus the pairs (i, b), b in basis[k]; with derived
+        i it is child k's counts minus the pairs (a, k), a in basis[i]."""
+        d = np.where(leaf_side, pk[rows], pi[rows])
+        total = np.where(leaf_side, pi[rows], pk[rows])
+        j = self.derived_from[d]
+        lens = self.derived_ptr[j + 1] - self.derived_ptr[j]
+        ptr = np.concatenate([[0], np.cumsum(lens)])
+        b = self.derived_basis[_ranges(self.derived_ptr[j], lens)]
+        row, leaf = np.repeat(rows, lens), np.repeat(leaf_side, lens)
+        ci = np.where(leaf, pi[row], b)
+        ck = np.where(leaf, b, pk[row])
+        basis = self.pair_start[ci] + ck - self.next_start_a[ci]
+        small = [a.astype(np.int32) for a in (rows, total, ptr, basis)]
+        return np.searchsorted(rows, self.pair_start), *small
 
     def sup_frequency(self) -> float:
         """max_P f_P over the whole language (attained at depth 1)."""
@@ -111,6 +189,49 @@ class SearchContext:
         temporary, (selectors x vectors x words) uint64, stays within
         BATCH_BYTES."""
         return max(1, BATCH_BYTES // self.words.nbytes)
+
+
+def derive_bases(masks: list[Cover], columns: list[int], m: int) -> list[tuple[int, ...] | None]:
+    """For each selector, None, or the earlier non-derived selectors on its
+    column whose covers are pairwise disjoint and, with its own cover, hold
+    all m rows (see `SearchContext`).
+
+    Candidates are the non-empty covers disjoint from the selector's,
+    largest first, kept while disjoint from those already kept; the
+    selector is derived when they fill its complement exactly.
+    """
+    full = bitset.full(m)
+    bases: list[tuple[int, ...] | None] = []
+    first = 0
+    for k, mask in enumerate(masks):
+        if columns[k] != columns[first]:
+            first = k
+        cand = [
+            b for b in range(first, k)
+            if bases[b] is None and masks[b] and not masks[b] & mask
+        ]
+        picked, union = [], 0
+        for b in sorted(cand, key=lambda b: -masks[b].bit_count()):
+            if not masks[b] & union:
+                picked.append(b)
+                union |= masks[b]
+        bases.append(tuple(sorted(picked)) if picked and union == full ^ mask else None)
+    return bases
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[r] .. starts[r] + lens[r]."""
+    offset = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+    return np.repeat(starts, lens) + offset
+
+
+def _subtract(total, cnt, first, basis):
+    """Counts of derived entries: `total` minus the sum of their basis rows
+    of `cnt`, entry r's basis being the rows basis[first[r]:first[r + 1]]
+    (the last one's running to the end of `basis`); no basis is empty."""
+    if not len(first):
+        return np.empty((0, cnt.shape[1]), dtype=np.int64)
+    return total - np.add.reduceat(cnt[basis], first, axis=0)
 
 
 @dataclass
@@ -163,13 +284,16 @@ def sup_quality(
 
     Covers and labels are packed into uint64 word matrices: each node forms
     all its children with one ``&`` and counts frequencies and per-vector
-    positives with a popcount.  Before entering a subtree deeper than one
-    level the matrices are compacted to the subtree root's transactions, the
-    only ones its patterns can cover, so deep levels work on fewer words.
+    positives with a popcount, or by subtraction for derived selectors (see
+    `SearchContext`).  Before entering a subtree deeper than one level the
+    matrices are restricted to the subtree root's transactions, the only
+    ones its patterns can cover: compacted, so deep levels work on fewer
+    words, or masked, where compaction would cost more than it saves.
 
     The last two levels are one vectorized pass per depth z-2 node (the
-    root when z=2): every (child, leaf) pair below it is scored against
-    every vector, each child's leaves are reduced to a per-vector maximum,
+    root when z=2): every (child, leaf) pair below it is counted for every
+    vector, by popcount only when neither selector is derived, each child's
+    leaves are reduced to a per-vector maximum,
     and a cumulative maximum over child values and leaf maxima in preorder
     replays the per-child loop.  Leaves a vector's own search would prune
     cannot raise its running best, because the estimate that prunes them
@@ -186,14 +310,24 @@ def sup_quality(
     if not batch:
         raise ConfigError("sup_quality needs at least one label vector")
     search = _BatchSearch(ctx, len(batch), center, prune)
-    lab = bitset.to_words([lv.mask for lv in batch], ctx.m)
-    search.node(ctx.words, lab, ctx.m, (), 0, 0, np.ones(len(batch), dtype=bool))
+    lab = bitset.to_words([ctx.root] + [lv.mask for lv in batch], ctx.m)
+    search.node(ctx.words, lab, (), 0, 0, np.ones(len(batch), dtype=bool))
     argmaxes = [ctx.pattern(idx) if idx is not None else None for idx in search.best_idx]
     return SearchResult(search.best.tolist(), argmaxes, search.visited, search.pruned)
 
 
+def _popcounts(covers, lab):
+    """Counts (covers x label rows) of `covers` by popcount; with row 0 of
+    `lab` holding every transaction, column 0 is the size of each cover and
+    the others its positives under each vector."""
+    return np.bitwise_count(covers[:, None, :] & lab).sum(axis=2, dtype=np.int64)
+
+
 class _BatchSearch:
-    """Running maxima of one `sup_quality` call and its node counters."""
+    """Running maxima of one `sup_quality` call and its node counters.
+
+    Counts are (entries x (1 + vectors)) int64 arrays from `_popcounts`:
+    row 0 of the label matrix holds every transaction of the node."""
 
     def __init__(self, ctx: SearchContext, c: int, center: float, prune: bool):
         self.ctx = ctx
@@ -203,29 +337,149 @@ class _BatchSearch:
         self.best_idx: list[tuple[int, ...] | None] = [None] * c
         self.visited = 0
         self.pruned = 0
+        self.layout: tuple[int, list] = (-1, [])
 
-    def score(self, covers, lab):
-        """Positives (covers x vectors) and centered qualities."""
-        n = np.bitwise_count(covers).sum(axis=1)
-        pos = np.bitwise_count(covers[:, None, :] & lab).sum(axis=2, dtype=np.int32)
-        return pos, (pos - n[:, None] * self.center) / self.ctx.m
+    def quality(self, cnt):
+        """Centered qualities (entries x vectors)."""
+        return (cnt[:, 1:] - cnt[:, :1] * self.center) / self.ctx.m
 
-    def estimate(self, pos):
+    def estimate(self, cnt):
         """Optimistic estimates: `optimistic_estimate` for every entry."""
-        return (pos - pos * self.center) / self.ctx.m
+        return (cnt[:, 1:] - cnt[:, 1:] * self.center) / self.ctx.m
 
-    def node(self, kids, lab, size: int, chosen, start: int, depth: int, live) -> None:
+    def counts(self, kids, lab, start: int):
+        """Counts of the children start.. of a node whose transactions
+        `kids` and `lab` are restricted to: scored children by popcount,
+        derived ones by subtraction from the node's own counts."""
+        ctx = self.ctx
+        cnt = np.empty((len(kids), len(lab)), dtype=np.int64)
+        rows = ctx.scored[ctx.scored_from[start] :] - start
+        cnt[rows] = _popcounts(kids[rows], lab)
+        d = ctx.derived_from[start]
+        p0 = ctx.derived_ptr[d]
+        cnt[ctx.derived[d:] - start] = _subtract(
+            np.bitwise_count(lab).sum(axis=1, dtype=np.int64), cnt,
+            ctx.derived_ptr[d:-1] - p0, ctx.derived_basis[p0:] - start,
+        )
+        return cnt
+
+    def descend(self, kids, lab, cnt, r: int, start: int, depth: int):
+        """The covers of the selectors after child r's column and the label
+        matrix, restricted to child r's transactions, for a node at `depth`:
+        compacted to them (`compact`), or with every column kept and the
+        other transactions masked to 0."""
+        nxt = self.ctx.next_start[start + r]
+        if self.compacts(int(cnt[r, 0]), lab, nxt, depth):
+            return self.compact(kids, lab, r, start, nxt)
+        return kids[nxt - start :] & kids[r], lab & kids[r]
+
+    def compacts(self, keep: int, lab, start: int, depth: int) -> bool:
+        """Whether a node at `depth` with `keep` transactions, whose
+        children start at selector `start`, works on them compacted.
+
+        Deeper levels work on whatever the node works on, so a node above
+        the last two levels is always compacted.  Below that, compaction
+        moves about a byte per row and transaction and a popcount about a
+        word (64 transactions) per pair or child and vector, so it pays when
+        it saves more popcount words than it moves bytes."""
+        ctx = self.ctx
+        if depth + 2 < ctx.cfg.z:
+            return True
+        size = lab.shape[1] * 64
+        rows = len(ctx.scored) - ctx.scored_from[start]
+        pairs = len(ctx.ss_row) - ctx.ss_start[start]
+        return (size - keep) * len(lab) * (rows + pairs) > 64 * (rows + len(lab)) * size
+
+    def compact(self, kids, lab, r: int, start: int, nxt: int):
+        """`descend` by `_restrict`.  Only scored rows are compacted; a
+        derived row is the complement of its basis rows' union, their XOR
+        since they are disjoint."""
+        ctx = self.ctx
+        size = lab.shape[1] * 64
+        keep = np.flatnonzero(bitset.unpack_rows(kids[r : r + 1], size)[0])
+        sub_lab = _restrict(lab, size, keep)
+        out = np.empty((len(ctx.base) - nxt, sub_lab.shape[1]), dtype=np.uint64)
+        rows = ctx.scored[ctx.scored_from[nxt] :] - nxt
+        out[rows] = _restrict(kids[rows + (nxt - start)], size, keep)
+        d = ctx.derived_from[nxt]
+        p0 = ctx.derived_ptr[d]
+        if d < len(ctx.derived):
+            basis = out[ctx.derived_basis[p0:] - nxt]
+            union = np.bitwise_xor.reduceat(basis, ctx.derived_ptr[d:-1] - p0, axis=0)
+            out[ctx.derived[d:] - nxt] = sub_lab[0] ^ union
+        return out, sub_lab
+
+    def leaf_max(self, kids, lab, start: int, cnt):
+        """Per child and vector, the best quality among the child's leaves
+        (-inf where it has none), given the children's counts `cnt`.
+
+        Pairs of two scored selectors are counted in chunks of at most
+        PAIR_BYTES of (pairs x vectors x words) temporary, the rest by
+        subtraction from the counts of a child (`blocks`)."""
+        top = np.full((len(kids), len(lab) - 1), -np.inf)
+        step = max(1, PAIR_BYTES // max(lab.nbytes, 1))
+        for size, rows, i, k, phases, kid, heads in self.blocks(start, len(lab)):
+            pc = np.empty((size, len(lab)), dtype=np.int64)
+            for c in range(0, len(rows), step):
+                chunk = slice(c, c + step)
+                pc[rows[chunk]] = _popcounts(kids[i[chunk]] & kids[k[chunk]], lab)
+            for row, total, first, basis in phases:
+                pc[row] = _subtract(cnt[total], pc, first, basis)
+            top[kid] = np.maximum.reduceat(self.quality(pc), heads, axis=0)
+        return top
+
+    def blocks(self, start: int, width: int):
+        """The (child, leaf) pairs below a node whose children start at
+        selector `start`, as index arrays local to the node, per block of
+        children; consecutive nodes with the same `start` share them.
+
+        The node's pairs are the context's pair rows from its first child
+        on.  Children are taken in blocks of whole columns, at most
+        PAIR_BYTES of (pairs x `width`) counts or one column's children when
+        those alone take more, so every derived pair finds its basis in its
+        own block."""
+        if self.layout[0] == start:
+            return self.layout[1]
+        ctx = self.ctx
+        block = max(1, PAIR_BYTES // (8 * width))
+        heads = ctx.col_heads[np.searchsorted(ctx.col_heads, start) :]
+        before = ctx.pair_start[heads] - ctx.pair_start[start]
+        heads = heads[np.flatnonzero(np.diff(before // block, prepend=-1))]
+        out = []
+        for a, b in zip(heads, [*heads[1:], len(ctx.base)]):
+            r0, r1 = ctx.pair_start[a], ctx.pair_start[b]
+            if r0 == r1:
+                continue
+            s0, s1 = ctx.ss_start[a], ctx.ss_start[b]
+            phases = []
+            for first, row, total, ptr, basis in ctx.pair_phases:
+                e0, e1 = first[a], first[b]
+                p0, p1 = ptr[e0], ptr[e1]
+                phases.append(
+                    (row[e0:e1] - r0, total[e0:e1] - start, ptr[e0:e1] - p0, basis[p0:p1] - r0)
+                )
+            kid = np.arange(a, b)[ctx.pair_count[a:b] > 0]
+            out.append((
+                r1 - r0, ctx.ss_row[s0:s1] - r0, ctx.ss_i[s0:s1] - start, ctx.ss_k[s0:s1] - start,
+                phases, kid - start, ctx.pair_start[kid] - r0,
+            ))
+        self.layout = (start, out)
+        return out
+
+    def node(self, kids, lab, chosen, start: int, depth: int, live) -> None:
         """Search below one node.  `kids` holds the covers of selectors
-        start.. and `lab` the label vectors, both restricted to the node's
-        `size` transactions, so they are already the children's covers."""
+        start.. and `lab` the label vectors after the all-ones row, both
+        restricted to the node's transactions, so they are already the
+        children's covers."""
         ctx = self.ctx
         if depth + 2 >= ctx.cfg.z:
             self.last_levels(kids, lab, chosen, start, live)
             return
         nsel = len(ctx.base)
         self.visited += len(kids)
-        pos, vals = self.score(kids, lab)
-        bound = self.estimate(pos)
+        cnt = self.counts(kids, lab, start)
+        vals = self.quality(cnt)
+        bound = self.estimate(cnt)
         best = self.best
         for r, i in enumerate(range(start, nsel)):
             here = chosen + (i,)
@@ -236,15 +490,9 @@ class _BatchSearch:
             if not sub.any():
                 self.pruned += 1
                 continue
-            nxt = ctx.next_start[i]
-            if nxt == nsel:
-                continue
-            keep = np.flatnonzero(bitset.unpack_rows(kids[r : r + 1], size)[0])
-            self.node(
-                _restrict(kids[nxt - start :], size, keep),
-                _restrict(lab, size, keep),
-                len(keep), here, nxt, depth + 1, sub,
-            )
+            if ctx.next_start[i] < nsel:
+                sub_kids, sub_lab = self.descend(kids, lab, cnt, r, start, depth + 1)
+                self.node(sub_kids, sub_lab, here, ctx.next_start[i], depth + 1, sub)
 
     def last_levels(self, kids, lab, chosen, start: int, live) -> None:
         """The children of a depth z-2 node and all their children, the
@@ -259,17 +507,17 @@ class _BatchSearch:
         pruned search, maximizer and node counts included.
         """
         ctx = self.ctx
-        pos, vals = self.score(kids, lab)
+        cnt = self.counts(kids, lab, start)
         seq = np.empty((2 * len(kids) + 1, len(live)))
         seq[0] = self.best
-        seq[1::2] = vals
-        seq[2::2] = self.leaf_max(kids, lab, start)
+        seq[1::2] = self.quality(cnt)
+        seq[2::2] = self.leaf_max(kids, lab, start, cnt)
         run = np.maximum.accumulate(seq, axis=0)
         self.visited += len(kids)
         if ctx.cfg.z > 1:
             entered = np.ones(len(kids), dtype=bool)  # live is never empty here
             if self.prune:
-                entered = (live & (self.estimate(pos) > run[1::2])).any(axis=1)
+                entered = (live & (self.estimate(cnt) > run[1::2])).any(axis=1)
             self.pruned += len(kids) - int(entered.sum())
             self.visited += int(ctx.pair_count[start:][entered].sum())
         final = run[-1]
@@ -280,46 +528,85 @@ class _BatchSearch:
             here = chosen + (start + r,)
             if leaf:  # rescore the child's leaves for the first maximizer
                 nxt = ctx.next_start[start + r]
-                _, leaf_vals = self.score(kids[nxt - start :] & kids[r], lab[j : j + 1])
-                here += (nxt + int(leaf_vals.argmax()),)
+                leaves = kids[nxt - start :] & kids[r]
+                here += (nxt + int(self.quality(_popcounts(leaves, lab[[0, j + 1]])).argmax()),)
             self.best[j] = final[j]
             self.best_idx[j] = here
 
-    def leaf_max(self, kids, lab, start: int):
-        """Per child and vector, the best quality among the child's leaves
-        (-inf where it has none).
 
-        The node's (child, leaf) pairs are a suffix of the context's pair
-        index, grouped by child.  They are scored in chunks of at most
-        PAIR_BYTES of (pairs x vectors x words) temporary, and reduced per
-        child in blocks of at most PAIR_BYTES of (pairs x vectors) values."""
+class _Scan:
+    """The patterns one `threshold_mine` call reports, as (indices, size,
+    positives) in the order found.
+
+    The scan goes level by level over a frontier of entered patterns, in
+    pieces: the children of every pattern of a piece are counted at once,
+    by popcount against the pattern's cover, or by subtraction from the
+    pattern's counts for derived selectors (see `SearchContext`)."""
+
+    def __init__(
+        self, ctx: SearchContext, labels: LabelVector, center: float, eps: float, eps_t: float
+    ):
+        self.ctx = ctx
+        self.center = center
+        self.eps = eps
+        self.eps_t = eps_t
+        # row 0 holds every transaction, so counts are (size, positives)
+        self.lab = bitset.to_words([ctx.root, labels.mask], ctx.m)
+        self.hits: list[tuple[tuple[int, ...], int, int]] = []
+
+    def level(self, covers, chosen, starts, total, depth: int) -> None:
+        """Scan the children of the patterns `chosen`, whose covers are
+        `covers`, counts `total` and children start at `starts`, at `depth`."""
         ctx = self.ctx
-        lo = ctx.pair_start[start]
-        pi = ctx.pair_i[lo:] - start
-        pk = ctx.pair_k[lo:] - start
-        top = np.full((len(kids), len(lab)), -np.inf)
-        block = max(1, PAIR_BYTES // (8 * len(lab)))
-        step = max(1, PAIR_BYTES // max(lab.nbytes, 1))
-        for b in range(0, len(pi), block):
-            i, k = pi[b : b + block], pk[b : b + block]
-            vals = np.empty((len(i), len(lab)))
-            for s in range(0, len(i), step):
-                chunk = slice(s, s + step)
-                _, vals[chunk] = self.score(kids[i[chunk]] & kids[k[chunk]], lab)
-            heads = np.flatnonzero(np.diff(i, prepend=-1))
-            r = i[heads]
-            top[r] = np.maximum(top[r], np.maximum.reduceat(vals, heads, axis=0))
-        return top
+        nsel, m = len(ctx.base), ctx.m
+        lens = nsel - starts
+        par = np.repeat(np.arange(len(starts)), lens)
+        sel = _ranges(starts, lens)
+        cnt = np.empty((len(sel), 2), dtype=np.int64)
+        rows = np.flatnonzero(~ctx.is_derived[sel])
+        step = max(1, PAIR_BYTES // max(self.lab.nbytes, 1))
+        for c in range(0, len(rows), step):
+            r = rows[c : c + step]
+            cnt[r] = _popcounts(covers[par[r]] & ctx.words[sel[r]], self.lab)
+        # a derived child's basis are its siblings b, at first[p] + b - starts[p]
+        d = np.flatnonzero(ctx.is_derived[sel])
+        j = ctx.derived_from[sel[d]]
+        sizes = ctx.derived_ptr[j + 1] - ctx.derived_ptr[j]
+        offset = (np.cumsum(lens) - lens - starts)[par[d]]
+        basis = np.repeat(offset, sizes) + ctx.derived_basis[_ranges(ctx.derived_ptr[j], sizes)]
+        cnt[d] = _subtract(total[par[d]], cnt, np.cumsum(sizes) - sizes, basis)
+
+        n, pos = cnt[:, 0], cnt[:, 1]
+        found = (pos - n * self.center) / m >= self.eps + self.eps_t * (n / m)
+        for h in np.flatnonzero(found):
+            self.hits.append((chosen[par[h]] + (int(sel[h]),), int(n[h]), int(pos[h])))
+        if depth == ctx.cfg.z:
+            return
+        nxt = ctx.next_start_a[sel]
+        enter = np.flatnonzero(((pos - pos * self.center) / m >= self.eps) & (nxt < nsel))
+        # pieces of at most BATCH_BYTES of covers and PAIR_BYTES of counts
+        before = np.cumsum(nsel - nxt[enter]) - (nsel - nxt[enter])
+        per_piece = max(1, BATCH_BYTES // max(ctx.words[0].nbytes, 1))
+        piece = np.maximum(before // max(1, PAIR_BYTES // 16), np.arange(len(enter)) // per_piece)
+        heads = np.flatnonzero(np.diff(piece, prepend=-1))
+        for a, b in zip(heads, [*heads[1:], len(enter)]):
+            e = enter[a:b]
+            self.level(
+                covers[par[e]] & ctx.words[sel[e]],
+                [chosen[par[x]] + (int(sel[x]),) for x in e],
+                nxt[e], cnt[e], depth + 1,
+            )
 
 
 def _restrict(words: np.ndarray, size: int, keep: np.ndarray) -> np.ndarray:
     """Packed rows over `size` transactions, cut down to the `keep` ones;
     rows are unpacked in blocks of at most BATCH_BYTES."""
     step = max(1, BATCH_BYTES // max(size, 1))
-    return np.concatenate([
-        bitset.pack_rows(bitset.unpack_rows(words[i : i + step], size).take(keep, axis=1))
-        for i in range(0, len(words), step)
-    ])
+    out = np.empty((len(words), (len(keep) + 63) // 64), dtype=np.uint64)
+    for i in range(0, len(words), step):
+        flags = bitset.unpack_rows(words[i : i + step], size).take(keep, axis=1)
+        out[i : i + step] = bitset.pack_rows(flags)
+    return out
 
 
 def top_k(
@@ -340,35 +627,27 @@ def top_k(
     if k < 1:
         raise ConfigError("k must be >= 1")
     ctx = _context(dataset, cfg, ctx)
-    masks = ctx.masks
-    nsel = len(masks)
-    m = ctx.m
-    z = ctx.cfg.z
-    lmask = labels.mask
-
+    m, nsel, z, lmask = ctx.m, len(ctx.base), ctx.cfg.z, labels.mask
     # heap entries (value, -dfs_rank, chosen): among equal values the latest
     # arrival sorts smallest and is displaced first
     heap: list[tuple[float, int, tuple[int, ...]]] = []
     rank = 0
-
-    def rec(cover: Cover, chosen: tuple[int, ...], start: int, depth: int) -> None:
-        nonlocal rank
-        for i in range(start, nsel):
-            child = cover & masks[i]
-            pos = (child & lmask).bit_count()
-            val = (pos - child.bit_count() * center) / m
-            rank += 1
-            here = chosen + (i,)
-            if len(heap) < k:
-                heapq.heappush(heap, (val, -rank, here))
-            elif val > heap[0][0]:
-                heapq.heapreplace(heap, (val, -rank, here))
-            if depth + 1 < z:
-                full = len(heap) == k
-                if not prune or not full or (pos - pos * center) / m > heap[0][0]:
-                    rec(child, here, ctx.next_start[i], depth + 1)
-
-    rec(ctx.root, (), 0, 0)
+    # an explicit stack in canonical preorder, not a recursive closure: one
+    # that refers to itself would keep the context alive until the garbage
+    # collector ran
+    todo = _children(ctx, ctx.root, m, labels.ones, (), 0, lmask)
+    while todo:
+        cover, here, n, pos = todo.pop()
+        val = (pos - n * center) / m
+        rank += 1
+        if len(heap) < k:
+            heapq.heappush(heap, (val, -rank, here))
+        elif val > heap[0][0]:
+            heapq.heapreplace(heap, (val, -rank, here))
+        nxt = ctx.next_start[here[-1]]
+        if len(here) < z and nxt < nsel:
+            if not prune or len(heap) < k or (pos - pos * center) / m > heap[0][0]:
+                todo += _children(ctx, cover & ctx.masks[here[-1]], n, pos, here, nxt, lmask)
     ordered = sorted(heap, key=lambda t: (-t[0], -t[1]))
     entries = [
         (ctx.pattern(idx), empirical_quality(_cover_of(ctx, idx), labels, center))
@@ -397,27 +676,41 @@ def threshold_mine(
 
     The per-pattern threshold is frequency-dependent but bounded below by
     eps, so a subtree dies as soon as its optimistic estimate drops below
-    eps.  Results come back in canonical DFS order.
+    eps.  The scan goes level by level over packed covers (`_Scan`).
+    Results come back in canonical DFS order.
     """
     ctx = _context(dataset, cfg, ctx)
-    masks = ctx.masks
-    nsel = len(masks)
+    scan = _Scan(ctx, labels, center, eps, eps_t)
+    root = np.array([[ctx.m, labels.ones]], dtype=np.int64)
+    scan.level(scan.lab[:1], [()], np.zeros(1, dtype=np.intp), root, 1)
     m = ctx.m
-    z = ctx.cfg.z
-    lmask = labels.mask
-    out: list[tuple[Pattern, QualityStat]] = []
+    # index tuples sort in canonical DFS preorder
+    return [
+        (ctx.pattern(idx), QualityStat((pos - n * center) / m, n / m, pos))
+        for idx, n, pos in sorted(scan.hits)
+    ]
 
-    def rec(cover: Cover, chosen: tuple[int, ...], start: int, depth: int) -> None:
-        for i in range(start, nsel):
+
+def _children(ctx: SearchContext, cover: Cover, n: int, pos: int, chosen, start: int, lmask):
+    """(parent cover, indices, size, positives) of the children start.. of
+    a node with cover `cover`, size n and positives pos, last child first.
+    Derived children are counted by subtraction (see `SearchContext`); a
+    child's own cover is formed only when it is entered."""
+    masks, bases = ctx.masks, ctx.basis
+    ns: list[int] = []
+    ps: list[int] = []
+    for i in range(start, len(masks)):
+        basis = bases[i]
+        if basis is None:
             child = cover & masks[i]
-            pos = (child & lmask).bit_count()
-            n = child.bit_count()
-            val = (pos - n * center) / m
-            here = chosen + (i,)
-            if val >= eps + eps_t * (n / m):
-                out.append((ctx.pattern(here), QualityStat(val, n / m, pos)))
-            if depth + 1 < z and (pos - pos * center) / m >= eps:
-                rec(child, here, ctx.next_start[i], depth + 1)
-
-    rec(ctx.root, (), 0, 0)
-    return out
+            cn, cp = child.bit_count(), (child & lmask).bit_count()
+        else:
+            cn, cp = n, pos
+            for b in basis:
+                cn -= ns[b - start]
+                cp -= ps[b - start]
+        ns.append(cn)
+        ps.append(cp)
+    return [
+        (cover, chosen + (start + r,), ns[r], ps[r]) for r in range(len(ns) - 1, -1, -1)
+    ]

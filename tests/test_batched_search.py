@@ -10,6 +10,7 @@ import sigmine.search
 from sigmine import (
     ColumnSchema,
     Dataset,
+    Form,
     Kind,
     LabelVector,
     LanguageConfig,
@@ -17,23 +18,29 @@ from sigmine import (
     ResamplePlan,
     RunConfig,
     SearchContext,
+    bitset,
     empirical_quality,
     estimate_deviation,
+    evaluate,
     optimistic_estimate,
     resample_target,
     run_wy,
     sup_quality,
+    threshold_mine,
+    top_k,
 )
 from sigmine.oracle import (
     CatColumn,
     ContColumn,
     NullIID,
     SyntheticSpec,
+    brute_force_qualities,
     brute_force_sup,
     brute_force_top_k,
     generate,
 )
 from sigmine.resample import bernoulli_labels
+from sigmine.search import derive_bases
 from sigmine.suites import _random_tiny_instance, mushroom_class_spec
 
 
@@ -113,18 +120,21 @@ def fields(res):
 def test_batch_above_budget_and_split_pair_chunks(z, monkeypatch):
     # the budgets only size temporaries: a batch beyond batch_size(), pairs
     # scored one at a time, or a child's leaves split over reduction blocks
-    # all give the same suprema, maximizers and node counts
+    # all give the same suprema, maximizers and node counts; the scan's
+    # pieces of frontier likewise give the same patterns
     for seed in range(8):
         ds, labels, center, cfg = _random_tiny_instance(seed + 6200)
         cfg = replace(cfg, z=z)
         batch = batch_for(ds, labels, 7, seed)
         ctx = SearchContext(ds, cfg)
         whole = fields(sup_quality(ds, batch, center, cfg, ctx=ctx))
+        scan = threshold_mine(ds, labels, center, 0.0, 0.05, cfg, ctx=ctx)
         monkeypatch.setattr(sigmine.search, "BATCH_BYTES", 2 * ctx.words.nbytes)
         assert ctx.batch_size() == 2 < len(batch)
         for budget in (1, 8 * len(batch) * 3, 8 * len(batch) * 5 + 7):
             monkeypatch.setattr(sigmine.search, "PAIR_BYTES", budget)
             assert fields(sup_quality(ds, batch, center, cfg, ctx=ctx)) == whole
+            assert threshold_mine(ds, labels, center, 0.0, 0.05, cfg, ctx=ctx) == scan
         monkeypatch.undo()
         for lv, sup, arg in zip(batch, *whole[:2]):
             assert (sup, arg) == oracle(ds, lv, center, cfg)
@@ -232,3 +242,123 @@ def test_empty_selector_cover_deep_language(prune):
     res = sup_quality(ds, batch, 0.5, cfg, prune=prune)
     for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
         assert (sup, arg) == oracle(ds, lv, 0.5, cfg)
+
+
+def derived_instances():
+    """name -> (dataset, language): the shapes selector derivation meets."""
+    rng = np.random.default_rng(11)
+    m = 70
+    target = LabelVector((rng.random(m) < 0.4).astype(np.uint8))
+    cat = lambda k: rng.integers(0, k, m)
+    cont = lambda: rng.normal(size=m).round(1)
+
+    def build(cols, cfg):
+        schema = [ColumnSchema(f"c{j}", kind) for j, (kind, _) in enumerate(cols)]
+        cats = {j: [str(c) for c in range(int(v.max()) + 1)]
+                for j, (kind, v) in enumerate(cols) if kind is Kind.CATEGORICAL}
+        return Dataset(schema, [v for _, v in cols], target, cats), cfg
+
+    C, R = Kind.CATEGORICAL, Kind.CONTINUOUS
+    # `below` < its median holds exactly where `half` == 1
+    half = rng.permutation(np.arange(m) % 2)
+    below = np.where(half == 1, 0.0, 1.0) + rng.random(m) * 0.5
+    return {
+        "categorical": build([(C, cat(2)), (C, cat(3)), (C, cat(4))], LanguageConfig(z=3)),
+        "continuous": build([(R, cont()), (R, cont()), (R, cont())], LanguageConfig(z=3, bins=3)),
+        "tied": build([(R, np.full(m, 2.0)), (C, cat(3)), (R, cont())], LanguageConfig(z=3, bins=3)),
+        "one_code": build([(C, np.zeros(m, int)), (C, cat(2)), (C, cat(3))], LanguageConfig(z=3)),
+        "itemset": build([(C, cat(2)), (C, np.ones(m, int)), (C, cat(2)), (C, cat(2))],
+                         LanguageConfig(z=3, mode="itemset")),
+        "interval": build([(R, cont()), (C, cat(3)), (R, cont())],
+                          LanguageConfig(z=3, bins=3, forms=frozenset(Form))),
+        "interval_only": build([(R, cont()), (R, cont()), (R, cont())],
+                               LanguageConfig(z=3, bins=3, forms=frozenset({Form.INTERVAL}))),
+        "across_columns": build(
+            [(C, half), (R, below), (C, cat(3))],
+            LanguageConfig(z=3, bins=1, forms=frozenset({Form.EQUALS, Form.LESS_THAN})),
+        ),
+    }
+
+
+# derived selector -> basis, and the batch's (visited, pruned) at z = 1, 2, 3,
+# pinned from the search before derivation
+DERIVED = {
+    # the last code of each column
+    "categorical": ({1: (0,), 4: (2, 3), 8: (5, 6, 7)}, [(9, 0), (35, 0), (59, 9)]),
+    # each at_least(c) from its less_than(c)
+    "continuous": (
+        {3: (0,), 4: (1,), 5: (2,), 9: (6,), 10: (7,), 11: (8,), 15: (12,), 16: (13,), 17: (14,)},
+        [(18, 0), (126, 0), (330, 17)],
+    ),
+    # the tied column's empty less_than and full at_least derive nothing
+    "tied": ({4: (2, 3), 8: (5,), 9: (6,), 10: (7,)}, [(11, 0), (38, 1), (56, 3)]),
+    # a full cover has no basis
+    "one_code": ({2: (1,), 5: (3, 4)}, [(6, 0), (17, 0), (23, 0)]),
+    # one selector per column; the all-ones column covers every row
+    "itemset": ({}, [(4, 0), (10, 0), (14, 0)]),
+    # intervals never fill a complement; at_least(c) still derives
+    "interval": ({3: (0,), 4: (1,), 5: (2,), 10: (8, 9), 14: (11,), 15: (12,), 16: (13,)},
+                 [(19, 0), (131, 1), (219, 46)]),
+    "interval_only": ({}, [(6, 0), (18, 0), (22, 8)]),
+    # c1 < median is the complement of c0 = 0, but on another column
+    "across_columns": ({1: (0,), 5: (3, 4)}, [(6, 0), (17, 0), (20, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_derived_selectors(name):
+    ds, cfg = derived_instances()[name]
+    bases, pinned = DERIVED[name]
+    ctx = SearchContext(ds, cfg)
+    assert {k: b for k, b in enumerate(ctx.basis) if b is not None} == bases
+    batch = [ds.target] + [bernoulli_labels(ds.m, p, 5, j) for j, p in enumerate((0.2, 0.5, 0.8))]
+    center = ds.mean_target()
+    for z, counts in zip((1, 2, 3), pinned):
+        zcfg = replace(cfg, z=z)
+        res = sup_quality(ds, batch, center, zcfg)
+        assert (res.nodes_visited, res.nodes_pruned) == counts
+        for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
+            alone = sup_quality(ds, lv, center, zcfg)
+            assert (sup, arg) == (alone.supremum, alone.argmax)
+            assert (sup, arg) == oracle(ds, lv, center, zcfg)
+        rows = brute_force_qualities(ds, ds.target, center, zcfg)
+        eps = float(np.quantile([v for _, v, _ in rows], 0.7))
+        for eps_t in (0.0, 0.05):
+            got = threshold_mine(ds, ds.target, center, eps, eps_t, zcfg)
+            want = sorted((idx, p, v) for p, v, idx in rows
+                          if v >= eps + eps_t * (evaluate(p, ds).bit_count() / ds.m))
+            assert [(p, q.value) for p, q in got] == [(p, v) for _, p, v in want]
+        top = top_k(ds, ds.target, center, zcfg, 6).entries
+        assert [(p, q.value) for p, q in top] == brute_force_top_k(ds, ds.target, center, zcfg, 6)
+
+
+def test_derivation_checks_the_covers():
+    # covers over m=6 rows of one column: NaN cells hold for neither
+    # value < 1 nor value >= 1, so those two do not partition the rows
+    values = np.array([0.5, np.nan, 2.0, 0.2, np.nan, 3.0])
+    flags = [values < 1.0, values >= 1.0]
+    assert derive_bases([bitset.pack(f) for f in flags], [0, 0], 6) == [None, None]
+    # {0,1} and {1,2} overlap: they do not make a basis for {3} even though
+    # their union is its complement
+    masks = [bitset.from_indices(ix, 4) for ix in ([0, 1], [1, 2], [3])]
+    assert derive_bases(masks, [0, 0, 0], 4) == [None, None, None]
+    # {0,1} is the complement of {2,3}, but a basis never crosses a column
+    masks = [bitset.from_indices(ix, 4) for ix in ([0, 1], [2, 3], [2, 3])]
+    assert derive_bases(masks, [0, 1, 1], 4) == [None, None, None]
+    assert derive_bases(masks, [0, 0, 1], 4) == [None, (0,), None]
+
+
+@pytest.mark.parametrize("compact", [True, False])
+@pytest.mark.parametrize("name", ["categorical", "continuous", "interval", "tied"])
+def test_compaction_choice_keeps_results(name, compact, monkeypatch):
+    # a subtree works on compacted or masked matrices by a cost estimate;
+    # both give the same suprema, maximizers and node counts
+    ds, cfg = derived_instances()[name]
+    batch = [ds.target] + [bernoulli_labels(ds.m, p, 6, j) for j, p in enumerate((0.3, 0.7))]
+    center = ds.mean_target()
+    for z in (3, 4):
+        zcfg = replace(cfg, z=z)
+        whole = fields(sup_quality(ds, batch, center, zcfg))
+        monkeypatch.setattr(sigmine.search._BatchSearch, "compacts", lambda *args: compact)
+        assert fields(sup_quality(ds, batch, center, zcfg)) == whole
+        monkeypatch.undo()

@@ -182,3 +182,57 @@ def test_bad_bins_flag(null_csv, capsys):
     code = run_mine(null_csv, "--bins", "0")
     assert code == 2
     assert "--bins" in capsys.readouterr().err
+
+
+DEGENERATE = {
+    # name: (csv, sidecar schema or None, extra flags)
+    "constant_target_1": ("a,b,y\nx,u,1\nx,v,1\nz,v,1\nz,u,1\n", None, []),
+    "constant_target_0": ("a,b,y\nx,u,0\nx,v,0\nz,v,0\nz,u,0\n", None, []),
+    "one_row": ("a,y\nx,1\n", None, []),
+    "one_value_column": ("a,b,y\nx,u,1\nx,v,0\nx,u,0\nx,v,1\n", None, []),
+    "tied_continuous": ("a,b,y\n2.5,u,1\n2.5,v,0\n2.5,u,0\n2.5,v,1\n",
+                        "a=continuous\nb=categorical\ny=target\n", []),
+    "depth_above_columns": ("a,b,y\nx,u,1\nx,v,0\nz,v,0\nz,u,1\nz,u,1\nx,v,0\n", None, ["--depth", "4"]),
+    "delta_near_0": ("a,b,y\nx,u,1\nx,v,0\nz,v,0\nz,u,1\nz,u,1\nx,v,0\n", None, ["--delta", "1e-12"]),
+    "delta_near_1": ("a,b,y\nx,u,1\nx,v,0\nz,v,0\nz,u,1\nz,u,1\nx,v,0\n", None, ["--delta", "0.999999"]),
+}
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _numbers(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _numbers(v)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+@pytest.mark.parametrize("top", [[], ["--top-k", "3"]], ids=["scan", "top_k"])
+@pytest.mark.parametrize("mode", ["conditional", "unconditional", "wy", "ub"])
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_inputs(name, mode, top, tmp_path, capsys):
+    # every degenerate input ends with exit 0 and a finite report, or with a
+    # named error and its documented exit code; equal seeds give equal bytes
+    text, schema, extra = DEGENERATE[name]
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    if schema is not None:
+        (tmp_path / "schema.txt").write_text(schema)
+        extra = [*extra, "--schema", str(tmp_path / "schema.txt")]
+    outputs = []
+    for run in range(2):
+        out = tmp_path / f"{run}.json"
+        code = run_mine(path, "--mode", mode, "--permutations", "50", "--seed", "4",
+                        "--format", "json", "--output", str(out), *extra, *top)
+        err = capsys.readouterr().err
+        if code != 0:
+            assert code in (2, 3) and "error:" in err
+            outputs.append((code, err))
+            continue
+        payload = json.loads(out.read_text())
+        assert "bound_report" in payload or "quantile" in payload
+        assert all(math.isfinite(v) for v in _numbers(payload))
+        outputs.append((code, out.read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from sigmine import (
     base_selectors,
     count_distinct_projections,
     evaluate,
-    projection_bound_closed_form,
     projection_bound_log,
     refine,
 )
@@ -170,9 +170,21 @@ def test_empty_covers_are_one_projection():
     assert n == len(covers)
 
 
+def test_projection_count_leaves_no_garbage():
+    # a recursive closure would be a reference cycle holding every cover seen
+    ds = generate(SyntheticSpec(30, (ContColumn(), ContColumn("normal")), NullIID(0.5), seed=3))
+    gc.disable()
+    try:
+        gc.collect()
+        assert count_distinct_projections(ds, LanguageConfig(z=2, bins=3)) > 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_projection_bound_examples():
     assert projection_bound_log(2, 1, 1) == pytest.approx(3.0, abs=1e-12)
-    assert projection_bound_closed_form(2, 1, 1) == pytest.approx(math.e**3, rel=1e-12)
+    assert math.exp(projection_bound_log(2, 1, 1)) == pytest.approx(math.e**3, rel=1e-12)
     assert projection_bound_log(100, 10, 2) == pytest.approx(22.0944, abs=1e-3)
 
 
@@ -198,7 +210,7 @@ def test_projection_count_below_closed_form_all_continuous():
         cfg = LanguageConfig(z=2, bins=2)
         n = count_distinct_projections(ds, cfg)
         base = base_selectors(ds, cfg)
-        bound = projection_bound_closed_form(ds.m, ds.n_features, cfg.z)
+        bound = math.exp(projection_bound_log(ds.m, ds.n_features, cfg.z))
         assert n <= min(bound, pattern_count(base, cfg), 2**ds.m)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmine import LabelVector, alpha_quality, empirical_quality
+from sigmine import LabelVector, empirical_quality
 from sigmine import bitset
 
 
@@ -32,30 +32,6 @@ def test_full_cover_at_mean_centers_to_zero():
     assert abs(stat.value) < 1e-15
 
 
-def test_alpha_one_matches_centered_quality():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        m = int(rng.integers(4, 40))
-        labels = lv((rng.random(m) < rng.random()).astype(np.uint8))
-        cover = bitset.pack(rng.random(m) < 0.5)
-        a = alpha_quality(cover, labels, 1.0)
-        b = empirical_quality(cover, labels, labels.mean()).value
-        assert a == pytest.approx(b, abs=1e-12)
-
-
-def test_alpha_half_example():
-    labels = lv([1, 0, 1])
-    cover = bitset.from_indices([0, 2], 3)
-    assert alpha_quality(cover, labels, 0.5) == pytest.approx(0.27216552697590873, abs=1e-12)
-
-
-def test_zero_unusualness_for_every_alpha():
-    labels = lv([1, 0, 1, 0])
-    cover = bitset.from_indices([0, 1], 4)  # cover mean == global mean == 0.5
-    for alpha in (0.0, 0.5, 1.0, 2.0):
-        assert alpha_quality(cover, labels, alpha) == 0.0
-
-
 def test_center_linearity_exact_on_dyadic_m():
     labels = lv([1, 0, 1, 1, 0, 0, 1, 0])  # m = 8, divisions exact
     cover = bitset.from_indices([0, 2, 3, 5], 8)
@@ -76,8 +52,3 @@ def test_center_linearity_and_value_bound(m, seed, c1, c2):
     s2 = empirical_quality(cover, labels, c2)
     assert s1.value - s2.value == pytest.approx(s1.frequency * (c2 - c1), abs=1e-12)
     assert abs(s1.value) <= s1.frequency * max(c1, 1 - c1) + 1e-12
-
-
-def test_alpha_rejects_negative():
-    with pytest.raises(ValueError):
-        alpha_quality(0, lv([1, 0]), -0.5)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from sigmine import (
     LabelVector,
     LanguageConfig,
+    SearchContext,
     bitset,
     empirical_quality,
     evaluate,
@@ -172,3 +176,38 @@ def test_threshold_mine_matches_brute_force(eps_t):
             if v >= eps + eps_t * f:
                 expected.add((p, v))
         assert got_set == expected
+
+
+@pytest.mark.parametrize("call", ["sup_quality", "top_k", "threshold_mine"])
+def test_search_frees_its_context_on_return(call):
+    # with the collector off, a reference cycle through the walk would keep
+    # the context alive after the call returns
+    ds, labels, center, cfg = _random_tiny_instance(5)
+    run = {
+        "sup_quality": lambda ctx: sup_quality(ds, labels, center, cfg, ctx=ctx),
+        "top_k": lambda ctx: top_k(ds, labels, center, cfg, 3, ctx=ctx),
+        "threshold_mine": lambda ctx: threshold_mine(ds, labels, center, 0.0, 0.0, cfg, ctx=ctx),
+    }[call]
+    gc.disable()
+    try:
+        ctx = SearchContext(ds, cfg)
+        ref = weakref.ref(ctx)
+        run(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_threshold_mine_enters_subtrees_whose_estimate_ties_eps():
+    # y = a AND b: the pure pattern a=1 AND b=1 scores exactly the estimate
+    # of its parent a=1, so a scan at that eps must still enter a=1
+    a = [0, 1, 1, 0, 1, 1, 0, 1]
+    b = [1, 1, 0, 0, 1, 0, 1, 1]
+    y = [x & z for x, z in zip(a, b)]
+    ds = binary_dataset([a, b], y)
+    center = ds.mean_target()
+    cfg = LanguageConfig(z=2)
+    eps = optimistic_estimate(bitset.pack(np.array(a, dtype=bool)), ds.target, center)
+    got = threshold_mine(ds, ds.target, center, eps, 0.0, cfg)
+    assert [(len(p), q.value) for p, q in got] == [(2, eps)]
