@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,11 +90,11 @@ class SearchContext:
     basis stays on the selector's column, so wherever the selector is a
     child or a leaf, so is its basis.
 
-    For the last two levels of the packed searches, the (child, leaf) pairs
-    below a node are indexed once: `ss_*` the pairs of two scored selectors,
-    counted by popcount, and `pair_phases` the others with their basis
-    pairs (CSR), counted by subtraction in an order that counts every basis
-    first.
+    For the last two levels of the batched search, the (child, leaf) pairs
+    below a node are indexed once, in `pairs`: `ss_*` the pairs of two
+    scored selectors, counted by popcount, and `pair_phases` the others with
+    their basis pairs (CSR), counted by subtraction in an order that counts
+    every basis first.
     """
 
     def __init__(self, dataset: Dataset, cfg: LanguageConfig):
@@ -133,13 +134,39 @@ class SearchContext:
             [b for k in self.derived for b in self.basis[k]], dtype=np.intp
         )
 
-        # the (child, leaf) pairs (i, k), k >= next_start[i], of the batched
-        # search's last two levels, sorted by (i, k): child i's pairs are the
-        # rows pair_start[i]:pair_start[i + 1] (none when z=1)
-        self.pair_count = (nsel - self.next_start_a) * (cfg.z > 1)
+        self.col_heads = np.flatnonzero(np.diff(cols, prepend=-1))
+
+    @cached_property
+    def pairs(self) -> _PairIndex:
+        """The pair index of the batched search, built on first use, so a
+        context only `threshold_mine` or `top_k` use never holds it."""
+        return _PairIndex(self)
+
+    def sup_frequency(self) -> float:
+        """max_P f_P over the whole language (attained at depth 1)."""
+        return max(mask.bit_count() for mask in self.masks) / self.m
+
+    def pattern(self, indices) -> Pattern:
+        return Pattern(tuple(self.base[i] for i in indices))
+
+    def batch_size(self) -> int:
+        """Most label vectors one `sup_quality` call takes while its largest
+        temporary, (selectors x vectors x words) uint64, stays within
+        BATCH_BYTES."""
+        return max(1, BATCH_BYTES // self.words.nbytes)
+
+
+class _PairIndex:
+    """The (child, leaf) pairs (i, k), k >= next_start[i], of the batched
+    search's last two levels, sorted by (i, k): child i's pairs are the rows
+    pair_start[i]:pair_start[i + 1] (none when z=1)."""
+
+    def __init__(self, ctx: SearchContext):
+        nsel, is_derived = len(ctx.base), ctx.is_derived
+        self.pair_count = (nsel - ctx.next_start_a) * (ctx.cfg.z > 1)
         self.pair_start = np.concatenate([[0], np.cumsum(self.pair_count)])
         pi = np.repeat(np.arange(nsel), self.pair_count)
-        pk = _ranges(self.next_start_a, self.pair_count)
+        pk = _ranges(ctx.next_start_a, self.pair_count)
         di, dk = is_derived[pi], is_derived[pk]
         # pairs of two scored selectors are counted by popcount: rows
         # ss_row[ss_start[i]:ss_start[i + 1]] for child i
@@ -154,41 +181,27 @@ class SearchContext:
         one = np.flatnonzero(di != dk)
         two = np.flatnonzero(di & dk)
         self.pair_phases = [
-            self._pair_phase(one, dk[one], pi, pk),
-            self._pair_phase(two, np.ones(len(two), dtype=bool), pi, pk),
+            self._pair_phase(ctx, one, dk[one], pi, pk),
+            self._pair_phase(ctx, two, np.ones(len(two), dtype=bool), pi, pk),
         ]
-        self.col_heads = np.flatnonzero(np.diff(cols, prepend=-1))
 
-    def _pair_phase(self, rows, leaf_side, pi, pk):
+    def _pair_phase(self, ctx: SearchContext, rows, leaf_side, pi, pk):
         """Derived pairs `rows` as (per-child starts, rows, total, basis
         pointers, basis rows).  Pair (i, k) with derived k (leaf_side) is
         child i's counts minus the pairs (i, b), b in basis[k]; with derived
         i it is child k's counts minus the pairs (a, k), a in basis[i]."""
         d = np.where(leaf_side, pk[rows], pi[rows])
         total = np.where(leaf_side, pi[rows], pk[rows])
-        j = self.derived_from[d]
-        lens = self.derived_ptr[j + 1] - self.derived_ptr[j]
+        j = ctx.derived_from[d]
+        lens = ctx.derived_ptr[j + 1] - ctx.derived_ptr[j]
         ptr = np.concatenate([[0], np.cumsum(lens)])
-        b = self.derived_basis[_ranges(self.derived_ptr[j], lens)]
+        b = ctx.derived_basis[_ranges(ctx.derived_ptr[j], lens)]
         row, leaf = np.repeat(rows, lens), np.repeat(leaf_side, lens)
         ci = np.where(leaf, pi[row], b)
         ck = np.where(leaf, b, pk[row])
-        basis = self.pair_start[ci] + ck - self.next_start_a[ci]
+        basis = self.pair_start[ci] + ck - ctx.next_start_a[ci]
         small = [a.astype(np.int32) for a in (rows, total, ptr, basis)]
         return np.searchsorted(rows, self.pair_start), *small
-
-    def sup_frequency(self) -> float:
-        """max_P f_P over the whole language (attained at depth 1)."""
-        return max(mask.bit_count() for mask in self.masks) / self.m
-
-    def pattern(self, indices) -> Pattern:
-        return Pattern(tuple(self.base[i] for i in indices))
-
-    def batch_size(self) -> int:
-        """Most label vectors one `sup_quality` call takes while its largest
-        temporary, (selectors x vectors x words) uint64, stays within
-        BATCH_BYTES."""
-        return max(1, BATCH_BYTES // self.words.nbytes)
 
 
 def derive_bases(masks: list[Cover], columns: list[int], m: int) -> list[tuple[int, ...] | None]:
@@ -337,7 +350,6 @@ class _BatchSearch:
         self.best_idx: list[tuple[int, ...] | None] = [None] * c
         self.visited = 0
         self.pruned = 0
-        self.layout: tuple[int, list] = (-1, [])
 
     def quality(self, cnt):
         """Centered qualities (entries x vectors)."""
@@ -387,7 +399,7 @@ class _BatchSearch:
             return True
         size = lab.shape[1] * 64
         rows = len(ctx.scored) - ctx.scored_from[start]
-        pairs = len(ctx.ss_row) - ctx.ss_start[start]
+        pairs = len(ctx.pairs.ss_row) - ctx.pairs.ss_start[start]
         return (size - keep) * len(lab) * (rows + pairs) > 64 * (rows + len(lab)) * size
 
     def compact(self, kids, lab, r: int, start: int, nxt: int):
@@ -431,40 +443,35 @@ class _BatchSearch:
     def blocks(self, start: int, width: int):
         """The (child, leaf) pairs below a node whose children start at
         selector `start`, as index arrays local to the node, per block of
-        children; consecutive nodes with the same `start` share them.
+        children.
 
         The node's pairs are the context's pair rows from its first child
         on.  Children are taken in blocks of whole columns, at most
         PAIR_BYTES of (pairs x `width`) counts or one column's children when
         those alone take more, so every derived pair finds its basis in its
         own block."""
-        if self.layout[0] == start:
-            return self.layout[1]
-        ctx = self.ctx
+        ctx, pix = self.ctx, self.ctx.pairs
         block = max(1, PAIR_BYTES // (8 * width))
         heads = ctx.col_heads[np.searchsorted(ctx.col_heads, start) :]
-        before = ctx.pair_start[heads] - ctx.pair_start[start]
+        before = pix.pair_start[heads] - pix.pair_start[start]
         heads = heads[np.flatnonzero(np.diff(before // block, prepend=-1))]
-        out = []
         for a, b in zip(heads, [*heads[1:], len(ctx.base)]):
-            r0, r1 = ctx.pair_start[a], ctx.pair_start[b]
+            r0, r1 = pix.pair_start[a], pix.pair_start[b]
             if r0 == r1:
                 continue
-            s0, s1 = ctx.ss_start[a], ctx.ss_start[b]
+            s0, s1 = pix.ss_start[a], pix.ss_start[b]
             phases = []
-            for first, row, total, ptr, basis in ctx.pair_phases:
+            for first, row, total, ptr, basis in pix.pair_phases:
                 e0, e1 = first[a], first[b]
                 p0, p1 = ptr[e0], ptr[e1]
                 phases.append(
                     (row[e0:e1] - r0, total[e0:e1] - start, ptr[e0:e1] - p0, basis[p0:p1] - r0)
                 )
-            kid = np.arange(a, b)[ctx.pair_count[a:b] > 0]
-            out.append((
-                r1 - r0, ctx.ss_row[s0:s1] - r0, ctx.ss_i[s0:s1] - start, ctx.ss_k[s0:s1] - start,
-                phases, kid - start, ctx.pair_start[kid] - r0,
-            ))
-        self.layout = (start, out)
-        return out
+            kid = np.arange(a, b)[pix.pair_count[a:b] > 0]
+            yield (
+                r1 - r0, pix.ss_row[s0:s1] - r0, pix.ss_i[s0:s1] - start, pix.ss_k[s0:s1] - start,
+                phases, kid - start, pix.pair_start[kid] - r0,
+            )
 
     def node(self, kids, lab, chosen, start: int, depth: int, live) -> None:
         """Search below one node.  `kids` holds the covers of selectors
@@ -519,7 +526,7 @@ class _BatchSearch:
             if self.prune:
                 entered = (live & (self.estimate(cnt) > run[1::2])).any(axis=1)
             self.pruned += len(kids) - int(entered.sum())
-            self.visited += int(ctx.pair_count[start:][entered].sum())
+            self.visited += int(ctx.pairs.pair_count[start:][entered].sum())
         final = run[-1]
         won = np.flatnonzero(live & (final > self.best))
         firsts = (seq[1:, won] == final[won]).argmax(axis=0)
@@ -635,7 +642,7 @@ def top_k(
     # an explicit stack in canonical preorder, not a recursive closure: one
     # that refers to itself would keep the context alive until the garbage
     # collector ran
-    todo = _children(ctx, ctx.root, m, labels.ones, (), 0, lmask)
+    todo = _children(ctx, ctx.root, (), 0, lmask)
     while todo:
         cover, here, n, pos = todo.pop()
         val = (pos - n * center) / m
@@ -647,7 +654,7 @@ def top_k(
         nxt = ctx.next_start[here[-1]]
         if len(here) < z and nxt < nsel:
             if not prune or len(heap) < k or (pos - pos * center) / m > heap[0][0]:
-                todo += _children(ctx, cover & ctx.masks[here[-1]], n, pos, here, nxt, lmask)
+                todo += _children(ctx, cover, here, nxt, lmask)
     ordered = sorted(heap, key=lambda t: (-t[0], -t[1]))
     entries = [
         (ctx.pattern(idx), empirical_quality(_cover_of(ctx, idx), labels, center))
@@ -691,26 +698,11 @@ def threshold_mine(
     ]
 
 
-def _children(ctx: SearchContext, cover: Cover, n: int, pos: int, chosen, start: int, lmask):
-    """(parent cover, indices, size, positives) of the children start.. of
-    a node with cover `cover`, size n and positives pos, last child first.
-    Derived children are counted by subtraction (see `SearchContext`); a
-    child's own cover is formed only when it is entered."""
-    masks, bases = ctx.masks, ctx.basis
-    ns: list[int] = []
-    ps: list[int] = []
-    for i in range(start, len(masks)):
-        basis = bases[i]
-        if basis is None:
-            child = cover & masks[i]
-            cn, cp = child.bit_count(), (child & lmask).bit_count()
-        else:
-            cn, cp = n, pos
-            for b in basis:
-                cn -= ns[b - start]
-                cp -= ps[b - start]
-        ns.append(cn)
-        ps.append(cp)
-    return [
-        (cover, chosen + (start + r,), ns[r], ps[r]) for r in range(len(ns) - 1, -1, -1)
-    ]
+def _children(ctx: SearchContext, cover: Cover, chosen, start: int, lmask):
+    """(cover, indices, size, positives) of the children start.. of a node
+    with cover `cover`, last child first."""
+    out = []
+    for i in range(len(ctx.masks) - 1, start - 1, -1):
+        child = cover & ctx.masks[i]
+        out.append((child, chosen + (i,), child.bit_count(), (child & lmask).bit_count()))
+    return out

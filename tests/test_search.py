@@ -199,6 +199,18 @@ def test_search_frees_its_context_on_return(call):
         gc.enable()
 
 
+def test_pair_index_is_built_by_the_batched_search_only():
+    # the (child, leaf) pair index serves sup_quality alone: a context the
+    # scan and top-k use never builds it
+    ds, labels, center, cfg = _random_tiny_instance(5)
+    ctx = SearchContext(ds, cfg)
+    top_k(ds, labels, center, cfg, 3, ctx=ctx)
+    threshold_mine(ds, labels, center, 0.0, 0.0, cfg, ctx=ctx)
+    assert "pairs" not in vars(ctx)
+    sup_quality(ds, labels, center, cfg, ctx=ctx)
+    assert "pairs" in vars(ctx)
+
+
 def test_threshold_mine_enters_subtrees_whose_estimate_ties_eps():
     # y = a AND b: the pure pattern a=1 AND b=1 scores exactly the estimate
     # of its parent a=1, so a scan at that eps must still enter a=1
