@@ -44,11 +44,15 @@ class PermutationPlan:
 @dataclass
 class QuantileEstimate:
     """Supremum deviations over all permutations, sorted descending, and the
-    delta-quantile: the ceil(delta * p)-th largest (1-based position)."""
+    delta-quantile: the ceil(delta * p)-th largest (1-based position).  The
+    WY method's report: its `epsilon` is `threshold`, its `eps_t` is 0."""
 
     deviations: np.ndarray
     delta_quantile: float
     position: int
+
+    key = "quantile"
+    eps_t = 0.0
 
     @property
     def threshold(self) -> float:
@@ -58,6 +62,18 @@ class QuantileEstimate:
         itself would report every quality-0 pattern on a constant target,
         where every supremum is 0."""
         return float(np.nextafter(self.delta_quantile, np.inf))
+
+    epsilon = threshold
+
+    def to_dict(self) -> dict:
+        return {
+            "permutations": len(self.deviations),
+            "position": self.position,
+            "delta_quantile": self.delta_quantile,
+        }
+
+    def to_kv_block(self) -> str:
+        return "\n".join(f"# {self.key}.{k}={v}" for k, v in sorted(self.to_dict().items()))
 
 
 def quantile_position(delta: float, p: int) -> int:
@@ -80,19 +96,17 @@ def permuted_labels(labels: LabelVector, seed: int, j: int) -> LabelVector:
     return LabelVector(rng.permutation(labels.bits))
 
 
-def run_wy(
+def wy_quantile(
     dataset: Dataset,
     cfg: RunConfig,
     plan: PermutationPlan | None = None,
     ctx: SearchContext | None = None,
-) -> tuple[list[Discovery], QuantileEstimate]:
-    """Permutation-quantile discovery.
+) -> QuantileEstimate:
+    """The delta-quantile of the supremum deviation over label permutations.
 
     Permutations preserve the label mean, so deviations are centered at the
-    observed mean; a pattern is significant when its quality strictly
-    exceeds the delta-quantile of the permutation supremum distribution.
-    Permutations are searched in chunks, one batched traversal per chunk,
-    sized to the search's memory budget.
+    observed mean.  Permutations are searched in chunks, one batched
+    traversal per chunk, sized to the search's memory budget.
     """
     plan = plan if plan is not None else PermutationPlan(seed=cfg.seed)
     ctx = ctx if ctx is not None else SearchContext(dataset, cfg.language)
@@ -105,30 +119,29 @@ def run_wy(
             for j in range(lo, min(plan.p, lo + size))
         ]
         devs += sup_quality(dataset, chunk, mu_d, cfg.language, ctx=ctx).suprema
-    quantile = estimate_quantile(devs, cfg.delta)
-
-    report = BoundReport(
-        mode=Mode.CONDITIONAL,
-        delta=cfg.delta,
-        m=dataset.m,
-        c=plan.p,
-        mu_d=mu_d,
-        mu_hat=mu_d,
-        mu_check=mu_d,
-        eps_t=0.0,
-        sup_freq=ctx.sup_frequency(),
-        epsilon=quantile.threshold,
-    )
-    return significant_patterns(dataset, report, cfg, ctx=ctx), quantile
+    return estimate_quantile(devs, cfg.delta)
 
 
-def run_ub(
+def run_wy(
+    dataset: Dataset,
+    cfg: RunConfig,
+    plan: PermutationPlan | None = None,
+    ctx: SearchContext | None = None,
+) -> tuple[list[Discovery], QuantileEstimate]:
+    """Permutation-quantile discovery: a pattern is significant when its
+    quality strictly exceeds the delta-quantile of `wy_quantile`."""
+    ctx = ctx if ctx is not None else SearchContext(dataset, cfg.language)
+    quantile = wy_quantile(dataset, cfg, plan, ctx=ctx)
+    return significant_patterns(dataset, quantile, cfg, ctx=ctx), quantile
+
+
+def ub_report(
     dataset: Dataset,
     cfg: RunConfig,
     n_hat_source: str = "closed_form",
     ctx: SearchContext | None = None,
-) -> tuple[list[Discovery], BoundReport]:
-    """Union-bound discovery over distinct projections (no resampling).
+) -> BoundReport:
+    """The union-bound threshold over distinct projections (no resampling).
 
     `n_hat_source` picks the correction count: "empirical_projection_count"
     enumerates the language and hashes covers (exact, only viable on small
@@ -153,7 +166,7 @@ def run_ub(
     else:
         raise ConfigError(f"unknown n_hat_source {n_hat_source!r}")
     r_hat, d_hat, eps = bound_statistic_ub(n_hat_log, nu_t, nu, m, cfg.delta)
-    report = BoundReport(
+    return BoundReport(
         mode=Mode.UNCONDITIONAL,
         delta=cfg.delta,
         m=m,
@@ -171,4 +184,15 @@ def run_ub(
         n_hat_log=n_hat_log,
         n_hat_source=n_hat_source,
     )
+
+
+def run_ub(
+    dataset: Dataset,
+    cfg: RunConfig,
+    n_hat_source: str = "closed_form",
+    ctx: SearchContext | None = None,
+) -> tuple[list[Discovery], BoundReport]:
+    """Union-bound discovery: every pattern clearing `ub_report`'s threshold."""
+    ctx = ctx if ctx is not None else SearchContext(dataset, cfg.language)
+    report = ub_report(dataset, cfg, n_hat_source, ctx=ctx)
     return significant_patterns(dataset, report, cfg, ctx=ctx), report

@@ -168,6 +168,8 @@ class BoundReport:
     n_hat_log: float | None = None
     n_hat_source: str | None = None
 
+    key = "bound_report"  # the JSON output's key for this report
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["mode"] = self.mode.value

@@ -12,19 +12,19 @@ import argparse
 import json
 import sys
 
-from .baselines import PermutationPlan, run_ub, run_wy
-from .bounds import Mode
 from .data import load_csv
-from .discovery import RunConfig, compute_bounds, significant_patterns
+# compute_bounds stays importable here for bench/layers.py, which wraps it
+from .discovery import RunConfig, compute_bounds, significant_patterns, top_k_flags  # noqa: F401
 from .errors import ConfigError, IngestionError, SchemaError, SigmineError
 from .language import Form, LanguageConfig
 from .report import (
+    METHODS,
     records_from_discoveries,
     records_from_flags,
     records_json,
     records_tsv,
 )
-from .search import SearchContext, top_k
+from .search import SearchContext
 from .suites import SUITES
 
 EXIT_OK = 0
@@ -40,11 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine = sub.add_parser("mine", help="mine significant patterns from a CSV file")
     mine.add_argument("--input", required=True, help="CSV file with a header row")
     mine.add_argument("--schema", default="infer", help="sidecar schema file or 'infer'")
-    mine.add_argument(
-        "--mode",
-        default="conditional",
-        choices=["conditional", "unconditional", "wy", "ub"],
-    )
+    mine.add_argument("--mode", default="conditional", choices=list(METHODS))
     mine.add_argument("--delta", type=float, default=0.05)
     mine.add_argument("--resamples", type=int, default=10)
     mine.add_argument("--permutations", type=int, default=1000)
@@ -97,9 +93,7 @@ def cmd_mine(args) -> int:
         if args.top_k is not None and args.top_k < 1:
             raise ConfigError("--top-k must be >= 1")
         language = LanguageConfig(z=args.depth, bins=args.bins, forms=_parse_forms(args.forms))
-        semantics = Mode.UNCONDITIONAL if args.mode in ("unconditional", "ub") else Mode.CONDITIONAL
         cfg = RunConfig(
-            mode=semantics,
             delta=args.delta,
             c=args.resamples,
             seed=args.seed,
@@ -117,50 +111,23 @@ def cmd_mine(args) -> int:
         return EXIT_INGEST
 
     try:
-        extra_blocks: dict[str, dict] = {}
-        report = None
         ctx = SearchContext(dataset, language)
-        if args.mode == "wy":
-            found, quantile = run_wy(
-                dataset, cfg, PermutationPlan(p=args.permutations, seed=args.seed), ctx=ctx
-            )
-            eps, eps_t = quantile.threshold, 0.0
-            extra_blocks["quantile"] = {
-                "permutations": args.permutations,
-                "position": quantile.position,
-                "delta_quantile": quantile.delta_quantile,
-            }
-        elif args.mode == "ub":
-            found, report = run_ub(dataset, cfg, ctx=ctx)
-            eps, eps_t = report.epsilon, report.eps_t
-        else:
-            report = compute_bounds(dataset, cfg, ctx=ctx)
-            found = significant_patterns(dataset, report, cfg, ctx=ctx)
-            eps, eps_t = report.epsilon, report.eps_t
-
+        report = METHODS[args.mode](dataset, cfg, ctx, args.permutations)
         if cfg.top_k is not None:
-            mu_d = dataset.mean_target()
-            result = top_k(dataset, dataset.target, mu_d, language, cfg.top_k, ctx=ctx)
-            flags = [q.value >= eps + eps_t * q.frequency for _, q in result.entries]
-            records = records_from_flags(result.entries, flags, dataset, eps, eps_t)
+            result, flags = top_k_flags(dataset, report, cfg, ctx=ctx)
+            records = records_from_flags(result.entries, flags, dataset, report)
         else:
-            records = records_from_discoveries(found, dataset)
+            records = records_from_discoveries(
+                significant_patterns(dataset, report, cfg, ctx=ctx), dataset
+            )
     except SigmineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     if args.format == "tsv":
-        chunks = [records_tsv(records)]
-        if report is not None:
-            chunks.append(report.to_kv_block())
-        for name, block in extra_blocks.items():
-            chunks.append("\n".join(f"# {name}.{k}={v}" for k, v in sorted(block.items())))
-        text = "\n".join(chunks) + "\n"
+        text = records_tsv(records) + "\n" + report.to_kv_block() + "\n"
     else:
-        payload: dict = {"records": records_json(records)}
-        if report is not None:
-            payload["bound_report"] = report.to_dict()
-        payload.update(extra_blocks)
+        payload = {"records": records_json(records), report.key: report.to_dict()}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     if args.output:

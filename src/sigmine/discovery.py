@@ -105,7 +105,10 @@ def compute_bounds(
 def significant_patterns(
     dataset: Dataset, report: BoundReport, cfg: RunConfig, ctx: SearchContext | None = None
 ) -> list[Discovery]:
-    """All patterns clearing the report's threshold, sorted by quality."""
+    """All patterns clearing the report's threshold, sorted by quality.
+
+    Any report with an `epsilon` and an `eps_t` serves: every method's
+    threshold is scanned the same way."""
     ctx = ctx if ctx is not None else SearchContext(dataset, cfg.language)
     mu_d = dataset.mean_target()
     hits = threshold_mine(
@@ -132,6 +135,23 @@ def run_discovery(dataset: Dataset, cfg: RunConfig) -> tuple[list[Discovery], Bo
     return significant_patterns(dataset, report, cfg, ctx=ctx), report
 
 
+def top_k_flags(
+    dataset: Dataset, report: BoundReport, cfg: RunConfig, ctx: SearchContext | None = None
+) -> tuple[TopKResult, list[bool]]:
+    """The cfg.top_k patterns of highest observed quality, each flagged iff
+    it clears the report's threshold, that is iff `significant_patterns`
+    would report it."""
+    if cfg.top_k is None:
+        raise ConfigError("cfg.top_k must be set")
+    mu_d = dataset.mean_target()
+    result = top_k(dataset, dataset.target, mu_d, cfg.language, cfg.top_k, ctx=ctx)
+    flags = [
+        q.value >= report.epsilon + report.eps_t * q.frequency
+        for _, q in result.entries
+    ]
+    return result, flags
+
+
 def flag_top_k(
     dataset: Dataset, cfg: RunConfig
 ) -> tuple[TopKResult, list[bool], BoundReport]:
@@ -145,10 +165,4 @@ def flag_top_k(
         raise ConfigError("cfg.top_k must be set")
     ctx = SearchContext(dataset, cfg.language)
     report = compute_bounds(dataset, cfg, ctx=ctx)
-    mu_d = dataset.mean_target()
-    result = top_k(dataset, dataset.target, mu_d, cfg.language, cfg.top_k, ctx=ctx)
-    flags = [
-        q.value >= report.epsilon + report.eps_t * q.frequency
-        for _, q in result.entries
-    ]
-    return result, flags, report
+    return (*top_k_flags(dataset, report, cfg, ctx=ctx), report)

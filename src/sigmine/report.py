@@ -1,10 +1,13 @@
-"""Result serialization and the desk-scale experiment drivers.
+"""The method table, result serialization and the desk-scale experiment
+drivers.
 
-TSV and JSON renderings of output records carry identical values; bound
-reports append to TSV output as a `# key=value` comment block.  The sweep
-driver measures how the threshold reacts to the resample count, the
-comparison driver runs all four methods on one dataset with shared search
-machinery so timings are comparable.
+`METHODS` maps each method name to its threshold; every method then runs
+the same output scan (`significant_patterns`) or the same top-k flagging
+(`top_k_flags`).  TSV and JSON renderings of output records carry identical
+values; a method's report appends to TSV output as a `# key=value` comment
+block.  The sweep driver measures how the threshold reacts to the resample
+count, the comparison driver runs all four methods on one dataset with
+shared search machinery so timings are comparable.
 """
 
 from __future__ import annotations
@@ -12,13 +15,29 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
-from .baselines import PermutationPlan, run_ub, run_wy
+# run_wy and run_ub stay importable here for bench/layers.py, which wraps them
+from .baselines import PermutationPlan, run_ub, run_wy, ub_report, wy_quantile  # noqa: F401
 from .bounds import Mode
 from .data import Dataset
 from .discovery import Discovery, RunConfig, compute_bounds, significant_patterns
 from .search import SearchContext
+
+
+def _resampled(mode: Mode):
+    return lambda ds, cfg, ctx, p: compute_bounds(ds, replace(cfg, mode=mode), ctx=ctx)
+
+
+# method name -> threshold(dataset, cfg, ctx, permutations) -> report, where a
+# report has the `epsilon` and `eps_t` of the cutoff eps + eps_t * frequency;
+# only "wy" uses the permutation count
+METHODS = {
+    "conditional": _resampled(Mode.CONDITIONAL),
+    "unconditional": _resampled(Mode.UNCONDITIONAL),
+    "wy": lambda ds, cfg, ctx, p: wy_quantile(ds, cfg, PermutationPlan(p, cfg.seed), ctx=ctx),
+    "ub": lambda ds, cfg, ctx, p: ub_report(ds, cfg, ctx=ctx),
+}
 
 
 @dataclass(frozen=True)
@@ -48,7 +67,7 @@ def records_from_discoveries(discoveries: list[Discovery], dataset: Dataset) -> 
     ]
 
 
-def records_from_flags(entries, flags, dataset: Dataset, eps: float, eps_t: float) -> list[OutputRecord]:
+def records_from_flags(entries, flags, dataset: Dataset, report) -> list[OutputRecord]:
     out = []
     for i, ((pattern, stat), flag) in enumerate(zip(entries, flags)):
         out.append(
@@ -57,7 +76,7 @@ def records_from_flags(entries, flags, dataset: Dataset, eps: float, eps_t: floa
                 pattern=pattern.describe(dataset),
                 quality=stat.value,
                 frequency=stat.frequency,
-                threshold_margin=stat.value - (eps + eps_t * stat.frequency),
+                threshold_margin=stat.value - (report.epsilon + report.eps_t * stat.frequency),
                 significant=bool(flag),
             )
         )
@@ -75,17 +94,7 @@ def records_tsv(records: list[OutputRecord]) -> str:
 
 
 def records_json(records: list[OutputRecord]) -> list[dict]:
-    return [
-        {
-            "rank": r.rank,
-            "pattern": r.pattern,
-            "quality": r.quality,
-            "frequency": r.frequency,
-            "threshold_margin": r.threshold_margin,
-            "significant": r.significant,
-        }
-        for r in records
-    ]
+    return [asdict(r) for r in records]
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -134,11 +143,8 @@ def sweep_c(
     cells = {}
     for mode in modes:
         for c in c_values:
-            cell_cfg = RunConfig(
-                mode=mode, delta=cfg.delta, c=c, seed=cfg.seed, language=cfg.language
-            )
             t0 = time.perf_counter()
-            report = compute_bounds(dataset, cell_cfg, ctx=ctx)
+            report = compute_bounds(dataset, replace(cfg, mode=mode, c=c), ctx=ctx)
             cells[(c, mode.value)] = (report.epsilon, time.perf_counter() - t0)
     return SweepResult(dataset.fingerprint(), config_hash(cfg), cells)
 
@@ -152,10 +158,7 @@ class MethodRow:
 
 
 def compare_methods(
-    dataset: Dataset,
-    cfg: RunConfig,
-    permutations: int = 1000,
-    n_hat_source: str = "closed_form",
+    dataset: Dataset, cfg: RunConfig, permutations: int = 1000
 ) -> list[MethodRow]:
     """All four methods on one dataset with shared search machinery.
 
@@ -165,25 +168,13 @@ def compare_methods(
     """
     ctx = SearchContext(dataset, cfg.language)
     rows = []
-
-    for mode in (Mode.CONDITIONAL, Mode.UNCONDITIONAL):
-        run_cfg = RunConfig(
-            mode=mode, delta=cfg.delta, c=cfg.c, seed=cfg.seed, language=cfg.language
-        )
+    for method, threshold in METHODS.items():
         t0 = time.perf_counter()
-        report = compute_bounds(dataset, run_cfg, ctx=ctx)
-        found = significant_patterns(dataset, report, run_cfg, ctx=ctx)
-        rows.append(MethodRow(mode.value, report.epsilon, len(found), time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    wy_found, quantile = run_wy(
-        dataset, cfg, PermutationPlan(p=permutations, seed=cfg.seed), ctx=ctx
-    )
-    rows.append(MethodRow("wy", quantile.delta_quantile, len(wy_found), time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    ub_found, ub_report = run_ub(dataset, cfg, n_hat_source=n_hat_source, ctx=ctx)
-    rows.append(MethodRow("ub", ub_report.epsilon, len(ub_found), time.perf_counter() - t0))
+        report = threshold(dataset, cfg, ctx, permutations)
+        found = significant_patterns(dataset, report, cfg, ctx=ctx)
+        # the WY row shows the quantile itself, not the next float up
+        cut = getattr(report, "delta_quantile", report.epsilon)
+        rows.append(MethodRow(method, cut, len(found), time.perf_counter() - t0))
     return rows
 
 

@@ -25,7 +25,9 @@ from sigmine.oracle import (
     SyntheticSpec,
     brute_force_qualities,
     brute_force_sup,
+    fwer_band,
     generate,
+    monte_carlo,
 )
 from sigmine.suites import planted_spec
 
@@ -116,6 +118,20 @@ def test_wy_deterministic(small_planted):
     b = run_wy(small_planted, cfg, PermutationPlan(p=30, seed=12))
     assert a[0] == b[0]
     assert list(a[1].deviations) == list(b[1].deviations)
+
+
+@pytest.mark.parametrize("m", [20, 60, 200])
+def test_wy_null_fwer_tiny_m(m):
+    # at tiny m the permutation suprema tie often; the strict rule must still
+    # keep the family-wise error rate inside the acceptance band
+    spec = SyntheticSpec(m, (CatColumn((0.5, 0.5)),) * 3, NullConditional(m // 2))
+    summary = monte_carlo(
+        spec,
+        lambda ds, seed: run_wy(ds, _cfg(seed=seed), PermutationPlan(p=100, seed=seed))[0],
+        trials=200,
+        base_seed=0,
+    )
+    assert summary.empirical_fwer <= fwer_band(0.05, 200), summary
 
 
 def test_ub_no_random_bits(small_planted):

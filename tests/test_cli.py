@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 
 import pytest
 
+import sigmine.discovery
 from sigmine import to_csv
 from sigmine.cli import main
 from sigmine.oracle import CatColumn, NullIID, SyntheticSpec, generate
@@ -89,6 +91,46 @@ def test_ub_mode_runs(planted_csv, tmp_path):
     code = run_mine(planted_csv, "--mode", "ub", "--output", str(out))
     assert code == 0
     assert "# n_hat_log=" in out.read_text()
+
+
+# sha256 of `mine --seed 3` on planted_csv, default flags otherwise, taken
+# before the four modes shared one method table: any later change to any
+# output byte fails here
+OUTPUT_SHA256 = {
+    ("conditional", "scan", "tsv"): "7cafe52646233c41dfb37e7a4941f44dd8137562ffd0369bf034156308f9ce64",
+    ("conditional", "top_k", "tsv"): "e03d3c1eb0b60fc15f50816fe5f2113d3a7b70dc501b750f2dd3579815ba15e7",
+    ("unconditional", "scan", "tsv"): "a6c7467da03a17b90a66b2082c3f8d4d8c4cf476179719a7aafe356689a1169b",
+    ("unconditional", "top_k", "tsv"): "61afd9fb54e026fac7f68da8ca5d21640696c834c6bed1cca0473dc82d6da1df",
+    ("wy", "scan", "tsv"): "4eea44133a6f32c8c5fa974db0766c3b565b59758ebfa4164bb9f0490366142b",
+    ("wy", "top_k", "tsv"): "55554b3ce1126cf234768c28ecf5e18852f7b91492fb8c407f9672ac068b9e56",
+    ("ub", "scan", "tsv"): "7ca2a138d0e85ec204fb4bbccef1e6102cf4717a0aabf04ffe45277751254263",
+    ("ub", "top_k", "tsv"): "62861e187ccfe8368e1970520c149ca6f38bd95f68c789c91e5610e0719027cf",
+    ("wy", "scan", "json"): "64bdedb8eb6551897b3fed656539cd4a974b4351c6e6f34fd97635602c6fc7e2",
+    ("ub", "scan", "json"): "937fb152811c9ea17ddbc394a3000037f9681bc8dc17cd3193305e6e68b74e95",
+}
+
+
+@pytest.mark.parametrize("mode, shape, fmt", list(OUTPUT_SHA256))
+def test_output_bytes_pinned(planted_csv, tmp_path, mode, shape, fmt):
+    out = tmp_path / "out"
+    top = ["--top-k", "5"] if shape == "top_k" else []
+    code = run_mine(planted_csv, "--mode", mode, "--seed", "3", "--format", fmt,
+                    "--output", str(out), *top)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_SHA256[mode, shape, fmt]
+
+
+@pytest.mark.parametrize("mode", ["conditional", "unconditional", "wy", "ub"])
+def test_top_k_runs_no_scan(planted_csv, tmp_path, monkeypatch, mode):
+    # --top-k flags the top patterns against the threshold; the thresholded
+    # scan of the whole language is not needed for that
+    def scan(*args, **kwargs):
+        raise AssertionError("--top-k ran the thresholded scan")
+
+    monkeypatch.setattr(sigmine.discovery, "threshold_mine", scan)
+    code = run_mine(planted_csv, "--mode", mode, "--top-k", "5", "--permutations", "50",
+                    "--output", str(tmp_path / "o.tsv"))
+    assert code == 0
 
 
 def test_config_error_names_flag(null_csv, capsys):

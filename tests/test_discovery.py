@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,9 @@ from sigmine import (
     flag_top_k,
     run_discovery,
 )
+from sigmine.discovery import significant_patterns, top_k_flags
+from sigmine.report import METHODS
+from sigmine.search import SearchContext
 from sigmine.oracle import (
     CatColumn,
     NullConditional,
@@ -101,14 +105,22 @@ def test_resample_addend_halves_when_c_quadruples():
     assert term(40) == pytest.approx(term(10) / 2, rel=1e-12)
 
 
-def test_flag_top_k_consistency(planted_ds):
+@pytest.mark.parametrize("method", list(METHODS))
+def test_flag_top_k_consistency(planted_ds, method):
+    # a top-k pattern is flagged iff the method's own scan reports it
     cfg = _cfg(Mode.CONDITIONAL, seed=6, top_k=50)
-    result, flags, report = flag_top_k(planted_ds, cfg)
-    found, report2 = run_discovery(planted_ds, _cfg(Mode.CONDITIONAL, seed=6))
-    assert report.to_json() == report2.to_json()  # same seed, same threshold
-    members = {d.pattern for d in found}
+    ctx = SearchContext(planted_ds, cfg.language)
+    report = METHODS[method](planted_ds, cfg, ctx, 50)
+    result, flags = top_k_flags(planted_ds, report, cfg, ctx=ctx)
+    members = {d.pattern for d in significant_patterns(planted_ds, report, cfg, ctx=ctx)}
+    # the cut falls inside the top 50 (above all of them for ub)
+    assert len(result.entries) == 50 and sum(flags) < 50
     for (pattern, stat), flag in zip(result.entries, flags):
         assert flag == (pattern in members)
+    if method in {m.value for m in Mode}:
+        # the library entry point agrees: same seed, same threshold, same flags
+        _, lib_flags, lib_report = flag_top_k(planted_ds, replace(cfg, mode=Mode(method)))
+        assert lib_report.to_json() == report.to_json() and lib_flags == flags
 
 
 def test_flag_top_k_saturation_and_zero(planted_ds):
