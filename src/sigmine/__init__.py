@@ -35,10 +35,8 @@ from .language import (
     Pattern,
     Selector,
     base_selectors,
-    count_distinct_projections,
     evaluate,
     projection_bound_log,
-    refine,
 )
 from .quality import QualityStat, empirical_quality
 from .report import MethodRow, OutputRecord, SweepResult, compare_methods, sweep_c
@@ -91,7 +89,6 @@ __all__ = [
     "bound_statistic_unconditional",
     "bound_target",
     "compare_methods",
-    "count_distinct_projections",
     "empirical_quality",
     "estimate_deviation",
     "evaluate",
@@ -99,7 +96,6 @@ __all__ = [
     "load_csv",
     "optimistic_estimate",
     "projection_bound_log",
-    "refine",
     "resample_target",
     "run_discovery",
     "run_ub",

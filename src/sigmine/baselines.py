@@ -26,7 +26,7 @@ from .bounds import (
 from .data import Dataset, LabelVector
 from .discovery import Discovery, RunConfig, significant_patterns
 from .errors import ConfigError
-from .language import count_distinct_projections, pattern_count, projection_bound_log
+from .language import pattern_count, projection_bound_log
 from .resample import STREAM_PERMUTE, generator
 from .search import SearchContext, sup_quality
 
@@ -136,35 +136,25 @@ def run_wy(
 
 
 def ub_report(
-    dataset: Dataset,
-    cfg: RunConfig,
-    n_hat_source: str = "closed_form",
-    ctx: SearchContext | None = None,
+    dataset: Dataset, cfg: RunConfig, ctx: SearchContext | None = None
 ) -> BoundReport:
     """The union-bound threshold over distinct projections (no resampling).
 
-    `n_hat_source` picks the correction count: "empirical_projection_count"
-    enumerates the language and hashes covers (exact, only viable on small
-    languages), "closed_form" uses the analytic ceiling for conjunctions
-    over continuous columns; categorical columns count as continuous there,
-    since each equality can be converted into an interval on a real-coded
-    copy of the column.
+    The correction count is the closed-form ceiling on distinct covers of
+    conjunctions over continuous columns; categorical columns count as
+    continuous there, since each equality can be converted into an interval
+    on a real-coded copy of the column.
     """
     ctx = ctx if ctx is not None else SearchContext(dataset, cfg.language)
     m = dataset.m
     mu_d = dataset.mean_target()
     eps_t = bound_target(Mode.UNCONDITIONAL, mu_d, m, cfg.delta)
     nu_t, nu = variance_bracket(mu_d, eps_t)
-    if n_hat_source == "empirical_projection_count":
-        n_hat_log = math.log(count_distinct_projections(dataset, cfg.language))
-    elif n_hat_source == "closed_form":
-        n_hat_log = projection_bound_log(m, dataset.n_features, cfg.language.z)
-        if n_hat_log < 0:
-            # below ln 1 on tiny m the closed form is no ceiling; the language
-            # size and the 2^m subsets of the data always bound distinct covers
-            n_hat_log = math.log(min(pattern_count(ctx.base, cfg.language), 2**m))
-    else:
-        raise ConfigError(f"unknown n_hat_source {n_hat_source!r}")
+    n_hat_log = projection_bound_log(m, dataset.n_features, cfg.language.z)
+    if n_hat_log < 0:
+        # below ln 1 on tiny m the closed form is no ceiling; the language
+        # size and the 2^m subsets of the data always bound distinct covers
+        n_hat_log = math.log(min(pattern_count(ctx.base, cfg.language), 2**m))
     r_hat, d_hat, eps = bound_statistic_ub(n_hat_log, nu_t, nu, m, cfg.delta)
     return BoundReport(
         mode=Mode.UNCONDITIONAL,
@@ -182,17 +172,14 @@ def ub_report(
         r_hat=r_hat,
         d_hat=d_hat,
         n_hat_log=n_hat_log,
-        n_hat_source=n_hat_source,
+        n_hat_source="closed_form",
     )
 
 
 def run_ub(
-    dataset: Dataset,
-    cfg: RunConfig,
-    n_hat_source: str = "closed_form",
-    ctx: SearchContext | None = None,
+    dataset: Dataset, cfg: RunConfig, ctx: SearchContext | None = None
 ) -> tuple[list[Discovery], BoundReport]:
     """Union-bound discovery: every pattern clearing `ub_report`'s threshold."""
     ctx = ctx if ctx is not None else SearchContext(dataset, cfg.language)
-    report = ub_report(dataset, cfg, n_hat_source, ctx=ctx)
+    report = ub_report(dataset, cfg, ctx=ctx)
     return significant_patterns(dataset, report, cfg, ctx=ctx), report

@@ -1,11 +1,10 @@
 """Transaction-set bitsets.
 
-Covers are plain Python ints used as bitsets: bit i is set iff transaction i
-is in the set.  Arbitrary-precision ints give cheap intersection (``&``) and
-population count (``int.bit_count``), and are hashable, which the
-distinct-projection counter relies on.  The supremum search packs many
-covers into one uint64 word matrix instead, one cover per row, so a single
-numpy step serves them all.
+A single cover is a plain Python int used as a bitset: bit i is set iff
+transaction i is in the set, with cheap intersection (``&``) and population
+count (``int.bit_count``).  The searches pack many covers into one uint64
+word matrix instead, one cover per row, so a single numpy step serves them
+all.
 """
 
 from __future__ import annotations
@@ -19,24 +18,6 @@ def pack(flags: np.ndarray) -> int:
     if arr.ndim != 1:
         raise ValueError("expected a 1-d array")
     return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
-
-
-def from_indices(indices, m: int) -> int:
-    """Bitset with exactly the given transaction indices set."""
-    mask = 0
-    for i in indices:
-        if not 0 <= i < m:
-            raise ValueError(f"index {i} outside [0, {m})")
-        mask |= 1 << i
-    return mask
-
-
-def to_words(masks: list[int], m: int) -> np.ndarray:
-    """Int bitsets over m transactions as a (len(masks), ceil(m/64)) uint64
-    matrix, one bitset per row, laid out as `pack_rows` lays them out."""
-    nbytes = 8 * ((m + 63) // 64)
-    raw = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
-    return np.frombuffer(raw, dtype=np.uint64).reshape(len(masks), nbytes // 8)
 
 
 def pack_rows(flags: np.ndarray) -> np.ndarray:

@@ -2,9 +2,8 @@
 
 A pattern is a conjunction of at most z selectors, at most one per column,
 kept in canonical order so that equal patterns compare and hash equal.  The
-refinement operator expands a pattern only with selectors on strictly larger
-column indices, so the depth-first search generates every pattern of the
-language exactly once.
+searches expand a pattern only with selectors on strictly larger column
+indices, so they generate every pattern of the language exactly once.
 """
 
 from __future__ import annotations
@@ -169,17 +168,20 @@ def _quantile_cuts(values: np.ndarray, bins: int) -> list[float]:
     return out
 
 
-def selector_cover(sel: Selector, dataset: Dataset) -> Cover:
+def selector_flags(sel: Selector, dataset: Dataset) -> np.ndarray:
+    """Boolean array over the transactions: True where `sel` holds."""
     arr = dataset.values[sel.column]
     if sel.form is Form.EQUALS:
-        flags = arr == int(sel.a)
-    elif sel.form is Form.LESS_THAN:
-        flags = arr < sel.a
-    elif sel.form is Form.AT_LEAST:
-        flags = arr >= sel.a
-    else:
-        flags = (arr >= sel.a) & (arr < sel.b)
-    return bitset.pack(flags)
+        return arr == int(sel.a)
+    if sel.form is Form.LESS_THAN:
+        return arr < sel.a
+    if sel.form is Form.AT_LEAST:
+        return arr >= sel.a
+    return (arr >= sel.a) & (arr < sel.b)
+
+
+def selector_cover(sel: Selector, dataset: Dataset) -> Cover:
+    return bitset.pack(selector_flags(sel, dataset))
 
 
 def evaluate(pattern: Pattern, dataset: Dataset) -> Cover:
@@ -188,35 +190,6 @@ def evaluate(pattern: Pattern, dataset: Dataset) -> Cover:
     for sel in pattern.selectors:
         cover &= selector_cover(sel, dataset)
     return cover
-
-
-def refine(pattern: Pattern | None, base: list[Selector], cfg: LanguageConfig) -> list[Pattern]:
-    """Children of `pattern` (or of the root when None) in canonical order.
-
-    Appends base selectors on strictly larger column indices, so every
-    pattern of length <= z is emitted exactly once over the whole tree.
-    """
-    if pattern is None:
-        return [Pattern((s,)) for s in base]
-    if len(pattern) >= cfg.z:
-        return []
-    last = pattern.selectors[-1].column
-    return [
-        Pattern(pattern.selectors + (s,))
-        for s in base
-        if s.column > last
-    ]
-
-
-def enumerate_patterns(base: list[Selector], cfg: LanguageConfig):
-    """Yield every pattern of the language in canonical DFS preorder."""
-
-    def rec(pattern: Pattern | None):
-        for child in refine(pattern, base, cfg):
-            yield child
-            yield from rec(child)
-
-    yield from rec(None)
 
 
 def pattern_count(base: list[Selector], cfg: LanguageConfig) -> int:
@@ -231,40 +204,6 @@ def pattern_count(base: list[Selector], cfg: LanguageConfig) -> int:
         for k in range(min(cfg.z, len(counts)), 0, -1):
             e[k] += e[k - 1] * n
     return sum(e[1:])
-
-
-def count_distinct_projections(
-    dataset: Dataset, cfg: LanguageConfig, max_patterns: int = 2_000_000
-) -> int:
-    """Number of distinct covers over the whole (discretized) language.
-
-    Full enumeration with cover hashing; duplicate selectors/patterns that
-    project to the same transaction set collapse to one count.  Guarded by
-    `max_patterns` because the language grows combinatorially.
-    """
-    base = base_selectors(dataset, cfg)
-    total = pattern_count(base, cfg)
-    if total > max_patterns:
-        raise ConfigError(
-            f"language has {total} patterns, above the enumeration guard {max_patterns}"
-        )
-    masks = [selector_cover(s, dataset) for s in base]
-    columns = [s.column for s in base]
-    seen: set[int] = set()
-    # an explicit stack: a recursive closure would refer to itself and keep
-    # `seen` alive until the garbage collector ran
-    stack = [(bitset.full(dataset.m), 0, 0)]
-    while stack:
-        cover, start, depth = stack.pop()
-        for i in range(start, len(base)):
-            child = cover & masks[i]
-            seen.add(child)
-            if depth + 1 < cfg.z:
-                nxt = i + 1
-                while nxt < len(base) and columns[nxt] == columns[i]:
-                    nxt += 1
-                stack.append((child, nxt, depth + 1))
-    return len(seen)
 
 
 def projection_bound_log(m: int, d_cont: int, z: int) -> float:

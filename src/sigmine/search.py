@@ -4,8 +4,8 @@ Three entry points share one enumeration: the supremum of the centered
 quality under a batch of label vectors (the engine's hot loop: one traversal
 serves every resample, or a chunk of permutations), exact top-k mining, and
 the final thresholded scan that emits every pattern whose observed quality
-clears a frequency-dependent cutoff.  The supremum search and the scan run
-on uint64-packed covers; top-k walks int bitsets.
+clears a frequency-dependent cutoff.  All three run on uint64-packed covers;
+top-k is the scan with a threshold that rises as it finds patterns.
 
 Pruning is lossless: a pattern's refinements keep a subset of its cover, so
 (positives - positives * center) / m bounds every descendant's quality, and
@@ -24,7 +24,7 @@ popcount would give, bit for bit.
 
 from __future__ import annotations
 
-import heapq
+from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,15 +34,8 @@ import numpy as np
 from . import bitset
 from .data import Dataset, LabelVector
 from .errors import ConfigError
-from .language import (
-    Cover,
-    LanguageConfig,
-    Pattern,
-    Selector,
-    base_selectors,
-    selector_cover,
-)
-from .quality import QualityStat, empirical_quality
+from .language import Cover, LanguageConfig, Pattern, base_selectors, selector_flags
+from .quality import QualityStat
 
 
 def optimistic_estimate(cover: Cover, labels: LabelVector, center: float) -> float:
@@ -67,14 +60,17 @@ def optimistic_estimate(cover: Cover, labels: LabelVector, center: float) -> flo
 BATCH_BYTES = 4 << 20
 # memory budget of one chunk of (child, leaf) pairs in the last two levels
 PAIR_BYTES = 512 << 10
+# patterns per piece of the top-k scan: small, so that the threshold rises
+# between pieces and prunes the next ones
+TOP_K_PIECE = 16
 
 
 class SearchContext:
     """Precomputed per-dataset state shared by every search over one language.
 
-    Selector covers are computed once and intersected incrementally down the
-    DFS; `words` holds the same covers as a (selectors, words) uint64 matrix
-    for the batched supremum search.  The context is immutable.
+    Selector covers are computed once, as the rows of the (selectors, words)
+    uint64 matrix `words` that every search intersects down the language.
+    The context is immutable.
 
     Selector k is *derived* when its cover and the covers of `basis[k]`, a
     non-empty set of earlier non-derived selectors on the same column, are
@@ -103,11 +99,20 @@ class SearchContext:
         self.base = base_selectors(dataset, cfg)
         if not self.base:
             raise ConfigError("language has no base selectors")
-        self.masks = [selector_cover(s, dataset) for s in self.base]
-        self.words = bitset.to_words(self.masks, dataset.m)
-        self.m = dataset.m
-        self.root = bitset.full(dataset.m)
+        self.m = m = dataset.m
         nsel = len(self.base)
+        # selector flags are packed in blocks of at most BATCH_BYTES: all of
+        # them at once would take 8 times the memory of `words`
+        flags = np.empty((min(nsel, max(1, BATCH_BYTES // m)), m), dtype=bool)
+        blocks = []
+        for a in range(0, nsel, len(flags)):
+            block = self.base[a : a + len(flags)]
+            for i, sel in enumerate(block):
+                flags[i] = selector_flags(sel, dataset)
+            blocks.append(bitset.pack_rows(flags[: len(block)]))
+        # allocated after the flags: allocated before them, it left glibc's
+        # heap in a state where the final scan page-faulted on every chunk
+        self.words = np.concatenate(blocks)
         # first base index on a column strictly greater than base[i]'s
         cols = [s.column for s in self.base]
         nxt = [0] * nsel
@@ -118,7 +123,7 @@ class SearchContext:
                 nxt[i] = i + 1
         self.next_start = nxt
         self.next_start_a = np.array(nxt, dtype=np.intp)
-        self.basis = derive_bases(self.masks, cols, self.m)
+        self.basis = derive_bases(self.words, cols, self.m)
         self.is_derived = is_derived = np.array([b is not None for b in self.basis])
         # a node whose children start at selector s counts the children
         # scored[scored_from[s]:] by popcount and derived[derived_from[s]:]
@@ -144,7 +149,7 @@ class SearchContext:
 
     def sup_frequency(self) -> float:
         """max_P f_P over the whole language (attained at depth 1)."""
-        return max(mask.bit_count() for mask in self.masks) / self.m
+        return int(np.bitwise_count(self.words).sum(axis=1).max()) / self.m
 
     def pattern(self, indices) -> Pattern:
         return Pattern(tuple(self.base[i] for i in indices))
@@ -204,31 +209,42 @@ class _PairIndex:
         return np.searchsorted(rows, self.pair_start), *small
 
 
-def derive_bases(masks: list[Cover], columns: list[int], m: int) -> list[tuple[int, ...] | None]:
+def derive_bases(words: np.ndarray, columns: list[int], m: int) -> list[tuple[int, ...] | None]:
     """For each selector, None, or the earlier non-derived selectors on its
     column whose covers are pairwise disjoint and, with its own cover, hold
-    all m rows (see `SearchContext`).
+    all m rows (see `SearchContext`); selector k's cover is row k of the
+    packed matrix `words`, and `columns` is ascending, as in the base.
 
     Candidates are the non-empty covers disjoint from the selector's,
     largest first, kept while disjoint from those already kept; the
-    selector is derived when they fill its complement exactly.
+    selector is derived when they fill its complement exactly, that is when
+    their sizes and its own sum to m.
     """
-    full = bitset.full(m)
+    sizes = np.bitwise_count(words).sum(axis=1).tolist()
+    # the pairs (i, j), i < j, of selectors on one column whose covers
+    # overlap, from chunks of at most BATCH_BYTES of intersections
+    index = np.arange(len(words))
+    first = np.searchsorted(columns, columns).tolist()
+    lens = np.searchsorted(columns, columns, side="right") - index - 1
+    pi, pj = np.repeat(index, lens), _ranges(index + 1, lens)
+    step = max(1, BATCH_BYTES // max(words[:1].nbytes, 1))
+    hit = np.zeros(len(pi), dtype=bool)
+    for c in range(0, len(pi), step):
+        hit[c : c + step] = (words[pi[c : c + step]] & words[pj[c : c + step]]).any(axis=1)
+    pairs = list(zip(pi[hit].tolist(), pj[hit].tolist()))
+    meets = {*pairs, *((j, i) for i, j in pairs)}
     bases: list[tuple[int, ...] | None] = []
-    first = 0
-    for k, mask in enumerate(masks):
-        if columns[k] != columns[first]:
-            first = k
+    for k in range(len(words)):
         cand = [
-            b for b in range(first, k)
-            if bases[b] is None and masks[b] and not masks[b] & mask
+            j for j in range(first[k], k)
+            if bases[j] is None and sizes[j] and (j, k) not in meets
         ]
-        picked, union = [], 0
-        for b in sorted(cand, key=lambda b: -masks[b].bit_count()):
-            if not masks[b] & union:
-                picked.append(b)
-                union |= masks[b]
-        bases.append(tuple(sorted(picked)) if picked and union == full ^ mask else None)
+        picked, filled = [], sizes[k]
+        for j in sorted(cand, key=lambda j: -sizes[j]):
+            if not any((j, p) in meets for p in picked):
+                picked.append(j)
+                filled += sizes[j]
+        bases.append(tuple(sorted(picked)) if picked and filled == m else None)
     return bases
 
 
@@ -323,10 +339,15 @@ def sup_quality(
     if not batch:
         raise ConfigError("sup_quality needs at least one label vector")
     search = _BatchSearch(ctx, len(batch), center, prune)
-    lab = bitset.to_words([ctx.root] + [lv.mask for lv in batch], ctx.m)
+    lab = _label_words(batch, ctx.m)
     search.node(ctx.words, lab, (), 0, 0, np.ones(len(batch), dtype=bool))
     argmaxes = [ctx.pattern(idx) if idx is not None else None for idx in search.best_idx]
     return SearchResult(search.best.tolist(), argmaxes, search.visited, search.pruned)
+
+
+def _label_words(batch: Sequence[LabelVector], m: int) -> np.ndarray:
+    """Row 0 holding every transaction, then the label vectors, packed."""
+    return bitset.pack_rows(np.array([np.ones(m, dtype=np.uint8), *(lv.bits for lv in batch)]))
 
 
 def _popcounts(covers, lab):
@@ -542,24 +563,46 @@ class _BatchSearch:
 
 
 class _Scan:
-    """The patterns one `threshold_mine` call reports, as (indices, size,
-    positives) in the order found.
+    """The patterns one `threshold_mine` or `top_k` call reports.
 
     The scan goes level by level over a frontier of entered patterns, in
     pieces: the children of every pattern of a piece are counted at once,
     by popcount against the pattern's cover, or by subtraction from the
-    pattern's counts for derived selectors (see `SearchContext`)."""
+    pattern's counts for derived selectors (see `SearchContext`).
+
+    A pattern is reported when its quality reaches eps + eps_t * frequency,
+    and entered when its optimistic estimate reaches eps.  Reports are
+    (-quality, indices, size, positives).  With `k` set, only the k first
+    of them are kept, in sorted order, and eps rises to the quality of the
+    k-th, `last` being its indices.  A subtree whose estimate only ties eps
+    can hold nothing better than the k-th unless its root's indices come
+    before `last`: its patterns score at most eps, and index tuples sort in
+    canonical preorder, where a pattern comes before its descendants.  The
+    patterns entered at a level are taken best-first by estimate,
+    TOP_K_PIECE at a time, and each piece is filtered again against the
+    risen eps before it is counted."""
 
     def __init__(
-        self, ctx: SearchContext, labels: LabelVector, center: float, eps: float, eps_t: float
+        self, ctx: SearchContext, labels: LabelVector, center: float, eps: float,
+        eps_t: float, k: int | None = None,
     ):
         self.ctx = ctx
         self.center = center
         self.eps = eps
         self.eps_t = eps_t
-        # row 0 holds every transaction, so counts are (size, positives)
-        self.lab = bitset.to_words([ctx.root, labels.mask], ctx.m)
-        self.hits: list[tuple[tuple[int, ...], int, int]] = []
+        self.k = k
+        self.last: tuple[int, ...] | None = None
+        self.lab = _label_words([labels], ctx.m)
+        self.hits: list[tuple[float, tuple[int, ...], int, int]] = []
+
+    def run(self) -> list[tuple[tuple[int, ...], QualityStat]]:
+        """Scan the language; the hits with their quality statistics, in
+        canonical order, or with k set the k best in (-quality, canonical)
+        order."""
+        total = np.bitwise_count(self.lab).sum(axis=1, dtype=np.int64)
+        self.level(self.lab[:1], [()], np.zeros(1, dtype=np.intp), total[None], 1)
+        hits = self.hits if self.k is not None else sorted(self.hits, key=lambda h: h[1])
+        return [(idx, QualityStat(-q, n / self.ctx.m, pos)) for q, idx, n, pos in hits]
 
     def level(self, covers, chosen, starts, total, depth: int) -> None:
         """Scan the children of the patterns `chosen`, whose covers are
@@ -584,25 +627,53 @@ class _Scan:
         cnt[d] = _subtract(total[par[d]], cnt, np.cumsum(sizes) - sizes, basis)
 
         n, pos = cnt[:, 0], cnt[:, 1]
-        found = (pos - n * self.center) / m >= self.eps + self.eps_t * (n / m)
-        for h in np.flatnonzero(found):
-            self.hits.append((chosen[par[h]] + (int(sel[h]),), int(n[h]), int(pos[h])))
+        vals = (pos - n * self.center) / m
+        found = np.flatnonzero(vals >= self.eps + self.eps_t * (n / m))
+        hits = [
+            (-v, chosen[par[h]] + (int(sel[h]),), int(n[h]), int(pos[h]))
+            for h, v in zip(found, vals[found].tolist())
+        ]
+        if self.k is None:
+            self.hits += hits
+        else:
+            self.keep(hits)
         if depth == ctx.cfg.z:
             return
         nxt = ctx.next_start_a[sel]
-        enter = np.flatnonzero(((pos - pos * self.center) / m >= self.eps) & (nxt < nsel))
+        est = (pos - pos * self.center) / m
+        enter = np.flatnonzero((est >= self.eps) & (nxt < nsel))
+        for e in self.pieces(enter, est[enter], nsel - nxt[enter]):
+            e = e[est[e] >= self.eps]
+            if self.last is not None:
+                e = e[[est[x] > self.eps or chosen[par[x]] + (int(sel[x]),) < self.last for x in e]]
+            if len(e):
+                self.level(
+                    covers[par[e]] & ctx.words[sel[e]],
+                    [chosen[par[x]] + (int(sel[x]),) for x in e],
+                    nxt[e], cnt[e], depth + 1,
+                )
+
+    def keep(self, hits) -> None:
+        """Merge reports into the k best and raise eps to the k-th."""
+        top = self.hits
+        for h in hits:
+            insort(top, h)
+        del top[self.k :]
+        if len(top) == self.k:
+            self.eps, self.last = -top[-1][0], top[-1][1]
+
+    def pieces(self, enter, est, kids):
+        """The patterns `enter`, with estimates `est` and `kids` children
+        each, split into the pieces that are scanned one after another."""
+        if self.k is not None:
+            order = enter[np.argsort(-est, kind="stable")]
+            return [order[a : a + TOP_K_PIECE] for a in range(0, len(order), TOP_K_PIECE)]
         # pieces of at most BATCH_BYTES of covers and PAIR_BYTES of counts
-        before = np.cumsum(nsel - nxt[enter]) - (nsel - nxt[enter])
-        per_piece = max(1, BATCH_BYTES // max(ctx.words[0].nbytes, 1))
+        per_piece = max(1, BATCH_BYTES // max(self.ctx.words[0].nbytes, 1))
+        before = np.cumsum(kids) - kids
         piece = np.maximum(before // max(1, PAIR_BYTES // 16), np.arange(len(enter)) // per_piece)
         heads = np.flatnonzero(np.diff(piece, prepend=-1))
-        for a, b in zip(heads, [*heads[1:], len(enter)]):
-            e = enter[a:b]
-            self.level(
-                covers[par[e]] & ctx.words[sel[e]],
-                [chosen[par[x]] + (int(sel[x]),) for x in e],
-                nxt[e], cnt[e], depth + 1,
-            )
+        return [enter[a:b] for a, b in zip(heads, [*heads[1:], len(enter)])]
 
 
 def _restrict(words: np.ndarray, size: int, keep: np.ndarray) -> np.ndarray:
@@ -623,51 +694,22 @@ def top_k(
     cfg: LanguageConfig,
     k: int,
     ctx: SearchContext | None = None,
-    prune: bool = True,
 ) -> TopKResult:
-    """Exact k highest-quality patterns, pruned against the running k-th best.
+    """Exact k highest-quality patterns: the first k of the language sorted
+    by descending quality, then canonical DFS order.
 
-    A later pattern tying the k-th value never displaces an earlier one, so
-    subtrees whose optimistic estimate only reaches the k-th value are safe
-    to cut.
+    A `_Scan` that keeps the k best patterns it has reported and raises its
+    threshold to the k-th of them.  That is the k-th best of a part of the
+    language, so it never beats the k-th best of the whole; the scan reports
+    with ``>=``, and enters a subtree whose estimate ties the threshold
+    while its root precedes the k-th in canonical order, so every pattern of
+    the true top k is reported and kept.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
     ctx = _context(dataset, cfg, ctx)
-    m, nsel, z, lmask = ctx.m, len(ctx.base), ctx.cfg.z, labels.mask
-    # heap entries (value, -dfs_rank, chosen): among equal values the latest
-    # arrival sorts smallest and is displaced first
-    heap: list[tuple[float, int, tuple[int, ...]]] = []
-    rank = 0
-    # an explicit stack in canonical preorder, not a recursive closure: one
-    # that refers to itself would keep the context alive until the garbage
-    # collector ran
-    todo = _children(ctx, ctx.root, (), 0, lmask)
-    while todo:
-        cover, here, n, pos = todo.pop()
-        val = (pos - n * center) / m
-        rank += 1
-        if len(heap) < k:
-            heapq.heappush(heap, (val, -rank, here))
-        elif val > heap[0][0]:
-            heapq.heapreplace(heap, (val, -rank, here))
-        nxt = ctx.next_start[here[-1]]
-        if len(here) < z and nxt < nsel:
-            if not prune or len(heap) < k or (pos - pos * center) / m > heap[0][0]:
-                todo += _children(ctx, cover, here, nxt, lmask)
-    ordered = sorted(heap, key=lambda t: (-t[0], -t[1]))
-    entries = [
-        (ctx.pattern(idx), empirical_quality(_cover_of(ctx, idx), labels, center))
-        for _, _, idx in ordered
-    ]
-    return TopKResult(entries, k)
-
-
-def _cover_of(ctx: SearchContext, indices: tuple[int, ...]) -> Cover:
-    cover = ctx.root
-    for i in indices:
-        cover &= ctx.masks[i]
-    return cover
+    hits = _Scan(ctx, labels, center, -np.inf, 0.0, k).run()
+    return TopKResult([(ctx.pattern(idx), q) for idx, q in hits], k)
 
 
 def threshold_mine(
@@ -687,22 +729,5 @@ def threshold_mine(
     Results come back in canonical DFS order.
     """
     ctx = _context(dataset, cfg, ctx)
-    scan = _Scan(ctx, labels, center, eps, eps_t)
-    root = np.array([[ctx.m, labels.ones]], dtype=np.int64)
-    scan.level(scan.lab[:1], [()], np.zeros(1, dtype=np.intp), root, 1)
-    m = ctx.m
-    # index tuples sort in canonical DFS preorder
-    return [
-        (ctx.pattern(idx), QualityStat((pos - n * center) / m, n / m, pos))
-        for idx, n, pos in sorted(scan.hits)
-    ]
-
-
-def _children(ctx: SearchContext, cover: Cover, chosen, start: int, lmask):
-    """(cover, indices, size, positives) of the children start.. of a node
-    with cover `cover`, last child first."""
-    out = []
-    for i in range(len(ctx.masks) - 1, start - 1, -1):
-        child = cover & ctx.masks[i]
-        out.append((child, chosen + (i,), child.bit_count(), (child & lmask).bit_count()))
-    return out
+    hits = _Scan(ctx, labels, center, eps, eps_t).run()
+    return [(ctx.pattern(idx), q) for idx, q in hits]

@@ -11,7 +11,7 @@ from sigmine import (
     PermutationPlan,
     RunConfig,
     bound_statistic_ub,
-    count_distinct_projections,
+    evaluate,
     projection_bound_log,
     run_ub,
     run_wy,
@@ -143,10 +143,12 @@ def test_ub_no_random_bits(small_planted):
 
 
 def test_ub_single_projection_reduces_to_unit_count():
-    ds = binary_dataset([[0, 0, 0, 0, 0, 0]], [1, 0, 1, 0, 1, 0])
-    cfg = _cfg(mode=Mode.UNCONDITIONAL, language=LanguageConfig(z=1))
-    found, report = run_ub(ds, cfg, n_hat_source="empirical_projection_count")
-    assert count_distinct_projections(ds, cfg.language) == 1
+    # one row and one selector: the closed form is below ln 1 at m=1, and
+    # the language size, 1, takes its place
+    ds = binary_dataset([[0]], [1])
+    cfg = _cfg(mode=Mode.UNCONDITIONAL, language=LanguageConfig(z=2))
+    found, report = run_ub(ds, cfg)
+    assert len(brute_force_qualities(ds, ds.target, 0.5, cfg.language)) == 1
     assert report.n_hat_log == 0.0
     want = bound_statistic_ub(0.0, report.nu_t, report.nu, ds.m, cfg.delta)
     assert (report.r_hat, report.d_hat, report.epsilon) == want
@@ -158,22 +160,24 @@ def test_empirical_count_below_closed_form():
             SyntheticSpec(15, (ContColumn(), ContColumn()), NullIID(0.5), seed=seed)
         )
         cfg_lang = LanguageConfig(z=2, bins=2)
-        emp = math.log(count_distinct_projections(ds, cfg_lang))
+        rows = brute_force_qualities(ds, ds.target, 0.5, cfg_lang)
+        emp = math.log(len({evaluate(p, ds) for p, _, _ in rows}))
         closed = projection_bound_log(ds.m, ds.n_features, cfg_lang.z)
         assert emp <= closed
 
 
-def test_ub_output_thresholds_quality(small_planted):
+def test_ub_output_thresholds_quality():
+    # m=4000: the closed-form threshold reports nothing at m=800
+    ds = generate(planted_spec(m=4000, seed=55))
     cfg = _cfg(mode=Mode.UNCONDITIONAL, seed=0)
-    found, report = run_ub(small_planted, cfg, n_hat_source="empirical_projection_count")
-    rows = brute_force_qualities(
-        small_planted, small_planted.target, small_planted.mean_target(), cfg.language
-    )
+    found, report = run_ub(ds, cfg)
+    rows = brute_force_qualities(ds, ds.target, ds.mean_target(), cfg.language)
     expected = {
         p
         for p, v, _ in rows
-        if v >= report.epsilon + report.eps_t * _freq(small_planted, p)
+        if v >= report.epsilon + report.eps_t * _freq(ds, p)
     }
+    assert expected
     assert {d.pattern for d in found} == expected
 
 

@@ -39,6 +39,7 @@ from sigmine.oracle import (
     brute_force_top_k,
     generate,
 )
+from sigmine.language import selector_cover
 from sigmine.resample import bernoulli_labels
 from sigmine.search import derive_bases
 from sigmine.suites import _random_tiny_instance, mushroom_class_spec
@@ -78,12 +79,13 @@ def own_search(ds, lv, center, cfg):
     """A plain pruned DFS over int bitsets for one vector: supremum, first
     maximizer, nodes visited and nodes whose subtree was cut."""
     ctx = SearchContext(ds, cfg)
+    masks = [selector_cover(s, ds) for s in ctx.base]
     best, arg, visited, pruned = -np.inf, None, 0, 0
 
     def walk(cover, chosen, start, depth):
         nonlocal best, arg, visited, pruned
-        for i in range(start, len(ctx.masks)):
-            child, here = cover & ctx.masks[i], chosen + (i,)
+        for i in range(start, len(masks)):
+            child, here = cover & masks[i], chosen + (i,)
             visited += 1
             val = empirical_quality(child, lv, center).value
             if val > best:
@@ -94,7 +96,7 @@ def own_search(ds, lv, center, cfg):
                 else:
                     pruned += 1
 
-    walk(ctx.root, (), 0, 0)
+    walk(bitset.full(ds.m), (), 0, 0)
     return best, arg, visited, pruned
 
 
@@ -336,14 +338,17 @@ def test_derivation_checks_the_covers():
     # covers over m=6 rows of one column: NaN cells hold for neither
     # value < 1 nor value >= 1, so those two do not partition the rows
     values = np.array([0.5, np.nan, 2.0, 0.2, np.nan, 3.0])
-    flags = [values < 1.0, values >= 1.0]
-    assert derive_bases([bitset.pack(f) for f in flags], [0, 0], 6) == [None, None]
+    flags = np.array([values < 1.0, values >= 1.0])
+    assert derive_bases(bitset.pack_rows(flags), [0, 0], 6) == [None, None]
+
+    def words(*sets):
+        return bitset.pack_rows(np.array([np.isin(np.arange(4), ix) for ix in sets]))
+
     # {0,1} and {1,2} overlap: they do not make a basis for {3} even though
     # their union is its complement
-    masks = [bitset.from_indices(ix, 4) for ix in ([0, 1], [1, 2], [3])]
-    assert derive_bases(masks, [0, 0, 0], 4) == [None, None, None]
+    assert derive_bases(words([0, 1], [1, 2], [3]), [0, 0, 0], 4) == [None, None, None]
     # {0,1} is the complement of {2,3}, but a basis never crosses a column
-    masks = [bitset.from_indices(ix, 4) for ix in ([0, 1], [2, 3], [2, 3])]
+    masks = words([0, 1], [2, 3], [2, 3])
     assert derive_bases(masks, [0, 1, 1], 4) == [None, None, None]
     assert derive_bases(masks, [0, 0, 1], 4) == [None, (0,), None]
 

@@ -1,4 +1,3 @@
-import gc
 import math
 
 import numpy as np
@@ -15,12 +14,10 @@ from sigmine import (
     Pattern,
     Selector,
     base_selectors,
-    count_distinct_projections,
     evaluate,
     projection_bound_log,
-    refine,
 )
-from sigmine.language import enumerate_patterns, pattern_count
+from sigmine.language import pattern_count
 from sigmine.oracle import ContColumn, NullIID, SyntheticSpec, brute_force_qualities, generate
 
 from conftest import binary_dataset
@@ -78,24 +75,12 @@ def test_evaluate_conjunction(fruit):
 def test_child_cover_subset_of_parent():
     ds = generate(SyntheticSpec(25, (ContColumn(), ContColumn()), NullIID(0.5), seed=3))
     cfg = LanguageConfig(z=2, bins=3)
-    base = base_selectors(ds, cfg)
-    for parent in refine(None, base, cfg):
-        pc = evaluate(parent, ds)
-        for child in refine(parent, base, cfg):
-            cc = evaluate(child, ds)
+    for child, _, _ in brute_force_qualities(ds, ds.target, 0.5, cfg):
+        cc = evaluate(child, ds)
+        for sel in child.selectors:
+            pc = evaluate(Pattern((sel,)), ds)
             assert cc & pc == cc
             assert cc.bit_count() <= pc.bit_count()
-
-
-def test_refine_counts():
-    ds = binary_dataset([[0, 1, 0], [1, 0, 1], [0, 0, 1]], [0, 1, 0])
-    cfg = LanguageConfig(z=2)
-    base = base_selectors(ds, cfg)  # 2 selectors per column, 3 columns
-    roots = refine(None, base, cfg)
-    assert len(roots) == 6
-    first = Pattern.of(Selector(0, Form.EQUALS, 0.0))
-    assert len(refine(first, base, cfg)) == 4  # columns 1 and 2 only
-    assert refine(first, base, LanguageConfig(z=1)) == []
 
 
 def test_enumeration_total_for_single_selector_columns():
@@ -104,21 +89,19 @@ def test_enumeration_total_for_single_selector_columns():
     cfg = LanguageConfig(z=2, mode="itemset")
     base = base_selectors(ds, cfg)
     assert len(base) == 4
-    pats = list(enumerate_patterns(base, cfg))
-    assert len(pats) == 4 + 4 * 3 // 2
-    assert pattern_count(base, cfg) == len(pats)
+    assert pattern_count(base, cfg) == 4 + 4 * 3 // 2
+    assert len(brute_force_qualities(ds, ds.target, 0.5, cfg)) == pattern_count(base, cfg)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_enumeration_matches_nested_loop(seed):
+    # the closed-form language size against the oracle's nested loop
     from sigmine.suites import _random_tiny_instance
 
     ds, labels, center, cfg = _random_tiny_instance(seed + 500)
-    base = base_selectors(ds, cfg)
-    mine = {p for p in enumerate_patterns(base, cfg)}
-    brute = {p for p, _, _ in brute_force_qualities(ds, labels, center, cfg)}
-    assert mine == brute
-    assert len(list(enumerate_patterns(base, cfg))) == pattern_count(base, cfg)
+    rows = brute_force_qualities(ds, labels, center, cfg)
+    assert len({p for p, _, _ in rows}) == len(rows)
+    assert len(rows) == pattern_count(base_selectors(ds, cfg), cfg)
 
 
 def test_pattern_canonicalization():
@@ -130,56 +113,6 @@ def test_pattern_canonicalization():
         Pattern.of(s0, Selector(0, Form.EQUALS, 2.0))
     with pytest.raises(ConfigError):
         Selector(0, Form.INTERVAL, 2.0, 1.0)
-
-
-def test_duplicate_columns_collapse_projections():
-    col = [0, 1, 0, 1, 1, 0]
-    ds = binary_dataset([col, col], [0, 1, 0, 1, 0, 1])
-    n = count_distinct_projections(ds, LanguageConfig(z=1))
-    assert n == 2  # both columns project to the same two covers
-
-
-def test_projection_count_matches_brute_force():
-    ds = binary_dataset(
-        [[0, 1, 0, 1, 0, 1, 1, 0], [0, 0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 0, 1, 1, 1, 1]],
-        [0, 1, 0, 1, 0, 1, 0, 1],
-    )
-    cfg = LanguageConfig(z=2)
-    from sigmine import bitset
-    from sigmine.oracle import _selector_flags
-
-    covers = set()
-    for p, _, _ in brute_force_qualities(ds, ds.target, 0.0, cfg):
-        flags = np.ones(ds.m, dtype=bool)
-        for s in p.selectors:
-            flags &= _selector_flags(s, ds)
-        covers.add(bitset.pack(flags))
-    assert count_distinct_projections(ds, cfg) == len(covers)
-
-
-def test_empty_covers_are_one_projection():
-    # codes 0/1 in col0, 2-only rows make (c0=0 AND c1=1) and (c0=1 AND c1=1) empty
-    ds = binary_dataset([[0, 0, 1, 1], [0, 0, 0, 0]], [0, 1, 0, 1])
-    cfg = LanguageConfig(z=2)
-    base = base_selectors(ds, cfg)
-    masks = [evaluate(p, ds) for p in enumerate_patterns(base, cfg)]
-    assert masks.count(0) >= 0  # no empties here; now force one
-    ds2 = binary_dataset([[0, 0, 1, 1], [1, 1, 1, 0]], [0, 1, 0, 1])
-    covers = {evaluate(p, ds2) for p in enumerate_patterns(base_selectors(ds2, cfg), cfg)}
-    n = count_distinct_projections(ds2, cfg)
-    assert n == len(covers)
-
-
-def test_projection_count_leaves_no_garbage():
-    # a recursive closure would be a reference cycle holding every cover seen
-    ds = generate(SyntheticSpec(30, (ContColumn(), ContColumn("normal")), NullIID(0.5), seed=3))
-    gc.disable()
-    try:
-        gc.collect()
-        assert count_distinct_projections(ds, LanguageConfig(z=2, bins=3)) > 1
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 def test_projection_bound_examples():
@@ -208,7 +141,7 @@ def test_projection_count_below_closed_form_all_continuous():
             SyntheticSpec(12, (ContColumn(), ContColumn("normal")), NullIID(0.5), seed=seed)
         )
         cfg = LanguageConfig(z=2, bins=2)
-        n = count_distinct_projections(ds, cfg)
+        n = len({evaluate(p, ds) for p, _, _ in brute_force_qualities(ds, ds.target, 0.5, cfg)})
         base = base_selectors(ds, cfg)
         bound = math.exp(projection_bound_log(ds.m, ds.n_features, cfg.z))
         assert n <= min(bound, pattern_count(base, cfg), 2**ds.m)

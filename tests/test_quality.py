@@ -13,7 +13,7 @@ def lv(bits):
 
 def test_empirical_quality_example():
     labels = lv([1, 0, 1])
-    cover = bitset.from_indices([0, 2], 3)
+    cover = bitset.pack(np.array([1, 0, 1]))
     stat = empirical_quality(cover, labels, 2 / 3)
     assert stat.value == (2 - 2 * (2 / 3)) / 3
     assert stat.positives == 2
@@ -34,7 +34,7 @@ def test_full_cover_at_mean_centers_to_zero():
 
 def test_center_linearity_exact_on_dyadic_m():
     labels = lv([1, 0, 1, 1, 0, 0, 1, 0])  # m = 8, divisions exact
-    cover = bitset.from_indices([0, 2, 3, 5], 8)
+    cover = bitset.pack(np.array([1, 0, 1, 1, 0, 1, 0, 0]))
     c1, c2 = 0.25, 0.75
     v1 = empirical_quality(cover, labels, c1).value
     v2 = empirical_quality(cover, labels, c2).value

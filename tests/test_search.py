@@ -6,9 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sigmine.search
 from sigmine import (
+    ColumnSchema,
+    Dataset,
+    Form,
+    Kind,
     LabelVector,
     LanguageConfig,
+    Pattern,
     SearchContext,
     bitset,
     empirical_quality,
@@ -18,7 +24,7 @@ from sigmine import (
     threshold_mine,
     top_k,
 )
-from sigmine.language import base_selectors, enumerate_patterns
+from sigmine.language import base_selectors, pattern_count
 from sigmine.oracle import brute_force_qualities, brute_force_sup, brute_force_top_k
 from sigmine.suites import _random_tiny_instance
 
@@ -31,27 +37,22 @@ def lv(bits):
 
 def test_optimistic_estimate_examples():
     labels = lv([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
-    cover = bitset.from_indices(range(6), 10)  # 3 positives
+    cover = bitset.pack(np.arange(10) < 6)  # 3 positives
     assert optimistic_estimate(cover, labels, 0.4) == pytest.approx(0.18, abs=1e-12)
-    no_pos = bitset.from_indices([4, 5, 6], 10)
+    no_pos = bitset.pack(np.isin(np.arange(10), [4, 5, 6]))
     assert optimistic_estimate(no_pos, labels, 0.4) == 0.0
 
 
 def test_optimistic_estimate_dominates_descendants():
+    # every pattern against its ancestors in the search tree: its proper
+    # prefixes in canonical order, the empty root included
     for seed in range(20):
         ds, labels, center, cfg = _random_tiny_instance(seed + 900)
-        base = base_selectors(ds, cfg)
-        from sigmine.language import refine
-
-        def walk(pattern):
-            cover = evaluate(pattern, ds) if pattern else bitset.full(ds.m)
-            oe = optimistic_estimate(cover, labels, center)
-            for child in refine(pattern, base, cfg):
-                val = empirical_quality(evaluate(child, ds), labels, center).value
-                assert val <= oe
-                walk(child)
-
-        walk(None)
+        for pattern, _, _ in brute_force_qualities(ds, labels, center, cfg):
+            val = empirical_quality(evaluate(pattern, ds), labels, center).value
+            for n in range(len(pattern)):
+                ancestor = evaluate(Pattern(pattern.selectors[:n]), ds)
+                assert val <= optimistic_estimate(ancestor, labels, center)
 
 
 @settings(max_examples=300, deadline=None)
@@ -109,14 +110,12 @@ def test_pruning_is_lossless(seed):
     assert on.supremum == off.supremum
     assert on.argmax == off.argmax
     assert on.nodes_visited <= off.nodes_visited
-    ka, kb = top_k(ds, labels, center, cfg, 4, prune=True), top_k(ds, labels, center, cfg, 4, prune=False)
-    assert [(p, q.value) for p, q in ka.entries] == [(p, q.value) for p, q in kb.entries]
 
 
 def test_top_k_saturation_and_k1():
     ds, labels, center, cfg = _random_tiny_instance(77)
     base = base_selectors(ds, cfg)
-    total = len(list(enumerate_patterns(base, cfg)))
+    total = pattern_count(base, cfg)
     all_of_them = top_k(ds, labels, center, cfg, total + 10)
     assert len(all_of_them.entries) == total
     vals = [q.value for _, q in all_of_them.entries]
@@ -133,6 +132,78 @@ def test_top_k_matches_brute_force(seed):
     mine = top_k(ds, labels, center, cfg, 5)
     brute = brute_force_top_k(ds, labels, center, cfg, 5)
     assert [(p, q.value) for p, q in mine.entries] == brute
+
+
+@st.composite
+def tie_heavy(draw):
+    """A small dataset full of ties, a center and a language for it:
+    constant or random labels; one-value, few-value and all-tied columns;
+    itemset mode or subgroups with interval forms; z from 1 to 4."""
+    m = draw(st.integers(1, 9))
+    itemset = draw(st.booleans())
+    schema, values, cat_values = [], [], {}
+    for j in range(draw(st.integers(1, 4))):
+        if itemset or draw(st.booleans()):
+            width = 2 if itemset else draw(st.integers(1, 3))
+            values.append(draw(st.lists(st.integers(0, width - 1), min_size=m, max_size=m)))
+            schema.append(ColumnSchema(f"c{j}", Kind.CATEGORICAL))
+            cat_values[j] = [str(v) for v in range(width)]
+        else:
+            values.append(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=m, max_size=m)))
+            schema.append(ColumnSchema(f"c{j}", Kind.CONTINUOUS))
+    labels = draw(st.sampled_from(["zeros", "ones", "random"]))
+    if labels == "random":
+        bits = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    else:
+        bits = [int(labels == "ones")] * m
+    ds = Dataset(schema, values, lv(bits), cat_values)
+    forms = {Form.EQUALS, Form.LESS_THAN, Form.AT_LEAST}
+    if draw(st.booleans()):
+        forms.add(Form.INTERVAL)
+    cfg = LanguageConfig(
+        z=draw(st.integers(1, 4)), bins=draw(st.integers(1, 3)), forms=frozenset(forms),
+        mode="itemset" if itemset else "subgroup",
+    )
+    center = draw(st.sampled_from([ds.mean_target(), 0.0, 0.5, 1.0]))
+    return ds, center, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy())
+def test_top_k_matches_brute_force_on_ties(case):
+    # k = 1, k where the k-th and (k+1)-th best values tie, and k above the
+    # language size; the statistics come from the scan's counts
+    ds, center, cfg = case
+    rows = brute_force_qualities(ds, ds.target, center, cfg)
+    vals = sorted((v for _, v, _ in rows), reverse=True)
+    ties = [k for k in range(1, len(vals)) if vals[k - 1] == vals[k]]
+    for k in [1, *ties[:1], len(rows) + 3]:
+        got = top_k(ds, ds.target, center, cfg, k).entries
+        assert [(p, q.value) for p, q in got] == brute_force_top_k(ds, ds.target, center, cfg, k)
+        for p, q in got:
+            assert q == empirical_quality(evaluate(p, ds), ds.target, center)
+
+
+def test_top_k_enters_few_subtrees_on_tied_qualities(monkeypatch):
+    # a constant target ties every quality and every estimate at 0, so the
+    # top k are the first k patterns in canonical order; a subtree that only
+    # ties the k-th best is entered only when its root comes before it
+    rng = np.random.default_rng(0)
+    ds = binary_dataset([list(rng.integers(0, 2, 16)) for _ in range(6)], [0] * 16)
+    cfg = LanguageConfig(z=3)
+    entered = []
+    level = sigmine.search._Scan.level
+
+    def counted(self, covers, chosen, *rest):
+        entered.append(len(chosen))
+        return level(self, covers, chosen, *rest)
+
+    monkeypatch.setattr(sigmine.search._Scan, "level", counted)
+    got = top_k(ds, ds.target, 0.0, cfg, 3).entries
+    assert [len(p) for p, _ in got] == [1, 2, 3]
+    tied, entered[:] = sum(entered), []
+    threshold_mine(ds, ds.target, 0.0, -np.inf, 0.0, cfg)
+    assert 4 * tied < sum(entered)
 
 
 def test_monotone_label_dominance():
