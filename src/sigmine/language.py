@@ -140,8 +140,7 @@ def base_selectors(dataset: Dataset, cfg: LanguageConfig) -> list[Selector]:
             continue
         if col.kind is Kind.CATEGORICAL:
             if Form.EQUALS in cfg.forms:
-                for code in np.unique(dataset.values[j]):
-                    out.append(Selector(j, Form.EQUALS, float(code)))
+                out.extend(Selector(j, Form.EQUALS, float(c)) for c in _distinct(dataset.values[j]))
         else:
             cuts = _quantile_cuts(dataset.values[j], cfg.bins)
             if Form.LESS_THAN in cfg.forms:
@@ -155,6 +154,13 @@ def base_selectors(dataset: Dataset, cfg: LanguageConfig) -> list[Selector]:
                     if lo < hi
                 )
     return sorted(out, key=Selector.sort_key)
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-empty array, ascending: the same array
+    as `np.unique`, from a sort and a comparison of neighbours."""
+    codes = np.sort(codes)
+    return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
 
 
 def _quantile_cuts(values: np.ndarray, bins: int) -> list[float]:

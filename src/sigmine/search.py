@@ -20,6 +20,12 @@ counted without a popcount: under any node its cover's size and positives
 are the node's minus those of its basis (see `SearchContext`).  These are
 integer identities, so every quality, and every result, is the one a
 popcount would give, bit for bit.
+
+The supremum search applies them to whole subtrees too.  Its last two
+levels are counted per depth z-2 node into a table, and a depth z-3 node
+tables all its children before it replays them in canonical order; a
+derived child's table is its siblings' tables subtracted, with no
+restriction and no popcount (see `_BatchSearch.tables`).
 """
 
 from __future__ import annotations
@@ -90,7 +96,11 @@ class SearchContext:
     below a node are indexed once, in `pairs`: `ss_*` the pairs of two
     scored selectors, counted by popcount, and `pair_phases` the others with
     their basis pairs (CSR), counted by subtraction in an order that counts
-    every basis first.
+    every basis first.  The same identity holds one level up: below a node
+    N, |N & d & x| = |N & x| - the sum of |N & b & x| over d's basis for any
+    pattern x on later columns, so a derived child's whole table of
+    children and pairs is its siblings' tables subtracted; `user[b]` is the
+    derived selector whose basis holds b, if any.
     """
 
     def __init__(self, dataset: Dataset, cfg: LanguageConfig):
@@ -110,8 +120,6 @@ class SearchContext:
             for i, sel in enumerate(block):
                 flags[i] = selector_flags(sel, dataset)
             blocks.append(bitset.pack_rows(flags[: len(block)]))
-        # allocated after the flags: allocated before them, it left glibc's
-        # heap in a state where the final scan page-faulted on every chunk
         self.words = np.concatenate(blocks)
         # first base index on a column strictly greater than base[i]'s
         cols = [s.column for s in self.base]
@@ -138,6 +146,11 @@ class SearchContext:
         self.derived_basis = np.array(
             [b for k in self.derived for b in self.basis[k]], dtype=np.intp
         )
+        # the derived selector whose basis holds each selector, or -1
+        self.user = [-1] * nsel
+        for k in self.derived.tolist():
+            for b in self.basis[k]:
+                self.user[b] = k
 
         self.col_heads = np.flatnonzero(np.diff(cols, prepend=-1))
 
@@ -215,10 +228,12 @@ def derive_bases(words: np.ndarray, columns: list[int], m: int) -> list[tuple[in
     all m rows (see `SearchContext`); selector k's cover is row k of the
     packed matrix `words`, and `columns` is ascending, as in the base.
 
-    Candidates are the non-empty covers disjoint from the selector's,
-    largest first, kept while disjoint from those already kept; the
-    selector is derived when they fill its complement exactly, that is when
-    their sizes and its own sum to m.
+    Candidates are the non-empty covers disjoint from the selector's and
+    in no other basis, largest first, kept while disjoint from those
+    already kept; the selector is derived when they fill its complement
+    exactly, that is when their sizes and its own sum to m.  So a selector
+    is in at most one basis (equal covers, as at cuts with no value between
+    them, would otherwise share one).
     """
     sizes = np.bitwise_count(words).sum(axis=1).tolist()
     # the pairs (i, j), i < j, of selectors on one column whose covers
@@ -234,17 +249,20 @@ def derive_bases(words: np.ndarray, columns: list[int], m: int) -> list[tuple[in
     pairs = list(zip(pi[hit].tolist(), pj[hit].tolist()))
     meets = {*pairs, *((j, i) for i, j in pairs)}
     bases: list[tuple[int, ...] | None] = []
+    used: set[int] = set()
     for k in range(len(words)):
         cand = [
             j for j in range(first[k], k)
-            if bases[j] is None and sizes[j] and (j, k) not in meets
+            if bases[j] is None and sizes[j] and (j, k) not in meets and j not in used
         ]
         picked, filled = [], sizes[k]
         for j in sorted(cand, key=lambda j: -sizes[j]):
             if not any((j, p) in meets for p in picked):
                 picked.append(j)
                 filled += sizes[j]
-        bases.append(tuple(sorted(picked)) if picked and filled == m else None)
+        derived = picked and filled == m
+        bases.append(tuple(sorted(picked)) if derived else None)
+        used.update(picked if derived else ())
     return bases
 
 
@@ -319,14 +337,19 @@ def sup_quality(
     ones its patterns can cover: compacted, so deep levels work on fewer
     words, or masked, where compaction would cost more than it saves.
 
-    The last two levels are one vectorized pass per depth z-2 node (the
-    root when z=2): every (child, leaf) pair below it is counted for every
-    vector, by popcount only when neither selector is derived, each child's
-    leaves are reduced to a per-vector maximum,
-    and a cumulative maximum over child values and leaf maxima in preorder
-    replays the per-child loop.  Leaves a vector's own search would prune
-    cannot raise its running best, because the estimate that prunes them
-    dominates their computed qualities.
+    The last two levels run as table and replay.  A depth z-2 node's table
+    holds its children's counts and, per child and vector, the best leaf
+    quality and its first maximizer: every (child, leaf) pair below it is
+    counted for every vector, by popcount only when neither selector is
+    derived.  A depth z-3 node (the root when z=3) tables all its children
+    first, a column at a time from the last one back; a derived child's
+    table is the node's counts and the tables of its later siblings minus
+    those of its basis siblings, with no restriction and no popcount.  It
+    then replays its children in canonical order: per child, a cumulative
+    maximum over child values and leaf maxima in preorder replays the
+    per-child loop.  Leaves a vector's own search would prune cannot raise
+    its running best, because the estimate that prunes them dominates their
+    computed qualities.  When z <= 2 the root tables and replays itself.
 
     Every vector gets exactly the result of a search of its own: it only
     looks at the nodes its own pruned search would visit (its live set),
@@ -350,11 +373,15 @@ def _label_words(batch: Sequence[LabelVector], m: int) -> np.ndarray:
     return bitset.pack_rows(np.array([np.ones(m, dtype=np.uint8), *(lv.bits for lv in batch)]))
 
 
-def _popcounts(covers, lab):
+def _popcounts(covers, lab, out=None):
     """Counts (covers x label rows) of `covers` by popcount; with row 0 of
     `lab` holding every transaction, column 0 is the size of each cover and
-    the others its positives under each vector."""
-    return np.bitwise_count(covers[:, None, :] & lab).sum(axis=2, dtype=np.int64)
+    the others its positives under each vector.  `out`, if given, is a pair
+    of (covers x label rows x words) uint64 and uint8 arrays that hold the
+    intersections and their per-word counts."""
+    both, bits = (None, None) if out is None else out
+    both = np.bitwise_and(covers[:, None, :], lab, out=both)
+    return np.bitwise_count(both, out=bits).sum(axis=2, dtype=np.int64)
 
 
 class _BatchSearch:
@@ -371,6 +398,7 @@ class _BatchSearch:
         self.best_idx: list[tuple[int, ...] | None] = [None] * c
         self.visited = 0
         self.pruned = 0
+        self.blocks: dict[int, list] = {}
 
     def quality(self, cnt):
         """Centered qualities (entries x vectors)."""
@@ -442,70 +470,138 @@ class _BatchSearch:
             out[ctx.derived[d:] - nxt] = sub_lab[0] ^ union
         return out, sub_lab
 
-    def leaf_max(self, kids, lab, start: int, cnt):
-        """Per child and vector, the best quality among the child's leaves
-        (-inf where it has none), given the children's counts `cnt`.
-
-        Pairs of two scored selectors are counted in chunks of at most
-        PAIR_BYTES of (pairs x vectors x words) temporary, the rest by
-        subtraction from the counts of a child (`blocks`)."""
-        top = np.full((len(kids), len(lab) - 1), -np.inf)
+    def pair_counts(self, kids, lab, start: int, cnt):
+        """Counts of the (child, leaf) pairs below a node whose children
+        start at selector `start`, given the children's counts `cnt`, in the
+        pair index's order: pairs of two scored selectors by popcount, in
+        chunks of at most PAIR_BYTES of (pairs x vectors x words) temporary,
+        the rest by subtraction from the counts of a child, in chunks of
+        at most PAIR_BYTES of gathered basis counts (or one pair's)."""
+        pix = self.ctx.pairs
+        r0, s0 = pix.pair_start[start], pix.ss_start[start]
+        pc = np.empty((pix.pair_start[-1] - r0, len(lab)), dtype=np.int64)
+        rows, i, k = pix.ss_row[s0:] - r0, pix.ss_i[s0:] - start, pix.ss_k[s0:] - start
         step = max(1, PAIR_BYTES // max(lab.nbytes, 1))
-        for size, rows, i, k, phases, kid, heads in self.blocks(start, len(lab)):
-            pc = np.empty((size, len(lab)), dtype=np.int64)
-            for c in range(0, len(rows), step):
-                chunk = slice(c, c + step)
-                pc[rows[chunk]] = _popcounts(kids[i[chunk]] & kids[k[chunk]], lab)
-            for row, total, first, basis in phases:
-                pc[row] = _subtract(cnt[total], pc, first, basis)
-            top[kid] = np.maximum.reduceat(self.quality(pc), heads, axis=0)
-        return top
-
-    def blocks(self, start: int, width: int):
-        """The (child, leaf) pairs below a node whose children start at
-        selector `start`, as index arrays local to the node, per block of
-        children.
-
-        The node's pairs are the context's pair rows from its first child
-        on.  Children are taken in blocks of whole columns, at most
-        PAIR_BYTES of (pairs x `width`) counts or one column's children when
-        those alone take more, so every derived pair finds its basis in its
-        own block."""
-        ctx, pix = self.ctx, self.ctx.pairs
-        block = max(1, PAIR_BYTES // (8 * width))
-        heads = ctx.col_heads[np.searchsorted(ctx.col_heads, start) :]
-        before = pix.pair_start[heads] - pix.pair_start[start]
-        heads = heads[np.flatnonzero(np.diff(before // block, prepend=-1))]
-        for a, b in zip(heads, [*heads[1:], len(ctx.base)]):
-            r0, r1 = pix.pair_start[a], pix.pair_start[b]
-            if r0 == r1:
-                continue
-            s0, s1 = pix.ss_start[a], pix.ss_start[b]
-            phases = []
-            for first, row, total, ptr, basis in pix.pair_phases:
-                e0, e1 = first[a], first[b]
-                p0, p1 = ptr[e0], ptr[e1]
-                phases.append(
-                    (row[e0:e1] - r0, total[e0:e1] - start, ptr[e0:e1] - p0, basis[p0:p1] - r0)
+        for c in range(0, len(rows), step):
+            chunk = slice(c, c + step)
+            pc[rows[chunk]] = _popcounts(kids[i[chunk]] & kids[k[chunk]], lab)
+        step = max(1, PAIR_BYTES // (8 * len(lab)))
+        for first, row, total, ptr, basis in pix.pair_phases:
+            e = first[start]
+            while e < len(row):  # entries whose basis rows fit in a chunk
+                e1 = max(e + 1, int(np.searchsorted(ptr, ptr[e] + step, side="right")) - 1)
+                pc[row[e:e1] - r0] = _subtract(
+                    cnt[total[e:e1] - start], pc, ptr[e:e1] - ptr[e], basis[ptr[e] : ptr[e1]] - r0
                 )
-            kid = np.arange(a, b)[pix.pair_count[a:b] > 0]
-            yield (
-                r1 - r0, pix.ss_row[s0:s1] - r0, pix.ss_i[s0:s1] - start, pix.ss_k[s0:s1] - start,
-                phases, kid - start, pix.pair_start[kid] - r0,
-            )
+                e = e1
+        return pc
+
+    def leaf_best(self, pc, start: int):
+        """Per child start.. of a node and vector, the best quality among
+        the child's leaves (-inf where it has none) and the offset of the
+        first leaf that reaches it, from the node's pair counts `pc`; in
+        blocks of whole children of about PAIR_BYTES of qualities."""
+        top = np.full((len(self.ctx.base) - start, pc.shape[1] - 1), -np.inf)
+        arg = np.zeros(top.shape, dtype=np.int32)
+        for kid, lens, rows, heads in self.leaf_blocks(start):
+            q = self.quality(pc[rows])
+            top[kid] = best = np.maximum.reduceat(q, heads, axis=0)
+            at = np.where(q == np.repeat(best, lens, axis=0), np.arange(len(q))[:, None], len(q))
+            arg[kid] = np.minimum.reduceat(at, heads, axis=0) - heads[:, None]
+        return top, arg
+
+    def leaf_blocks(self, start: int):
+        """`leaf_best`'s blocks below a node whose children start at
+        selector `start`, as (children with leaves, their leaf counts, pair
+        rows, their first rows within the block); the same for every node
+        of the search with that start, so they are made once."""
+        if start not in self.blocks:
+            pix = self.ctx.pairs
+            kid = np.flatnonzero(pix.pair_count[start:])
+            lens = pix.pair_count[start + kid]
+            heads = pix.pair_start[start + kid] - pix.pair_start[start]
+            ends = [*heads[1:].tolist(), pix.pair_start[-1] - pix.pair_start[start]]
+            cut = np.flatnonzero(np.diff(heads // max(1, PAIR_BYTES // (8 * len(self.best))), prepend=-1))
+            self.blocks[start] = [
+                (kid[a:b], lens[a:b], slice(heads[a], ends[b - 1]), heads[a:b] - heads[a])
+                for a, b in zip(cut.tolist(), [*cut[1:].tolist(), len(kid)])
+            ]
+        return self.blocks[start]
+
+    def tables(self, kids, lab, cnt, start: int, depth: int):
+        """Tables of the children start.. of a depth z-3 node with counts
+        `cnt`: per child, its children's counts and, per grandchild and
+        vector, the best leaf quality and the offset of its first maximizer
+        (`leaf_best`); child i's rows of each are `rows(i)`.
+
+        A scored child is restricted (`descend`) and counted.  A derived
+        child d is not: its children's counts are the node's minus those of
+        its basis siblings, and its pair counts are its later siblings'
+        children's counts (the same pairs, in the same order) minus its
+        basis siblings' pair counts.  Columns are tabled from the last one
+        back, so later siblings come first.  In a column, d's basis pair
+        counts are summed in place into the first basis sibling's matrix,
+        which no other derived child uses (`derive_bases`), d is tabled as
+        soon as its last basis sibling is, and d's pair counts are
+        subtracted in place there; every other pair count matrix is dropped
+        once its child is tabled."""
+        ctx, pix = self.ctx, self.ctx.pairs
+        nsel, p0 = len(ctx.base), pix.pair_start[start]
+        cnts = np.empty((pix.pair_start[-1] - p0, len(lab)), dtype=np.int64)
+        top = np.empty((len(cnts), len(lab) - 1))
+        arg = np.empty(top.shape, dtype=np.int32)
+
+        def rows(i):
+            return slice(pix.pair_start[i] - p0, pix.pair_start[i + 1] - p0)
+
+        heads = ctx.col_heads[np.searchsorted(ctx.col_heads, start) :].tolist()
+        for a, nxt in reversed(list(zip(heads, [*heads[1:], nsel]))):
+            if nxt == nsel:
+                continue  # the last column's children have no children
+            acc: dict[int, np.ndarray] = {}
+            for i in range(a, nxt):
+                if ctx.basis[i] is not None:
+                    continue  # tabled with its last basis sibling
+                here = rows(i)
+                sub_kids, sub_lab = self.descend(kids, lab, cnt, i - start, start, depth + 1)
+                cnts[here] = self.counts(sub_kids, sub_lab, nxt)
+                pc = self.pair_counts(sub_kids, sub_lab, nxt, cnts[here])
+                top[here], arg[here] = self.leaf_best(pc, nxt)
+                d = ctx.user[i]
+                if d in acc:
+                    acc[d] += pc
+                elif d >= 0:
+                    acc[d] = pc
+                del pc
+                if d >= 0 and i == ctx.basis[d][-1]:  # d's basis is complete
+                    here, pc = rows(d), acc.pop(d)
+                    cnts[here] = cnt[nxt - start :]
+                    for b in ctx.basis[d]:
+                        cnts[here] -= cnts[rows(b)]
+                    np.subtract(cnts[pix.pair_start[nxt] - p0 :], pc, out=pc)
+                    top[here], arg[here] = self.leaf_best(pc, nxt)
+                    del pc
+        return cnts, top, arg, rows
 
     def node(self, kids, lab, chosen, start: int, depth: int, live) -> None:
         """Search below one node.  `kids` holds the covers of selectors
         start.. and `lab` the label vectors after the all-ones row, both
         restricted to the node's transactions, so they are already the
-        children's covers."""
+        children's covers.
+
+        A node at depth z-3 tables all its children first (`tables`), then
+        replays them (`replay`); the root when z <= 2 is its own table."""
         ctx = self.ctx
+        cnt = self.counts(kids, lab, start)
         if depth + 2 >= ctx.cfg.z:
-            self.last_levels(kids, lab, chosen, start, live)
+            top, arg = self.leaf_best(self.pair_counts(kids, lab, start, cnt), start)
+            self.replay(cnt, top, arg, chosen, start, live)
             return
+        tabled = depth + 3 == ctx.cfg.z
+        if tabled:
+            cnts, top, arg, rows = self.tables(kids, lab, cnt, start, depth)
         nsel = len(ctx.base)
         self.visited += len(kids)
-        cnt = self.counts(kids, lab, start)
         vals = self.quality(cnt)
         bound = self.estimate(cnt)
         best = self.best
@@ -518,35 +614,42 @@ class _BatchSearch:
             if not sub.any():
                 self.pruned += 1
                 continue
-            if ctx.next_start[i] < nsel:
+            nxt = ctx.next_start[i]
+            if nxt == nsel:
+                continue
+            if tabled:
+                t = rows(i)
+                self.replay(cnts[t], top[t], arg[t], here, nxt, sub)
+            else:
                 sub_kids, sub_lab = self.descend(kids, lab, cnt, r, start, depth + 1)
-                self.node(sub_kids, sub_lab, here, ctx.next_start[i], depth + 1, sub)
+                self.node(sub_kids, sub_lab, here, nxt, depth + 1, sub)
 
-    def last_levels(self, kids, lab, chosen, start: int, live) -> None:
+    def replay(self, cnt, top, arg, chosen, start: int, live) -> None:
         """The children of a depth z-2 node and all their children, the
-        leaves, in one pass (only the children when z=1).
+        leaves, from the node's table: its children's counts `cnt`, and per
+        child and vector the best leaf quality `top` and the offset `arg`
+        of its first maximizer (only the children when z=1).
 
         In preorder every vector sees child value, best leaf below it,
         child value, best leaf below it, ...; its running best is the
         cumulative maximum of that sequence.  A vector skips a child's
         leaves when the child's estimate does not beat its running best;
         the estimate dominates those leaves, so counting them anyway leaves
-        the running best as it was.  The scan is therefore each vector's own
-        pruned search, maximizer and node counts included.
+        the running best as it was.  The replay is therefore each vector's
+        own pruned search, maximizer and node counts included.
         """
         ctx = self.ctx
-        cnt = self.counts(kids, lab, start)
-        seq = np.empty((2 * len(kids) + 1, len(live)))
+        seq = np.empty((2 * len(cnt) + 1, len(live)))
         seq[0] = self.best
         seq[1::2] = self.quality(cnt)
-        seq[2::2] = self.leaf_max(kids, lab, start, cnt)
+        seq[2::2] = top
         run = np.maximum.accumulate(seq, axis=0)
-        self.visited += len(kids)
+        self.visited += len(cnt)
         if ctx.cfg.z > 1:
-            entered = np.ones(len(kids), dtype=bool)  # live is never empty here
+            entered = np.ones(len(cnt), dtype=bool)  # live is never empty here
             if self.prune:
                 entered = (live & (self.estimate(cnt) > run[1::2])).any(axis=1)
-            self.pruned += len(kids) - int(entered.sum())
+            self.pruned += len(cnt) - int(entered.sum())
             self.visited += int(ctx.pairs.pair_count[start:][entered].sum())
         final = run[-1]
         won = np.flatnonzero(live & (final > self.best))
@@ -554,10 +657,8 @@ class _BatchSearch:
         for j, f in zip(won, firsts):
             r, leaf = divmod(int(f), 2)
             here = chosen + (start + r,)
-            if leaf:  # rescore the child's leaves for the first maximizer
-                nxt = ctx.next_start[start + r]
-                leaves = kids[nxt - start :] & kids[r]
-                here += (nxt + int(self.quality(_popcounts(leaves, lab[[0, j + 1]])).argmax()),)
+            if leaf:
+                here += (ctx.next_start[start + r] + int(arg[r, j]),)
             self.best[j] = final[j]
             self.best_idx[j] = here
 
@@ -594,6 +695,13 @@ class _Scan:
         self.last: tuple[int, ...] | None = None
         self.lab = _label_words([labels], ctx.m)
         self.hits: list[tuple[float, tuple[int, ...], int, int]] = []
+        # the temporaries of `level`'s popcount chunks, allocated once per
+        # scan: chunk-sized temporaries sit near glibc's mmap threshold, so
+        # whether each of them page-faults depends on the process's history
+        self.step = max(1, PAIR_BYTES // self.lab.nbytes)
+        shape = (self.step, *self.lab.shape)
+        self.picked = np.empty((2, self.step, self.lab.shape[1]), dtype=np.uint64)
+        self.scratch = (np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint8))
 
     def run(self) -> list[tuple[tuple[int, ...], QualityStat]]:
         """Scan the language; the hits with their quality statistics, in
@@ -614,10 +722,13 @@ class _Scan:
         sel = _ranges(starts, lens)
         cnt = np.empty((len(sel), 2), dtype=np.int64)
         rows = np.flatnonzero(~ctx.is_derived[sel])
-        step = max(1, PAIR_BYTES // max(self.lab.nbytes, 1))
-        for c in range(0, len(rows), step):
-            r = rows[c : c + step]
-            cnt[r] = _popcounts(covers[par[r]] & ctx.words[sel[r]], self.lab)
+        for c in range(0, len(rows), self.step):
+            r = rows[c : c + self.step]
+            kids, rest = self.picked[:, : len(r)]  # mode "clip" takes into them unbuffered
+            np.take(covers, par[r], axis=0, out=kids, mode="clip")
+            np.take(ctx.words, sel[r], axis=0, out=rest, mode="clip")
+            np.bitwise_and(kids, rest, out=kids)
+            cnt[r] = _popcounts(kids, self.lab, [a[: len(r)] for a in self.scratch])
         # a derived child's basis are its siblings b, at first[p] + b - starts[p]
         d = np.flatnonzero(ctx.is_derived[sel])
         j = ctx.derived_from[sel[d]]

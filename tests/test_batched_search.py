@@ -1,6 +1,7 @@
 """The batched supremum search against single-vector searches and the
 brute-force oracle: every vector of a batch gets exactly its own result."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -116,6 +117,11 @@ def test_single_vector_is_its_own_pruned_search(z):
 
 def fields(res):
     return res.suprema, res.argmaxes, res.nodes_visited, res.nodes_pruned
+
+
+def own_fields(res):
+    """A one-vector result in `own_search`'s order."""
+    return res.supremum, res.argmax, res.nodes_visited, res.nodes_pruned
 
 
 @pytest.mark.parametrize("z", [2, 3, 4])
@@ -279,6 +285,11 @@ def derived_instances():
             [(C, half), (R, below), (C, cat(3))],
             LanguageConfig(z=3, bins=1, forms=frozenset({Form.EQUALS, Form.LESS_THAN})),
         ),
+        # two values: the cuts 5 and 10 give equal covers
+        "equal_cuts": build(
+            [(R, rng.permutation(np.repeat([0.0, 10.0], m // 2))), (C, cat(3)), (R, cont())],
+            LanguageConfig(z=3, bins=3),
+        ),
     }
 
 
@@ -304,6 +315,9 @@ DERIVED = {
     "interval_only": ({}, [(6, 0), (18, 0), (22, 8)]),
     # c1 < median is the complement of c0 = 0, but on another column
     "across_columns": ({1: (0,), 5: (3, 4)}, [(6, 0), (17, 0), (20, 1)]),
+    # equal covers share no basis: c0>=10 from c0<10, not from c0<5
+    "equal_cuts": ({4: (1,), 5: (2,), 8: (6, 7), 12: (9,), 13: (10,), 14: (11,)},
+                   [(15, 0), (78, 1), (144, 10)]),
 }
 
 
@@ -332,6 +346,14 @@ def test_derived_selectors(name):
             assert [(p, q.value) for p, q in got] == [(p, v) for _, p, v in want]
         top = top_k(ds, ds.target, center, zcfg, 6).entries
         assert [(p, q.value) for p, q in top] == brute_force_top_k(ds, ds.target, center, zcfg, 6)
+    # deeper, a depth z-3 node below the root tables its derived children
+    for z in (4, 5):
+        zcfg = replace(cfg, z=z)
+        res = sup_quality(ds, batch, center, zcfg)
+        for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
+            alone = sup_quality(ds, lv, center, zcfg)
+            assert (sup, arg) == (alone.supremum, alone.argmax)
+            assert own_fields(alone) == own_search(ds, lv, center, zcfg)
 
 
 def test_derivation_checks_the_covers():
@@ -351,19 +373,94 @@ def test_derivation_checks_the_covers():
     masks = words([0, 1], [2, 3], [2, 3])
     assert derive_bases(masks, [0, 1, 1], 4) == [None, None, None]
     assert derive_bases(masks, [0, 0, 1], 4) == [None, (0,), None]
+    # equal covers: each complement takes its own, so no selector is in two
+    # bases and a search may sum a basis' counts in place
+    masks = words([0], [0], [1, 2, 3], [1, 2, 3])
+    assert derive_bases(masks, [0, 0, 0, 0], 4) == [None, None, (0,), (1,)]
 
 
 @pytest.mark.parametrize("compact", [True, False])
-@pytest.mark.parametrize("name", ["categorical", "continuous", "interval", "tied"])
+@pytest.mark.parametrize("name", ["categorical", "continuous", "interval", "tied", "equal_cuts"])
 def test_compaction_choice_keeps_results(name, compact, monkeypatch):
     # a subtree works on compacted or masked matrices by a cost estimate;
     # both give the same suprema, maximizers and node counts
     ds, cfg = derived_instances()[name]
     batch = [ds.target] + [bernoulli_labels(ds.m, p, 6, j) for j, p in enumerate((0.3, 0.7))]
     center = ds.mean_target()
-    for z in (3, 4):
+    for z in (3, 4, 5):
         zcfg = replace(cfg, z=z)
         whole = fields(sup_quality(ds, batch, center, zcfg))
+        own = [own_search(ds, lv, center, zcfg) for lv in batch]
         monkeypatch.setattr(sigmine.search._BatchSearch, "compacts", lambda *args: compact)
         assert fields(sup_quality(ds, batch, center, zcfg)) == whole
+        assert [own_fields(sup_quality(ds, lv, center, zcfg)) for lv in batch] == own
         monkeypatch.undo()
+
+
+def popcount_rows(ctx, start, depth):
+    """Rows a prune-free batched search below a node counts by popcount
+    when only the scored children of a depth z-3 node are restricted and
+    counted, the derived ones by subtraction."""
+    nsel, z, pix = len(ctx.base), ctx.cfg.z, ctx.pairs
+    rows = len(ctx.scored) - ctx.scored_from[start]
+    for i in range(start, nsel):
+        nxt = ctx.next_start[i]
+        if nxt == nsel:
+            continue
+        if depth + 3 < z:
+            rows += popcount_rows(ctx, nxt, depth + 1)
+        elif not ctx.is_derived[i]:
+            rows += len(ctx.scored) - ctx.scored_from[nxt] + len(pix.ss_row) - pix.ss_start[nxt]
+    return rows
+
+
+@pytest.mark.parametrize("z", [3, 4])
+@pytest.mark.parametrize("name", ["categorical", "continuous", "interval", "tied", "equal_cuts"])
+def test_derived_children_of_table_nodes_are_not_counted(name, z, monkeypatch):
+    # a depth z-3 node tables a derived child by sibling subtraction: the
+    # child is never restricted (`descend`), and popcounts count exactly
+    # the rows of the scored children's subtrees
+    ds, cfg = derived_instances()[name]
+    cfg = replace(cfg, z=z)
+    ctx = SearchContext(ds, cfg)
+    assert ctx.is_derived.any()
+    batch = [ds.target, bernoulli_labels(ds.m, 0.5, 7, 0)]
+    descended, counted = [], []
+    descend, popcounts = sigmine.search._BatchSearch.descend, sigmine.search._popcounts
+
+    def record_descend(self, kids, lab, cnt, r, start, depth):
+        descended.append((start + r, depth))
+        return descend(self, kids, lab, cnt, r, start, depth)
+
+    def record_popcounts(covers, lab, out=None):
+        counted.append(len(covers))
+        return popcounts(covers, lab, out)
+
+    monkeypatch.setattr(sigmine.search._BatchSearch, "descend", record_descend)
+    monkeypatch.setattr(sigmine.search, "_popcounts", record_popcounts)
+    want = fields(sup_quality(ds, batch, ds.mean_target(), cfg, ctx=ctx, prune=False))
+    assert {d for i, d in descended if ctx.is_derived[i]} <= set(range(z - 2))
+    # a derived child of a node above depth z-3 is still restricted
+    assert any(ctx.is_derived[i] and d < z - 2 for i, d in descended) == (z > 3)
+    assert sum(counted) == popcount_rows(ctx, 0, 0)
+    monkeypatch.undo()
+    assert list(zip(*want[:2])) == [oracle(ds, lv, ds.mean_target(), cfg) for lv in batch]
+
+
+def test_table_memory_is_bounded():
+    # a 66-vector search (the WY chunk on the sweep language) on the 8124-row
+    # mushroom instance at z=3: the root's tables take about 5 MiB (counts,
+    # best leaves, maximizers over its 3 932 (child, grandchild) pairs), and
+    # at most two pair count matrices of up to 2 MiB each are held at once
+    ds = generate(mushroom_class_spec(77))
+    cfg = LanguageConfig(z=3, bins=5)
+    ctx = SearchContext(ds, cfg)
+    assert ctx.pairs.pair_start[-1] == 3932
+    batch = [ds.target, *(bernoulli_labels(ds.m, 0.5, 9, j) for j in range(65))]
+    tracemalloc.start()
+    try:
+        sup_quality(ds, batch, ds.mean_target(), cfg, ctx=ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * sigmine.search.BATCH_BYTES  # 12 MiB

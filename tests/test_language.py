@@ -17,7 +17,7 @@ from sigmine import (
     evaluate,
     projection_bound_log,
 )
-from sigmine.language import pattern_count
+from sigmine.language import _distinct, pattern_count
 from sigmine.oracle import ContColumn, NullIID, SyntheticSpec, brute_force_qualities, generate
 
 from conftest import binary_dataset
@@ -38,6 +38,28 @@ def test_base_selectors_categorical():
     sels = base_selectors(ds, LanguageConfig(z=1))
     assert [s.form for s in sels] == [Form.EQUALS] * 3
     assert [s.a for s in sels] == [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "codes",
+    [
+        [-3, 7, -3, 0, -(2**31), 2**31 - 1, 7],  # negative, extreme
+        [10**9, 5, 10**9, 123456, 5],  # sparse
+        [4, 4, 4],  # one value
+        [2],
+    ],
+)
+def test_distinct_codes_match_unique(codes):
+    # the categorical codes of base_selectors: sort, then keep each value
+    # that differs from its neighbour; the same array np.unique gives
+    arr = np.asarray(codes, dtype=np.int32)
+    got = _distinct(arr)
+    assert got.dtype == np.int32
+    assert got.tolist() == np.unique(arr).tolist()
+    schema = [ColumnSchema("c", Kind.CATEGORICAL)]
+    ds = Dataset(schema, [arr], LabelVector(np.zeros(len(arr), dtype=np.uint8)))
+    sels = base_selectors(ds, LanguageConfig(z=1))
+    assert [s.a for s in sels] == [float(c) for c in np.unique(arr)]
 
 
 def test_base_selectors_median_cut():
