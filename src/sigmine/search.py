@@ -23,9 +23,10 @@ popcount would give, bit for bit.
 
 The supremum search applies them to whole subtrees too.  Its last two
 levels are counted per depth z-2 node into a table, and a depth z-3 node
-tables all its children before it replays them in canonical order; a
-derived child's table is its siblings' tables subtracted, with no
-restriction and no popcount (see `_BatchSearch.tables`).
+whose children's tables fit in BATCH_BYTES tables them all before it
+replays them in canonical order; a derived child's table is its siblings'
+tables subtracted, with no restriction and no popcount (see
+`_BatchSearch.tables`).
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def optimistic_estimate(cover: Cover, labels: LabelVector, center: float) -> flo
     return (pos - pos * center) / labels.m
 
 
-# memory budget of the batched search's largest per-node temporary
+# memory budget of the batched search's largest per-node temporary, and of
+# the tables of a depth z-3 node's children
 BATCH_BYTES = 4 << 20
 # memory budget of one chunk of (child, leaf) pairs in the last two levels
 PAIR_BYTES = 512 << 10
@@ -120,6 +122,8 @@ class SearchContext:
             for i, sel in enumerate(block):
                 flags[i] = selector_flags(sel, dataset)
             blocks.append(bitset.pack_rows(flags[: len(block)]))
+        # allocated after the flags: allocated before them, it left glibc's
+        # heap in a state where the final scan page-faulted on every chunk
         self.words = np.concatenate(blocks)
         # first base index on a column strictly greater than base[i]'s
         cols = [s.column for s in self.base]
@@ -338,18 +342,22 @@ def sup_quality(
     words, or masked, where compaction would cost more than it saves.
 
     The last two levels run as table and replay.  A depth z-2 node's table
-    holds its children's counts and, per child and vector, the best leaf
-    quality and its first maximizer: every (child, leaf) pair below it is
-    counted for every vector, by popcount only when neither selector is
-    derived.  A depth z-3 node (the root when z=3) tables all its children
-    first, a column at a time from the last one back; a derived child's
-    table is the node's counts and the tables of its later siblings minus
-    those of its basis siblings, with no restriction and no popcount.  It
-    then replays its children in canonical order: per child, a cumulative
-    maximum over child values and leaf maxima in preorder replays the
-    per-child loop.  Leaves a vector's own search would prune cannot raise
-    its running best, because the estimate that prunes them dominates their
-    computed qualities.  When z <= 2 the root tables and replays itself.
+    holds its children's counts, per child and vector the best leaf
+    quality, and per vector its leaf maximizer: every (child, leaf) pair
+    below it is counted for every vector, by popcount only when neither
+    selector is derived, in blocks of whole columns.  A depth z-3 node (the
+    root when z=3) tables all its children first, a column at a time from
+    the last one back, when their tables take at most BATCH_BYTES; a
+    derived child's table is the node's counts and the tables of its later
+    siblings minus those of its basis siblings, with no restriction and no
+    popcount.  It then replays its children in canonical order: per child,
+    a cumulative maximum over child values and leaf maxima in preorder
+    replays the per-child loop.  Leaves a vector's own search would prune
+    cannot raise its running best, because the estimate that prunes them
+    dominates their computed qualities.  When z <= 2 the root tables and
+    replays itself.  The tables grow with the square of the selectors: a
+    depth z-3 node whose tables would take more searches its children one
+    by one, as the nodes above it do.
 
     Every vector gets exactly the result of a search of its own: it only
     looks at the nodes its own pruned search would visit (its live set),
@@ -373,15 +381,11 @@ def _label_words(batch: Sequence[LabelVector], m: int) -> np.ndarray:
     return bitset.pack_rows(np.array([np.ones(m, dtype=np.uint8), *(lv.bits for lv in batch)]))
 
 
-def _popcounts(covers, lab, out=None):
+def _popcounts(covers, lab):
     """Counts (covers x label rows) of `covers` by popcount; with row 0 of
     `lab` holding every transaction, column 0 is the size of each cover and
-    the others its positives under each vector.  `out`, if given, is a pair
-    of (covers x label rows x words) uint64 and uint8 arrays that hold the
-    intersections and their per-word counts."""
-    both, bits = (None, None) if out is None else out
-    both = np.bitwise_and(covers[:, None, :], lab, out=both)
-    return np.bitwise_count(both, out=bits).sum(axis=2, dtype=np.int64)
+    the others its positives under each vector."""
+    return np.bitwise_count(covers[:, None, :] & lab).sum(axis=2, dtype=np.int64)
 
 
 class _BatchSearch:
@@ -398,7 +402,6 @@ class _BatchSearch:
         self.best_idx: list[tuple[int, ...] | None] = [None] * c
         self.visited = 0
         self.pruned = 0
-        self.blocks: dict[int, list] = {}
 
     def quality(self, cnt):
         """Centered qualities (entries x vectors)."""
@@ -470,69 +473,82 @@ class _BatchSearch:
             out[ctx.derived[d:] - nxt] = sub_lab[0] ^ union
         return out, sub_lab
 
-    def pair_counts(self, kids, lab, start: int, cnt):
-        """Counts of the (child, leaf) pairs below a node whose children
-        start at selector `start`, given the children's counts `cnt`, in the
-        pair index's order: pairs of two scored selectors by popcount, in
-        chunks of at most PAIR_BYTES of (pairs x vectors x words) temporary,
-        the rest by subtraction from the counts of a child, in chunks of
-        at most PAIR_BYTES of gathered basis counts (or one pair's)."""
+    def pair_counts(self, kids, lab, start: int, cnt, a: int, b: int):
+        """Counts of the (child, leaf) pairs of the children a..b, whole
+        columns, of a node whose children start at selector `start`, given
+        the children's counts `cnt`, in the pair index's order: pairs of
+        two scored selectors by popcount, in chunks of at most PAIR_BYTES
+        of (pairs x vectors x words) temporary, the rest by subtraction from
+        the counts of a child, in chunks of at most PAIR_BYTES of gathered
+        basis counts (or one pair's).  A derived pair's basis pairs have
+        its child's column, so they are among them."""
         pix = self.ctx.pairs
-        r0, s0 = pix.pair_start[start], pix.ss_start[start]
-        pc = np.empty((pix.pair_start[-1] - r0, len(lab)), dtype=np.int64)
-        rows, i, k = pix.ss_row[s0:] - r0, pix.ss_i[s0:] - start, pix.ss_k[s0:] - start
+        r0, s0, s1 = pix.pair_start[a], pix.ss_start[a], pix.ss_start[b]
+        pc = np.empty((pix.pair_start[b] - r0, len(lab)), dtype=np.int64)
+        rows, i, k = pix.ss_row[s0:s1] - r0, pix.ss_i[s0:s1] - start, pix.ss_k[s0:s1] - start
         step = max(1, PAIR_BYTES // max(lab.nbytes, 1))
         for c in range(0, len(rows), step):
             chunk = slice(c, c + step)
             pc[rows[chunk]] = _popcounts(kids[i[chunk]] & kids[k[chunk]], lab)
         step = max(1, PAIR_BYTES // (8 * len(lab)))
         for first, row, total, ptr, basis in pix.pair_phases:
-            e = first[start]
-            while e < len(row):  # entries whose basis rows fit in a chunk
+            e, end = first[a], first[b]
+            while e < end:  # entries whose basis rows fit in a chunk
                 e1 = max(e + 1, int(np.searchsorted(ptr, ptr[e] + step, side="right")) - 1)
+                e1 = min(e1, end)
                 pc[row[e:e1] - r0] = _subtract(
                     cnt[total[e:e1] - start], pc, ptr[e:e1] - ptr[e], basis[ptr[e] : ptr[e1]] - r0
                 )
                 e = e1
         return pc
 
-    def leaf_best(self, pc, start: int):
-        """Per child start.. of a node and vector, the best quality among
-        the child's leaves (-inf where it has none) and the offset of the
-        first leaf that reaches it, from the node's pair counts `pc`; in
-        blocks of whole children of about PAIR_BYTES of qualities."""
-        top = np.full((len(self.ctx.base) - start, pc.shape[1] - 1), -np.inf)
-        arg = np.zeros(top.shape, dtype=np.int32)
-        for kid, lens, rows, heads in self.leaf_blocks(start):
-            q = self.quality(pc[rows])
-            top[kid] = best = np.maximum.reduceat(q, heads, axis=0)
-            at = np.where(q == np.repeat(best, lens, axis=0), np.arange(len(q))[:, None], len(q))
-            arg[kid] = np.minimum.reduceat(at, heads, axis=0) - heads[:, None]
-        return top, arg
+    def leaf_best(self, start: int, width: int, pair_counts):
+        """The leaves of a node whose children start at selector `start`:
+        per child and vector the best quality among the child's leaves
+        (-inf where it has none), and per vector the offset, among its
+        child's leaves, of the first leaf of the node with the highest
+        quality; when a vector's first maximizer in `replay`'s sequence is
+        a leaf, it is that one.
 
-    def leaf_blocks(self, start: int):
-        """`leaf_best`'s blocks below a node whose children start at
-        selector `start`, as (children with leaves, their leaf counts, pair
-        rows, their first rows within the block); the same for every node
-        of the search with that start, so they are made once."""
-        if start not in self.blocks:
-            pix = self.ctx.pairs
-            kid = np.flatnonzero(pix.pair_count[start:])
-            lens = pix.pair_count[start + kid]
-            heads = pix.pair_start[start + kid] - pix.pair_start[start]
-            ends = [*heads[1:].tolist(), pix.pair_start[-1] - pix.pair_start[start]]
-            cut = np.flatnonzero(np.diff(heads // max(1, PAIR_BYTES // (8 * len(self.best))), prepend=-1))
-            self.blocks[start] = [
-                (kid[a:b], lens[a:b], slice(heads[a], ends[b - 1]), heads[a:b] - heads[a])
-                for a, b in zip(cut.tolist(), [*cut[1:].tolist(), len(kid)])
-            ]
-        return self.blocks[start]
+        Pairs are counted in blocks of whole columns of at most PAIR_BYTES
+        of (pairs x `width`) counts, or one column's children when those
+        alone take more, `pair_counts(a, b)` giving the counts of the pairs
+        of children a..b, and reduced in pieces of whole children of at
+        most PAIR_BYTES (or one child's), in canonical order."""
+        ctx, pix = self.ctx, self.ctx.pairs
+        top = np.full((len(ctx.base) - start, width - 1), -np.inf)
+        arg = np.zeros(width - 1, dtype=np.int32)
+        high = np.full(width - 1, -np.inf)
+        # children start..last have leaves, those of the last column none
+        last = start + np.count_nonzero(pix.pair_count[start:])
+        first = pix.pair_start[start : last + 1] - pix.pair_start[start]
+        step = max(1, PAIR_BYTES // (8 * width))
+        heads = ctx.col_heads[(ctx.col_heads >= start) & (ctx.col_heads < last)]
+        blocks = heads[np.flatnonzero(np.diff(first[heads - start] // step, prepend=-1))]
+        for a, b in zip(blocks.tolist(), [*blocks[1:].tolist(), last]):
+            pc = pair_counts(a, b)
+            rows = first[a - start : b - start + 1] - first[a - start]
+            cut = np.flatnonzero(np.diff(rows[:-1] // step, prepend=-1)).tolist()
+            for u, v in zip(cut, [*cut[1:], b - a]):
+                q = self.quality(pc[rows[u] : rows[v]])
+                seg = rows[u:v] - rows[u]
+                top[a - start + u : a - start + v] = best = np.maximum.reduceat(q, seg, axis=0)
+                at = best.argmax(axis=0)
+                peak = best[at, np.arange(len(arg))]
+                j = np.flatnonzero(peak > high)
+                if len(j):  # a better leaf: the first in its child
+                    high[j] = peak[j]
+                    lo, n = seg[at[j]], np.diff(rows[u : v + 1])[at[j]]
+                    leaf = np.arange(n.max())[:, None]
+                    got = np.where(leaf < n, q[np.minimum(lo + leaf, len(q) - 1), j], -np.inf)
+                    arg[j] = got.argmax(axis=0)
+        return top, arg
 
     def tables(self, kids, lab, cnt, start: int, depth: int):
         """Tables of the children start.. of a depth z-3 node with counts
-        `cnt`: per child, its children's counts and, per grandchild and
-        vector, the best leaf quality and the offset of its first maximizer
-        (`leaf_best`); child i's rows of each are `rows(i)`.
+        `cnt`: per child i, its children's counts and, per grandchild and
+        vector, the best leaf quality, in rows `rows(i)`, and per vector
+        the offset of its leaf maximizer, in row i - start (`leaf_best`).
 
         A scored child is restricted (`descend`) and counted.  A derived
         child d is not: its children's counts are the node's minus those of
@@ -546,13 +562,19 @@ class _BatchSearch:
         subtracted in place there; every other pair count matrix is dropped
         once its child is tabled."""
         ctx, pix = self.ctx, self.ctx.pairs
-        nsel, p0 = len(ctx.base), pix.pair_start[start]
-        cnts = np.empty((pix.pair_start[-1] - p0, len(lab)), dtype=np.int64)
-        top = np.empty((len(cnts), len(lab) - 1))
-        arg = np.empty(top.shape, dtype=np.int32)
+        nsel, p0, width = len(ctx.base), pix.pair_start[start], len(lab)
+        cnts = np.empty((pix.pair_start[-1] - p0, width), dtype=np.int64)
+        top = np.empty((len(cnts), width - 1))
+        arg = np.empty((nsel - start, width - 1), dtype=np.int32)
 
         def rows(i):
             return slice(pix.pair_start[i] - p0, pix.pair_start[i + 1] - p0)
+
+        def table(i, nxt, pc):
+            r0 = pix.pair_start[nxt]
+            top[rows(i)], arg[i - start] = self.leaf_best(
+                nxt, width, lambda a, b: pc[pix.pair_start[a] - r0 : pix.pair_start[b] - r0]
+            )
 
         heads = ctx.col_heads[np.searchsorted(ctx.col_heads, start) :].tolist()
         for a, nxt in reversed(list(zip(heads, [*heads[1:], nsel]))):
@@ -565,8 +587,8 @@ class _BatchSearch:
                 here = rows(i)
                 sub_kids, sub_lab = self.descend(kids, lab, cnt, i - start, start, depth + 1)
                 cnts[here] = self.counts(sub_kids, sub_lab, nxt)
-                pc = self.pair_counts(sub_kids, sub_lab, nxt, cnts[here])
-                top[here], arg[here] = self.leaf_best(pc, nxt)
+                pc = self.pair_counts(sub_kids, sub_lab, nxt, cnts[here], nxt, nsel)
+                table(i, nxt, pc)
                 d = ctx.user[i]
                 if d in acc:
                     acc[d] += pc
@@ -579,7 +601,7 @@ class _BatchSearch:
                     for b in ctx.basis[d]:
                         cnts[here] -= cnts[rows(b)]
                     np.subtract(cnts[pix.pair_start[nxt] - p0 :], pc, out=pc)
-                    top[here], arg[here] = self.leaf_best(pc, nxt)
+                    table(d, nxt, pc)
                     del pc
         return cnts, top, arg, rows
 
@@ -590,14 +612,21 @@ class _BatchSearch:
         children's covers.
 
         A node at depth z-3 tables all its children first (`tables`), then
-        replays them (`replay`); the root when z <= 2 is its own table."""
+        replays them (`replay`), when the tables take at most BATCH_BYTES;
+        they grow with the square of the selectors, so a node with more
+        searches its children one by one, as a node above it does.  A node
+        at depth z-2 is its own table."""
         ctx = self.ctx
         cnt = self.counts(kids, lab, start)
         if depth + 2 >= ctx.cfg.z:
-            top, arg = self.leaf_best(self.pair_counts(kids, lab, start, cnt), start)
+            top, arg = self.leaf_best(
+                start, len(lab), lambda a, b: self.pair_counts(kids, lab, start, cnt, a, b)
+            )
             self.replay(cnt, top, arg, chosen, start, live)
             return
-        tabled = depth + 3 == ctx.cfg.z
+        # counts (8 bytes) and best leaves (8) per pair and vector
+        pairs = ctx.pairs.pair_start[-1] - ctx.pairs.pair_start[start]
+        tabled = depth + 3 == ctx.cfg.z and pairs * (16 * len(lab) - 8) <= BATCH_BYTES
         if tabled:
             cnts, top, arg, rows = self.tables(kids, lab, cnt, start, depth)
         nsel = len(ctx.base)
@@ -619,16 +648,17 @@ class _BatchSearch:
                 continue
             if tabled:
                 t = rows(i)
-                self.replay(cnts[t], top[t], arg[t], here, nxt, sub)
+                self.replay(cnts[t], top[t], arg[r], here, nxt, sub)
             else:
                 sub_kids, sub_lab = self.descend(kids, lab, cnt, r, start, depth + 1)
                 self.node(sub_kids, sub_lab, here, nxt, depth + 1, sub)
 
     def replay(self, cnt, top, arg, chosen, start: int, live) -> None:
         """The children of a depth z-2 node and all their children, the
-        leaves, from the node's table: its children's counts `cnt`, and per
-        child and vector the best leaf quality `top` and the offset `arg`
-        of its first maximizer (only the children when z=1).
+        leaves, from the node's table (`leaf_best`): its children's counts
+        `cnt`, per child and vector the best leaf quality `top`, and per
+        vector the offset `arg` of the first best leaf among its child's
+        leaves (only the children when z=1).
 
         In preorder every vector sees child value, best leaf below it,
         child value, best leaf below it, ...; its running best is the
@@ -658,7 +688,7 @@ class _BatchSearch:
             r, leaf = divmod(int(f), 2)
             here = chosen + (start + r,)
             if leaf:
-                here += (ctx.next_start[start + r] + int(arg[r, j]),)
+                here += (ctx.next_start[start + r] + int(arg[j]),)
             self.best[j] = final[j]
             self.best_idx[j] = here
 
@@ -695,13 +725,6 @@ class _Scan:
         self.last: tuple[int, ...] | None = None
         self.lab = _label_words([labels], ctx.m)
         self.hits: list[tuple[float, tuple[int, ...], int, int]] = []
-        # the temporaries of `level`'s popcount chunks, allocated once per
-        # scan: chunk-sized temporaries sit near glibc's mmap threshold, so
-        # whether each of them page-faults depends on the process's history
-        self.step = max(1, PAIR_BYTES // self.lab.nbytes)
-        shape = (self.step, *self.lab.shape)
-        self.picked = np.empty((2, self.step, self.lab.shape[1]), dtype=np.uint64)
-        self.scratch = (np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint8))
 
     def run(self) -> list[tuple[tuple[int, ...], QualityStat]]:
         """Scan the language; the hits with their quality statistics, in
@@ -722,13 +745,10 @@ class _Scan:
         sel = _ranges(starts, lens)
         cnt = np.empty((len(sel), 2), dtype=np.int64)
         rows = np.flatnonzero(~ctx.is_derived[sel])
-        for c in range(0, len(rows), self.step):
-            r = rows[c : c + self.step]
-            kids, rest = self.picked[:, : len(r)]  # mode "clip" takes into them unbuffered
-            np.take(covers, par[r], axis=0, out=kids, mode="clip")
-            np.take(ctx.words, sel[r], axis=0, out=rest, mode="clip")
-            np.bitwise_and(kids, rest, out=kids)
-            cnt[r] = _popcounts(kids, self.lab, [a[: len(r)] for a in self.scratch])
+        step = max(1, PAIR_BYTES // max(self.lab.nbytes, 1))
+        for c in range(0, len(rows), step):
+            r = rows[c : c + step]
+            cnt[r] = _popcounts(covers[par[r]] & ctx.words[sel[r]], self.lab)
         # a derived child's basis are its siblings b, at first[p] + b - starts[p]
         d = np.flatnonzero(ctx.is_derived[sel])
         j = ctx.derived_from[sel[d]]

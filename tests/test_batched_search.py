@@ -432,9 +432,9 @@ def test_derived_children_of_table_nodes_are_not_counted(name, z, monkeypatch):
         descended.append((start + r, depth))
         return descend(self, kids, lab, cnt, r, start, depth)
 
-    def record_popcounts(covers, lab, out=None):
+    def record_popcounts(covers, lab):
         counted.append(len(covers))
-        return popcounts(covers, lab, out)
+        return popcounts(covers, lab)
 
     monkeypatch.setattr(sigmine.search._BatchSearch, "descend", record_descend)
     monkeypatch.setattr(sigmine.search, "_popcounts", record_popcounts)
@@ -443,24 +443,52 @@ def test_derived_children_of_table_nodes_are_not_counted(name, z, monkeypatch):
     # a derived child of a node above depth z-3 is still restricted
     assert any(ctx.is_derived[i] and d < z - 2 for i, d in descended) == (z > 3)
     assert sum(counted) == popcount_rows(ctx, 0, 0)
+    # tables over BATCH_BYTES: a depth z-3 node searches its children one
+    # by one, restricting the derived ones too, to the same result
+    descended.clear()
+    monkeypatch.setattr(sigmine.search, "BATCH_BYTES", 1)
+    assert fields(sup_quality(ds, batch, ds.mean_target(), cfg, ctx=ctx, prune=False)) == want
+    assert any(ctx.is_derived[i] and d == z - 2 for i, d in descended)
     monkeypatch.undo()
     assert list(zip(*want[:2])) == [oracle(ds, lv, ds.mean_target(), cfg) for lv in batch]
 
 
+def search_peak(ds, batch, cfg, ctx):
+    """The tracemalloc peak of one `sup_quality` call, in bytes."""
+    tracemalloc.start()
+    try:
+        sup_quality(ds, batch, ds.mean_target(), cfg, ctx=ctx)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_table_memory_is_bounded():
     # a 66-vector search (the WY chunk on the sweep language) on the 8124-row
-    # mushroom instance at z=3: the root's tables take about 5 MiB (counts,
-    # best leaves, maximizers over its 3 932 (child, grandchild) pairs), and
-    # at most two pair count matrices of up to 2 MiB each are held at once
+    # mushroom instance at z=3: the root's tables take just under
+    # BATCH_BYTES (counts and best leaves over its 3 932 (child,
+    # grandchild) pairs), and at most two pair count matrices of up to
+    # 2 MiB each are held at once
     ds = generate(mushroom_class_spec(77))
     cfg = LanguageConfig(z=3, bins=5)
     ctx = SearchContext(ds, cfg)
     assert ctx.pairs.pair_start[-1] == 3932
     batch = [ds.target, *(bernoulli_labels(ds.m, 0.5, 9, j) for j in range(65))]
-    tracemalloc.start()
-    try:
-        sup_quality(ds, batch, ds.mean_target(), cfg, ctx=ctx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * sigmine.search.BATCH_BYTES  # 12 MiB
+    assert 3932 * (16 * 67 - 8) <= sigmine.search.BATCH_BYTES
+    assert search_peak(ds, batch, cfg, ctx) < 3 * sigmine.search.BATCH_BYTES  # 12 MiB
+
+
+@pytest.mark.parametrize("z", [2, 3])
+def test_wide_language_memory_is_bounded(z):
+    # 120 selectors on 128 rows: the root's (child, grandchild) tables for
+    # 64 vectors would take 6.8 MiB, so at z=3 the root searches its
+    # children one by one, and a depth z-2 node counts its pairs in blocks
+    # of whole columns; the peak stays below BATCH_BYTES
+    spec = SyntheticSpec(128, tuple(ContColumn("normal") for _ in range(24)), NullIID(0.4), seed=1)
+    ds = generate(spec)
+    cfg = LanguageConfig(z=z, bins=2, forms=frozenset(Form))
+    ctx = SearchContext(ds, cfg)
+    assert (len(ctx.base), ctx.pairs.pair_start[-1]) == (120, 6900)
+    assert 6900 * (16 * 65 - 8) > sigmine.search.BATCH_BYTES
+    batch = [ds.target, *(bernoulli_labels(ds.m, 0.4, 3, j) for j in range(63))]
+    assert search_peak(ds, batch, cfg, ctx) < sigmine.search.BATCH_BYTES
