@@ -140,6 +140,9 @@ def cmd_mine(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.trials < 1:
+        print("error: --trials must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
     outcome = SUITES[args.suite](args.trials, args.seed)
     for line in outcome.lines:
         print(line, file=sys.stderr)

@@ -123,12 +123,6 @@ class Dataset:
     def mean_target(self) -> float:
         return self.target.mean()
 
-    def column_index(self, name: str) -> int:
-        for i, col in enumerate(self.schema):
-            if col.name == name:
-                return i
-        raise KeyError(name)
-
     def decode(self, column: int, code: int) -> str:
         """Original string for a categorical code (falls back to the code)."""
         vals = self.cat_values.get(column)

@@ -102,6 +102,12 @@ def compute_bounds(
     return report
 
 
+def significance_cutoff(report: BoundReport, frequency: float) -> float:
+    """The quality a pattern of `frequency` must reach to be reported under
+    `report`: eps + eps_t * frequency."""
+    return report.epsilon + report.eps_t * frequency
+
+
 def significant_patterns(
     dataset: Dataset, report: BoundReport, cfg: RunConfig, ctx: SearchContext | None = None
 ) -> list[Discovery]:
@@ -120,7 +126,7 @@ def significant_patterns(
             pattern=p,
             quality=q.value,
             frequency=q.frequency,
-            threshold_margin=q.value - (report.epsilon + report.eps_t * q.frequency),
+            threshold_margin=q.value - significance_cutoff(report, q.frequency),
         )
         for p, q in hits
     ]
@@ -145,10 +151,7 @@ def top_k_flags(
         raise ConfigError("cfg.top_k must be set")
     mu_d = dataset.mean_target()
     result = top_k(dataset, dataset.target, mu_d, cfg.language, cfg.top_k, ctx=ctx)
-    flags = [
-        q.value >= report.epsilon + report.eps_t * q.frequency
-        for _, q in result.entries
-    ]
+    flags = [q.value >= significance_cutoff(report, q.frequency) for _, q in result.entries]
     return result, flags
 
 

@@ -21,7 +21,13 @@ from dataclasses import asdict, dataclass, replace
 from .baselines import PermutationPlan, run_ub, run_wy, ub_report, wy_quantile  # noqa: F401
 from .bounds import Mode
 from .data import Dataset
-from .discovery import Discovery, RunConfig, compute_bounds, significant_patterns
+from .discovery import (
+    Discovery,
+    RunConfig,
+    compute_bounds,
+    significance_cutoff,
+    significant_patterns,
+)
 from .search import SearchContext
 
 
@@ -76,7 +82,7 @@ def records_from_flags(entries, flags, dataset: Dataset, report) -> list[OutputR
                 pattern=pattern.describe(dataset),
                 quality=stat.value,
                 frequency=stat.frequency,
-                threshold_margin=stat.value - (report.epsilon + report.eps_t * stat.frequency),
+                threshold_margin=stat.value - significance_cutoff(report, stat.frequency),
                 significant=bool(flag),
             )
         )

@@ -106,7 +106,6 @@ class SearchContext:
     """
 
     def __init__(self, dataset: Dataset, cfg: LanguageConfig):
-        self.dataset = dataset
         self.cfg = cfg
         self.base = base_selectors(dataset, cfg)
         if not self.base:
@@ -429,13 +428,17 @@ class _BatchSearch:
 
     def descend(self, kids, lab, cnt, r: int, start: int, depth: int):
         """The covers of the selectors after child r's column and the label
-        matrix, restricted to child r's transactions, for a node at `depth`:
-        compacted to them (`compact`), or with every column kept and the
-        other transactions masked to 0."""
+        matrix, restricted in one step to child r's transactions, for a node
+        at `depth`: every row compacted to them (`_restrict`), derived or
+        scored alike, or with every column kept and the other transactions
+        masked to 0."""
         nxt = self.ctx.next_start[start + r]
+        rest = kids[nxt - start :]
         if self.compacts(int(cnt[r, 0]), lab, nxt, depth):
-            return self.compact(kids, lab, r, start, nxt)
-        return kids[nxt - start :] & kids[r], lab & kids[r]
+            size = lab.shape[1] * 64
+            keep = np.flatnonzero(bitset.unpack_rows(kids[r : r + 1], size)[0])
+            return _restrict(rest, size, keep), _restrict(lab, size, keep)
+        return rest & kids[r], lab & kids[r]
 
     def compacts(self, keep: int, lab, start: int, depth: int) -> bool:
         """Whether a node at `depth` with `keep` transactions, whose
@@ -445,7 +448,10 @@ class _BatchSearch:
         the last two levels is always compacted.  Below that, compaction
         moves about a byte per row and transaction and a popcount about a
         word (64 transactions) per pair or child and vector, so it pays when
-        it saves more popcount words than it moves bytes."""
+        it saves more popcount words than it moves bytes.  Compaction moves
+        every row after the child's column, derived ones too, yet `rows`
+        counts only the scored ones, the rows that are popcounted: that is
+        the rule as it was measured on the benchmark workloads."""
         ctx = self.ctx
         if depth + 2 < ctx.cfg.z:
             return True
@@ -453,25 +459,6 @@ class _BatchSearch:
         rows = len(ctx.scored) - ctx.scored_from[start]
         pairs = len(ctx.pairs.ss_row) - ctx.pairs.ss_start[start]
         return (size - keep) * len(lab) * (rows + pairs) > 64 * (rows + len(lab)) * size
-
-    def compact(self, kids, lab, r: int, start: int, nxt: int):
-        """`descend` by `_restrict`.  Only scored rows are compacted; a
-        derived row is the complement of its basis rows' union, their XOR
-        since they are disjoint."""
-        ctx = self.ctx
-        size = lab.shape[1] * 64
-        keep = np.flatnonzero(bitset.unpack_rows(kids[r : r + 1], size)[0])
-        sub_lab = _restrict(lab, size, keep)
-        out = np.empty((len(ctx.base) - nxt, sub_lab.shape[1]), dtype=np.uint64)
-        rows = ctx.scored[ctx.scored_from[nxt] :] - nxt
-        out[rows] = _restrict(kids[rows + (nxt - start)], size, keep)
-        d = ctx.derived_from[nxt]
-        p0 = ctx.derived_ptr[d]
-        if d < len(ctx.derived):
-            basis = out[ctx.derived_basis[p0:] - nxt]
-            union = np.bitwise_xor.reduceat(basis, ctx.derived_ptr[d:-1] - p0, axis=0)
-            out[ctx.derived[d:] - nxt] = sub_lab[0] ^ union
-        return out, sub_lab
 
     def pair_counts(self, kids, lab, start: int, cnt, a: int, b: int):
         """Counts of the (child, leaf) pairs of the children a..b, whole

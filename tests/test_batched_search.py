@@ -380,7 +380,7 @@ def test_derivation_checks_the_covers():
 
 
 @pytest.mark.parametrize("compact", [True, False])
-@pytest.mark.parametrize("name", ["categorical", "continuous", "interval", "tied", "equal_cuts"])
+@pytest.mark.parametrize("name", sorted(DERIVED))
 def test_compaction_choice_keeps_results(name, compact, monkeypatch):
     # a subtree works on compacted or masked matrices by a cost estimate;
     # both give the same suprema, maximizers and node counts

@@ -2,18 +2,59 @@
 the names their callers look them up under (bench/layers.py).  A renamed
 function or a dropped re-export would silently stop a per-layer metric."""
 
+import ast
 import importlib
 import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "sigmine"
+
+
+def _wrapped():
+    """bench/layers.py's WRAPPED: (owner, attribute, span name, counter)."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module("layers").WRAPPED
+    finally:
+        sys.path.remove(str(BENCH))
 
 
 def test_bench_wrapped_names_resolve():
-    sys.path.insert(0, str(BENCH))
-    try:
-        layers = importlib.import_module("layers")
-    finally:
-        sys.path.remove(str(BENCH))
-    for owner, attr, name, _ in layers.WRAPPED:
+    for owner, attr, name, _ in _wrapped():
         assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
+
+
+def _imported_names(tree):
+    """(name, line) of every top-level import of a module, `__future__` aside."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            yield from ((a.asname or a.name, stmt.lineno) for a in stmt.names)
+        elif isinstance(stmt, ast.Import):
+            yield from ((a.asname or a.name.split(".")[0], stmt.lineno) for a in stmt.names)
+
+
+def _exported(tree):
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            return set(ast.literal_eval(stmt.value))
+    return set()
+
+
+def test_unused_imports_are_only_those_the_bench_wraps():
+    # an import a module never uses stays only where bench/layers.py wraps
+    # the name in that module; once it stops wrapping one, delete the import
+    wrapped = {(getattr(owner, "__name__", ""), attr) for owner, attr, _, _ in _wrapped()}
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+        module = f"sigmine.{path.stem}"
+        unused += [
+            f"{path.name}:{line}: {name}"
+            for name, line in _imported_names(tree)
+            if name not in used and (module, name) not in wrapped
+        ]
+    assert not unused, "unused imports: " + ", ".join(unused)

@@ -207,6 +207,15 @@ def test_validate_fwer_suite_small(capsys):
     assert set(payload) >= {"conditional", "unconditional", "band"}
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("suite", ["fwer", "power", "coupling", "oracle"])
+def test_validate_rejects_trials_below_one(suite, trials, capsys):
+    code = main(["validate", "--suite", suite, "--trials", trials])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--trials" in captured.err and captured.out == ""
+
+
 def test_stdout_default(null_csv, capsys):
     code = run_mine(null_csv, "--mode", "conditional")
     assert code == 0
