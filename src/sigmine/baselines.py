@@ -91,9 +91,13 @@ def estimate_quantile(deviations, delta: float) -> QuantileEstimate:
 
 
 def permuted_labels(labels: LabelVector, seed: int, j: int) -> LabelVector:
-    """Uniform permutation of the observed labels, keyed on (seed, j)."""
+    """Uniform permutation of the observed labels, keyed on (seed, j).
+
+    The labels are gathered through a permuted index: `permutation(m)`
+    makes the swaps `permutation(labels.bits)` makes, on 8-byte items,
+    which numpy shuffles faster than single bytes."""
     rng = generator(seed, STREAM_PERMUTE, j)
-    return LabelVector(rng.permutation(labels.bits))
+    return LabelVector(labels.bits[rng.permutation(labels.m)])
 
 
 def wy_quantile(

@@ -58,7 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="run a statistical validation harness")
     val.add_argument("--suite", required=True, choices=["fwer", "power", "coupling", "oracle"])
-    val.add_argument("--trials", type=int, default=200)
+    val.add_argument(
+        "--trials",
+        type=int,
+        default=None,
+        help="instances of the oracle suite, trials of fwer and power, samples of "
+        "coupling (default: 200 instances or trials, 100000 samples)",
+    )
     val.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -140,10 +146,12 @@ def cmd_mine(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.trials < 1:
+    if args.trials is not None and args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
-    outcome = SUITES[args.suite](args.trials, args.seed)
+    suite, count = SUITES[args.suite]
+    sizes = {} if args.trials is None else {count: args.trials}
+    outcome = suite(seed=args.seed, **sizes)
     for line in outcome.lines:
         print(line, file=sys.stderr)
     print(json.dumps({"suite": outcome.name, "ok": outcome.ok, **outcome.summary}, sort_keys=True))

@@ -26,7 +26,10 @@ levels are counted per depth z-2 node into a table, and a depth z-3 node
 whose children's tables fit in BATCH_BYTES tables them all before it
 replays them in canonical order; a derived child's table is its siblings'
 tables subtracted, with no restriction and no popcount (see
-`_BatchSearch.tables`).
+`_BatchSearch.tables`).  The children of one column share the selectors
+below them, so they are tabled in groups, each child's label rows one more
+block of columns of the same counts, and replayed in pieces of several
+children, so that the per-child work is a few numpy calls per group.
 """
 
 from __future__ import annotations
@@ -171,9 +174,9 @@ class SearchContext:
         return Pattern(tuple(self.base[i] for i in indices))
 
     def batch_size(self) -> int:
-        """Most label vectors one `sup_quality` call takes while its largest
-        temporary, (selectors x vectors x words) uint64, stays within
-        BATCH_BYTES."""
+        """Most label vectors one `sup_quality` call takes while a
+        (selectors x vectors x words) uint64 matrix, every selector's cover
+        under every vector, stays within BATCH_BYTES."""
         return max(1, BATCH_BYTES // self.words.nbytes)
 
 
@@ -349,14 +352,20 @@ def sup_quality(
     the last one back, when their tables take at most BATCH_BYTES; a
     derived child's table is the node's counts and the tables of its later
     siblings minus those of its basis siblings, with no restriction and no
-    popcount.  It then replays its children in canonical order: per child,
-    a cumulative maximum over child values and leaf maxima in preorder
-    replays the per-child loop.  Leaves a vector's own search would prune
-    cannot raise its running best, because the estimate that prunes them
-    dominates their computed qualities.  When z <= 2 the root tables and
-    replays itself.  The tables grow with the square of the selectors: a
-    depth z-3 node whose tables would take more searches its children one
-    by one, as the nodes above it do.
+    popcount.  The children of a column are tabled in groups: masked
+    children share the node's cover rows and stack their own label rows,
+    so a group takes one count, one pair count and one leaf reduction, a
+    (child, vector) being one more column; the derived children of a
+    column take one leaf reduction per group as well.  The node then
+    replays its children in canonical order, in pieces of several: a
+    cumulative maximum over child values, grandchild values and leaf
+    maxima in preorder, carried from piece to piece, replays the per-child
+    loop.  Subtrees a vector's own search would prune cannot raise its
+    running best, because the estimate that prunes them dominates their
+    computed qualities.  When z <= 2 the root tables and replays itself.
+    The tables grow with the square of the selectors: a depth z-3 node
+    whose tables would take more searches its children one by one, as the
+    nodes above it do.
 
     Every vector gets exactly the result of a search of its own: it only
     looks at the nodes its own pruned search would visit (its live set),
@@ -397,14 +406,18 @@ class _BatchSearch:
         self.ctx = ctx
         self.center = center
         self.prune = prune
+        self.width = c + 1
         self.best = np.full(c, -np.inf)
         self.best_idx: list[tuple[int, ...] | None] = [None] * c
         self.visited = 0
         self.pruned = 0
 
     def quality(self, cnt):
-        """Centered qualities (entries x vectors)."""
-        return (cnt[:, 1:] - cnt[:, :1] * self.center) / self.ctx.m
+        """Centered qualities (entries x vectors) of counts whose columns are
+        one or more blocks of (1 + vectors), as a group's are (`tables`)."""
+        n, g, w = len(cnt), cnt.shape[1] // self.width, self.width
+        c = cnt.reshape(n, g, w)
+        return ((c[..., 1:] - c[..., :1] * self.center) / self.ctx.m).reshape(n, g * (w - 1))
 
     def estimate(self, cnt):
         """Optimistic estimates: `optimistic_estimate` for every entry."""
@@ -412,12 +425,16 @@ class _BatchSearch:
 
     def counts(self, kids, lab, start: int):
         """Counts of the children start.. of a node whose transactions
-        `kids` and `lab` are restricted to: scored children by popcount,
-        derived ones by subtraction from the node's own counts."""
+        `kids` and `lab` are restricted to: scored children by popcount, in
+        chunks of at most PAIR_BYTES of (children x label rows x words)
+        temporary (or one child's), derived ones by subtraction from the
+        node's own counts."""
         ctx = self.ctx
         cnt = np.empty((len(kids), len(lab)), dtype=np.int64)
         rows = ctx.scored[ctx.scored_from[start] :] - start
-        cnt[rows] = _popcounts(kids[rows], lab)
+        step = max(1, PAIR_BYTES // max(lab.nbytes, 1))
+        for c in range(0, len(rows), step):
+            cnt[rows[c : c + step]] = _popcounts(kids[rows[c : c + step]], lab)
         d = ctx.derived_from[start]
         p0 = ctx.derived_ptr[d]
         cnt[ctx.derived[d:] - start] = _subtract(
@@ -429,16 +446,22 @@ class _BatchSearch:
     def descend(self, kids, lab, cnt, r: int, start: int, depth: int):
         """The covers of the selectors after child r's column and the label
         matrix, restricted in one step to child r's transactions, for a node
-        at `depth`: every row compacted to them (`_restrict`), derived or
-        scored alike, or with every column kept and the other transactions
-        masked to 0."""
+        at `depth`: every row compacted to them (`compact`), or masked, the
+        label rows ANDed with child r's cover and the cover rows kept as
+        they are, since every count goes through a label row."""
         nxt = self.ctx.next_start[start + r]
-        rest = kids[nxt - start :]
         if self.compacts(int(cnt[r, 0]), lab, nxt, depth):
-            size = lab.shape[1] * 64
-            keep = np.flatnonzero(bitset.unpack_rows(kids[r : r + 1], size)[0])
-            return _restrict(rest, size, keep), _restrict(lab, size, keep)
-        return rest & kids[r], lab & kids[r]
+            return self.compact(kids, lab, r, nxt - start)
+        return kids[nxt - start :], lab & kids[r]
+
+    @staticmethod
+    def compact(kids, lab, r: int, rest: int):
+        """Cover rows rest.. and the label matrix, compacted to the
+        transactions of cover row r (`_restrict`), derived rows or scored
+        alike."""
+        size = lab.shape[1] * 64
+        keep = np.flatnonzero(bitset.unpack_rows(kids[r : r + 1], size)[0])
+        return _restrict(kids[rest:], size, keep), _restrict(lab, size, keep)
 
     def compacts(self, keep: int, lab, start: int, depth: int) -> bool:
         """Whether a node at `depth` with `keep` transactions, whose
@@ -501,11 +524,15 @@ class _BatchSearch:
         of (pairs x `width`) counts, or one column's children when those
         alone take more, `pair_counts(a, b)` giving the counts of the pairs
         of children a..b, and reduced in pieces of whole children of at
-        most PAIR_BYTES (or one child's), in canonical order."""
+        most PAIR_BYTES (or one child's), in canonical order.  Counts of a
+        group of nodes (`tables`) hold a block of (1 + vectors) columns per
+        node, and the group is reduced at once, each (node, vector) one
+        more column of the results."""
         ctx, pix = self.ctx, self.ctx.pairs
-        top = np.full((len(ctx.base) - start, width - 1), -np.inf)
-        arg = np.zeros(width - 1, dtype=np.int32)
-        high = np.full(width - 1, -np.inf)
+        cols = width // self.width * (self.width - 1)
+        top = np.full((len(ctx.base) - start, cols), -np.inf)
+        arg = np.zeros(cols, dtype=np.int32)
+        high = np.full(cols, -np.inf)
         # children start..last have leaves, those of the last column none
         last = start + np.count_nonzero(pix.pair_count[start:])
         first = pix.pair_start[start : last + 1] - pix.pair_start[start]
@@ -534,92 +561,143 @@ class _BatchSearch:
     def tables(self, kids, lab, cnt, start: int, depth: int):
         """Tables of the children start.. of a depth z-3 node with counts
         `cnt`: per child i, its children's counts and, per grandchild and
-        vector, the best leaf quality, in rows `rows(i)`, and per vector
-        the offset of its leaf maximizer, in row i - start (`leaf_best`).
+        vector, the best leaf quality, in the pair index's rows of child i
+        (from pair_start[start] on), and per vector the offset of its leaf
+        maximizer, in row i - start (`leaf_best`).
 
-        A scored child is restricted (`descend`) and counted.  A derived
-        child d is not: its children's counts are the node's minus those of
-        its basis siblings, and its pair counts are its later siblings'
-        children's counts (the same pairs, in the same order) minus its
-        basis siblings' pair counts.  Columns are tabled from the last one
-        back, so later siblings come first.  In a column, d's basis pair
-        counts are summed in place into the first basis sibling's matrix,
-        which no other derived child uses (`derive_bases`), d is tabled as
-        soon as its last basis sibling is, and d's pair counts are
-        subtracted in place there; every other pair count matrix is dropped
-        once its child is tabled."""
-        ctx, pix = self.ctx, self.ctx.pairs
-        nsel, p0, width = len(ctx.base), pix.pair_start[start], len(lab)
-        cnts = np.empty((pix.pair_start[-1] - p0, width), dtype=np.int64)
-        top = np.empty((len(cnts), width - 1))
-        arg = np.empty((nsel - start, width - 1), dtype=np.int32)
-
-        def rows(i):
-            return slice(pix.pair_start[i] - p0, pix.pair_start[i + 1] - p0)
-
-        def table(i, nxt, pc):
-            r0 = pix.pair_start[nxt]
-            top[rows(i)], arg[i - start] = self.leaf_best(
-                nxt, width, lambda a, b: pc[pix.pair_start[a] - r0 : pix.pair_start[b] - r0]
-            )
-
+        The children of one column share their children, the selectors
+        after the column, so they are tabled in groups (`groups`): one
+        `counts`, one `pair_counts` and one `leaf_best` call per group, on
+        (children x (1 + vectors)) label rows, each child's counts a block
+        of columns.  A derived child d is not restricted or counted: its
+        children's counts are the node's minus those of its basis siblings,
+        and its pair counts are its later siblings' children's counts (the
+        same pairs, in the same order) minus its basis siblings' pair
+        counts, subtracted as their groups count them; the derived children
+        of a column take one `leaf_best` per group too.  Columns are tabled
+        from the last one back, so later siblings come first.  A column's
+        derived children are taken in groups whose pair counts take at
+        most PAIR_BYTES (or one child's), each with the groups of its basis
+        siblings, and the column's other scored children last."""
+        ctx, pix, w = self.ctx, self.ctx.pairs, self.width
+        nsel, p0 = len(ctx.base), pix.pair_start[start]
+        cnts = np.empty((pix.pair_start[-1] - p0, w), dtype=np.int64)
+        top = np.empty((len(cnts), w - 1))
+        arg = np.empty((nsel - start, w - 1), dtype=np.int32)
         heads = ctx.col_heads[np.searchsorted(ctx.col_heads, start) :].tolist()
         for a, nxt in reversed(list(zip(heads, [*heads[1:], nsel]))):
             if nxt == nsel:
                 continue  # the last column's children have no children
-            acc: dict[int, np.ndarray] = {}
-            for i in range(a, nxt):
-                if ctx.basis[i] is not None:
-                    continue  # tabled with its last basis sibling
-                here = rows(i)
-                sub_kids, sub_lab = self.descend(kids, lab, cnt, i - start, start, depth + 1)
-                cnts[here] = self.counts(sub_kids, sub_lab, nxt)
-                pc = self.pair_counts(sub_kids, sub_lab, nxt, cnts[here], nxt, nsel)
-                table(i, nxt, pc)
-                d = ctx.user[i]
-                if d in acc:
-                    acc[d] += pc
-                elif d >= 0:
-                    acc[d] = pc
-                del pc
-                if d >= 0 and i == ctx.basis[d][-1]:  # d's basis is complete
-                    here, pc = rows(d), acc.pop(d)
-                    cnts[here] = cnt[nxt - start :]
-                    for b in ctx.basis[d]:
-                        cnts[here] -= cnts[rows(b)]
-                    np.subtract(cnts[pix.pair_start[nxt] - p0 :], pc, out=pc)
-                    table(d, nxt, pc)
+            n, r0 = nsel - nxt, pix.pair_start[nxt]
+            col = slice(pix.pair_start[a] - p0, r0 - p0)
+            col_cnts = cnts[col].reshape(nxt - a, n, w)
+            col_top = top[col].reshape(nxt - a, n, w - 1)
+            tail = cnts[r0 - p0 :]  # the pairs below the column: later siblings' tables
+            fit = max(1, PAIR_BYTES // max(tail.nbytes, 1))
+
+            def table(group, pc):
+                best, at = self.leaf_best(
+                    nxt, pc.shape[1],
+                    lambda x, y: pc[pix.pair_start[x] - r0 : pix.pair_start[y] - r0],
+                )
+                col_top[group - a] = best.reshape(n, len(group), w - 1).swapaxes(0, 1)
+                arg[group - start] = at.reshape(len(group), w - 1)
+
+            # derived children a group at a time, each group with its basis
+            # siblings, then the scored children in no basis
+            derived = [d for d in range(a, nxt) if ctx.basis[d] is not None]
+            free = [i for i in range(a, nxt) if ctx.basis[i] is None and ctx.user[i] < 0]
+            parts = [derived[x : x + fit] for x in range(0, len(derived), fit)]
+            parts = [(ds, [b for d in ds for b in ctx.basis[d]]) for ds in parts] + [([], free)]
+            for ds, scored in parts:
+                slot, dpc = {d: s for s, d in enumerate(ds)}, None
+                groups = self.groups(kids, lab, cnt, scored, start, depth + 1, fit)
+                for group, sub_kids, sub_lab in groups:
+                    sub_cnt = self.counts(sub_kids, sub_lab, nxt)
+                    col_cnts[group - a] = sub_cnt.reshape(n, len(group), w).swapaxes(0, 1)
+                    pc = self.pair_counts(sub_kids, sub_lab, nxt, sub_cnt, nxt, nsel)
+                    table(group, pc)
+                    if ds and dpc is None:  # allocated once the first basis group is tabled
+                        dpc = np.repeat(tail[:, None], len(ds), axis=1)
+                    for g, i in enumerate(group.tolist()):
+                        if ctx.user[i] in slot:
+                            dpc[:, slot[ctx.user[i]]] -= pc[:, g * w : (g + 1) * w]
                     del pc
-        return cnts, top, arg, rows
+                if ds:
+                    for d in ds:
+                        basis = col_cnts[np.array(ctx.basis[d]) - a]
+                        col_cnts[d - a] = cnt[nxt - start :] - basis.sum(axis=0)
+                    table(np.array(ds), dpc.reshape(len(tail), len(ds) * w))
+                    del dpc
+        return cnts, top, arg
+
+    def groups(self, kids, lab, cnt, scored, start: int, depth: int, fit: int):
+        """The scored children `scored`, of one column, of a node whose
+        children start at `start`, as groups at `depth` with the cover rows
+        after their column and the label rows they are counted on.  A child
+        that `compacts` is a group of its own, on its compacted matrices
+        (`compact`).  The others are masked, `fit` children a group: they
+        share the node's cover rows, each with its own label rows, the
+        node's ANDed with its cover, stacked."""
+        if not scored:
+            return
+        nxt = self.ctx.next_start[scored[0]]
+        masked = []
+        for i in scored:
+            if self.compacts(int(cnt[i - start, 0]), lab, nxt, depth):
+                yield np.array([i]), *self.compact(kids, lab, i - start, nxt - start)
+            else:
+                masked.append(i)
+        for x in range(0, len(masked), fit):
+            group = np.array(masked[x : x + fit])
+            stacked = lab & kids[group - start, None]
+            yield group, kids[nxt - start :], stacked.reshape(len(group) * len(lab), lab.shape[1])
 
     def node(self, kids, lab, chosen, start: int, depth: int, live) -> None:
         """Search below one node.  `kids` holds the covers of selectors
-        start.. and `lab` the label vectors after the all-ones row, both
-        restricted to the node's transactions, so they are already the
-        children's covers.
+        start.. and `lab` the label vectors after the all-ones row, the
+        label rows restricted to the node's transactions and the cover rows
+        compacted to them or kept whole (`descend`), so the two together
+        count the children's covers.
 
         A node at depth z-3 tables all its children first (`tables`), then
-        replays them (`replay`), when the tables take at most BATCH_BYTES;
-        they grow with the square of the selectors, so a node with more
-        searches its children one by one, as a node above it does.  A node
-        at depth z-2 is its own table."""
-        ctx = self.ctx
+        replays them (`replay`) in pieces of whole children whose
+        sequences take at most PAIR_BYTES (or one child's), when the tables
+        take at most BATCH_BYTES; they grow with the square of the
+        selectors, so a node with more searches its children one by one, as
+        a node above it does.  A node at depth z-2 is its own table and
+        replays itself as a piece of one."""
+        ctx, pix = self.ctx, self.ctx.pairs
+        nsel = len(ctx.base)
         cnt = self.counts(kids, lab, start)
         if depth + 2 >= ctx.cfg.z:
             top, arg = self.leaf_best(
-                start, len(lab), lambda a, b: self.pair_counts(kids, lab, start, cnt, a, b)
+                start, self.width, lambda a, b: self.pair_counts(kids, lab, start, cnt, a, b)
             )
-            self.replay(cnt, top, arg, chosen, start, live)
+            own = np.full((1, len(live)), -np.inf)  # its parent weighed its value
+            self.replay([chosen], np.array([start]), own, -own, cnt, top, arg[None], live)
             return
-        # counts (8 bytes) and best leaves (8) per pair and vector
-        pairs = ctx.pairs.pair_start[-1] - ctx.pairs.pair_start[start]
-        tabled = depth + 3 == ctx.cfg.z and pairs * (16 * len(lab) - 8) <= BATCH_BYTES
-        if tabled:
-            cnts, top, arg, rows = self.tables(kids, lab, cnt, start, depth)
-        nsel = len(ctx.base)
         self.visited += len(kids)
         vals = self.quality(cnt)
         bound = self.estimate(cnt)
+        # counts (8 bytes) and best leaves (8) per pair and vector
+        pairs = pix.pair_start[-1] - pix.pair_start[start]
+        if depth + 3 == ctx.cfg.z and pairs * (16 * self.width - 8) <= BATCH_BYTES:
+            cnts, top, arg = self.tables(kids, lab, cnt, start, depth)
+            p0 = pix.pair_start[start]
+            # a child takes 1 + 2 x its children rows of a replay sequence
+            rows = 2 * pix.pair_count[start:] + 1
+            first = np.cumsum(rows) - rows
+            step = max(1, PAIR_BYTES // (8 * len(live)))
+            cut = np.flatnonzero(np.diff(first // step, prepend=-1))
+            for u, v in zip(cut.tolist(), [*cut[1:].tolist(), nsel - start]):
+                t = slice(pix.pair_start[start + u] - p0, pix.pair_start[start + v] - p0)
+                self.replay(
+                    [chosen + (i,) for i in range(start + u, start + v)],
+                    ctx.next_start_a[start + u : start + v], vals[u:v], bound[u:v],
+                    cnts[t], top[t], arg[u:v], live,
+                )
+            return
         best = self.best
         for r, i in enumerate(range(start, nsel)):
             here = chosen + (i,)
@@ -633,49 +711,69 @@ class _BatchSearch:
             nxt = ctx.next_start[i]
             if nxt == nsel:
                 continue
-            if tabled:
-                t = rows(i)
-                self.replay(cnts[t], top[t], arg[r], here, nxt, sub)
-            else:
-                sub_kids, sub_lab = self.descend(kids, lab, cnt, r, start, depth + 1)
-                self.node(sub_kids, sub_lab, here, nxt, depth + 1, sub)
+            sub_kids, sub_lab = self.descend(kids, lab, cnt, r, start, depth + 1)
+            self.node(sub_kids, sub_lab, here, nxt, depth + 1, sub)
 
-    def replay(self, cnt, top, arg, chosen, start: int, live) -> None:
-        """The children of a depth z-2 node and all their children, the
-        leaves, from the node's table (`leaf_best`): its children's counts
-        `cnt`, per child and vector the best leaf quality `top`, and per
-        vector the offset `arg` of the first best leaf among its child's
-        leaves (only the children when z=1).
+    def replay(self, paths, starts, vals, bound, cnt, top, arg, live) -> None:
+        """Depth z-2 nodes `paths`, consecutive children of one node, with
+        their values `vals` and estimates `bound` per vector, and all their
+        children and the leaves, from their tables (`leaf_best`): node o's
+        children start at selector starts[o], and their counts `cnt` and
+        per vector best leaf qualities `top` come node after node; `arg`
+        holds per node and vector the offset of its first best leaf among
+        its child's leaves (only the children when z=1).  A node that
+        replays itself is a piece of one with value -inf and estimate inf,
+        its parent having weighed both.
 
-        In preorder every vector sees child value, best leaf below it,
-        child value, best leaf below it, ...; its running best is the
-        cumulative maximum of that sequence.  A vector skips a child's
-        leaves when the child's estimate does not beat its running best;
-        the estimate dominates those leaves, so counting them anyway leaves
-        the running best as it was.  The replay is therefore each vector's
-        own pruned search, maximizer and node counts included.
+        In preorder every vector sees a node's value, then child value,
+        best leaf below it, child value, ..., then the next node's value;
+        its running best is the cumulative maximum of that sequence, from
+        the best it had before.  A vector skips a subtree when the estimate
+        of its root does not beat its running best; the estimate dominates
+        the subtree, so counting it anyway leaves the running best as it
+        was.  The replay is therefore each vector's own pruned search,
+        maximizer and node counts included.
         """
-        ctx = self.ctx
-        seq = np.empty((2 * len(cnt) + 1, len(live)))
+        ctx, n, c = self.ctx, len(paths), len(live)
+        size = len(ctx.base) - starts
+        before = np.cumsum(size) - size
+        owner = np.repeat(np.arange(n), size)
+        kid = starts[owner] + np.arange(len(cnt)) - before[owner]
+        # sequence rows of each node's value, and of each child's value; its
+        # best leaf follows it
+        head = np.arange(n) + 2 * before + 1
+        pos = owner + 2 * np.arange(len(cnt)) + 2
+        seq = np.empty((1 + n + 2 * len(cnt), c))
         seq[0] = self.best
-        seq[1::2] = self.quality(cnt)
-        seq[2::2] = top
-        run = np.maximum.accumulate(seq, axis=0)
-        self.visited += len(cnt)
+        seq[head] = vals
+        seq[pos] = self.quality(cnt)
+        seq[pos + 1] = top
+        run = np.maximum.accumulate(seq, axis=0, out=seq)
+        sub = np.broadcast_to(live, (n, c))
+        if self.prune:
+            sub = sub & (bound > run[head])
+        went = sub.any(axis=1)
+        self.pruned += n - int(went.sum())
+        into = went[owner]
+        self.visited += int(into.sum())
         if ctx.cfg.z > 1:
-            entered = np.ones(len(cnt), dtype=bool)  # live is never empty here
+            entered = into
             if self.prune:
-                entered = (live & (self.estimate(cnt) > run[1::2])).any(axis=1)
-            self.pruned += len(cnt) - int(entered.sum())
-            self.visited += int(ctx.pairs.pair_count[start:][entered].sum())
+                entered = (sub[owner] & (self.estimate(cnt) > run[pos])).any(axis=1)
+            self.pruned += int(into.sum()) - int(entered.sum())
+            self.visited += int(ctx.pairs.pair_count[kid[entered]].sum())
         final = run[-1]
         won = np.flatnonzero(live & (final > self.best))
-        firsts = (seq[1:, won] == final[won]).argmax(axis=0)
-        for j, f in zip(won, firsts):
-            r, leaf = divmod(int(f), 2)
-            here = chosen + (start + r,)
-            if leaf:
-                here += (ctx.next_start[start + r] + int(arg[j]),)
+        # a running best first reaches its final value where the value is
+        firsts = (run[1:, won] == final[won]).argmax(axis=0) + 1
+        for j, f in zip(won.tolist(), firsts.tolist()):
+            o = int(np.searchsorted(head, f, side="right")) - 1
+            here = paths[o]
+            if f > head[o]:
+                t, leaf = divmod(f - 2 - o, 2)
+                here += (int(kid[t]),)
+                if leaf:
+                    here += (ctx.next_start[int(kid[t])] + int(arg[o, j]),)
             self.best[j] = final[j]
             self.best_idx[j] = here
 

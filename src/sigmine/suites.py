@@ -204,11 +204,13 @@ def suite_coupling(samples: int = 100_000, seed: int = 0) -> SuiteOutcome:
     )
 
 
+# each validation suite, and the parameter that `sigmine validate --trials`
+# sets: its instances, trials or samples
 SUITES = {
-    "oracle": lambda trials, seed: suite_oracle(instances=trials, seed=seed),
-    "fwer": lambda trials, seed: suite_fwer(trials=trials, seed=seed),
-    "power": lambda trials, seed: suite_power(trials=trials, seed=seed),
-    "coupling": lambda trials, seed: suite_coupling(seed=seed),
+    "oracle": (suite_oracle, "instances"),
+    "fwer": (suite_fwer, "trials"),
+    "power": (suite_power, "trials"),
+    "coupling": (suite_coupling, "samples"),
 }
 
 

@@ -29,6 +29,7 @@ from sigmine.oracle import (
     generate,
     monte_carlo,
 )
+from sigmine.resample import STREAM_PERMUTE, generator
 from sigmine.suites import planted_spec
 
 from conftest import binary_dataset
@@ -54,6 +55,19 @@ def test_permutation_reproducible(small_planted):
     a = permuted_labels(small_planted.target, seed=5, j=3)
     b = permuted_labels(small_planted.target, seed=5, j=3)
     assert a == b
+
+
+def test_permutation_is_the_shuffle_of_the_labels():
+    # permuted_labels gathers through a permuted index; the (seed, j) stream
+    # must shuffle exactly as shuffling the label bytes themselves does, so
+    # every WY quantile stays what it was
+    rng = np.random.default_rng(21)
+    for case in range(300):
+        m = 1 if case % 25 == 0 else int(rng.integers(2, 2000))
+        seed, j = int(rng.integers(0, 2**63)), int(rng.integers(0, 2**32))
+        labels = LabelVector((rng.random(m) < rng.random()).astype(np.uint8))
+        want = generator(seed, STREAM_PERMUTE, j).permutation(labels.bits)
+        assert np.array_equal(permuted_labels(labels, seed, j).bits, want)
 
 
 def test_quantile_position_rule():

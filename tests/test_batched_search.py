@@ -40,10 +40,16 @@ from sigmine.oracle import (
     brute_force_top_k,
     generate,
 )
+from sigmine.baselines import permuted_labels
 from sigmine.language import selector_cover
 from sigmine.resample import bernoulli_labels
-from sigmine.search import derive_bases
-from sigmine.suites import _random_tiny_instance, mushroom_class_spec
+from sigmine.search import BATCH_BYTES, PAIR_BYTES, derive_bases
+from sigmine.suites import (
+    SWEEP_LANGUAGE,
+    _random_tiny_instance,
+    mushroom_class_spec,
+    sweep_dataset,
+)
 
 
 def oracle(ds, labels, center, cfg):
@@ -397,6 +403,61 @@ def test_compaction_choice_keeps_results(name, compact, monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("shrunk", [False, True])
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_grouped_tables_and_replay_pieces(name, shrunk, monkeypatch):
+    # with every child masked, a depth z-3 node tables the scored children
+    # of a column in groups and replays its children in pieces; with the
+    # budgets shrunk, groups and pieces hold one child, and the root still
+    # tables; either way every vector gets its own search
+    ds, cfg = derived_instances()[name]
+    batch = [ds.target] + [bernoulli_labels(ds.m, p, 8, j) for j, p in enumerate((0.3, 0.6, 0.9))]
+    center, w = ds.mean_target(), len(batch) + 1
+    widths, pieces, tabled = [], [], []
+    batched = sigmine.search._BatchSearch
+    leaf_best, replay, tables = batched.leaf_best, batched.replay, batched.tables
+
+    def record_leaf_best(self, start, width, pair_counts):
+        widths.append(width)
+        return leaf_best(self, start, width, pair_counts)
+
+    def record_replay(self, paths, *args):
+        pieces.append(len(paths))
+        return replay(self, paths, *args)
+
+    def record_tables(self, *args):
+        tabled.append(z)
+        return tables(self, *args)
+
+    monkeypatch.setattr(batched, "compacts", lambda *args: False)
+    monkeypatch.setattr(batched, "leaf_best", record_leaf_best)
+    monkeypatch.setattr(batched, "replay", record_replay)
+    monkeypatch.setattr(batched, "tables", record_tables)
+    for z in (3, 4, 5):
+        zcfg = replace(cfg, z=z)
+        ctx = SearchContext(ds, zcfg)
+        own = [own_search(ds, lv, center, zcfg) for lv in batch]
+        if shrunk:
+            monkeypatch.setattr(sigmine.search, "PAIR_BYTES", 1)
+            # the root's tables, counts and best leaves, just fit
+            root = ctx.pairs.pair_start[-1] * (16 * w - 8)
+            monkeypatch.setattr(sigmine.search, "BATCH_BYTES", root)
+        res = sup_quality(ds, batch, center, zcfg, ctx=ctx)
+        assert list(zip(res.suprema, res.argmaxes)) == [o[:2] for o in own]
+        assert [own_fields(sup_quality(ds, lv, center, zcfg, ctx=ctx)) for lv in batch] == own
+        monkeypatch.setattr(sigmine.search, "PAIR_BYTES", PAIR_BYTES)
+        monkeypatch.setattr(sigmine.search, "BATCH_BYTES", BATCH_BYTES)
+        for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
+            assert (sup, arg) == oracle(ds, lv, center, zcfg)
+    assert set(tabled) == {3, 4, 5}
+    # a column of several scored children before the last one is grouped
+    cols = [s.column for s in ctx.base]
+    scored = [cols[i] for i in ctx.scored.tolist() if cols[i] != cols[-1]]
+    grouped = len(scored) > len(set(scored))
+    assert max(pieces) == 1 if shrunk else max(pieces) > 1
+    assert max(widths) > w if grouped and not shrunk else max(widths) <= w
+
+
 def popcount_rows(ctx, start, depth):
     """Rows a prune-free batched search below a node counts by popcount
     when only the scored children of a depth z-3 node are restricted and
@@ -419,7 +480,8 @@ def popcount_rows(ctx, start, depth):
 def test_derived_children_of_table_nodes_are_not_counted(name, z, monkeypatch):
     # a depth z-3 node tables a derived child by sibling subtraction: the
     # child is never restricted (`descend`), and popcounts count exactly
-    # the rows of the scored children's subtrees
+    # the rows of the scored children's subtrees, a cover row popcounted
+    # against a group's stacked label rows once for each child of the group
     ds, cfg = derived_instances()[name]
     cfg = replace(cfg, z=z)
     ctx = SearchContext(ds, cfg)
@@ -433,7 +495,8 @@ def test_derived_children_of_table_nodes_are_not_counted(name, z, monkeypatch):
         return descend(self, kids, lab, cnt, r, start, depth)
 
     def record_popcounts(covers, lab):
-        counted.append(len(covers))
+        # a group's label rows stack one block per child it counts for
+        counted.append(len(covers) * (len(lab) // (len(batch) + 1)))
         return popcounts(covers, lab)
 
     monkeypatch.setattr(sigmine.search._BatchSearch, "descend", record_descend)
@@ -476,6 +539,17 @@ def test_table_memory_is_bounded():
     batch = [ds.target, *(bernoulli_labels(ds.m, 0.5, 9, j) for j in range(65))]
     assert 3932 * (16 * 67 - 8) <= sigmine.search.BATCH_BYTES
     assert search_peak(ds, batch, cfg, ctx) < 3 * sigmine.search.BATCH_BYTES  # 12 MiB
+
+
+def test_sweep_chunk_memory_is_bounded():
+    # a WY chunk on the sweep instance: 66 vectors, masked children grouped
+    # by column; groups, their derived pair counts and replay pieces are
+    # budgeted, so the peak stays within twice BATCH_BYTES
+    ds = sweep_dataset()
+    ctx = SearchContext(ds, SWEEP_LANGUAGE)
+    assert ctx.batch_size() == 66
+    batch = [permuted_labels(ds.target, 0, j) for j in range(66)]
+    assert search_peak(ds, batch, SWEEP_LANGUAGE, ctx) < 2 * sigmine.search.BATCH_BYTES
 
 
 @pytest.mark.parametrize("z", [2, 3])

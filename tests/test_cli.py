@@ -199,6 +199,20 @@ def test_validate_coupling_suite(capsys):
     assert payload["ok"]
 
 
+def test_validate_coupling_trials_set_the_samples(capsys):
+    def summary(*trials):
+        assert main(["validate", "--suite", "coupling", "--seed", "1", *trials]) == 0
+        return capsys.readouterr()
+
+    # without the flag, the suite's own 100 000 samples, as before the flag
+    # reached it
+    default = summary()
+    payload = json.loads(default.out)
+    assert [payload[f"z={t}"]["p_cond"] for t in (0.05, 0.1, 0.15)] == [0.69852, 0.2539, 0.03486]
+    assert summary("--trials", "100000") == default
+    assert summary("--trials", "500").out != summary("--trials", "2000").out
+
+
 def test_validate_fwer_suite_small(capsys):
     code = main(["validate", "--suite", "fwer", "--trials", "30", "--seed", "2"])
     assert code == 0
