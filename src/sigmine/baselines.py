@@ -7,6 +7,10 @@ vector keeps the observed number of 1-labels) and thresholds observed
 qualities at that quantile.  The union-bound variant replaces the resample
 estimate with an analytic correction over the number of distinct covers the
 language can realize on the data; it draws no random bits at all.
+
+`wy_quantile` and `ub_report` take a `SearchContext` and read the dataset
+and the language from it; `run_wy` and `run_ub`, the entry points, build one
+context from a dataset and a `RunConfig`.
 """
 
 from __future__ import annotations
@@ -101,10 +105,7 @@ def permuted_labels(labels: LabelVector, seed: int, j: int) -> LabelVector:
 
 
 def wy_quantile(
-    dataset: Dataset,
-    cfg: RunConfig,
-    plan: PermutationPlan | None = None,
-    ctx: SearchContext | None = None,
+    ctx: SearchContext, cfg: RunConfig, plan: PermutationPlan | None = None
 ) -> QuantileEstimate:
     """The delta-quantile of the supremum deviation over label permutations.
 
@@ -113,7 +114,7 @@ def wy_quantile(
     traversal per chunk, sized to the search's memory budget.
     """
     plan = plan if plan is not None else PermutationPlan(seed=cfg.seed)
-    ctx = ctx if ctx is not None else SearchContext(dataset, cfg.language)
+    dataset = ctx.dataset
     mu_d = dataset.mean_target()
     size = ctx.batch_size()
     devs: list[float] = []
@@ -122,26 +123,21 @@ def wy_quantile(
             permuted_labels(dataset.target, plan.seed, j)
             for j in range(lo, min(plan.p, lo + size))
         ]
-        devs += sup_quality(dataset, chunk, mu_d, cfg.language, ctx=ctx).suprema
+        devs += sup_quality(ctx, chunk, mu_d).suprema
     return estimate_quantile(devs, cfg.delta)
 
 
 def run_wy(
-    dataset: Dataset,
-    cfg: RunConfig,
-    plan: PermutationPlan | None = None,
-    ctx: SearchContext | None = None,
+    dataset: Dataset, cfg: RunConfig, plan: PermutationPlan | None = None
 ) -> tuple[list[Discovery], QuantileEstimate]:
     """Permutation-quantile discovery: a pattern is significant when its
     quality strictly exceeds the delta-quantile of `wy_quantile`."""
-    ctx = ctx if ctx is not None else SearchContext(dataset, cfg.language)
-    quantile = wy_quantile(dataset, cfg, plan, ctx=ctx)
-    return significant_patterns(dataset, quantile, cfg, ctx=ctx), quantile
+    ctx = SearchContext(dataset, cfg.language)
+    quantile = wy_quantile(ctx, cfg, plan)
+    return significant_patterns(ctx, quantile), quantile
 
 
-def ub_report(
-    dataset: Dataset, cfg: RunConfig, ctx: SearchContext | None = None
-) -> BoundReport:
+def ub_report(ctx: SearchContext, cfg: RunConfig) -> BoundReport:
     """The union-bound threshold over distinct projections (no resampling).
 
     The correction count is the closed-form ceiling on distinct covers of
@@ -149,16 +145,16 @@ def ub_report(
     continuous there, since each equality can be converted into an interval
     on a real-coded copy of the column.
     """
-    ctx = ctx if ctx is not None else SearchContext(dataset, cfg.language)
+    dataset = ctx.dataset
     m = dataset.m
     mu_d = dataset.mean_target()
     eps_t = bound_target(Mode.UNCONDITIONAL, mu_d, m, cfg.delta)
     nu_t, nu = variance_bracket(mu_d, eps_t)
-    n_hat_log = projection_bound_log(m, dataset.n_features, cfg.language.z)
+    n_hat_log = projection_bound_log(m, dataset.n_features, ctx.cfg.z)
     if n_hat_log < 0:
         # below ln 1 on tiny m the closed form is no ceiling; the language
         # size and the 2^m subsets of the data always bound distinct covers
-        n_hat_log = math.log(min(pattern_count(ctx.base, cfg.language), 2**m))
+        n_hat_log = math.log(min(pattern_count(ctx.base, ctx.cfg), 2**m))
     r_hat, d_hat, eps = bound_statistic_ub(n_hat_log, nu_t, nu, m, cfg.delta)
     return BoundReport(
         mode=Mode.UNCONDITIONAL,
@@ -180,10 +176,8 @@ def ub_report(
     )
 
 
-def run_ub(
-    dataset: Dataset, cfg: RunConfig, ctx: SearchContext | None = None
-) -> tuple[list[Discovery], BoundReport]:
+def run_ub(dataset: Dataset, cfg: RunConfig) -> tuple[list[Discovery], BoundReport]:
     """Union-bound discovery: every pattern clearing `ub_report`'s threshold."""
-    ctx = ctx if ctx is not None else SearchContext(dataset, cfg.language)
-    report = ub_report(dataset, cfg, ctx=ctx)
-    return significant_patterns(dataset, report, cfg, ctx=ctx), report
+    ctx = SearchContext(dataset, cfg.language)
+    report = ub_report(ctx, cfg)
+    return significant_patterns(ctx, report), report

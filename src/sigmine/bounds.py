@@ -188,7 +188,7 @@ class BoundReport:
     def from_json(text: str) -> "BoundReport":
         return BoundReport.from_dict(json.loads(text))
 
-    def to_kv_block(self, prefix: str = "# ") -> str:
-        lines = [f"{prefix}{k}={v!r}" if isinstance(v, str) else f"{prefix}{k}={v}"
+    def to_kv_block(self) -> str:
+        lines = [f"# {k}={v!r}" if isinstance(v, str) else f"# {k}={v}"
                  for k, v in sorted(self.to_dict().items())]
         return "\n".join(lines)

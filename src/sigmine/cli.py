@@ -118,14 +118,12 @@ def cmd_mine(args) -> int:
 
     try:
         ctx = SearchContext(dataset, language)
-        report = METHODS[args.mode](dataset, cfg, ctx, args.permutations)
+        report = METHODS[args.mode](ctx, cfg, args.permutations)
         if cfg.top_k is not None:
-            result, flags = top_k_flags(dataset, report, cfg, ctx=ctx)
+            result, flags = top_k_flags(ctx, report, cfg.top_k)
             records = records_from_flags(result.entries, flags, dataset, report)
         else:
-            records = records_from_discoveries(
-                significant_patterns(dataset, report, cfg, ctx=ctx), dataset
-            )
+            records = records_from_discoveries(significant_patterns(ctx, report), dataset)
     except SigmineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,6 +8,12 @@ cutoff
 
     quality >= eps + eps_t * frequency.
 
+The entry points `run_discovery` and `flag_top_k` take a dataset and a
+`RunConfig` and build one `SearchContext` from them.  The stages below them
+(`compute_bounds`, `significant_patterns`, `top_k_flags`) take that context
+and read the dataset and the language from it alone, so the threshold and
+the final scan always see the same dataset under the same language.
+
 Everything is deterministic given the seed, and the BoundReport is emitted
 even when nothing is significant.
 """
@@ -58,11 +64,10 @@ class Discovery:
     threshold_margin: float
 
 
-def compute_bounds(
-    dataset: Dataset, cfg: RunConfig, ctx: SearchContext | None = None
-) -> BoundReport:
-    """Run the resampling pipeline and return the full bound report."""
-    ctx = ctx if ctx is not None else SearchContext(dataset, cfg.language)
+def compute_bounds(ctx: SearchContext, cfg: RunConfig) -> BoundReport:
+    """Run the resampling pipeline on the context's dataset and language and
+    return the full bound report."""
+    dataset = ctx.dataset
     m = dataset.m
     mu_d = dataset.mean_target()
     eps_t = bound_target(cfg.mode, mu_d, m, cfg.delta)
@@ -71,7 +76,7 @@ def compute_bounds(
     mu_hat = min(1.0, mu_d + eps_t)
     mu_check = max(0.0, mu_d - eps_t)
     resamples = resample_target(dataset, ResamplePlan(cfg.c, mu_hat, cfg.seed))
-    dev = estimate_deviation(dataset, resamples, mu_check, cfg.language, ctx=ctx)
+    dev = estimate_deviation(ctx, resamples, mu_check)
     sup_freq = ctx.sup_frequency()
     report = BoundReport(
         mode=cfg.mode,
@@ -108,19 +113,14 @@ def significance_cutoff(report: BoundReport, frequency: float) -> float:
     return report.epsilon + report.eps_t * frequency
 
 
-def significant_patterns(
-    dataset: Dataset, report: BoundReport, cfg: RunConfig, ctx: SearchContext | None = None
-) -> list[Discovery]:
-    """All patterns clearing the report's threshold, sorted by quality.
+def significant_patterns(ctx: SearchContext, report: BoundReport) -> list[Discovery]:
+    """All patterns of the context clearing the report's threshold, sorted
+    by quality.
 
     Any report with an `epsilon` and an `eps_t` serves: every method's
     threshold is scanned the same way."""
-    ctx = ctx if ctx is not None else SearchContext(dataset, cfg.language)
-    mu_d = dataset.mean_target()
-    hits = threshold_mine(
-        dataset, dataset.target, mu_d, report.epsilon, report.eps_t,
-        cfg.language, ctx=ctx,
-    )
+    ds = ctx.dataset
+    hits = threshold_mine(ctx, ds.target, ds.mean_target(), report.epsilon, report.eps_t)
     out = [
         Discovery(
             pattern=p,
@@ -137,20 +137,18 @@ def significant_patterns(
 def run_discovery(dataset: Dataset, cfg: RunConfig) -> tuple[list[Discovery], BoundReport]:
     """The full pipeline: threshold computation plus the final output scan."""
     ctx = SearchContext(dataset, cfg.language)
-    report = compute_bounds(dataset, cfg, ctx=ctx)
-    return significant_patterns(dataset, report, cfg, ctx=ctx), report
+    report = compute_bounds(ctx, cfg)
+    return significant_patterns(ctx, report), report
 
 
 def top_k_flags(
-    dataset: Dataset, report: BoundReport, cfg: RunConfig, ctx: SearchContext | None = None
+    ctx: SearchContext, report: BoundReport, k: int
 ) -> tuple[TopKResult, list[bool]]:
-    """The cfg.top_k patterns of highest observed quality, each flagged iff
-    it clears the report's threshold, that is iff `significant_patterns`
-    would report it."""
-    if cfg.top_k is None:
-        raise ConfigError("cfg.top_k must be set")
-    mu_d = dataset.mean_target()
-    result = top_k(dataset, dataset.target, mu_d, cfg.language, cfg.top_k, ctx=ctx)
+    """The k patterns of the context of highest observed quality, each
+    flagged iff it clears the report's threshold, that is iff
+    `significant_patterns` would report it."""
+    ds = ctx.dataset
+    result = top_k(ctx, ds.target, ds.mean_target(), k)
     flags = [q.value >= significance_cutoff(report, q.frequency) for _, q in result.entries]
     return result, flags
 
@@ -167,5 +165,5 @@ def flag_top_k(
     if cfg.top_k is None:
         raise ConfigError("cfg.top_k must be set")
     ctx = SearchContext(dataset, cfg.language)
-    report = compute_bounds(dataset, cfg, ctx=ctx)
-    return (*top_k_flags(dataset, report, cfg, ctx=ctx), report)
+    report = compute_bounds(ctx, cfg)
+    return (*top_k_flags(ctx, report, cfg.top_k), report)

@@ -31,6 +31,8 @@ from .language import (
 from .resample import STREAM_SYNTH, generator
 
 BRUTE_FORCE_GUARD = 10**6
+# samples `coupling_check` draws and holds at once
+COUPLING_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -300,24 +302,31 @@ def coupling_check(
     sizes = cover_mat.sum(axis=1)
     mu_bar = k / m
     rng = generator(seed, STREAM_SYNTH, 1)
+    zs = np.asarray(thresholds, dtype=np.float64)
 
-    # exactly-k-ones vectors: the k smallest of m uniform keys per row
-    keys = rng.random((samples, m))
-    ranks = np.argsort(keys, axis=1)
-    v_cond = np.zeros((samples, m), dtype=np.float64)
-    np.put_along_axis(v_cond, ranks[:, :k], 1.0, axis=1)
-    v_iid = (rng.random((samples, m)) < mu_bar).astype(np.float64)
+    def tails(vectors) -> np.ndarray:
+        """Per threshold, how many of the samples' suprema reach it; the
+        samples are drawn COUPLING_CHUNK rows at a time, in stream order."""
+        hits = np.zeros(len(zs), dtype=np.int64)
+        for lo in range(0, samples, COUPLING_CHUNK):
+            v = vectors(min(COUPLING_CHUNK, samples - lo))
+            sup = ((v @ cover_mat.T - mu_bar * sizes) / m).max(axis=1)
+            hits += (sup[:, None] >= zs).sum(axis=0)
+        return hits
 
-    def sups(v: np.ndarray) -> np.ndarray:
-        counts = v @ cover_mat.T
-        return ((counts - mu_bar * sizes) / m).max(axis=1)
+    def exactly_k(n: int) -> np.ndarray:
+        # the k smallest of m uniform keys per row
+        ranks = np.argsort(rng.random((n, m)), axis=1)
+        v = np.zeros((n, m), dtype=np.float64)
+        np.put_along_axis(v, ranks[:, :k], 1.0, axis=1)
+        return v
 
-    sup_cond = sups(v_cond)
-    sup_iid = sups(v_iid)
+    # every permutation key is drawn before the first i.i.d. vector
+    cond = tails(exactly_k)
+    iid = tails(lambda n: (rng.random((n, m)) < mu_bar).astype(np.float64))
     out = []
-    for z in thresholds:
-        p_cond = float(np.mean(sup_cond >= z))
-        p_iid = float(np.mean(sup_iid >= z))
+    for z, n_cond, n_iid in zip(thresholds, cond.tolist(), iid.tolist()):
+        p_cond, p_iid = n_cond / samples, n_iid / samples
         var = p_cond * (1 - p_cond) / samples + 4.0 * p_iid * (1 - p_iid) / samples
         out.append(CouplingPoint(z, p_cond, p_iid, 3.0 * math.sqrt(var)))
     return out

@@ -32,17 +32,17 @@ from .search import SearchContext
 
 
 def _resampled(mode: Mode):
-    return lambda ds, cfg, ctx, p: compute_bounds(ds, replace(cfg, mode=mode), ctx=ctx)
+    return lambda ctx, cfg, p: compute_bounds(ctx, replace(cfg, mode=mode))
 
 
-# method name -> threshold(dataset, cfg, ctx, permutations) -> report, where a
-# report has the `epsilon` and `eps_t` of the cutoff eps + eps_t * frequency;
-# only "wy" uses the permutation count
+# method name -> threshold(ctx, cfg, permutations) -> report, where a report
+# has the `epsilon` and `eps_t` of the cutoff eps + eps_t * frequency; only
+# "wy" uses the permutation count
 METHODS = {
     "conditional": _resampled(Mode.CONDITIONAL),
     "unconditional": _resampled(Mode.UNCONDITIONAL),
-    "wy": lambda ds, cfg, ctx, p: wy_quantile(ds, cfg, PermutationPlan(p, cfg.seed), ctx=ctx),
-    "ub": lambda ds, cfg, ctx, p: ub_report(ds, cfg, ctx=ctx),
+    "wy": lambda ctx, cfg, p: wy_quantile(ctx, cfg, PermutationPlan(p, cfg.seed)),
+    "ub": lambda ctx, cfg, p: ub_report(ctx, cfg),
 }
 
 
@@ -150,7 +150,7 @@ def sweep_c(
     for mode in modes:
         for c in c_values:
             t0 = time.perf_counter()
-            report = compute_bounds(dataset, replace(cfg, mode=mode, c=c), ctx=ctx)
+            report = compute_bounds(ctx, replace(cfg, mode=mode, c=c))
             cells[(c, mode.value)] = (report.epsilon, time.perf_counter() - t0)
     return SweepResult(dataset.fingerprint(), config_hash(cfg), cells)
 
@@ -176,8 +176,8 @@ def compare_methods(
     rows = []
     for method, threshold in METHODS.items():
         t0 = time.perf_counter()
-        report = threshold(dataset, cfg, ctx, permutations)
-        found = significant_patterns(dataset, report, cfg, ctx=ctx)
+        report = threshold(ctx, cfg, permutations)
+        found = significant_patterns(ctx, report)
         # the WY row shows the quantile itself, not the next float up
         cut = getattr(report, "delta_quantile", report.epsilon)
         rows.append(MethodRow(method, cut, len(found), time.perf_counter() - t0))

@@ -17,7 +17,6 @@ import numpy as np
 
 from .data import Dataset, LabelVector
 from .errors import ConfigError
-from .language import LanguageConfig
 from .search import SearchContext, sup_quality
 
 # stream tags keep resampling, permutation and synthesis decorrelated
@@ -72,11 +71,7 @@ def resample_target(dataset: Dataset, plan: ResamplePlan) -> list[LabelVector]:
 
 
 def estimate_deviation(
-    dataset: Dataset,
-    resamples: list[LabelVector],
-    center: float,
-    cfg: LanguageConfig,
-    ctx: SearchContext | None = None,
+    ctx: SearchContext, resamples: list[LabelVector], center: float
 ) -> DeviationEstimate:
     """d_j = sup quality of resample j at the given center; d_tilde = mean.
 
@@ -84,10 +79,8 @@ def estimate_deviation(
     search's memory budget); each d_j equals a search of resample j alone.
     The mean uses compensated summation so d_tilde is exactly (1/c) sum d_j.
     """
-    ctx = ctx if ctx is not None else SearchContext(dataset, cfg)
     size = ctx.batch_size()
     d: list[float] = []
     for lo in range(0, len(resamples), size):
-        batch = resamples[lo : lo + size]
-        d += sup_quality(dataset, batch, center, cfg, ctx=ctx).suprema
+        d += sup_quality(ctx, resamples[lo : lo + size], center).suprema
     return DeviationEstimate(d, math.fsum(d) / len(d))

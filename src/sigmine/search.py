@@ -5,7 +5,10 @@ quality under a batch of label vectors (the engine's hot loop: one traversal
 serves every resample, or a chunk of permutations), exact top-k mining, and
 the final thresholded scan that emits every pattern whose observed quality
 clears a frequency-dependent cutoff.  All three run on uint64-packed covers;
-top-k is the scan with a threshold that rises as it finds patterns.
+top-k is the scan with a threshold that rises as it finds patterns.  Each
+takes a `SearchContext`, built once per dataset and language, and label
+vectors of the context's length; none takes a dataset or a language of its
+own.
 
 Pruning is lossless: a pattern's refinements keep a subset of its cover, so
 (positives - positives * center) / m bounds every descendant's quality, and
@@ -77,7 +80,10 @@ TOP_K_PIECE = 16
 
 
 class SearchContext:
-    """Precomputed per-dataset state shared by every search over one language.
+    """One dataset under one language: the handle every search and every
+    pipeline stage takes, so a threshold is searched over the same dataset
+    and language that the final scan reports from.  It keeps the `dataset`
+    it was built from and the language `cfg`.
 
     Selector covers are computed once, as the rows of the (selectors, words)
     uint64 matrix `words` that every search intersects down the language.
@@ -109,6 +115,7 @@ class SearchContext:
     """
 
     def __init__(self, dataset: Dataset, cfg: LanguageConfig):
+        self.dataset = dataset
         self.cfg = cfg
         self.base = base_selectors(dataset, cfg)
         if not self.base:
@@ -320,16 +327,10 @@ class TopKResult:
     k: int
 
 
-def _context(dataset, cfg, ctx: SearchContext | None) -> SearchContext:
-    return ctx if ctx is not None else SearchContext(dataset, cfg)
-
-
 def sup_quality(
-    dataset: Dataset,
+    ctx: SearchContext,
     labels: LabelVector | Sequence[LabelVector],
     center: float,
-    cfg: LanguageConfig,
-    ctx: SearchContext | None = None,
     prune: bool = True,
 ) -> SearchResult:
     """Exact maximum of the centered quality over the whole language, for one
@@ -373,7 +374,6 @@ def sup_quality(
     ties the same way.  A subtree is entered while any vector is live in it
     and counts as pruned when none is.
     """
-    ctx = _context(dataset, cfg, ctx)
     batch = [labels] if isinstance(labels, LabelVector) else list(labels)
     if not batch:
         raise ConfigError("sup_quality needs at least one label vector")
@@ -386,6 +386,9 @@ def sup_quality(
 
 def _label_words(batch: Sequence[LabelVector], m: int) -> np.ndarray:
     """Row 0 holding every transaction, then the label vectors, packed."""
+    for lv in batch:
+        if lv.m != m:
+            raise ConfigError(f"label vector of length {lv.m} on a context of {m} rows")
     return bitset.pack_rows(np.array([np.ones(m, dtype=np.uint8), *(lv.bits for lv in batch)]))
 
 
@@ -903,14 +906,7 @@ def _restrict(words: np.ndarray, size: int, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def top_k(
-    dataset: Dataset,
-    labels: LabelVector,
-    center: float,
-    cfg: LanguageConfig,
-    k: int,
-    ctx: SearchContext | None = None,
-) -> TopKResult:
+def top_k(ctx: SearchContext, labels: LabelVector, center: float, k: int) -> TopKResult:
     """Exact k highest-quality patterns: the first k of the language sorted
     by descending quality, then canonical DFS order.
 
@@ -923,19 +919,12 @@ def top_k(
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
-    ctx = _context(dataset, cfg, ctx)
     hits = _Scan(ctx, labels, center, -np.inf, 0.0, k).run()
     return TopKResult([(ctx.pattern(idx), q) for idx, q in hits], k)
 
 
 def threshold_mine(
-    dataset: Dataset,
-    labels: LabelVector,
-    center: float,
-    eps: float,
-    eps_t: float,
-    cfg: LanguageConfig,
-    ctx: SearchContext | None = None,
+    ctx: SearchContext, labels: LabelVector, center: float, eps: float, eps_t: float
 ) -> list[tuple[Pattern, QualityStat]]:
     """All patterns with quality >= eps + eps_t * frequency (exact >=).
 
@@ -944,6 +933,5 @@ def threshold_mine(
     eps.  The scan goes level by level over packed covers (`_Scan`).
     Results come back in canonical DFS order.
     """
-    ctx = _context(dataset, cfg, ctx)
     hits = _Scan(ctx, labels, center, eps, eps_t).run()
     return [(ctx.pattern(idx), q) for idx, q in hits]

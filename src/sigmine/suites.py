@@ -31,7 +31,7 @@ from .oracle import (
     monte_carlo,
 )
 from .resample import STREAM_SYNTH, generator
-from .search import sup_quality, top_k
+from .search import SearchContext, sup_quality, top_k
 
 POWER_FLOOR_CONDITIONAL = 0.95
 POWER_FLOOR_UNCONDITIONAL = 0.80
@@ -79,14 +79,15 @@ def suite_oracle(instances: int = 200, seed: int = 0) -> SuiteOutcome:
     mismatches = []
     for i in range(instances):
         ds, labels, center, cfg = _random_tiny_instance(seed + i)
-        res = sup_quality(ds, labels, center, cfg)
-        res_noprune = sup_quality(ds, labels, center, cfg, prune=False)
+        ctx = SearchContext(ds, cfg)
+        res = sup_quality(ctx, labels, center)
+        res_noprune = sup_quality(ctx, labels, center, prune=False)
         truth = brute_force_sup(ds, labels, center, cfg)
         if not (res.supremum == truth == res_noprune.supremum):
             mismatches.append(f"instance {i}: sup {res.supremum} vs oracle {truth}")
             continue
         k = 5
-        mine = top_k(ds, labels, center, cfg, k)
+        mine = top_k(ctx, labels, center, k)
         brute = brute_force_top_k(ds, labels, center, cfg, k)
         got = [(p, q.value) for p, q in mine.entries]
         if got != brute:

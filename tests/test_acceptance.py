@@ -159,7 +159,7 @@ def _conditional_row_seconds(ds, repeats):
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        significant_patterns(ds, compute_bounds(ds, cfg, ctx=ctx), cfg, ctx=ctx)
+        significant_patterns(ctx, compute_bounds(ctx, cfg))
         times.append(time.perf_counter() - t0)
     return times
 

@@ -25,7 +25,6 @@ from sigmine import (
     evaluate,
     optimistic_estimate,
     resample_target,
-    run_wy,
     sup_quality,
     threshold_mine,
     top_k,
@@ -40,7 +39,7 @@ from sigmine.oracle import (
     brute_force_top_k,
     generate,
 )
-from sigmine.baselines import permuted_labels
+from sigmine.baselines import permuted_labels, wy_quantile
 from sigmine.language import selector_cover
 from sigmine.resample import bernoulli_labels
 from sigmine.search import BATCH_BYTES, PAIR_BYTES, derive_bases
@@ -74,10 +73,11 @@ def test_batch_matches_single_and_brute_force(size, prune, z):
         if z is not None:
             cfg = replace(cfg, z=z)
         batch = batch_for(ds, labels, size, seed)
-        res = sup_quality(ds, batch, center, cfg, prune=prune)
+        ctx = SearchContext(ds, cfg)
+        res = sup_quality(ctx, batch, center, prune=prune)
         assert len(res.suprema) == len(res.argmaxes) == size
         for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
-            alone = sup_quality(ds, lv, center, cfg, prune=prune)
+            alone = sup_quality(ctx, lv, center, prune=prune)
             assert (sup, arg) == (alone.supremum, alone.argmax)
             assert (sup, arg) == oracle(ds, lv, center, cfg)
 
@@ -116,7 +116,7 @@ def test_single_vector_is_its_own_pruned_search(z):
         cfg = replace(cfg, z=z)
         flat = [LabelVector(np.full(ds.m, b, dtype=np.uint8)) for b in (0, 1)]
         for lv in [labels, *flat]:
-            res = sup_quality(ds, lv, center, cfg)
+            res = sup_quality(SearchContext(ds, cfg), lv, center)
             own = own_search(ds, lv, center, cfg)
             assert (res.supremum, res.argmax, res.nodes_visited, res.nodes_pruned) == own
 
@@ -141,14 +141,14 @@ def test_batch_above_budget_and_split_pair_chunks(z, monkeypatch):
         cfg = replace(cfg, z=z)
         batch = batch_for(ds, labels, 7, seed)
         ctx = SearchContext(ds, cfg)
-        whole = fields(sup_quality(ds, batch, center, cfg, ctx=ctx))
-        scan = threshold_mine(ds, labels, center, 0.0, 0.05, cfg, ctx=ctx)
+        whole = fields(sup_quality(ctx, batch, center))
+        scan = threshold_mine(ctx, labels, center, 0.0, 0.05)
         monkeypatch.setattr(sigmine.search, "BATCH_BYTES", 2 * ctx.words.nbytes)
         assert ctx.batch_size() == 2 < len(batch)
         for budget in (1, 8 * len(batch) * 3, 8 * len(batch) * 5 + 7):
             monkeypatch.setattr(sigmine.search, "PAIR_BYTES", budget)
-            assert fields(sup_quality(ds, batch, center, cfg, ctx=ctx)) == whole
-            assert threshold_mine(ds, labels, center, 0.0, 0.05, cfg, ctx=ctx) == scan
+            assert fields(sup_quality(ctx, batch, center)) == whole
+            assert threshold_mine(ctx, labels, center, 0.0, 0.05) == scan
         monkeypatch.undo()
         for lv, sup, arg in zip(batch, *whole[:2]):
             assert (sup, arg) == oracle(ds, lv, center, cfg)
@@ -163,23 +163,26 @@ def test_node_counts_pinned(z, prune, visited, pruned):
     # a loop; the one-pass last two levels must reproduce its counts exactly
     ds = generate(replace(mushroom_class_spec(3), m=600))
     batch = [ds.target, *resample_target(ds, ResamplePlan(c=6, p=0.45, seed=2))]
-    res = sup_quality(ds, batch, ds.mean_target(), LanguageConfig(z=z, bins=3), prune=prune)
+    ctx = SearchContext(ds, LanguageConfig(z=z, bins=3))
+    res = sup_quality(ctx, batch, ds.mean_target(), prune=prune)
     assert (res.nodes_visited, res.nodes_pruned) == (visited, pruned)
 
 
 def test_batch_of_one_equals_bare_vector():
     ds, labels, center, cfg = _random_tiny_instance(6300)
-    bare = sup_quality(ds, labels, center, cfg)
-    listed = sup_quality(ds, [labels], center, cfg)
+    ctx = SearchContext(ds, cfg)
+    bare = sup_quality(ctx, labels, center)
+    listed = sup_quality(ctx, [labels], center)
     assert bare == listed
 
 
 def test_batch_counts_cover_every_vector():
     ds, labels, center, cfg = _random_tiny_instance(6301)
     batch = batch_for(ds, labels, 7, 6301)
-    shared = sup_quality(ds, batch, center, cfg)
-    unpruned = sup_quality(ds, batch, center, cfg, prune=False)
-    alone = [sup_quality(ds, lv, center, cfg) for lv in batch]
+    ctx = SearchContext(ds, cfg)
+    shared = sup_quality(ctx, batch, center)
+    unpruned = sup_quality(ctx, batch, center, prune=False)
+    alone = [sup_quality(ctx, lv, center) for lv in batch]
     assert max(r.nodes_visited for r in alone) <= shared.nodes_visited
     assert shared.nodes_visited <= unpruned.nodes_visited
     with pytest.raises(ValueError):
@@ -202,10 +205,10 @@ def test_wy_chunking_keeps_deviations(wy_instance, monkeypatch):
     plan = PermutationPlan(p=7, seed=4)
     ctx = SearchContext(ds, cfg.language)
     assert ctx.batch_size() >= plan.p
-    _, whole = run_wy(ds, cfg, plan, ctx=ctx)
+    whole = wy_quantile(ctx, cfg, plan)
     monkeypatch.setattr(sigmine.search, "BATCH_BYTES", 2 * ctx.words.nbytes)
     assert ctx.batch_size() == 2
-    _, chunked = run_wy(ds, cfg, plan, ctx=ctx)
+    chunked = wy_quantile(ctx, cfg, plan)
     assert whole.deviations.tolist() == chunked.deviations.tolist()
     assert whole.delta_quantile == chunked.delta_quantile
 
@@ -214,9 +217,9 @@ def test_resample_chunking_keeps_deviations(wy_instance, monkeypatch):
     ds, cfg = wy_instance
     ctx = SearchContext(ds, cfg.language)
     vecs = resample_target(ds, ResamplePlan(c=7, p=0.45, seed=12))
-    whole = estimate_deviation(ds, vecs, 0.4, cfg.language, ctx=ctx)
+    whole = estimate_deviation(ctx, vecs, 0.4)
     monkeypatch.setattr(sigmine.search, "BATCH_BYTES", 3 * ctx.words.nbytes)
-    chunked = estimate_deviation(ds, vecs, 0.4, cfg.language, ctx=ctx)
+    chunked = estimate_deviation(ctx, vecs, 0.4)
     assert whole.d == chunked.d
     assert whole.d == [brute_force_sup(ds, lv, 0.4, cfg.language) for lv in vecs]
 
@@ -233,8 +236,9 @@ def test_word_boundaries_and_degenerate_labels(m, prune):
     ones = resample_target(ds, ResamplePlan(c=2, p=1.0, seed=m))  # constant resamples
     assert all(lv.ones == m for lv in ones)
     batch = [zeros, *ones, ds.target, *resample_target(ds, ResamplePlan(c=3, p=0.5, seed=m))]
+    ctx = SearchContext(ds, cfg)
     for center in (0.0, 0.35, 1.0):
-        res = sup_quality(ds, batch, center, cfg, prune=prune)
+        res = sup_quality(ctx, batch, center, prune=prune)
         for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
             assert (sup, arg) == oracle(ds, lv, center, cfg)
 
@@ -253,7 +257,7 @@ def test_empty_selector_cover_deep_language(prune):
     ds = Dataset(schema, values, labels, {j: ["0", "1"] for j in range(1, 4)})
     cfg = LanguageConfig(z=4, bins=2)
     batch = [labels, LabelVector(np.zeros(m, dtype=np.uint8))]
-    res = sup_quality(ds, batch, 0.5, cfg, prune=prune)
+    res = sup_quality(SearchContext(ds, cfg), batch, 0.5, prune=prune)
     for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
         assert (sup, arg) == oracle(ds, lv, 0.5, cfg)
 
@@ -337,27 +341,29 @@ def test_derived_selectors(name):
     center = ds.mean_target()
     for z, counts in zip((1, 2, 3), pinned):
         zcfg = replace(cfg, z=z)
-        res = sup_quality(ds, batch, center, zcfg)
+        zctx = SearchContext(ds, zcfg)
+        res = sup_quality(zctx, batch, center)
         assert (res.nodes_visited, res.nodes_pruned) == counts
         for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
-            alone = sup_quality(ds, lv, center, zcfg)
+            alone = sup_quality(zctx, lv, center)
             assert (sup, arg) == (alone.supremum, alone.argmax)
             assert (sup, arg) == oracle(ds, lv, center, zcfg)
         rows = brute_force_qualities(ds, ds.target, center, zcfg)
         eps = float(np.quantile([v for _, v, _ in rows], 0.7))
         for eps_t in (0.0, 0.05):
-            got = threshold_mine(ds, ds.target, center, eps, eps_t, zcfg)
+            got = threshold_mine(zctx, ds.target, center, eps, eps_t)
             want = sorted((idx, p, v) for p, v, idx in rows
                           if v >= eps + eps_t * (evaluate(p, ds).bit_count() / ds.m))
             assert [(p, q.value) for p, q in got] == [(p, v) for _, p, v in want]
-        top = top_k(ds, ds.target, center, zcfg, 6).entries
+        top = top_k(zctx, ds.target, center, 6).entries
         assert [(p, q.value) for p, q in top] == brute_force_top_k(ds, ds.target, center, zcfg, 6)
     # deeper, a depth z-3 node below the root tables its derived children
     for z in (4, 5):
         zcfg = replace(cfg, z=z)
-        res = sup_quality(ds, batch, center, zcfg)
+        zctx = SearchContext(ds, zcfg)
+        res = sup_quality(zctx, batch, center)
         for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
-            alone = sup_quality(ds, lv, center, zcfg)
+            alone = sup_quality(zctx, lv, center)
             assert (sup, arg) == (alone.supremum, alone.argmax)
             assert own_fields(alone) == own_search(ds, lv, center, zcfg)
 
@@ -395,11 +401,12 @@ def test_compaction_choice_keeps_results(name, compact, monkeypatch):
     center = ds.mean_target()
     for z in (3, 4, 5):
         zcfg = replace(cfg, z=z)
-        whole = fields(sup_quality(ds, batch, center, zcfg))
+        ctx = SearchContext(ds, zcfg)
+        whole = fields(sup_quality(ctx, batch, center))
         own = [own_search(ds, lv, center, zcfg) for lv in batch]
         monkeypatch.setattr(sigmine.search._BatchSearch, "compacts", lambda *args: compact)
-        assert fields(sup_quality(ds, batch, center, zcfg)) == whole
-        assert [own_fields(sup_quality(ds, lv, center, zcfg)) for lv in batch] == own
+        assert fields(sup_quality(ctx, batch, center)) == whole
+        assert [own_fields(sup_quality(ctx, lv, center)) for lv in batch] == own
         monkeypatch.undo()
 
 
@@ -442,9 +449,9 @@ def test_grouped_tables_and_replay_pieces(name, shrunk, monkeypatch):
             # the root's tables, counts and best leaves, just fit
             root = ctx.pairs.pair_start[-1] * (16 * w - 8)
             monkeypatch.setattr(sigmine.search, "BATCH_BYTES", root)
-        res = sup_quality(ds, batch, center, zcfg, ctx=ctx)
+        res = sup_quality(ctx, batch, center)
         assert list(zip(res.suprema, res.argmaxes)) == [o[:2] for o in own]
-        assert [own_fields(sup_quality(ds, lv, center, zcfg, ctx=ctx)) for lv in batch] == own
+        assert [own_fields(sup_quality(ctx, lv, center)) for lv in batch] == own
         monkeypatch.setattr(sigmine.search, "PAIR_BYTES", PAIR_BYTES)
         monkeypatch.setattr(sigmine.search, "BATCH_BYTES", BATCH_BYTES)
         for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
@@ -501,7 +508,7 @@ def test_derived_children_of_table_nodes_are_not_counted(name, z, monkeypatch):
 
     monkeypatch.setattr(sigmine.search._BatchSearch, "descend", record_descend)
     monkeypatch.setattr(sigmine.search, "_popcounts", record_popcounts)
-    want = fields(sup_quality(ds, batch, ds.mean_target(), cfg, ctx=ctx, prune=False))
+    want = fields(sup_quality(ctx, batch, ds.mean_target(), prune=False))
     assert {d for i, d in descended if ctx.is_derived[i]} <= set(range(z - 2))
     # a derived child of a node above depth z-3 is still restricted
     assert any(ctx.is_derived[i] and d < z - 2 for i, d in descended) == (z > 3)
@@ -510,17 +517,17 @@ def test_derived_children_of_table_nodes_are_not_counted(name, z, monkeypatch):
     # by one, restricting the derived ones too, to the same result
     descended.clear()
     monkeypatch.setattr(sigmine.search, "BATCH_BYTES", 1)
-    assert fields(sup_quality(ds, batch, ds.mean_target(), cfg, ctx=ctx, prune=False)) == want
+    assert fields(sup_quality(ctx, batch, ds.mean_target(), prune=False)) == want
     assert any(ctx.is_derived[i] and d == z - 2 for i, d in descended)
     monkeypatch.undo()
     assert list(zip(*want[:2])) == [oracle(ds, lv, ds.mean_target(), cfg) for lv in batch]
 
 
-def search_peak(ds, batch, cfg, ctx):
+def search_peak(ctx, batch):
     """The tracemalloc peak of one `sup_quality` call, in bytes."""
     tracemalloc.start()
     try:
-        sup_quality(ds, batch, ds.mean_target(), cfg, ctx=ctx)
+        sup_quality(ctx, batch, ctx.dataset.mean_target())
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -538,7 +545,7 @@ def test_table_memory_is_bounded():
     assert ctx.pairs.pair_start[-1] == 3932
     batch = [ds.target, *(bernoulli_labels(ds.m, 0.5, 9, j) for j in range(65))]
     assert 3932 * (16 * 67 - 8) <= sigmine.search.BATCH_BYTES
-    assert search_peak(ds, batch, cfg, ctx) < 3 * sigmine.search.BATCH_BYTES  # 12 MiB
+    assert search_peak(ctx, batch) < 3 * sigmine.search.BATCH_BYTES  # 12 MiB
 
 
 def test_sweep_chunk_memory_is_bounded():
@@ -549,7 +556,7 @@ def test_sweep_chunk_memory_is_bounded():
     ctx = SearchContext(ds, SWEEP_LANGUAGE)
     assert ctx.batch_size() == 66
     batch = [permuted_labels(ds.target, 0, j) for j in range(66)]
-    assert search_peak(ds, batch, SWEEP_LANGUAGE, ctx) < 2 * sigmine.search.BATCH_BYTES
+    assert search_peak(ctx, batch) < 2 * sigmine.search.BATCH_BYTES
 
 
 @pytest.mark.parametrize("z", [2, 3])
@@ -565,4 +572,4 @@ def test_wide_language_memory_is_bounded(z):
     assert (len(ctx.base), ctx.pairs.pair_start[-1]) == (120, 6900)
     assert 6900 * (16 * 65 - 8) > sigmine.search.BATCH_BYTES
     batch = [ds.target, *(bernoulli_labels(ds.m, 0.4, 3, j) for j in range(63))]
-    assert search_peak(ds, batch, cfg, ctx) < sigmine.search.BATCH_BYTES
+    assert search_peak(ctx, batch) < sigmine.search.BATCH_BYTES

@@ -110,9 +110,9 @@ def test_flag_top_k_consistency(planted_ds, method):
     # a top-k pattern is flagged iff the method's own scan reports it
     cfg = _cfg(Mode.CONDITIONAL, seed=6, top_k=50)
     ctx = SearchContext(planted_ds, cfg.language)
-    report = METHODS[method](planted_ds, cfg, ctx, 50)
-    result, flags = top_k_flags(planted_ds, report, cfg, ctx=ctx)
-    members = {d.pattern for d in significant_patterns(planted_ds, report, cfg, ctx=ctx)}
+    report = METHODS[method](ctx, cfg, 50)
+    result, flags = top_k_flags(ctx, report, cfg.top_k)
+    members = {d.pattern for d in significant_patterns(ctx, report)}
     # the cut falls inside the top 50 (above all of them for ub)
     assert len(result.entries) == 50 and sum(flags) < 50
     for (pattern, stat), flag in zip(result.entries, flags):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import sigmine.oracle
 from sigmine import Form, LanguageConfig, OracleError, Selector
 from sigmine.oracle import (
     CatColumn,
@@ -15,6 +18,7 @@ from sigmine.oracle import (
     generate,
     monte_carlo,
 )
+from sigmine.suites import suite_coupling
 
 
 def test_generate_deterministic():
@@ -100,6 +104,27 @@ def test_coupling_inequality_basic():
     ]
     pts = coupling_check(20, 10, covers, thresholds=[0.05, 0.1], samples=20_000, seed=3)
     assert all(p.holds for p in pts)
+
+
+def test_coupling_chunks_keep_the_estimates(monkeypatch):
+    # samples are drawn in chunks, permutation keys first, from one stream;
+    # a chunk of 7 that leaves a partial last chunk gives the same floats
+    covers = [[i < 10 for i in range(20)], [i % 3 == 0 for i in range(20)]]
+    run = lambda: coupling_check(20, 10, covers, [0.05, 0.1, 0.15], samples=1000, seed=2)
+    whole = run()
+    monkeypatch.setattr(sigmine.oracle, "COUPLING_CHUNK", 7)
+    assert run() == whole
+
+
+def test_coupling_suite_memory_is_bounded():
+    # the default 100 000 samples are held a chunk at a time
+    tracemalloc.start()
+    try:
+        suite_coupling(seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_generate_planted_reproducible_labels():

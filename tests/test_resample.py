@@ -4,6 +4,7 @@ from sigmine import (
     ConfigError,
     LanguageConfig,
     ResamplePlan,
+    SearchContext,
     estimate_deviation,
     resample_target,
 )
@@ -54,13 +55,11 @@ def test_monotone_coupling_in_p(small_ds):
 
 
 def test_singleton_mean_and_constant_vectors(small_ds):
-    cfg = LanguageConfig(z=2)
-    one = estimate_deviation(
-        small_ds, resample_target(small_ds, ResamplePlan(c=1, p=0.5, seed=2)), 0.5, cfg
-    )
+    ctx = SearchContext(small_ds, LanguageConfig(z=2))
+    one = estimate_deviation(ctx, resample_target(small_ds, ResamplePlan(c=1, p=0.5, seed=2)), 0.5)
     assert one.d_tilde == one.d[0]
     const = estimate_deviation(
-        small_ds, resample_target(small_ds, ResamplePlan(c=4, p=1.0, seed=2)), 0.5, cfg
+        ctx, resample_target(small_ds, ResamplePlan(c=4, p=1.0, seed=2)), 0.5
     )
     assert len(set(const.d)) == 1
 
@@ -68,7 +67,7 @@ def test_singleton_mean_and_constant_vectors(small_ds):
 def test_each_dj_matches_brute_force(small_ds):
     cfg = LanguageConfig(z=2)
     vecs = resample_target(small_ds, ResamplePlan(c=5, p=0.45, seed=21))
-    dev = estimate_deviation(small_ds, vecs, 0.4, cfg)
+    dev = estimate_deviation(SearchContext(small_ds, cfg), vecs, 0.4)
     for lv, dj in zip(vecs, dev.d):
         assert dj == brute_force_sup(small_ds, lv, 0.4, cfg)
 

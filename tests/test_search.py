@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import sigmine.search
 from sigmine import (
     ColumnSchema,
+    ConfigError,
     Dataset,
     Form,
     Kind,
@@ -80,11 +81,11 @@ def test_optimistic_estimate_dominates_in_floating_point(data):
 def test_degenerate_all_zero_labels():
     # all-zero labels: every pattern scores -center * frequency
     ds = binary_dataset([[0, 0, 1, 1]], [0, 0, 0, 0])
-    res = sup_quality(ds, lv([0, 0, 0, 0]), 0.4, LanguageConfig(z=1))
+    res = sup_quality(SearchContext(ds, LanguageConfig(z=1)), lv([0, 0, 0, 0]), 0.4)
     assert res.supremum == pytest.approx(-0.4 * 0.5, abs=1e-12)
     # with an empty-cover conjunction available the supremum is 0
     ds2 = binary_dataset([[0, 0, 1, 1], [1, 1, 0, 0]], [0, 0, 0, 0])
-    res2 = sup_quality(ds2, lv([0, 0, 0, 0]), 0.4, LanguageConfig(z=2))
+    res2 = sup_quality(SearchContext(ds2, LanguageConfig(z=2)), lv([0, 0, 0, 0]), 0.4)
     assert res2.supremum == 0.0
 
 
@@ -96,7 +97,7 @@ def test_sup_matches_brute_force_on_fixed_instance():
         [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0],
     )
     cfg = LanguageConfig(z=2)
-    res = sup_quality(ds, ds.target, ds.mean_target(), cfg)
+    res = sup_quality(SearchContext(ds, cfg), ds.target, ds.mean_target())
     assert res.supremum == brute_force_sup(ds, ds.target, ds.mean_target(), cfg)
     got = empirical_quality(evaluate(res.argmax, ds), ds.target, ds.mean_target())
     assert got.value == res.supremum
@@ -105,8 +106,9 @@ def test_sup_matches_brute_force_on_fixed_instance():
 @pytest.mark.parametrize("seed", range(25))
 def test_pruning_is_lossless(seed):
     ds, labels, center, cfg = _random_tiny_instance(seed + 1200)
-    on = sup_quality(ds, labels, center, cfg, prune=True)
-    off = sup_quality(ds, labels, center, cfg, prune=False)
+    ctx = SearchContext(ds, cfg)
+    on = sup_quality(ctx, labels, center, prune=True)
+    off = sup_quality(ctx, labels, center, prune=False)
     assert on.supremum == off.supremum
     assert on.argmax == off.argmax
     assert on.nodes_visited <= off.nodes_visited
@@ -116,12 +118,13 @@ def test_top_k_saturation_and_k1():
     ds, labels, center, cfg = _random_tiny_instance(77)
     base = base_selectors(ds, cfg)
     total = pattern_count(base, cfg)
-    all_of_them = top_k(ds, labels, center, cfg, total + 10)
+    ctx = SearchContext(ds, cfg)
+    all_of_them = top_k(ctx, labels, center, total + 10)
     assert len(all_of_them.entries) == total
     vals = [q.value for _, q in all_of_them.entries]
     assert vals == sorted(vals, reverse=True)
-    single = top_k(ds, labels, center, cfg, 1)
-    sup = sup_quality(ds, labels, center, cfg)
+    single = top_k(ctx, labels, center, 1)
+    sup = sup_quality(ctx, labels, center)
     assert single.entries[0][0] == sup.argmax
     assert single.entries[0][1].value == sup.supremum
 
@@ -129,7 +132,7 @@ def test_top_k_saturation_and_k1():
 @pytest.mark.parametrize("seed", range(15))
 def test_top_k_matches_brute_force(seed):
     ds, labels, center, cfg = _random_tiny_instance(seed + 4000)
-    mine = top_k(ds, labels, center, cfg, 5)
+    mine = top_k(SearchContext(ds, cfg), labels, center, 5)
     brute = brute_force_top_k(ds, labels, center, cfg, 5)
     assert [(p, q.value) for p, q in mine.entries] == brute
 
@@ -177,8 +180,9 @@ def test_top_k_matches_brute_force_on_ties(case):
     rows = brute_force_qualities(ds, ds.target, center, cfg)
     vals = sorted((v for _, v, _ in rows), reverse=True)
     ties = [k for k in range(1, len(vals)) if vals[k - 1] == vals[k]]
+    ctx = SearchContext(ds, cfg)
     for k in [1, *ties[:1], len(rows) + 3]:
-        got = top_k(ds, ds.target, center, cfg, k).entries
+        got = top_k(ctx, ds.target, center, k).entries
         assert [(p, q.value) for p, q in got] == brute_force_top_k(ds, ds.target, center, cfg, k)
         for p, q in got:
             assert q == empirical_quality(evaluate(p, ds), ds.target, center)
@@ -199,10 +203,11 @@ def test_top_k_enters_few_subtrees_on_tied_qualities(monkeypatch):
         return level(self, covers, chosen, *rest)
 
     monkeypatch.setattr(sigmine.search._Scan, "level", counted)
-    got = top_k(ds, ds.target, 0.0, cfg, 3).entries
+    ctx = SearchContext(ds, cfg)
+    got = top_k(ctx, ds.target, 0.0, 3).entries
     assert [len(p) for p, _ in got] == [1, 2, 3]
     tied, entered[:] = sum(entered), []
-    threshold_mine(ds, ds.target, 0.0, -np.inf, 0.0, cfg)
+    threshold_mine(ctx, ds.target, 0.0, -np.inf, 0.0)
     assert 4 * tied < sum(entered)
 
 
@@ -214,15 +219,16 @@ def test_monotone_label_dominance():
         zeros = np.flatnonzero(grown == 0)
         if len(zeros):
             grown[rng.choice(zeros, size=max(1, len(zeros) // 2), replace=False)] = 1
-        lo = sup_quality(ds, labels, center, cfg).supremum
-        hi = sup_quality(ds, lv(grown), center, cfg).supremum
+        ctx = SearchContext(ds, cfg)
+        lo = sup_quality(ctx, labels, center).supremum
+        hi = sup_quality(ctx, lv(grown), center).supremum
         assert hi >= lo
 
 
 def test_determinism():
     ds, labels, center, cfg = _random_tiny_instance(31)
-    a = sup_quality(ds, labels, center, cfg)
-    b = sup_quality(ds, labels, center, cfg)
+    a = sup_quality(SearchContext(ds, cfg), labels, center)
+    b = sup_quality(SearchContext(ds, cfg), labels, center)
     assert (a.supremum, a.argmax, a.nodes_visited) == (b.supremum, b.argmax, b.nodes_visited)
 
 
@@ -232,7 +238,7 @@ def test_threshold_mine_matches_brute_force(eps_t):
         ds, labels, center, cfg = _random_tiny_instance(seed + 3300)
         rows = brute_force_qualities(ds, labels, center, cfg)
         eps = float(np.quantile([v for _, v, _ in rows], 0.8))
-        got = threshold_mine(ds, labels, center, eps, eps_t, cfg)
+        got = threshold_mine(SearchContext(ds, cfg), labels, center, eps, eps_t)
         got_set = {(p, q.value) for p, q in got}
         m = ds.m
         expected = set()
@@ -255,9 +261,9 @@ def test_search_frees_its_context_on_return(call):
     # the context alive after the call returns
     ds, labels, center, cfg = _random_tiny_instance(5)
     run = {
-        "sup_quality": lambda ctx: sup_quality(ds, labels, center, cfg, ctx=ctx),
-        "top_k": lambda ctx: top_k(ds, labels, center, cfg, 3, ctx=ctx),
-        "threshold_mine": lambda ctx: threshold_mine(ds, labels, center, 0.0, 0.0, cfg, ctx=ctx),
+        "sup_quality": lambda ctx: sup_quality(ctx, labels, center),
+        "top_k": lambda ctx: top_k(ctx, labels, center, 3),
+        "threshold_mine": lambda ctx: threshold_mine(ctx, labels, center, 0.0, 0.0),
     }[call]
     gc.disable()
     try:
@@ -270,15 +276,32 @@ def test_search_frees_its_context_on_return(call):
         gc.enable()
 
 
+@pytest.mark.parametrize("call", ["sup_quality", "top_k", "threshold_mine"])
+def test_label_length_must_match_the_context(call):
+    ds, labels, center, cfg = _random_tiny_instance(5)
+    ctx = SearchContext(ds, cfg)
+    run = {
+        "sup_quality": lambda v: sup_quality(ctx, v, center),
+        "top_k": lambda v: top_k(ctx, v, center, 3),
+        "threshold_mine": lambda v: threshold_mine(ctx, v, center, 0.0, 0.0),
+    }[call]
+    for bits in (labels.bits[:-1], np.append(labels.bits, 1)):
+        with pytest.raises(ConfigError, match=f"length {len(bits)} .* {ds.m} rows"):
+            run(lv(bits))
+    if call == "sup_quality":
+        with pytest.raises(ConfigError, match=f"length {ds.m - 1} .* {ds.m} rows"):
+            run([labels, lv(labels.bits[:-1])])
+
+
 def test_pair_index_is_built_by_the_batched_search_only():
     # the (child, leaf) pair index serves sup_quality alone: a context the
     # scan and top-k use never builds it
     ds, labels, center, cfg = _random_tiny_instance(5)
     ctx = SearchContext(ds, cfg)
-    top_k(ds, labels, center, cfg, 3, ctx=ctx)
-    threshold_mine(ds, labels, center, 0.0, 0.0, cfg, ctx=ctx)
+    top_k(ctx, labels, center, 3)
+    threshold_mine(ctx, labels, center, 0.0, 0.0)
     assert "pairs" not in vars(ctx)
-    sup_quality(ds, labels, center, cfg, ctx=ctx)
+    sup_quality(ctx, labels, center)
     assert "pairs" in vars(ctx)
 
 
@@ -292,5 +315,5 @@ def test_threshold_mine_enters_subtrees_whose_estimate_ties_eps():
     center = ds.mean_target()
     cfg = LanguageConfig(z=2)
     eps = optimistic_estimate(bitset.pack(np.array(a, dtype=bool)), ds.target, center)
-    got = threshold_mine(ds, ds.target, center, eps, 0.0, cfg)
+    got = threshold_mine(SearchContext(ds, cfg), ds.target, center, eps, 0.0)
     assert [(len(p), q.value) for p, q in got] == [(2, eps)]
