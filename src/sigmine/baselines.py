@@ -31,7 +31,7 @@ from .data import Dataset, LabelVector
 from .discovery import Discovery, RunConfig, significant_patterns
 from .errors import ConfigError
 from .language import pattern_count, projection_bound_log
-from .resample import STREAM_PERMUTE, generator
+from .resample import MAX_DRAWS, STREAM_PERMUTE, generator
 from .search import SearchContext, sup_quality
 
 
@@ -41,8 +41,8 @@ class PermutationPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ConfigError("permutation count must be >= 1")
+        if not 1 <= self.p <= MAX_DRAWS:
+            raise ConfigError("permutation count must lie in [1, 2**32]")
 
 
 @dataclass

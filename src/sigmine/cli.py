@@ -24,6 +24,7 @@ from .report import (
     records_json,
     records_tsv,
 )
+from .resample import MAX_DRAWS
 from .search import SearchContext
 from .suites import SUITES
 
@@ -88,10 +89,12 @@ def cmd_mine(args) -> int:
     try:
         if not 0.0 < args.delta < 1.0:
             raise ConfigError("--delta must lie in (0, 1)")
-        if args.resamples < 1:
-            raise ConfigError("--resamples must be >= 1")
-        if args.permutations < 1:
-            raise ConfigError("--permutations must be >= 1")
+        # the generator keys at most MAX_DRAWS label vectors: a larger count
+        # is refused here, before any vector below the limit is drawn
+        if not 1 <= args.resamples <= MAX_DRAWS:
+            raise ConfigError("--resamples must lie in [1, 2**32]")
+        if not 1 <= args.permutations <= MAX_DRAWS:
+            raise ConfigError("--permutations must lie in [1, 2**32]")
         if args.depth < 1:
             raise ConfigError("--depth must be >= 1")
         if args.bins < 1:

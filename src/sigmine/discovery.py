@@ -34,7 +34,7 @@ from .bounds import (
 from .data import Dataset
 from .errors import ConfigError
 from .language import LanguageConfig, Pattern
-from .resample import ResamplePlan, estimate_deviation, resample_target
+from .resample import MAX_DRAWS, ResamplePlan, estimate_deviation, resample_target
 from .search import SearchContext, TopKResult, threshold_mine, top_k
 
 
@@ -52,8 +52,8 @@ class RunConfig:
             self.mode = Mode(self.mode)
         if not 0.0 < self.delta < 1.0:
             raise ConfigError("delta must lie in (0, 1)")
-        if self.c < 1:
-            raise ConfigError("c must be >= 1")
+        if not 1 <= self.c <= MAX_DRAWS:
+            raise ConfigError("c must lie in [1, 2**32]")
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,14 @@ STREAM_PERMUTE = 2
 STREAM_SYNTH = 3
 
 _MASK64 = (1 << 64) - 1
+# cells j of one (seed, stream): j fills the low 32 bits of the Philox key,
+# so no run may ask for more resamples or permutations than this
+MAX_DRAWS = 1 << 32
 
 
 def generator(seed: int, stream: int, j: int) -> np.random.Generator:
     """Counter-based generator for one (seed, stream, j) cell."""
-    if not 0 <= j < (1 << 32):
+    if not 0 <= j < MAX_DRAWS:
         raise ConfigError("stream index out of range")
     key = np.array([seed & _MASK64, ((stream & 0xFFFFFFFF) << 32) | j], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -51,8 +54,8 @@ class ResamplePlan:
     seed: int
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ConfigError("resample count c must be >= 1")
+        if not 1 <= self.c <= MAX_DRAWS:
+            raise ConfigError("resample count c must lie in [1, 2**32]")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError("Bernoulli rate must lie in [0, 1]")
 

@@ -13,9 +13,9 @@ own.
 Pruning is lossless: a pattern's refinements keep a subset of its cover, so
 (positives - positives * center) / m bounds every descendant's quality, and
 computed in that form it also bounds every descendant's computed quality
-(see `optimistic_estimate`).  Ties are broken toward the first pattern in
-canonical DFS order, which makes results deterministic and makes merges from
-disjoint subtrees associative.
+(see `optimistic_estimate`).  The supremum search returns values only.
+Top-k breaks ties toward the first pattern in canonical DFS order, so a
+vector's first maximizer is the one entry of `top_k(ctx, labels, center, 1)`.
 
 Many selectors are complements: at_least(c) of less_than(c), the last code
 of a categorical column of the other codes.  Such a *derived* selector is
@@ -296,27 +296,19 @@ def _subtract(total, cnt, first, basis):
 
 @dataclass
 class SearchResult:
-    """Per-vector suprema and argmax patterns of one batched search, plus
-    the node counts of the traversal they shared."""
+    """Per-vector suprema of one batched search, plus the node counts of
+    the traversal they shared.  A vector's first maximizer in canonical
+    order is `top_k(ctx, labels, center, 1).entries[0][0]`."""
 
     suprema: list[float]
-    argmaxes: list[Pattern | None]
     nodes_visited: int
     nodes_pruned: int
 
     @property
     def supremum(self) -> float:
-        return self._single(self.suprema)
-
-    @property
-    def argmax(self) -> Pattern | None:
-        return self._single(self.argmaxes)
-
-    @staticmethod
-    def _single(values):
-        if len(values) != 1:
-            raise ValueError(f"batch of {len(values)} vectors; read suprema/argmaxes")
-        return values[0]
+        if len(self.suprema) != 1:
+            raise ValueError(f"batch of {len(self.suprema)} vectors; read suprema")
+        return self.suprema[0]
 
 
 @dataclass
@@ -345,43 +337,42 @@ def sup_quality(
     words, or masked, where compaction would cost more than it saves.
 
     The last two levels run as table and replay.  A depth z-2 node's table
-    holds its children's counts, per child and vector the best leaf
-    quality, and per vector its leaf maximizer: every (child, leaf) pair
-    below it is counted for every vector, by popcount only when neither
-    selector is derived, in blocks of whole columns.  A depth z-3 node (the
-    root when z=3) tables all its children first, a column at a time from
-    the last one back, when their tables take at most BATCH_BYTES; a
-    derived child's table is the node's counts and the tables of its later
-    siblings minus those of its basis siblings, with no restriction and no
-    popcount.  The children of a column are tabled in groups: masked
-    children share the node's cover rows and stack their own label rows,
-    so a group takes one count, one pair count and one leaf reduction, a
-    (child, vector) being one more column; the derived children of a
-    column take one leaf reduction per group as well.  The node then
+    holds its children's counts and per child and vector the best leaf
+    quality: every (child, leaf) pair below it is counted for every vector,
+    by popcount only when neither selector is derived, in blocks of whole
+    columns.  A depth z-3 node (the root when z=3) tables all its children
+    first, a column at a time from the last one back, when their tables take
+    at most BATCH_BYTES; a derived child's table is the node's counts and
+    the tables of its later siblings minus those of its basis siblings, with
+    no restriction and no popcount.  The children of a column are tabled in
+    groups: masked children share the node's cover rows and stack their own
+    label rows, so a group takes one count, one pair count and one leaf
+    reduction, a (child, vector) being one more column; the derived children
+    of a column take one leaf reduction per group as well.  The node then
     replays its children in canonical order, in pieces of several: a
-    cumulative maximum over child values, grandchild values and leaf
-    maxima in preorder, carried from piece to piece, replays the per-child
-    loop.  Subtrees a vector's own search would prune cannot raise its
-    running best, because the estimate that prunes them dominates their
-    computed qualities.  When z <= 2 the root tables and replays itself.
-    The tables grow with the square of the selectors: a depth z-3 node
-    whose tables would take more searches its children one by one, as the
-    nodes above it do.
+    cumulative maximum over child values, grandchild values and leaf maxima
+    in preorder, carried from piece to piece, replays the per-child loop.
+    Subtrees a vector's own search would prune cannot raise its running
+    best, because the estimate that prunes them dominates their computed
+    qualities.  When z <= 2 the root tables and replays itself.  The tables
+    grow with the square of the selectors: a depth z-3 node whose tables
+    would take more searches its children one by one, as the nodes above it
+    do.
 
     Every vector gets exactly the result of a search of its own: it only
-    looks at the nodes its own pruned search would visit (its live set),
-    updates its best with a strict ``>`` in canonical preorder, and so breaks
-    ties the same way.  A subtree is entered while any vector is live in it
-    and counts as pruned when none is.
+    looks at the nodes its own pruned search would visit (its live set) and
+    keeps a running maximum over them in canonical preorder, which decides
+    what it prunes.  A subtree is entered while any vector is live in it
+    and counts as pruned when none is.  Only the values are kept: a
+    vector's first maximizer is `top_k(ctx, labels, center, 1)`'s entry.
     """
     batch = [labels] if isinstance(labels, LabelVector) else list(labels)
     if not batch:
         raise ConfigError("sup_quality needs at least one label vector")
     search = _BatchSearch(ctx, len(batch), center, prune)
     lab = _label_words(batch, ctx.m)
-    search.node(ctx.words, lab, (), 0, 0, np.ones(len(batch), dtype=bool))
-    argmaxes = [ctx.pattern(idx) if idx is not None else None for idx in search.best_idx]
-    return SearchResult(search.best.tolist(), argmaxes, search.visited, search.pruned)
+    search.node(ctx.words, lab, 0, 0, np.ones(len(batch), dtype=bool))
+    return SearchResult(search.best.tolist(), search.visited, search.pruned)
 
 
 def _label_words(batch: Sequence[LabelVector], m: int) -> np.ndarray:
@@ -411,7 +402,6 @@ class _BatchSearch:
         self.prune = prune
         self.width = c + 1
         self.best = np.full(c, -np.inf)
-        self.best_idx: list[tuple[int, ...] | None] = [None] * c
         self.visited = 0
         self.pruned = 0
 
@@ -518,10 +508,7 @@ class _BatchSearch:
     def leaf_best(self, start: int, width: int, pair_counts):
         """The leaves of a node whose children start at selector `start`:
         per child and vector the best quality among the child's leaves
-        (-inf where it has none), and per vector the offset, among its
-        child's leaves, of the first leaf of the node with the highest
-        quality; when a vector's first maximizer in `replay`'s sequence is
-        a leaf, it is that one.
+        (-inf where it has none).
 
         Pairs are counted in blocks of whole columns of at most PAIR_BYTES
         of (pairs x `width`) counts, or one column's children when those
@@ -534,8 +521,6 @@ class _BatchSearch:
         ctx, pix = self.ctx, self.ctx.pairs
         cols = width // self.width * (self.width - 1)
         top = np.full((len(ctx.base) - start, cols), -np.inf)
-        arg = np.zeros(cols, dtype=np.int32)
-        high = np.full(cols, -np.inf)
         # children start..last have leaves, those of the last column none
         last = start + np.count_nonzero(pix.pair_count[start:])
         first = pix.pair_start[start : last + 1] - pix.pair_start[start]
@@ -549,24 +534,14 @@ class _BatchSearch:
             for u, v in zip(cut, [*cut[1:], b - a]):
                 q = self.quality(pc[rows[u] : rows[v]])
                 seg = rows[u:v] - rows[u]
-                top[a - start + u : a - start + v] = best = np.maximum.reduceat(q, seg, axis=0)
-                at = best.argmax(axis=0)
-                peak = best[at, np.arange(len(arg))]
-                j = np.flatnonzero(peak > high)
-                if len(j):  # a better leaf: the first in its child
-                    high[j] = peak[j]
-                    lo, n = seg[at[j]], np.diff(rows[u : v + 1])[at[j]]
-                    leaf = np.arange(n.max())[:, None]
-                    got = np.where(leaf < n, q[np.minimum(lo + leaf, len(q) - 1), j], -np.inf)
-                    arg[j] = got.argmax(axis=0)
-        return top, arg
+                top[a - start + u : a - start + v] = np.maximum.reduceat(q, seg, axis=0)
+        return top
 
     def tables(self, kids, lab, cnt, start: int, depth: int):
         """Tables of the children start.. of a depth z-3 node with counts
         `cnt`: per child i, its children's counts and, per grandchild and
-        vector, the best leaf quality, in the pair index's rows of child i
-        (from pair_start[start] on), and per vector the offset of its leaf
-        maximizer, in row i - start (`leaf_best`).
+        vector, the best leaf quality (`leaf_best`), in the pair index's
+        rows of child i (from pair_start[start] on).
 
         The children of one column share their children, the selectors
         after the column, so they are tabled in groups (`groups`): one
@@ -586,7 +561,6 @@ class _BatchSearch:
         nsel, p0 = len(ctx.base), pix.pair_start[start]
         cnts = np.empty((pix.pair_start[-1] - p0, w), dtype=np.int64)
         top = np.empty((len(cnts), w - 1))
-        arg = np.empty((nsel - start, w - 1), dtype=np.int32)
         heads = ctx.col_heads[np.searchsorted(ctx.col_heads, start) :].tolist()
         for a, nxt in reversed(list(zip(heads, [*heads[1:], nsel]))):
             if nxt == nsel:
@@ -599,12 +573,11 @@ class _BatchSearch:
             fit = max(1, PAIR_BYTES // max(tail.nbytes, 1))
 
             def table(group, pc):
-                best, at = self.leaf_best(
+                best = self.leaf_best(
                     nxt, pc.shape[1],
                     lambda x, y: pc[pix.pair_start[x] - r0 : pix.pair_start[y] - r0],
                 )
                 col_top[group - a] = best.reshape(n, len(group), w - 1).swapaxes(0, 1)
-                arg[group - start] = at.reshape(len(group), w - 1)
 
             # derived children a group at a time, each group with its basis
             # siblings, then the scored children in no basis
@@ -632,7 +605,7 @@ class _BatchSearch:
                         col_cnts[d - a] = cnt[nxt - start :] - basis.sum(axis=0)
                     table(np.array(ds), dpc.reshape(len(tail), len(ds) * w))
                     del dpc
-        return cnts, top, arg
+        return cnts, top
 
     def groups(self, kids, lab, cnt, scored, start: int, depth: int, fit: int):
         """The scored children `scored`, of one column, of a node whose
@@ -656,7 +629,7 @@ class _BatchSearch:
             stacked = lab & kids[group - start, None]
             yield group, kids[nxt - start :], stacked.reshape(len(group) * len(lab), lab.shape[1])
 
-    def node(self, kids, lab, chosen, start: int, depth: int, live) -> None:
+    def node(self, kids, lab, start: int, depth: int, live) -> None:
         """Search below one node.  `kids` holds the covers of selectors
         start.. and `lab` the label vectors after the all-ones row, the
         label rows restricted to the node's transactions and the cover rows
@@ -674,11 +647,11 @@ class _BatchSearch:
         nsel = len(ctx.base)
         cnt = self.counts(kids, lab, start)
         if depth + 2 >= ctx.cfg.z:
-            top, arg = self.leaf_best(
+            top = self.leaf_best(
                 start, self.width, lambda a, b: self.pair_counts(kids, lab, start, cnt, a, b)
             )
             own = np.full((1, len(live)), -np.inf)  # its parent weighed its value
-            self.replay([chosen], np.array([start]), own, -own, cnt, top, arg[None], live)
+            self.replay(np.array([start]), own, -own, cnt, top, live)
             return
         self.visited += len(kids)
         vals = self.quality(cnt)
@@ -686,7 +659,7 @@ class _BatchSearch:
         # counts (8 bytes) and best leaves (8) per pair and vector
         pairs = pix.pair_start[-1] - pix.pair_start[start]
         if depth + 3 == ctx.cfg.z and pairs * (16 * self.width - 8) <= BATCH_BYTES:
-            cnts, top, arg = self.tables(kids, lab, cnt, start, depth)
+            cnts, top = self.tables(kids, lab, cnt, start, depth)
             p0 = pix.pair_start[start]
             # a child takes 1 + 2 x its children rows of a replay sequence
             rows = 2 * pix.pair_count[start:] + 1
@@ -696,18 +669,14 @@ class _BatchSearch:
             for u, v in zip(cut.tolist(), [*cut[1:].tolist(), nsel - start]):
                 t = slice(pix.pair_start[start + u] - p0, pix.pair_start[start + v] - p0)
                 self.replay(
-                    [chosen + (i,) for i in range(start + u, start + v)],
                     ctx.next_start_a[start + u : start + v], vals[u:v], bound[u:v],
-                    cnts[t], top[t], arg[u:v], live,
+                    cnts[t], top[t], live,
                 )
             return
-        best = self.best
         for r, i in enumerate(range(start, nsel)):
-            here = chosen + (i,)
-            for j in np.flatnonzero(live & (vals[r] > best)):
-                best[j] = vals[r, j]
-                self.best_idx[j] = here
-            sub = live & (bound[r] > best) if self.prune else live
+            # every vector's best, live or not, as at the end of `replay`
+            np.maximum(self.best, vals[r], out=self.best)
+            sub = live & (bound[r] > self.best) if self.prune else live
             if not sub.any():
                 self.pruned += 1
                 continue
@@ -715,18 +684,16 @@ class _BatchSearch:
             if nxt == nsel:
                 continue
             sub_kids, sub_lab = self.descend(kids, lab, cnt, r, start, depth + 1)
-            self.node(sub_kids, sub_lab, here, nxt, depth + 1, sub)
+            self.node(sub_kids, sub_lab, nxt, depth + 1, sub)
 
-    def replay(self, paths, starts, vals, bound, cnt, top, arg, live) -> None:
-        """Depth z-2 nodes `paths`, consecutive children of one node, with
-        their values `vals` and estimates `bound` per vector, and all their
+    def replay(self, starts, vals, bound, cnt, top, live) -> None:
+        """Depth z-2 nodes, consecutive children of one node, with their
+        values `vals` and estimates `bound` per vector, and all their
         children and the leaves, from their tables (`leaf_best`): node o's
         children start at selector starts[o], and their counts `cnt` and
-        per vector best leaf qualities `top` come node after node; `arg`
-        holds per node and vector the offset of its first best leaf among
-        its child's leaves (only the children when z=1).  A node that
-        replays itself is a piece of one with value -inf and estimate inf,
-        its parent having weighed both.
+        per vector best leaf qualities `top` come node after node (only the
+        children when z=1).  A node that replays itself is a piece of one
+        with value -inf and estimate inf, its parent having weighed both.
 
         In preorder every vector sees a node's value, then child value,
         best leaf below it, child value, ..., then the next node's value;
@@ -735,9 +702,9 @@ class _BatchSearch:
         of its root does not beat its running best; the estimate dominates
         the subtree, so counting it anyway leaves the running best as it
         was.  The replay is therefore each vector's own pruned search,
-        maximizer and node counts included.
+        supremum and node counts included.
         """
-        ctx, n, c = self.ctx, len(paths), len(live)
+        ctx, n, c = self.ctx, len(starts), len(live)
         size = len(ctx.base) - starts
         before = np.cumsum(size) - size
         owner = np.repeat(np.arange(n), size)
@@ -765,20 +732,9 @@ class _BatchSearch:
                 entered = (sub[owner] & (self.estimate(cnt) > run[pos])).any(axis=1)
             self.pruned += int(into.sum()) - int(entered.sum())
             self.visited += int(ctx.pairs.pair_count[kid[entered]].sum())
-        final = run[-1]
-        won = np.flatnonzero(live & (final > self.best))
-        # a running best first reaches its final value where the value is
-        firsts = (run[1:, won] == final[won]).argmax(axis=0) + 1
-        for j, f in zip(won.tolist(), firsts.tolist()):
-            o = int(np.searchsorted(head, f, side="right")) - 1
-            here = paths[o]
-            if f > head[o]:
-                t, leaf = divmod(f - 2 - o, 2)
-                here += (int(kid[t]),)
-                if leaf:
-                    here += (ctx.next_start[int(kid[t])] + int(arg[o, j]),)
-            self.best[j] = final[j]
-            self.best_idx[j] = here
+        # a vector not live here keeps its best: an estimate that did not
+        # beat it dominates every value below
+        self.best[:] = run[-1]
 
 
 class _Scan:

@@ -58,6 +58,12 @@ def oracle(ds, labels, center, cfg):
     return value, pattern
 
 
+def argmax(ctx, lv, center):
+    """A vector's first maximizer in canonical order: the search keeps
+    values only, and top-k breaks ties canonically."""
+    return top_k(ctx, lv, center, 1).entries[0][0]
+
+
 def batch_for(ds, labels, size, seed):
     rates = np.linspace(0.1, 0.9, size - 1) if size > 1 else []
     return [labels] + [bernoulli_labels(ds.m, p, seed, j) for j, p in enumerate(rates)]
@@ -75,11 +81,10 @@ def test_batch_matches_single_and_brute_force(size, prune, z):
         batch = batch_for(ds, labels, size, seed)
         ctx = SearchContext(ds, cfg)
         res = sup_quality(ctx, batch, center, prune=prune)
-        assert len(res.suprema) == len(res.argmaxes) == size
-        for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
-            alone = sup_quality(ctx, lv, center, prune=prune)
-            assert (sup, arg) == (alone.supremum, alone.argmax)
-            assert (sup, arg) == oracle(ds, lv, center, cfg)
+        assert len(res.suprema) == size
+        for lv, sup in zip(batch, res.suprema):
+            assert sup == sup_quality(ctx, lv, center, prune=prune).supremum
+            assert (sup, argmax(ctx, lv, center)) == oracle(ds, lv, center, cfg)
 
 
 def own_search(ds, lv, center, cfg):
@@ -116,26 +121,27 @@ def test_single_vector_is_its_own_pruned_search(z):
         cfg = replace(cfg, z=z)
         flat = [LabelVector(np.full(ds.m, b, dtype=np.uint8)) for b in (0, 1)]
         for lv in [labels, *flat]:
-            res = sup_quality(SearchContext(ds, cfg), lv, center)
             own = own_search(ds, lv, center, cfg)
-            assert (res.supremum, res.argmax, res.nodes_visited, res.nodes_pruned) == own
+            assert own_fields(SearchContext(ds, cfg), lv, center) == own
 
 
 def fields(res):
-    return res.suprema, res.argmaxes, res.nodes_visited, res.nodes_pruned
+    return res.suprema, res.nodes_visited, res.nodes_pruned
 
 
-def own_fields(res):
-    """A one-vector result in `own_search`'s order."""
-    return res.supremum, res.argmax, res.nodes_visited, res.nodes_pruned
+def own_fields(ctx, lv, center):
+    """A one-vector search in `own_search`'s order, its maximizer from
+    `argmax`."""
+    res = sup_quality(ctx, lv, center)
+    return res.supremum, argmax(ctx, lv, center), res.nodes_visited, res.nodes_pruned
 
 
 @pytest.mark.parametrize("z", [2, 3, 4])
 def test_batch_above_budget_and_split_pair_chunks(z, monkeypatch):
     # the budgets only size temporaries: a batch beyond batch_size(), pairs
     # scored one at a time, or a child's leaves split over reduction blocks
-    # all give the same suprema, maximizers and node counts; the scan's
-    # pieces of frontier likewise give the same patterns
+    # all give the same suprema and node counts; the scan's pieces of
+    # frontier likewise give the same patterns and maximizers
     for seed in range(8):
         ds, labels, center, cfg = _random_tiny_instance(seed + 6200)
         cfg = replace(cfg, z=z)
@@ -143,14 +149,16 @@ def test_batch_above_budget_and_split_pair_chunks(z, monkeypatch):
         ctx = SearchContext(ds, cfg)
         whole = fields(sup_quality(ctx, batch, center))
         scan = threshold_mine(ctx, labels, center, 0.0, 0.05)
+        maxima = [argmax(ctx, lv, center) for lv in batch]
         monkeypatch.setattr(sigmine.search, "BATCH_BYTES", 2 * ctx.words.nbytes)
         assert ctx.batch_size() == 2 < len(batch)
         for budget in (1, 8 * len(batch) * 3, 8 * len(batch) * 5 + 7):
             monkeypatch.setattr(sigmine.search, "PAIR_BYTES", budget)
             assert fields(sup_quality(ctx, batch, center)) == whole
             assert threshold_mine(ctx, labels, center, 0.0, 0.05) == scan
+            assert [argmax(ctx, lv, center) for lv in batch] == maxima
         monkeypatch.undo()
-        for lv, sup, arg in zip(batch, *whole[:2]):
+        for lv, sup, arg in zip(batch, whole[0], maxima):
             assert (sup, arg) == oracle(ds, lv, center, cfg)
 
 
@@ -239,8 +247,8 @@ def test_word_boundaries_and_degenerate_labels(m, prune):
     ctx = SearchContext(ds, cfg)
     for center in (0.0, 0.35, 1.0):
         res = sup_quality(ctx, batch, center, prune=prune)
-        for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
-            assert (sup, arg) == oracle(ds, lv, center, cfg)
+        for lv, sup in zip(batch, res.suprema):
+            assert (sup, argmax(ctx, lv, center)) == oracle(ds, lv, center, cfg)
 
 
 
@@ -257,9 +265,10 @@ def test_empty_selector_cover_deep_language(prune):
     ds = Dataset(schema, values, labels, {j: ["0", "1"] for j in range(1, 4)})
     cfg = LanguageConfig(z=4, bins=2)
     batch = [labels, LabelVector(np.zeros(m, dtype=np.uint8))]
-    res = sup_quality(SearchContext(ds, cfg), batch, 0.5, prune=prune)
-    for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
-        assert (sup, arg) == oracle(ds, lv, 0.5, cfg)
+    ctx = SearchContext(ds, cfg)
+    res = sup_quality(ctx, batch, 0.5, prune=prune)
+    for lv, sup in zip(batch, res.suprema):
+        assert (sup, argmax(ctx, lv, 0.5)) == oracle(ds, lv, 0.5, cfg)
 
 
 def derived_instances():
@@ -344,10 +353,9 @@ def test_derived_selectors(name):
         zctx = SearchContext(ds, zcfg)
         res = sup_quality(zctx, batch, center)
         assert (res.nodes_visited, res.nodes_pruned) == counts
-        for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
-            alone = sup_quality(zctx, lv, center)
-            assert (sup, arg) == (alone.supremum, alone.argmax)
-            assert (sup, arg) == oracle(ds, lv, center, zcfg)
+        for lv, sup in zip(batch, res.suprema):
+            assert sup == sup_quality(zctx, lv, center).supremum
+            assert (sup, argmax(zctx, lv, center)) == oracle(ds, lv, center, zcfg)
         rows = brute_force_qualities(ds, ds.target, center, zcfg)
         eps = float(np.quantile([v for _, v, _ in rows], 0.7))
         for eps_t in (0.0, 0.05):
@@ -362,10 +370,10 @@ def test_derived_selectors(name):
         zcfg = replace(cfg, z=z)
         zctx = SearchContext(ds, zcfg)
         res = sup_quality(zctx, batch, center)
-        for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
-            alone = sup_quality(zctx, lv, center)
-            assert (sup, arg) == (alone.supremum, alone.argmax)
-            assert own_fields(alone) == own_search(ds, lv, center, zcfg)
+        for lv, sup in zip(batch, res.suprema):
+            own = own_search(ds, lv, center, zcfg)
+            assert sup == own[0]
+            assert own_fields(zctx, lv, center) == own
 
 
 def test_derivation_checks_the_covers():
@@ -395,7 +403,7 @@ def test_derivation_checks_the_covers():
 @pytest.mark.parametrize("name", sorted(DERIVED))
 def test_compaction_choice_keeps_results(name, compact, monkeypatch):
     # a subtree works on compacted or masked matrices by a cost estimate;
-    # both give the same suprema, maximizers and node counts
+    # both give the same suprema and node counts
     ds, cfg = derived_instances()[name]
     batch = [ds.target] + [bernoulli_labels(ds.m, p, 6, j) for j, p in enumerate((0.3, 0.7))]
     center = ds.mean_target()
@@ -406,7 +414,7 @@ def test_compaction_choice_keeps_results(name, compact, monkeypatch):
         own = [own_search(ds, lv, center, zcfg) for lv in batch]
         monkeypatch.setattr(sigmine.search._BatchSearch, "compacts", lambda *args: compact)
         assert fields(sup_quality(ctx, batch, center)) == whole
-        assert [own_fields(sup_quality(ctx, lv, center)) for lv in batch] == own
+        assert [own_fields(ctx, lv, center) for lv in batch] == own
         monkeypatch.undo()
 
 
@@ -428,9 +436,9 @@ def test_grouped_tables_and_replay_pieces(name, shrunk, monkeypatch):
         widths.append(width)
         return leaf_best(self, start, width, pair_counts)
 
-    def record_replay(self, paths, *args):
-        pieces.append(len(paths))
-        return replay(self, paths, *args)
+    def record_replay(self, starts, *args):
+        pieces.append(len(starts))
+        return replay(self, starts, *args)
 
     def record_tables(self, *args):
         tabled.append(z)
@@ -450,12 +458,12 @@ def test_grouped_tables_and_replay_pieces(name, shrunk, monkeypatch):
             root = ctx.pairs.pair_start[-1] * (16 * w - 8)
             monkeypatch.setattr(sigmine.search, "BATCH_BYTES", root)
         res = sup_quality(ctx, batch, center)
-        assert list(zip(res.suprema, res.argmaxes)) == [o[:2] for o in own]
-        assert [own_fields(sup_quality(ctx, lv, center)) for lv in batch] == own
+        assert res.suprema == [o[0] for o in own]
+        assert [own_fields(ctx, lv, center) for lv in batch] == own
         monkeypatch.setattr(sigmine.search, "PAIR_BYTES", PAIR_BYTES)
         monkeypatch.setattr(sigmine.search, "BATCH_BYTES", BATCH_BYTES)
-        for lv, sup, arg in zip(batch, res.suprema, res.argmaxes):
-            assert (sup, arg) == oracle(ds, lv, center, zcfg)
+        for lv, sup in zip(batch, res.suprema):
+            assert (sup, argmax(ctx, lv, center)) == oracle(ds, lv, center, zcfg)
     assert set(tabled) == {3, 4, 5}
     # a column of several scored children before the last one is grouped
     cols = [s.column for s in ctx.base]
@@ -520,7 +528,9 @@ def test_derived_children_of_table_nodes_are_not_counted(name, z, monkeypatch):
     assert fields(sup_quality(ctx, batch, ds.mean_target(), prune=False)) == want
     assert any(ctx.is_derived[i] and d == z - 2 for i, d in descended)
     monkeypatch.undo()
-    assert list(zip(*want[:2])) == [oracle(ds, lv, ds.mean_target(), cfg) for lv in batch]
+    center = ds.mean_target()
+    got = [(sup, argmax(ctx, lv, center)) for lv, sup in zip(batch, want[0])]
+    assert got == [oracle(ds, lv, center, cfg) for lv in batch]
 
 
 def search_peak(ctx, batch):

@@ -1,13 +1,17 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
+import sigmine.baselines
 import sigmine.discovery
+import sigmine.resample
+import sigmine.search
 from sigmine import to_csv
 from sigmine.cli import main
-from sigmine.oracle import CatColumn, NullIID, SyntheticSpec, generate
+from sigmine.oracle import CatColumn, ContColumn, NullIID, SyntheticSpec, generate
 from sigmine.suites import planted_spec
 
 
@@ -137,6 +141,58 @@ def test_config_error_names_flag(null_csv, capsys):
     code = run_mine(null_csv, "--delta", "2.0")
     assert code == 2
     assert "--delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, mode", [("--resamples", "conditional"), ("--permutations", "wy")])
+def test_draw_counts_capped_before_any_draw(null_csv, capsys, monkeypatch, flag, mode):
+    # the generator keys at most 2**32 label vectors; a larger count is
+    # refused before the first one is drawn, not after drawing 2**32
+    def draw(*args):
+        raise AssertionError("a label vector was drawn")
+
+    monkeypatch.setattr(sigmine.resample, "bernoulli_labels", draw)
+    monkeypatch.setattr(sigmine.baselines, "permuted_labels", draw)
+    code = run_mine(null_csv, "--mode", mode, flag, str(2**32 + 1))
+    assert code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def mixed_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "mixed.csv"
+    spec = planted_spec(m=2000, seed=31)
+    to_csv(generate(replace(spec, columns=(*spec.columns, ContColumn("normal")))), path)
+    return path
+
+
+BATCHING_RUNS = [
+    (mode, top) for mode in ("conditional", "unconditional", "wy", "ub")
+    for top in ((), ("--top-k", "5"))
+]
+
+
+def mined_bytes(path, out, mode, top):
+    code = run_mine(path, "--mode", mode, "--depth", "3", "--permutations", "40",
+                    "--output", str(out), *top)
+    assert code == 0
+    return out.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def default_bytes(mixed_csv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "out"
+    return [mined_bytes(mixed_csv, out, mode, top) for mode, top in BATCHING_RUNS]
+
+
+@pytest.mark.parametrize("budget", [1, 4096])
+def test_output_bytes_do_not_depend_on_batching(mixed_csv, default_bytes, tmp_path, monkeypatch,
+                                                budget):
+    # the search budgets size batches, tables, groups, pieces and chunks
+    # only: at one byte every batch holds one vector and every chunk one row
+    monkeypatch.setattr(sigmine.search, "BATCH_BYTES", budget)
+    monkeypatch.setattr(sigmine.search, "PAIR_BYTES", budget)
+    out = tmp_path / "out"
+    assert [mined_bytes(mixed_csv, out, mode, top) for mode, top in BATCHING_RUNS] == default_bytes
 
 
 def test_bad_forms_flag(null_csv, capsys):

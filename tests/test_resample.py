@@ -3,13 +3,15 @@ import pytest
 from sigmine import (
     ConfigError,
     LanguageConfig,
+    PermutationPlan,
     ResamplePlan,
+    RunConfig,
     SearchContext,
     estimate_deviation,
     resample_target,
 )
 from sigmine.oracle import CatColumn, NullIID, SyntheticSpec, brute_force_sup, generate
-from sigmine.resample import bernoulli_labels
+from sigmine.resample import MAX_DRAWS, STREAM_RESAMPLE, bernoulli_labels, generator
 
 
 @pytest.fixture
@@ -77,3 +79,19 @@ def test_plan_validation():
         ResamplePlan(c=0, p=0.5, seed=1)
     with pytest.raises(ConfigError):
         ResamplePlan(c=1, p=1.5, seed=1)
+
+
+def test_draw_counts_capped_at_the_generator_limit():
+    # a run may draw as many vectors as the generator keys, 2**32, and no more
+    plans = [
+        lambda n: ResamplePlan(c=n, p=0.5, seed=1),
+        lambda n: RunConfig(c=n),
+        lambda n: PermutationPlan(p=n),
+    ]
+    for plan in plans:
+        plan(MAX_DRAWS)
+        with pytest.raises(ConfigError, match="2\\*\\*32"):
+            plan(MAX_DRAWS + 1)
+    generator(1, STREAM_RESAMPLE, MAX_DRAWS - 1)
+    with pytest.raises(ConfigError):
+        generator(1, STREAM_RESAMPLE, MAX_DRAWS)

@@ -25,8 +25,10 @@ from sigmine import (
     threshold_mine,
     top_k,
 )
+from sigmine.baselines import permuted_labels
 from sigmine.language import base_selectors, pattern_count
 from sigmine.oracle import brute_force_qualities, brute_force_sup, brute_force_top_k
+from sigmine.resample import bernoulli_labels
 from sigmine.suites import _random_tiny_instance
 
 from conftest import binary_dataset
@@ -97,9 +99,11 @@ def test_sup_matches_brute_force_on_fixed_instance():
         [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0],
     )
     cfg = LanguageConfig(z=2)
-    res = sup_quality(SearchContext(ds, cfg), ds.target, ds.mean_target())
+    ctx = SearchContext(ds, cfg)
+    res = sup_quality(ctx, ds.target, ds.mean_target())
     assert res.supremum == brute_force_sup(ds, ds.target, ds.mean_target(), cfg)
-    got = empirical_quality(evaluate(res.argmax, ds), ds.target, ds.mean_target())
+    first = top_k(ctx, ds.target, ds.mean_target(), 1).entries[0][0]
+    got = empirical_quality(evaluate(first, ds), ds.target, ds.mean_target())
     assert got.value == res.supremum
 
 
@@ -110,7 +114,8 @@ def test_pruning_is_lossless(seed):
     on = sup_quality(ctx, labels, center, prune=True)
     off = sup_quality(ctx, labels, center, prune=False)
     assert on.supremum == off.supremum
-    assert on.argmax == off.argmax
+    first = top_k(ctx, labels, center, 1).entries[0][0]
+    assert empirical_quality(evaluate(first, ds), labels, center).value == off.supremum
     assert on.nodes_visited <= off.nodes_visited
 
 
@@ -125,7 +130,7 @@ def test_top_k_saturation_and_k1():
     assert vals == sorted(vals, reverse=True)
     single = top_k(ctx, labels, center, 1)
     sup = sup_quality(ctx, labels, center)
-    assert single.entries[0][0] == sup.argmax
+    assert single.entries[0][0] == brute_force_top_k(ds, labels, center, cfg, 1)[0][0]
     assert single.entries[0][1].value == sup.supremum
 
 
@@ -188,6 +193,22 @@ def test_top_k_matches_brute_force_on_ties(case):
             assert q == empirical_quality(evaluate(p, ds), ds.target, center)
 
 
+@settings(max_examples=100, deadline=None)
+@given(tie_heavy(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_suprema_are_top_k_values_on_ties(case, rate, seed):
+    # a batch mixing resamples and permutations of the target: each
+    # supremum is the value of the vector's top pattern, its first maximizer
+    ds, center, cfg = case
+    batch = [
+        ds.target,
+        *(bernoulli_labels(ds.m, rate, seed, j) for j in range(3)),
+        *(permuted_labels(ds.target, seed, j) for j in range(3)),
+    ]
+    ctx = SearchContext(ds, cfg)
+    res = sup_quality(ctx, batch, center)
+    assert res.suprema == [top_k(ctx, lv, center, 1).entries[0][1].value for lv in batch]
+
+
 def test_top_k_enters_few_subtrees_on_tied_qualities(monkeypatch):
     # a constant target ties every quality and every estimate at 0, so the
     # top k are the first k patterns in canonical order; a subtree that only
@@ -227,9 +248,9 @@ def test_monotone_label_dominance():
 
 def test_determinism():
     ds, labels, center, cfg = _random_tiny_instance(31)
-    a = sup_quality(SearchContext(ds, cfg), labels, center)
-    b = sup_quality(SearchContext(ds, cfg), labels, center)
-    assert (a.supremum, a.argmax, a.nodes_visited) == (b.supremum, b.argmax, b.nodes_visited)
+    a, b = (SearchContext(ds, cfg) for _ in range(2))
+    assert sup_quality(a, labels, center) == sup_quality(b, labels, center)
+    assert top_k(a, labels, center, 1) == top_k(b, labels, center, 1)
 
 
 @pytest.mark.parametrize("eps_t", [0.0, 0.08])
