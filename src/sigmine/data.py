@@ -37,6 +37,9 @@ class ColumnSchema:
 # integer columns (grades, counts) behave like categories in practice.
 INFER_DISTINCT_THRESHOLD = 12
 
+# rows `to_csv` turns into strings and writes at a time
+TO_CSV_ROWS = 1024
+
 
 class LabelVector:
     """A binary vector of length m: observed targets or one resample.
@@ -276,16 +279,30 @@ def load_csv(path, schema="infer", target_column: str | None = None) -> Dataset:
 
 
 def to_csv(dataset: Dataset, path) -> None:
-    """Write a dataset back to CSV (categorical codes decoded to strings)."""
+    """Write a dataset back to CSV (categorical codes decoded to strings).
+
+    Works a column at a time: each categorical column's distinct codes are
+    decoded once (`Dataset.decode`), each float is written as its `repr`,
+    and rows go out TO_CSV_ROWS at a time.  The bytes are those of writing
+    the cells one by one."""
+    decoded = {}
+    for j, col in enumerate(dataset.schema):
+        if col.kind is Kind.CATEGORICAL:
+            codes = np.unique(dataset.values[j])
+            names = np.array([dataset.decode(j, c) for c in codes.tolist()], dtype=object)
+            decoded[j] = codes, names
+    bits = np.array(["0", "1"], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([c.name for c in dataset.schema] + [dataset.target_name])
-        for i in range(dataset.m):
-            row = []
-            for j, col in enumerate(dataset.schema):
-                if col.kind is Kind.CATEGORICAL:
-                    row.append(dataset.decode(j, int(dataset.values[j][i])))
+        for a in range(0, dataset.m, TO_CSV_ROWS):
+            block = slice(a, a + TO_CSV_ROWS)
+            cells = []
+            for j, values in enumerate(dataset.values):
+                if j in decoded:
+                    codes, names = decoded[j]
+                    cells.append(names[np.searchsorted(codes, values[block])].tolist())
                 else:
-                    row.append(repr(float(dataset.values[j][i])))
-            row.append(str(int(dataset.target.bits[i])))
-            writer.writerow(row)
+                    cells.append(list(map(repr, values[block].tolist())))
+            cells.append(bits[dataset.target.bits[block]].tolist())
+            writer.writerows(zip(*cells))

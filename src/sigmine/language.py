@@ -52,14 +52,15 @@ class Selector:
         return (self.column, _FORM_RANK[self.form], self.a, self.b)
 
     def holds(self, value: float) -> bool:
-        """Evaluate against one raw cell (code or continuous value)."""
+        """Evaluate against a raw cell (code or continuous value), or
+        elementwise against an array of cells, giving a boolean array."""
         if self.form is Form.EQUALS:
             return value == self.a
         if self.form is Form.LESS_THAN:
             return value < self.a
         if self.form is Form.AT_LEAST:
             return value >= self.a
-        return self.a <= value < self.b
+        return (self.a <= value) & (value < self.b)
 
     def describe(self, dataset: Dataset | None = None) -> str:
         name = dataset.schema[self.column].name if dataset else f"c{self.column}"
@@ -176,14 +177,7 @@ def _quantile_cuts(values: np.ndarray, bins: int) -> list[float]:
 
 def selector_flags(sel: Selector, dataset: Dataset) -> np.ndarray:
     """Boolean array over the transactions: True where `sel` holds."""
-    arr = dataset.values[sel.column]
-    if sel.form is Form.EQUALS:
-        return arr == int(sel.a)
-    if sel.form is Form.LESS_THAN:
-        return arr < sel.a
-    if sel.form is Form.AT_LEAST:
-        return arr >= sel.a
-    return (arr >= sel.a) & (arr < sel.b)
+    return sel.holds(dataset.values[sel.column])
 
 
 def selector_cover(sel: Selector, dataset: Dataset) -> Cover:

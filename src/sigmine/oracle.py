@@ -86,7 +86,9 @@ class SyntheticSpec:
 
 
 def generate(spec: SyntheticSpec) -> Dataset:
-    """Deterministic dataset for a spec; features first, then labels.
+    """Deterministic dataset for a spec; features first, then labels, each
+    drawn a whole column at a time (a planted selector is evaluated on its
+    whole column).
 
     Under either null rule the labels carry no information about any
     feature, so every pattern of every language has true quality zero.
@@ -117,9 +119,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
         bits = rng.permutation(fixed)
     elif isinstance(rule, Planted):
         sel = rule.selector
-        col = values[sel.column]
-        in_cover = np.fromiter((sel.holds(v) for v in col), dtype=bool, count=spec.m)
-        p = np.where(in_cover, rule.p_in, rule.p_out)
+        p = np.where(sel.holds(values[sel.column]), rule.p_in, rule.p_out)
         bits = (rng.random(spec.m) < p).astype(np.uint8)
     else:
         raise OracleError(f"unknown target rule {rule!r}")

@@ -17,12 +17,12 @@ computed in that form it also bounds every descendant's computed quality
 Top-k breaks ties toward the first pattern in canonical DFS order, so a
 vector's first maximizer is the one entry of `top_k(ctx, labels, center, 1)`.
 
-Many selectors are complements: at_least(c) of less_than(c), the last code
-of a categorical column of the other codes.  Such a *derived* selector is
-counted without a popcount: under any node its cover's size and positives
-are the node's minus those of its basis (see `SearchContext`).  These are
-integer identities, so every quality, and every result, is the one a
-popcount would give, bit for bit.
+Many selectors are complements: at_least(c) of less_than(c), one code of a
+categorical column of the other codes.  Such a *derived* selector, the
+largest cover of its partition, is counted without a popcount: under any
+node its cover's size and positives are the node's minus those of its basis
+(see `SearchContext`).  These are integer identities, so every quality, and
+every result, is the one a popcount would give, bit for bit.
 
 The supremum search applies them to whole subtrees too.  Its last two
 levels are counted per depth z-2 node into a table, and a depth z-3 node
@@ -90,18 +90,20 @@ class SearchContext:
     The context is immutable.
 
     Selector k is *derived* when its cover and the covers of `basis[k]`, a
-    non-empty set of earlier non-derived selectors on the same column, are
-    pairwise disjoint and together hold all m rows: each at_least(c) with
-    its less_than(c), the last code of a categorical column with the other
-    codes.  Any node cover C then splits the same way, so |C & k| = |C| -
-    the sum of |C & b| over the basis, and likewise for the positives under
-    every label vector.  These are exact integer identities, so a quality
-    computed from them is the same float as one computed from a popcount,
-    and the searches count derived selectors by subtraction.  The test runs
-    on the covers, not on selector forms, so ties, collapsed cuts, itemset
-    mode and interval forms derive only what truly partitions the rows; the
-    basis stays on the selector's column, so wherever the selector is a
-    child or a leaf, so is its basis.
+    non-empty set of other non-derived selectors on the same column, are
+    pairwise disjoint and together hold all m rows, k's cover being the
+    largest of them: the larger of at_least(c) and less_than(c), the most
+    frequent code of a categorical column with the other codes (see
+    `derive_bases`).  Any node cover C then splits the same way, so
+    |C & k| = |C| - the sum of |C & b| over the basis, and likewise for the
+    positives under every label vector.  These are exact integer
+    identities, so a quality computed from them is the same float as one
+    computed from a popcount, and the searches count derived selectors by
+    subtraction.  The test runs on the covers, not on selector forms, so
+    ties, collapsed cuts, itemset mode and interval forms derive only what
+    truly partitions the rows; the basis stays on the selector's column, so
+    wherever the selector is a child or a leaf, so is its basis.  Counts
+    are summed as uint32, so a context takes fewer than 2**32 rows.
 
     For the last two levels of the batched search, the (child, leaf) pairs
     below a node are indexed once, in `pairs`: `ss_*` the pairs of two
@@ -115,6 +117,8 @@ class SearchContext:
     """
 
     def __init__(self, dataset: Dataset, cfg: LanguageConfig):
+        if dataset.m >= 2**32:  # popcounts are summed as uint32
+            raise ConfigError(f"a search takes fewer than 2**32 rows, got {dataset.m}")
         self.dataset = dataset
         self.cfg = cfg
         self.base = base_selectors(dataset, cfg)
@@ -236,17 +240,19 @@ class _PairIndex:
 
 
 def derive_bases(words: np.ndarray, columns: list[int], m: int) -> list[tuple[int, ...] | None]:
-    """For each selector, None, or the earlier non-derived selectors on its
+    """For each selector, None, or the other non-derived selectors on its
     column whose covers are pairwise disjoint and, with its own cover, hold
     all m rows (see `SearchContext`); selector k's cover is row k of the
     packed matrix `words`, and `columns` is ascending, as in the base.
 
-    Candidates are the non-empty covers disjoint from the selector's and
-    in no other basis, largest first, kept while disjoint from those
-    already kept; the selector is derived when they fill its complement
-    exactly, that is when their sizes and its own sum to m.  So a selector
-    is in at most one basis (equal covers, as at cuts with no value between
-    them, would otherwise share one).
+    Partitions are found in one greedy pass over the selectors.  For
+    selector k the candidates are the earlier non-empty covers disjoint
+    from its own, not derived and in no other basis, largest first, kept
+    while disjoint from those already kept; they and k form a partition
+    when their sizes and its own sum to m.  So a selector is in at most one
+    partition (equal covers, as at cuts with no value between them, would
+    otherwise share one).  The largest cover of each partition is then the
+    derived one, k on equal sizes, so that the smaller ones are popcounted.
     """
     sizes = np.bitwise_count(words).sum(axis=1).tolist()
     # the pairs (i, j), i < j, of selectors on one column whose covers
@@ -276,6 +282,11 @@ def derive_bases(words: np.ndarray, columns: list[int], m: int) -> list[tuple[in
         derived = picked and filled == m
         bases.append(tuple(sorted(picked)) if derived else None)
         used.update(picked if derived else ())
+    # hand each partition's derived role to its largest cover, k's on a tie
+    for k, picked in enumerate(list(bases)):
+        big = max(picked or (), key=sizes.__getitem__, default=k)
+        if sizes[big] > sizes[k]:
+            bases[k], bases[big] = None, tuple(sorted({*picked, k} - {big}))
     return bases
 
 
@@ -386,8 +397,9 @@ def _label_words(batch: Sequence[LabelVector], m: int) -> np.ndarray:
 def _popcounts(covers, lab):
     """Counts (covers x label rows) of `covers` by popcount; with row 0 of
     `lab` holding every transaction, column 0 is the size of each cover and
-    the others its positives under each vector."""
-    return np.bitwise_count(covers[:, None, :] & lab).sum(axis=2, dtype=np.int64)
+    the others its positives under each vector.  Summed as uint32, exact
+    since a count is at most m < 2**32 (`SearchContext`)."""
+    return np.bitwise_count(covers[:, None, :] & lab).sum(axis=2, dtype=np.uint32)
 
 
 class _BatchSearch:

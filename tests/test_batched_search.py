@@ -315,27 +315,27 @@ def derived_instances():
 # derived selector -> basis, and the batch's (visited, pruned) at z = 1, 2, 3,
 # pinned from the search before derivation
 DERIVED = {
-    # the last code of each column
-    "categorical": ({1: (0,), 4: (2, 3), 8: (5, 6, 7)}, [(9, 0), (35, 0), (59, 9)]),
-    # each at_least(c) from its less_than(c)
+    # the most frequent code of each column (the first of two equal ones)
+    "categorical": ({0: (1,), 4: (2, 3), 5: (6, 7, 8)}, [(9, 0), (35, 0), (59, 9)]),
+    # the larger of less_than(c) and at_least(c) from the other
     "continuous": (
-        {3: (0,), 4: (1,), 5: (2,), 9: (6,), 10: (7,), 11: (8,), 15: (12,), 16: (13,), 17: (14,)},
+        {2: (5,), 3: (0,), 4: (1,), 8: (11,), 9: (6,), 10: (7,), 14: (17,), 15: (12,), 16: (13,)},
         [(18, 0), (126, 0), (330, 17)],
     ),
     # the tied column's empty less_than and full at_least derive nothing
-    "tied": ({4: (2, 3), 8: (5,), 9: (6,), 10: (7,)}, [(11, 0), (38, 1), (56, 3)]),
+    "tied": ({4: (2, 3), 7: (10,), 8: (5,), 9: (6,)}, [(11, 0), (38, 1), (56, 3)]),
     # a full cover has no basis
-    "one_code": ({2: (1,), 5: (3, 4)}, [(6, 0), (17, 0), (23, 0)]),
+    "one_code": ({1: (2,), 5: (3, 4)}, [(6, 0), (17, 0), (23, 0)]),
     # one selector per column; the all-ones column covers every row
     "itemset": ({}, [(4, 0), (10, 0), (14, 0)]),
-    # intervals never fill a complement; at_least(c) still derives
-    "interval": ({3: (0,), 4: (1,), 5: (2,), 10: (8, 9), 14: (11,), 15: (12,), 16: (13,)},
+    # intervals never fill a complement; less_than(c) and at_least(c) still do
+    "interval": ({2: (5,), 3: (0,), 4: (1,), 10: (8, 9), 13: (16,), 14: (11,), 15: (12,)},
                  [(19, 0), (131, 1), (219, 46)]),
     "interval_only": ({}, [(6, 0), (18, 0), (22, 8)]),
     # c1 < median is the complement of c0 = 0, but on another column
-    "across_columns": ({1: (0,), 5: (3, 4)}, [(6, 0), (17, 0), (20, 1)]),
+    "across_columns": ({1: (0,), 4: (3, 5)}, [(6, 0), (17, 0), (20, 1)]),
     # equal covers share no basis: c0>=10 from c0<10, not from c0<5
-    "equal_cuts": ({4: (1,), 5: (2,), 8: (6, 7), 12: (9,), 13: (10,), 14: (11,)},
+    "equal_cuts": ({4: (1,), 5: (2,), 7: (6, 8), 11: (14,), 12: (9,), 13: (10,)},
                    [(15, 0), (78, 1), (144, 10)]),
 }
 
@@ -374,6 +374,21 @@ def test_derived_selectors(name):
             own = own_search(ds, lv, center, zcfg)
             assert sup == own[0]
             assert own_fields(zctx, lv, center) == own
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_derived_selector_has_the_largest_cover(name):
+    # a derived selector and its basis partition the rows, and the derived
+    # one, counted by subtraction, has the largest cover of them
+    ds, cfg = derived_instances()[name]
+    ctx = SearchContext(ds, cfg)
+    sizes = np.bitwise_count(ctx.words).sum(axis=1)
+    for k, basis in enumerate(ctx.basis):
+        if basis is None:
+            continue
+        assert all(sizes[k] >= sizes[b] for b in basis)
+        assert sizes[k] + sum(sizes[b] for b in basis) == ds.m
+        assert np.bitwise_count(np.bitwise_or.reduce(ctx.words[[k, *basis]])).sum() == ds.m
 
 
 def test_derivation_checks_the_covers():

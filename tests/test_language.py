@@ -194,3 +194,44 @@ def test_pattern_order_insensitive_property(order):
     assert shuffled == canonical
     assert hash(shuffled) == hash(canonical)
     assert shuffled.selectors == tuple(sels)
+
+
+CELLS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 2.0]),
+    st.floats(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.lists(CELLS, min_size=1, max_size=12),
+    form=st.sampled_from(list(Form)),
+    a=CELLS.filter(lambda x: not math.isnan(x)),
+    b=CELLS.filter(lambda x: not math.isnan(x)),
+)
+def test_holds_on_an_array_is_holds_per_cell(cells, form, a, b):
+    if form is Form.INTERVAL:
+        a, b = sorted((a, b))
+        if not a < b:
+            return
+    sel = Selector(0, form, a, b)
+    cells = [*cells, a, b]  # the bounds themselves, where the forms differ
+    arr = np.array(cells)
+    got = sel.holds(arr)
+    assert got.dtype == bool and got.shape == arr.shape
+    assert got.tolist() == [bool(sel.holds(v)) for v in cells]
+    # the forms' definitions, a half-open interval included
+    want = {
+        Form.EQUALS: lambda v: v == a,
+        Form.LESS_THAN: lambda v: v < a,
+        Form.AT_LEAST: lambda v: v >= a,
+        Form.INTERVAL: lambda v: a <= v < b,
+    }[form]
+    assert got.tolist() == [want(v) for v in cells]
+
+
+def test_equals_holds_on_codes_per_cell():
+    codes = np.array([-2, 0, 1, 3, 1, 2**31 - 1], dtype=np.int32)
+    for code in (-2.0, 0.0, 1.0, 5.0):
+        sel = Selector(0, Form.EQUALS, code)
+        assert sel.holds(codes).tolist() == [bool(sel.holds(int(v))) for v in codes]

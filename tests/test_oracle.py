@@ -18,6 +18,7 @@ from sigmine.oracle import (
     generate,
     monte_carlo,
 )
+from sigmine.resample import STREAM_SYNTH, generator
 from sigmine.suites import suite_coupling
 
 
@@ -25,6 +26,41 @@ def test_generate_deterministic():
     spec = SyntheticSpec(50, (CatColumn((0.3, 0.7)), ContColumn()), NullIID(0.4), seed=2)
     a, b = generate(spec), generate(spec)
     assert a.fingerprint() == b.fingerprint()
+
+
+def per_row_planted(spec):
+    """The spec's dataset drawn as `generate` draws it, with the planted
+    selector evaluated one cell at a time."""
+    rng = generator(spec.seed, STREAM_SYNTH, 0)
+    values = []
+    for col in spec.columns:
+        if isinstance(col, CatColumn):
+            values.append(rng.choice(len(col.probs), size=spec.m, p=np.asarray(col.probs)))
+        else:
+            values.append(rng.random(spec.m) if col.dist == "uniform" else rng.normal(size=spec.m))
+    rule = spec.target_rule
+    cells = values[rule.selector.column].tolist()
+    p = np.array([rule.p_in if rule.selector.holds(v) else rule.p_out for v in cells])
+    return values, (rng.random(spec.m) < p).astype(np.uint8)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "sel",
+    [
+        Selector(0, Form.EQUALS, 1.0),
+        Selector(1, Form.LESS_THAN, 0.4),
+        Selector(2, Form.AT_LEAST, 0.25),
+        Selector(2, Form.INTERVAL, -0.5, 0.8),
+    ],
+)
+def test_planted_target_matches_per_row_construction(sel, seed):
+    cols = (CatColumn((0.3, 0.5, 0.2)), ContColumn(), ContColumn("normal"))
+    spec = SyntheticSpec(400, cols, Planted(sel, 0.9, 0.1), seed=seed)
+    ds = generate(spec)
+    values, bits = per_row_planted(spec)
+    assert all(np.array_equal(a, b) for a, b in zip(ds.values, values))
+    assert np.array_equal(ds.target.bits, bits)
 
 
 def test_null_iid_mean_band():

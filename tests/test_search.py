@@ -1,5 +1,6 @@
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -338,3 +339,10 @@ def test_threshold_mine_enters_subtrees_whose_estimate_ties_eps():
     eps = optimistic_estimate(bitset.pack(np.array(a, dtype=bool)), ds.target, center)
     got = threshold_mine(SearchContext(ds, cfg), ds.target, center, eps, 0.0)
     assert [(len(p), q.value) for p, q in got] == [(2, eps)]
+
+
+def test_context_refuses_2_to_the_32_rows():
+    # counts are summed as uint32, exact below 2**32 rows; the stub has
+    # nothing but `m`, so the check comes before anything else is read
+    with pytest.raises(ConfigError, match="2\\*\\*32"):
+        SearchContext(SimpleNamespace(m=2**32), LanguageConfig())
