@@ -8,7 +8,7 @@ independence.  Both conditional (fixed label counts) and unconditional
 and distinct-projection union-bound baselines.
 """
 
-from .baselines import PermutationPlan, QuantileEstimate, run_ub, run_wy
+from .baselines import QuantileEstimate, run_ub, run_wy
 from .bounds import (
     BoundReport,
     Mode,
@@ -71,7 +71,6 @@ __all__ = [
     "OracleError",
     "OutputRecord",
     "Pattern",
-    "PermutationPlan",
     "QualityStat",
     "QuantileEstimate",
     "ResamplePlan",

@@ -9,8 +9,9 @@ estimate with an analytic correction over the number of distinct covers the
 language can realize on the data; it draws no random bits at all.
 
 `wy_quantile` and `ub_report` take a `SearchContext` and read the dataset
-and the language from it; `run_wy` and `run_ub`, the entry points, build one
-context from a dataset and a `RunConfig`.
+and the language from it, and the permutation count and seed from the
+`RunConfig`; `run_wy` and `run_ub`, the entry points, build one context from
+a dataset and a `RunConfig`.
 """
 
 from __future__ import annotations
@@ -29,20 +30,9 @@ from .bounds import (
 )
 from .data import Dataset, LabelVector
 from .discovery import Discovery, RunConfig, significant_patterns
-from .errors import ConfigError
 from .language import pattern_count, projection_bound_log
-from .resample import MAX_DRAWS, STREAM_PERMUTE, generator
+from .resample import STREAM_PERMUTE, generator
 from .search import SearchContext, sup_quality
-
-
-@dataclass(frozen=True)
-class PermutationPlan:
-    p: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 1 <= self.p <= MAX_DRAWS:
-            raise ConfigError("permutation count must lie in [1, 2**32]")
 
 
 @dataclass
@@ -104,36 +94,32 @@ def permuted_labels(labels: LabelVector, seed: int, j: int) -> LabelVector:
     return LabelVector(labels.bits[rng.permutation(labels.m)])
 
 
-def wy_quantile(
-    ctx: SearchContext, cfg: RunConfig, plan: PermutationPlan | None = None
-) -> QuantileEstimate:
-    """The delta-quantile of the supremum deviation over label permutations.
+def wy_quantile(ctx: SearchContext, cfg: RunConfig) -> QuantileEstimate:
+    """The delta-quantile of the supremum deviation over `cfg.permutations`
+    label permutations, keyed on `cfg.seed`.
 
     Permutations preserve the label mean, so deviations are centered at the
     observed mean.  Permutations are searched in chunks, one batched
     traversal per chunk, sized to the search's memory budget.
     """
-    plan = plan if plan is not None else PermutationPlan(seed=cfg.seed)
     dataset = ctx.dataset
     mu_d = dataset.mean_target()
     size = ctx.batch_size()
+    p = cfg.permutations
     devs: list[float] = []
-    for lo in range(0, plan.p, size):
+    for lo in range(0, p, size):
         chunk = [
-            permuted_labels(dataset.target, plan.seed, j)
-            for j in range(lo, min(plan.p, lo + size))
+            permuted_labels(dataset.target, cfg.seed, j) for j in range(lo, min(p, lo + size))
         ]
         devs += sup_quality(ctx, chunk, mu_d).suprema
     return estimate_quantile(devs, cfg.delta)
 
 
-def run_wy(
-    dataset: Dataset, cfg: RunConfig, plan: PermutationPlan | None = None
-) -> tuple[list[Discovery], QuantileEstimate]:
+def run_wy(dataset: Dataset, cfg: RunConfig) -> tuple[list[Discovery], QuantileEstimate]:
     """Permutation-quantile discovery: a pattern is significant when its
     quality strictly exceeds the delta-quantile of `wy_quantile`."""
     ctx = SearchContext(dataset, cfg.language)
-    quantile = wy_quantile(ctx, cfg, plan)
+    quantile = wy_quantile(ctx, cfg)
     return significant_patterns(ctx, quantile), quantile
 
 

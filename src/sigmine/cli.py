@@ -108,6 +108,7 @@ def cmd_mine(args) -> int:
             seed=args.seed,
             language=language,
             top_k=args.top_k,
+            permutations=args.permutations,
         )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -121,7 +122,7 @@ def cmd_mine(args) -> int:
 
     try:
         ctx = SearchContext(dataset, language)
-        report = METHODS[args.mode](ctx, cfg, args.permutations)
+        report = METHODS[args.mode](ctx, cfg)
         if cfg.top_k is not None:
             result, flags = top_k_flags(ctx, report, cfg.top_k)
             records = records_from_flags(result.entries, flags, dataset, report)

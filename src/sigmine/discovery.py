@@ -46,6 +46,7 @@ class RunConfig:
     seed: int = 0
     language: LanguageConfig = field(default_factory=LanguageConfig)
     top_k: int | None = None
+    permutations: int = 1000  # of the WY method
 
     def __post_init__(self):
         if isinstance(self.mode, str):
@@ -54,6 +55,10 @@ class RunConfig:
             raise ConfigError("delta must lie in (0, 1)")
         if not 1 <= self.c <= MAX_DRAWS:
             raise ConfigError("c must lie in [1, 2**32]")
+        if not 1 <= self.permutations <= MAX_DRAWS:
+            raise ConfigError("permutation count must lie in [1, 2**32]")
+        if self.top_k is not None and self.top_k < 1:
+            raise ConfigError("top_k must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 
 # run_wy and run_ub stay importable here for bench/layers.py, which wraps them
-from .baselines import PermutationPlan, run_ub, run_wy, ub_report, wy_quantile  # noqa: F401
+from .baselines import run_ub, run_wy, ub_report, wy_quantile  # noqa: F401
 from .bounds import Mode
 from .data import Dataset
 from .discovery import (
@@ -32,17 +32,16 @@ from .search import SearchContext
 
 
 def _resampled(mode: Mode):
-    return lambda ctx, cfg, p: compute_bounds(ctx, replace(cfg, mode=mode))
+    return lambda ctx, cfg: compute_bounds(ctx, replace(cfg, mode=mode))
 
 
-# method name -> threshold(ctx, cfg, permutations) -> report, where a report
-# has the `epsilon` and `eps_t` of the cutoff eps + eps_t * frequency; only
-# "wy" uses the permutation count
+# method name -> threshold(ctx, cfg) -> report, where a report has the
+# `epsilon` and `eps_t` of the cutoff eps + eps_t * frequency
 METHODS = {
     "conditional": _resampled(Mode.CONDITIONAL),
     "unconditional": _resampled(Mode.UNCONDITIONAL),
-    "wy": lambda ctx, cfg, p: wy_quantile(ctx, cfg, PermutationPlan(p, cfg.seed)),
-    "ub": lambda ctx, cfg, p: ub_report(ctx, cfg),
+    "wy": wy_quantile,
+    "ub": ub_report,
 }
 
 
@@ -111,6 +110,7 @@ def config_hash(cfg: RunConfig) -> str:
         "c": cfg.c,
         "seed": cfg.seed,
         "top_k": cfg.top_k,
+        "permutations": cfg.permutations,
         "z": cfg.language.z,
         "bins": cfg.language.bins,
         "forms": sorted(f.value for f in cfg.language.forms),
@@ -164,19 +164,22 @@ class MethodRow:
 
 
 def compare_methods(
-    dataset: Dataset, cfg: RunConfig, permutations: int = 1000
+    dataset: Dataset, cfg: RunConfig, permutations: int | None = None
 ) -> list[MethodRow]:
-    """All four methods on one dataset with shared search machinery.
+    """All four methods on one dataset with shared search machinery; WY
+    takes `permutations` permutations, `cfg.permutations` when None.
 
     Per-method timing covers that method's own threshold computation and
     output scan; the shared selector-cover setup is excluded from all rows
     so ratios reflect the methods, not the plumbing.
     """
+    if permutations is not None:
+        cfg = replace(cfg, permutations=permutations)
     ctx = SearchContext(dataset, cfg.language)
     rows = []
     for method, threshold in METHODS.items():
         t0 = time.perf_counter()
-        report = threshold(ctx, cfg, permutations)
+        report = threshold(ctx, cfg)
         found = significant_patterns(ctx, report)
         # the WY row shows the quantile itself, not the next float up
         cut = getattr(report, "delta_quantile", report.epsilon)

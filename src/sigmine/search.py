@@ -33,6 +33,8 @@ tables subtracted, with no restriction and no popcount (see
 below them, so they are tabled in groups, each child's label rows one more
 block of columns of the same counts, and replayed in pieces of several
 children, so that the per-child work is a few numpy calls per group.
+A subtree is restricted to its root's transactions by one routine,
+`_BatchSearch.groups`, whether its root is tabled or searched one by one.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ class SearchContext:
 
     Selector covers are computed once, as the rows of the (selectors, words)
     uint64 matrix `words` that every search intersects down the language.
-    The context is immutable.
+    `col_heads` holds the first selector of each column, and `next_start[k]`
+    the first on a column after k's.  The context is immutable.
 
     Selector k is *derived* when its cover and the covers of `basis[k]`, a
     non-empty set of other non-derived selectors on the same column, are
@@ -102,8 +105,10 @@ class SearchContext:
     subtraction.  The test runs on the covers, not on selector forms, so
     ties, collapsed cuts, itemset mode and interval forms derive only what
     truly partitions the rows; the basis stays on the selector's column, so
-    wherever the selector is a child or a leaf, so is its basis.  Counts
-    are summed as uint32, so a context takes fewer than 2**32 rows.
+    wherever the selector is a child or a leaf, so is its basis.  The
+    searches read the bases from one CSR indexed by selector: k's basis is
+    basis_rows[basis_ptr[k] : basis_ptr[k + 1]], empty when k is scored.
+    Counts are summed as uint32, so a context takes fewer than 2**32 rows.
 
     For the last two levels of the batched search, the (child, leaf) pairs
     below a node are indexed once, in `pairs`: `ss_*` the pairs of two
@@ -138,37 +143,21 @@ class SearchContext:
         # allocated after the flags: allocated before them, it left glibc's
         # heap in a state where the final scan page-faulted on every chunk
         self.words = np.concatenate(blocks)
+        cols = np.array([s.column for s in self.base])
         # first base index on a column strictly greater than base[i]'s
-        cols = [s.column for s in self.base]
-        nxt = [0] * nsel
-        for i in range(nsel - 1, -1, -1):
-            if i + 1 < nsel and cols[i + 1] == cols[i]:
-                nxt[i] = nxt[i + 1]
-            else:
-                nxt[i] = i + 1
-        self.next_start = nxt
-        self.next_start_a = np.array(nxt, dtype=np.intp)
+        self.next_start = np.searchsorted(cols, cols, side="right")
         self.basis = derive_bases(self.words, cols, self.m)
-        self.is_derived = is_derived = np.array([b is not None for b in self.basis])
-        # a node whose children start at selector s counts the children
-        # scored[scored_from[s]:] by popcount and derived[derived_from[s]:]
-        # by subtraction; derived[d]'s basis is derived_basis[derived_ptr[d]
-        # : derived_ptr[d + 1]]
-        self.scored = np.flatnonzero(~is_derived)
-        self.derived = np.flatnonzero(is_derived)
-        self.scored_from = np.searchsorted(self.scored, np.arange(nsel + 1))
-        self.derived_from = np.searchsorted(self.derived, np.arange(nsel + 1))
-        sizes = [len(self.basis[k]) for k in self.derived]
-        self.derived_ptr = np.concatenate([[0], np.cumsum(sizes, dtype=np.intp)])
-        self.derived_basis = np.array(
-            [b for k in self.derived for b in self.basis[k]], dtype=np.intp
-        )
+        self.is_derived = np.array([b is not None for b in self.basis])
+        # selector k's basis is basis_rows[basis_ptr[k] : basis_ptr[k + 1]],
+        # empty when k is scored
+        sizes = [len(b or ()) for b in self.basis]
+        self.basis_ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
+        self.basis_rows = np.array([b for bs in self.basis for b in bs or ()], dtype=np.intp)
         # the derived selector whose basis holds each selector, or -1
         self.user = [-1] * nsel
-        for k in self.derived.tolist():
-            for b in self.basis[k]:
+        for k, bs in enumerate(self.basis):
+            for b in bs or ():
                 self.user[b] = k
-
         self.col_heads = np.flatnonzero(np.diff(cols, prepend=-1))
 
     @cached_property
@@ -185,9 +174,8 @@ class SearchContext:
         return Pattern(tuple(self.base[i] for i in indices))
 
     def batch_size(self) -> int:
-        """Most label vectors one `sup_quality` call takes while a
-        (selectors x vectors x words) uint64 matrix, every selector's cover
-        under every vector, stays within BATCH_BYTES."""
+        """The chunk size callers split label vectors by, one `sup_quality`
+        call per chunk: BATCH_BYTES over the bytes of `words`, at least 1."""
         return max(1, BATCH_BYTES // self.words.nbytes)
 
 
@@ -198,10 +186,10 @@ class _PairIndex:
 
     def __init__(self, ctx: SearchContext):
         nsel, is_derived = len(ctx.base), ctx.is_derived
-        self.pair_count = (nsel - ctx.next_start_a) * (ctx.cfg.z > 1)
+        self.pair_count = (nsel - ctx.next_start) * (ctx.cfg.z > 1)
         self.pair_start = np.concatenate([[0], np.cumsum(self.pair_count)])
         pi = np.repeat(np.arange(nsel), self.pair_count)
-        pk = _ranges(ctx.next_start_a, self.pair_count)
+        pk = _ranges(ctx.next_start, self.pair_count)
         di, dk = is_derived[pi], is_derived[pk]
         # pairs of two scored selectors are counted by popcount: rows
         # ss_row[ss_start[i]:ss_start[i + 1]] for child i
@@ -227,19 +215,18 @@ class _PairIndex:
         i it is child k's counts minus the pairs (a, k), a in basis[i]."""
         d = np.where(leaf_side, pk[rows], pi[rows])
         total = np.where(leaf_side, pi[rows], pk[rows])
-        j = ctx.derived_from[d]
-        lens = ctx.derived_ptr[j + 1] - ctx.derived_ptr[j]
+        lens = ctx.basis_ptr[d + 1] - ctx.basis_ptr[d]
         ptr = np.concatenate([[0], np.cumsum(lens)])
-        b = ctx.derived_basis[_ranges(ctx.derived_ptr[j], lens)]
+        b = ctx.basis_rows[_ranges(ctx.basis_ptr[d], lens)]
         row, leaf = np.repeat(rows, lens), np.repeat(leaf_side, lens)
         ci = np.where(leaf, pi[row], b)
         ck = np.where(leaf, b, pk[row])
-        basis = self.pair_start[ci] + ck - ctx.next_start_a[ci]
+        basis = self.pair_start[ci] + ck - ctx.next_start[ci]
         small = [a.astype(np.int32) for a in (rows, total, ptr, basis)]
         return np.searchsorted(rows, self.pair_start), *small
 
 
-def derive_bases(words: np.ndarray, columns: list[int], m: int) -> list[tuple[int, ...] | None]:
+def derive_bases(words: np.ndarray, columns: Sequence[int], m: int) -> list[tuple[int, ...] | None]:
     """For each selector, None, or the other non-derived selectors on its
     column whose covers are pairwise disjoint and, with its own cover, hold
     all m rows (see `SearchContext`); selector k's cover is row k of the
@@ -436,28 +423,19 @@ class _BatchSearch:
         node's own counts."""
         ctx = self.ctx
         cnt = np.empty((len(kids), len(lab)), dtype=np.int64)
-        rows = ctx.scored[ctx.scored_from[start] :] - start
+        derived = ctx.is_derived[start:]
+        rows = np.flatnonzero(~derived)
         step = max(1, PAIR_BYTES // max(lab.nbytes, 1))
         for c in range(0, len(rows), step):
             cnt[rows[c : c + step]] = _popcounts(kids[rows[c : c + step]], lab)
-        d = ctx.derived_from[start]
-        p0 = ctx.derived_ptr[d]
-        cnt[ctx.derived[d:] - start] = _subtract(
+        # the bases of derived children start..: basis rows from start's on
+        d = np.flatnonzero(derived)
+        p0 = ctx.basis_ptr[start]
+        cnt[d] = _subtract(
             np.bitwise_count(lab).sum(axis=1, dtype=np.int64), cnt,
-            ctx.derived_ptr[d:-1] - p0, ctx.derived_basis[p0:] - start,
+            ctx.basis_ptr[start + d] - p0, ctx.basis_rows[p0:] - start,
         )
         return cnt
-
-    def descend(self, kids, lab, cnt, r: int, start: int, depth: int):
-        """The covers of the selectors after child r's column and the label
-        matrix, restricted in one step to child r's transactions, for a node
-        at `depth`: every row compacted to them (`compact`), or masked, the
-        label rows ANDed with child r's cover and the cover rows kept as
-        they are, since every count goes through a label row."""
-        nxt = self.ctx.next_start[start + r]
-        if self.compacts(int(cnt[r, 0]), lab, nxt, depth):
-            return self.compact(kids, lab, r, nxt - start)
-        return kids[nxt - start :], lab & kids[r]
 
     @staticmethod
     def compact(kids, lab, r: int, rest: int):
@@ -484,7 +462,7 @@ class _BatchSearch:
         if depth + 2 < ctx.cfg.z:
             return True
         size = lab.shape[1] * 64
-        rows = len(ctx.scored) - ctx.scored_from[start]
+        rows = np.count_nonzero(~ctx.is_derived[start:])
         pairs = len(ctx.pairs.ss_row) - ctx.pairs.ss_start[start]
         return (size - keep) * len(lab) * (rows + pairs) > 64 * (rows + len(lab)) * size
 
@@ -619,19 +597,20 @@ class _BatchSearch:
                     del dpc
         return cnts, top
 
-    def groups(self, kids, lab, cnt, scored, start: int, depth: int, fit: int):
-        """The scored children `scored`, of one column, of a node whose
-        children start at `start`, as groups at `depth` with the cover rows
-        after their column and the label rows they are counted on.  A child
-        that `compacts` is a group of its own, on its compacted matrices
-        (`compact`).  The others are masked, `fit` children a group: they
-        share the node's cover rows, each with its own label rows, the
-        node's ANDed with its cover, stacked."""
-        if not scored:
+    def groups(self, kids, lab, cnt, children, start: int, depth: int, fit: int):
+        """The `children`, of one column, of a node whose children start at
+        `start`, as groups at `depth` with the cover rows after their column
+        and the label rows they are counted on.  A child that `compacts` is
+        a group of its own, on its compacted matrices (`compact`).  The
+        others are masked, `fit` children a group: they share the node's
+        cover rows, each with its own label rows, the node's ANDed with its
+        cover, stacked.  A node searching its children one by one takes
+        each, derived or scored, as a group of one."""
+        if not children:
             return
-        nxt = self.ctx.next_start[scored[0]]
+        nxt = self.ctx.next_start[children[0]]
         masked = []
-        for i in scored:
+        for i in children:
             if self.compacts(int(cnt[i - start, 0]), lab, nxt, depth):
                 yield np.array([i]), *self.compact(kids, lab, i - start, nxt - start)
             else:
@@ -645,7 +624,7 @@ class _BatchSearch:
         """Search below one node.  `kids` holds the covers of selectors
         start.. and `lab` the label vectors after the all-ones row, the
         label rows restricted to the node's transactions and the cover rows
-        compacted to them or kept whole (`descend`), so the two together
+        compacted to them or kept whole (`groups`), so the two together
         count the children's covers.
 
         A node at depth z-3 tables all its children first (`tables`), then
@@ -681,7 +660,7 @@ class _BatchSearch:
             for u, v in zip(cut.tolist(), [*cut[1:].tolist(), nsel - start]):
                 t = slice(pix.pair_start[start + u] - p0, pix.pair_start[start + v] - p0)
                 self.replay(
-                    ctx.next_start_a[start + u : start + v], vals[u:v], bound[u:v],
+                    ctx.next_start[start + u : start + v], vals[u:v], bound[u:v],
                     cnts[t], top[t], live,
                 )
             return
@@ -695,7 +674,7 @@ class _BatchSearch:
             nxt = ctx.next_start[i]
             if nxt == nsel:
                 continue
-            sub_kids, sub_lab = self.descend(kids, lab, cnt, r, start, depth + 1)
+            [(_, sub_kids, sub_lab)] = self.groups(kids, lab, cnt, [i], start, depth + 1, 1)
             self.node(sub_kids, sub_lab, nxt, depth + 1, sub)
 
     def replay(self, starts, vals, bound, cnt, top, live) -> None:
@@ -807,10 +786,10 @@ class _Scan:
             cnt[r] = _popcounts(covers[par[r]] & ctx.words[sel[r]], self.lab)
         # a derived child's basis are its siblings b, at first[p] + b - starts[p]
         d = np.flatnonzero(ctx.is_derived[sel])
-        j = ctx.derived_from[sel[d]]
-        sizes = ctx.derived_ptr[j + 1] - ctx.derived_ptr[j]
+        k = sel[d]
+        sizes = ctx.basis_ptr[k + 1] - ctx.basis_ptr[k]
         offset = (np.cumsum(lens) - lens - starts)[par[d]]
-        basis = np.repeat(offset, sizes) + ctx.derived_basis[_ranges(ctx.derived_ptr[j], sizes)]
+        basis = np.repeat(offset, sizes) + ctx.basis_rows[_ranges(ctx.basis_ptr[k], sizes)]
         cnt[d] = _subtract(total[par[d]], cnt, np.cumsum(sizes) - sizes, basis)
 
         n, pos = cnt[:, 0], cnt[:, 1]
@@ -826,7 +805,7 @@ class _Scan:
             self.keep(hits)
         if depth == ctx.cfg.z:
             return
-        nxt = ctx.next_start_a[sel]
+        nxt = ctx.next_start[sel]
         est = (pos - pos * self.center) / m
         enter = np.flatnonzero((est >= self.eps) & (nxt < nsel))
         for e in self.pieces(enter, est[enter], nsel - nxt[enter]):

@@ -8,7 +8,6 @@ from sigmine import (
     LabelVector,
     LanguageConfig,
     Mode,
-    PermutationPlan,
     RunConfig,
     bound_statistic_ub,
     evaluate,
@@ -110,14 +109,14 @@ def test_exhaustive_permutation_oracle():
 
 
 def test_wy_p1_threshold_is_single_sup(small_planted):
-    found, quantile = run_wy(small_planted, _cfg(seed=3), PermutationPlan(p=1, seed=3))
+    found, quantile = run_wy(small_planted, _cfg(seed=3, permutations=1))
     assert quantile.position == 1
     assert quantile.delta_quantile == quantile.deviations[0]
 
 
 def test_wy_output_thresholds_quality(small_planted):
-    cfg = _cfg(seed=12)
-    found, quantile = run_wy(small_planted, cfg, PermutationPlan(p=50, seed=12))
+    cfg = _cfg(seed=12, permutations=50)
+    found, quantile = run_wy(small_planted, cfg)
     rows = brute_force_qualities(
         small_planted, small_planted.target, small_planted.mean_target(), cfg.language
     )
@@ -127,9 +126,9 @@ def test_wy_output_thresholds_quality(small_planted):
 
 
 def test_wy_deterministic(small_planted):
-    cfg = _cfg(seed=12)
-    a = run_wy(small_planted, cfg, PermutationPlan(p=30, seed=12))
-    b = run_wy(small_planted, cfg, PermutationPlan(p=30, seed=12))
+    cfg = _cfg(seed=12, permutations=30)
+    a = run_wy(small_planted, cfg)
+    b = run_wy(small_planted, cfg)
     assert a[0] == b[0]
     assert list(a[1].deviations) == list(b[1].deviations)
 
@@ -141,7 +140,7 @@ def test_wy_null_fwer_tiny_m(m):
     spec = SyntheticSpec(m, (CatColumn((0.5, 0.5)),) * 3, NullConditional(m // 2))
     summary = monte_carlo(
         spec,
-        lambda ds, seed: run_wy(ds, _cfg(seed=seed), PermutationPlan(p=100, seed=seed))[0],
+        lambda ds, seed: run_wy(ds, _cfg(seed=seed, permutations=100))[0],
         trials=200,
         base_seed=0,
     )

@@ -15,7 +15,6 @@ from sigmine import (
     Kind,
     LabelVector,
     LanguageConfig,
-    PermutationPlan,
     ResamplePlan,
     RunConfig,
     SearchContext,
@@ -210,13 +209,13 @@ def wy_instance():
 
 def test_wy_chunking_keeps_deviations(wy_instance, monkeypatch):
     ds, cfg = wy_instance
-    plan = PermutationPlan(p=7, seed=4)
+    cfg = replace(cfg, permutations=7, seed=4)
     ctx = SearchContext(ds, cfg.language)
-    assert ctx.batch_size() >= plan.p
-    whole = wy_quantile(ctx, cfg, plan)
+    assert ctx.batch_size() >= cfg.permutations
+    whole = wy_quantile(ctx, cfg)
     monkeypatch.setattr(sigmine.search, "BATCH_BYTES", 2 * ctx.words.nbytes)
     assert ctx.batch_size() == 2
-    chunked = wy_quantile(ctx, cfg, plan)
+    chunked = wy_quantile(ctx, cfg)
     assert whole.deviations.tolist() == chunked.deviations.tolist()
     assert whole.delta_quantile == chunked.delta_quantile
 
@@ -346,6 +345,9 @@ def test_derived_selectors(name):
     bases, pinned = DERIVED[name]
     ctx = SearchContext(ds, cfg)
     assert {k: b for k, b in enumerate(ctx.basis) if b is not None} == bases
+    for k, basis in enumerate(ctx.basis):
+        rows = ctx.basis_rows[ctx.basis_ptr[k] : ctx.basis_ptr[k + 1]].tolist()
+        assert rows == list(basis or ())
     batch = [ds.target] + [bernoulli_labels(ds.m, p, 5, j) for j, p in enumerate((0.2, 0.5, 0.8))]
     center = ds.mean_target()
     for z, counts in zip((1, 2, 3), pinned):
@@ -482,7 +484,7 @@ def test_grouped_tables_and_replay_pieces(name, shrunk, monkeypatch):
     assert set(tabled) == {3, 4, 5}
     # a column of several scored children before the last one is grouped
     cols = [s.column for s in ctx.base]
-    scored = [cols[i] for i in ctx.scored.tolist() if cols[i] != cols[-1]]
+    scored = [cols[i] for i in np.flatnonzero(~ctx.is_derived).tolist() if cols[i] != cols[-1]]
     grouped = len(scored) > len(set(scored))
     assert max(pieces) == 1 if shrunk else max(pieces) > 1
     assert max(widths) > w if grouped and not shrunk else max(widths) <= w
@@ -493,7 +495,7 @@ def popcount_rows(ctx, start, depth):
     when only the scored children of a depth z-3 node are restricted and
     counted, the derived ones by subtraction."""
     nsel, z, pix = len(ctx.base), ctx.cfg.z, ctx.pairs
-    rows = len(ctx.scored) - ctx.scored_from[start]
+    rows = np.count_nonzero(~ctx.is_derived[start:])
     for i in range(start, nsel):
         nxt = ctx.next_start[i]
         if nxt == nsel:
@@ -501,7 +503,7 @@ def popcount_rows(ctx, start, depth):
         if depth + 3 < z:
             rows += popcount_rows(ctx, nxt, depth + 1)
         elif not ctx.is_derived[i]:
-            rows += len(ctx.scored) - ctx.scored_from[nxt] + len(pix.ss_row) - pix.ss_start[nxt]
+            rows += np.count_nonzero(~ctx.is_derived[nxt:]) + len(pix.ss_row) - pix.ss_start[nxt]
     return rows
 
 
@@ -509,7 +511,7 @@ def popcount_rows(ctx, start, depth):
 @pytest.mark.parametrize("name", ["categorical", "continuous", "interval", "tied", "equal_cuts"])
 def test_derived_children_of_table_nodes_are_not_counted(name, z, monkeypatch):
     # a depth z-3 node tables a derived child by sibling subtraction: the
-    # child is never restricted (`descend`), and popcounts count exactly
+    # child is never restricted (`groups`), and popcounts count exactly
     # the rows of the scored children's subtrees, a cover row popcounted
     # against a group's stacked label rows once for each child of the group
     ds, cfg = derived_instances()[name]
@@ -518,18 +520,18 @@ def test_derived_children_of_table_nodes_are_not_counted(name, z, monkeypatch):
     assert ctx.is_derived.any()
     batch = [ds.target, bernoulli_labels(ds.m, 0.5, 7, 0)]
     descended, counted = [], []
-    descend, popcounts = sigmine.search._BatchSearch.descend, sigmine.search._popcounts
+    groups, popcounts = sigmine.search._BatchSearch.groups, sigmine.search._popcounts
 
-    def record_descend(self, kids, lab, cnt, r, start, depth):
-        descended.append((start + r, depth))
-        return descend(self, kids, lab, cnt, r, start, depth)
+    def record_groups(self, kids, lab, cnt, children, start, depth, fit):
+        descended.extend((i, depth) for i in children)
+        return groups(self, kids, lab, cnt, children, start, depth, fit)
 
     def record_popcounts(covers, lab):
         # a group's label rows stack one block per child it counts for
         counted.append(len(covers) * (len(lab) // (len(batch) + 1)))
         return popcounts(covers, lab)
 
-    monkeypatch.setattr(sigmine.search._BatchSearch, "descend", record_descend)
+    monkeypatch.setattr(sigmine.search._BatchSearch, "groups", record_groups)
     monkeypatch.setattr(sigmine.search, "_popcounts", record_popcounts)
     want = fields(sup_quality(ctx, batch, ds.mean_target(), prune=False))
     assert {d for i, d in descended if ctx.is_derived[i]} <= set(range(z - 2))

@@ -43,18 +43,32 @@ def _exported(tree):
     return set()
 
 
+def _unused_imports(path):
+    """(name, line) of every top-level import the module at `path` never uses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    return [(name, line) for name, line in _imported_names(tree) if name not in used]
+
+
 def test_unused_imports_are_only_those_the_bench_wraps():
     # an import a module never uses stays only where bench/layers.py wraps
     # the name in that module; once it stops wrapping one, delete the import
     wrapped = {(getattr(owner, "__name__", ""), attr) for owner, attr, _, _ in _wrapped()}
-    unused = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
-        module = f"sigmine.{path.stem}"
-        unused += [
-            f"{path.name}:{line}: {name}"
-            for name, line in _imported_names(tree)
-            if name not in used and (module, name) not in wrapped
-        ]
+    unused = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in _unused_imports(path)
+        if (f"sigmine.{path.stem}", name) not in wrapped
+    ]
+    assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_tests_and_demos_have_no_unused_imports():
+    root = SRC.parents[1]
+    unused = [
+        f"{path.relative_to(root)}:{line}: {name}"
+        for folder in ("tests", "demos")
+        for path in sorted((root / folder).glob("*.py"))
+        for name, line in _unused_imports(path)
+    ]
     assert not unused, "unused imports: " + ", ".join(unused)

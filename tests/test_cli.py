@@ -4,6 +4,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sigmine.baselines
 import sigmine.discovery
@@ -193,6 +195,61 @@ def test_output_bytes_do_not_depend_on_batching(mixed_csv, default_bytes, tmp_pa
     monkeypatch.setattr(sigmine.search, "PAIR_BYTES", budget)
     out = tmp_path / "out"
     assert [mined_bytes(mixed_csv, out, mode, top) for mode, top in BATCHING_RUNS] == default_bytes
+
+
+@st.composite
+def mine_inputs(draw):
+    """A small CSV of 1-3 feature columns and a target, its sidecar schema,
+    and the language flags of a `sigmine mine` run on it."""
+    m = draw(st.integers(1, 60))
+
+    def cells(values):
+        return draw(st.lists(values, min_size=m, max_size=m))
+
+    kinds = {
+        "categorical": lambda: cells(st.sampled_from("abcdef"[: draw(st.integers(1, 6))])),
+        "continuous": lambda: [repr(v) for v in cells(st.floats(-10, 10, allow_nan=False))],
+        "tied": lambda: cells(st.sampled_from(["0.5", "1.5", "2.5"])),
+        "one_value": lambda: ["2.5"] * m,
+    }
+    picked = [draw(st.sampled_from(sorted(kinds))) for _ in range(draw(st.integers(1, 3)))]
+    columns = [kinds[k]() for k in picked] + [cells(st.sampled_from("01"))]
+    header = [f"c{j}" for j in range(len(picked))] + ["y"]
+    text = "\n".join(",".join(row) for row in [header, *zip(*columns)]) + "\n"
+    schema = "".join(
+        f"{name}={'categorical' if k == 'categorical' else 'continuous'}\n"
+        for name, k in zip(header, picked)
+    ) + "y=target\n"
+    forms = "equals,less_than,at_least" + (",interval" if draw(st.booleans()) else "")
+    flags = ["--forms", forms, "--depth", str(draw(st.integers(1, 4))),
+             "--permutations", str(draw(st.integers(1, 20)))]
+    return text, schema, flags
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mine_inputs())
+def test_output_bytes_do_not_depend_on_batching_on_random_files(tmp_path_factory, case):
+    # the one-byte budgets send every depth z-3 node through the one-by-one
+    # loop, and every batch, group, piece and chunk down to one entry
+    text, schema, flags = case
+    folder = tmp_path_factory.mktemp("random")
+    path, out = folder / "in.csv", folder / "out"
+    path.write_text(text)
+    (folder / "schema.txt").write_text(schema)
+    flags = [*flags, "--schema", str(folder / "schema.txt")]
+
+    def mined():
+        runs = []
+        for mode, top in BATCHING_RUNS:
+            code = run_mine(path, "--mode", mode, *flags, "--output", str(out), *top)
+            runs.append((code, out.read_bytes() if code == 0 else b""))
+        return runs
+
+    default = mined()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sigmine.search, "BATCH_BYTES", 1)
+        mp.setattr(sigmine.search, "PAIR_BYTES", 1)
+        assert mined() == default
 
 
 def test_bad_forms_flag(null_csv, capsys):

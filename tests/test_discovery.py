@@ -23,7 +23,6 @@ from sigmine.oracle import (
     CatColumn,
     NullConditional,
     NullIID,
-    Planted,
     SyntheticSpec,
     brute_force_qualities,
     generate,
@@ -108,9 +107,9 @@ def test_resample_addend_halves_when_c_quadruples():
 @pytest.mark.parametrize("method", list(METHODS))
 def test_flag_top_k_consistency(planted_ds, method):
     # a top-k pattern is flagged iff the method's own scan reports it
-    cfg = _cfg(Mode.CONDITIONAL, seed=6, top_k=50)
+    cfg = _cfg(Mode.CONDITIONAL, seed=6, top_k=50, permutations=50)
     ctx = SearchContext(planted_ds, cfg.language)
-    report = METHODS[method](ctx, cfg, 50)
+    report = METHODS[method](ctx, cfg)
     result, flags = top_k_flags(ctx, report, cfg.top_k)
     members = {d.pattern for d in significant_patterns(ctx, report)}
     # the cut falls inside the top 50 (above all of them for ub)
@@ -147,6 +146,13 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(c=0)
     assert RunConfig(mode="conditional").mode is Mode.CONDITIONAL
+
+
+def test_run_config_rejects_top_k_below_one():
+    # refused when the config is made, not after the c resample searches
+    with pytest.raises(ConfigError, match="top_k"):
+        RunConfig(top_k=0)
+    assert RunConfig(top_k=1).top_k == 1
 
 
 def test_conditional_null_fwer_smoke():

@@ -61,6 +61,7 @@ def test_config_hash_sensitivity():
         _cfg(seed=1, language=LanguageConfig(z=2, bins=4)),
         _cfg(seed=1, language=LanguageConfig(z=2, forms=frozenset({Form.EQUALS}))),
         _cfg(seed=1, top_k=5),
+        _cfg(seed=1, permutations=50),
     ]
     digests = {config_hash(c) for c in changed}
     assert config_hash(base) not in digests

@@ -3,7 +3,6 @@ import pytest
 from sigmine import (
     ConfigError,
     LanguageConfig,
-    PermutationPlan,
     ResamplePlan,
     RunConfig,
     SearchContext,
@@ -86,7 +85,7 @@ def test_draw_counts_capped_at_the_generator_limit():
     plans = [
         lambda n: ResamplePlan(c=n, p=0.5, seed=1),
         lambda n: RunConfig(c=n),
-        lambda n: PermutationPlan(p=n),
+        lambda n: RunConfig(permutations=n),
     ]
     for plan in plans:
         plan(MAX_DRAWS)
