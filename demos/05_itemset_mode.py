@@ -43,10 +43,10 @@ cfg = RunConfig(
     top_k=10,
     language=LanguageConfig(z=2, mode="itemset"),
 )
-result, flags, report = flag_top_k(dataset, cfg)
+top, report = flag_top_k(dataset, cfg)
 
 print(f"label rate {dataset.mean_target():.3f}, threshold eps = {report.epsilon:.5f}\n")
 print(f"{'rank':>4}  {'itemset':<24}{'quality':>9}  flagged")
-for rank, ((pattern, stat), flag) in enumerate(zip(result.entries, flags), start=1):
-    itemset = "{" + ", ".join(dataset.schema[s.column].name for s in pattern.selectors) + "}"
-    print(f"{rank:>4}  {itemset:<24}{stat.value:>9.4f}  {'yes' if flag else 'no'}")
+for rank, d in enumerate(top, start=1):
+    itemset = "{" + ", ".join(dataset.schema[s.column].name for s in d.pattern.selectors) + "}"
+    print(f"{rank:>4}  {itemset:<24}{d.quality:>9.4f}  {'yes' if d.significant else 'no'}")

@@ -44,7 +44,6 @@ from .resample import DeviationEstimate, ResamplePlan, estimate_deviation, resam
 from .search import (
     SearchContext,
     SearchResult,
-    TopKResult,
     optimistic_estimate,
     sup_quality,
     threshold_mine,
@@ -81,7 +80,6 @@ __all__ = [
     "SigmineError",
     "SweepResult",
     "Selector",
-    "TopKResult",
     "base_selectors",
     "bound_statistic_conditional",
     "bound_statistic_ub",

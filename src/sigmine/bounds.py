@@ -145,6 +145,12 @@ def bound_statistic_ub(
     return r_hat, d_hat, eps
 
 
+def significance_cutoff(eps, eps_t, frequency):
+    """The quality a pattern of `frequency` must reach to be reported:
+    eps + eps_t * frequency, elementwise for an array of frequencies."""
+    return eps + eps_t * frequency
+
+
 @dataclass
 class BoundReport:
     """Every intermediate of one bound computation, for audit and tests."""

@@ -14,16 +14,10 @@ import sys
 
 from .data import load_csv
 # compute_bounds stays importable here for bench/layers.py, which wraps it
-from .discovery import RunConfig, compute_bounds, significant_patterns, top_k_flags  # noqa: F401
+from .discovery import RunConfig, compute_bounds, significant_patterns, top_k_patterns  # noqa: F401
 from .errors import ConfigError, IngestionError, SchemaError, SigmineError
 from .language import Form, LanguageConfig
-from .report import (
-    METHODS,
-    records_from_discoveries,
-    records_from_flags,
-    records_json,
-    records_tsv,
-)
+from .report import METHODS, records_from_discoveries, records_json, records_tsv
 from .resample import MAX_DRAWS
 from .search import SearchContext
 from .suites import SUITES
@@ -101,6 +95,8 @@ def cmd_mine(args) -> int:
             raise ConfigError("--bins must be >= 1")
         if args.top_k is not None and args.top_k < 1:
             raise ConfigError("--top-k must be >= 1")
+        if not 0 <= args.seed < 2**64:
+            raise ConfigError("--seed must lie in [0, 2**64)")
         language = LanguageConfig(z=args.depth, bins=args.bins, forms=_parse_forms(args.forms))
         cfg = RunConfig(
             delta=args.delta,
@@ -116,18 +112,21 @@ def cmd_mine(args) -> int:
 
     try:
         dataset = load_csv(args.input, schema=args.schema)
+        ctx = SearchContext(dataset, language)
     except (IngestionError, SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INGEST
+    except ConfigError as exc:  # no column of the file takes any of the forms
+        print(f"error: --forms {args.forms}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
-        ctx = SearchContext(dataset, language)
         report = METHODS[args.mode](ctx, cfg)
-        if cfg.top_k is not None:
-            result, flags = top_k_flags(ctx, report, cfg.top_k)
-            records = records_from_flags(result.entries, flags, dataset, report)
+        if cfg.top_k is None:
+            found = significant_patterns(ctx, report)
         else:
-            records = records_from_discoveries(significant_patterns(ctx, report), dataset)
+            found = top_k_patterns(ctx, report, cfg.top_k)
+        records = records_from_discoveries(found, dataset)
     except SigmineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -143,17 +142,24 @@ def cmd_mine(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    print(f"patterns reported: {len(records)}", file=sys.stderr)
+    significant = sum(r.significant for r in records)
+    print(f"patterns reported: {len(records)}, significant: {significant}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    if args.trials is not None and args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     suite, count = SUITES[args.suite]
     sizes = {} if args.trials is None else {count: args.trials}
-    outcome = suite(seed=args.seed, **sizes)
+    try:
+        if args.trials is not None and args.trials < 1:
+            raise ConfigError("--trials must be >= 1")
+        if not 0 <= args.seed < 2**64:
+            raise ConfigError("--seed must lie in [0, 2**64)")
+        # a seed the suite derives from --seed can still leave the range
+        outcome = suite(seed=args.seed, **sizes)
+    except SigmineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     for line in outcome.lines:
         print(line, file=sys.stderr)
     print(json.dumps({"suite": outcome.name, "ok": outcome.ok, **outcome.summary}, sort_keys=True))

@@ -78,9 +78,9 @@ class LabelVector:
 class Dataset:
     """Immutable feature matrix plus binary target.
 
-    `schema` lists the feature columns only (CSV order, target removed);
-    `values[i]` is the i-th feature column: int32 codes for categorical
-    columns, float64 for continuous ones.
+    `schema` lists the feature columns only (CSV order, target removed),
+    at least one; `values[i]` is the i-th feature column: int32 codes for
+    categorical columns, float64 for continuous ones.
     """
 
     def __init__(
@@ -96,6 +96,8 @@ class Dataset:
             raise SchemaError("column names must be unique and non-empty")
         if len(schema) != len(values):
             raise SchemaError("schema/values length mismatch")
+        if not schema:
+            raise SchemaError("dataset needs at least one feature column")
         m = target.m
         if m < 1:
             raise SchemaError("dataset needs at least one transaction")

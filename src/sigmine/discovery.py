@@ -8,11 +8,15 @@ cutoff
 
     quality >= eps + eps_t * frequency.
 
+Both outputs, the significant patterns and the top k by quality, are
+`Discovery` records, significant iff their margin over that cutoff is >= 0.
+
 The entry points `run_discovery` and `flag_top_k` take a dataset and a
 `RunConfig` and build one `SearchContext` from them.  The stages below them
-(`compute_bounds`, `significant_patterns`, `top_k_flags`) take that context
-and read the dataset and the language from it alone, so the threshold and
-the final scan always see the same dataset under the same language.
+(`compute_bounds`, `significant_patterns`, `top_k_patterns`) take that
+context and read the dataset and the language from it alone, so the
+threshold and the final scan always see the same dataset under the same
+language.
 
 Everything is deterministic given the seed, and the BoundReport is emitted
 even when nothing is significant.
@@ -28,6 +32,7 @@ from .bounds import (
     bound_statistic_conditional,
     bound_statistic_unconditional,
     bound_target,
+    significance_cutoff,
     variance_bracket,
     variance_factor,
 )
@@ -35,7 +40,7 @@ from .data import Dataset
 from .errors import ConfigError
 from .language import LanguageConfig, Pattern
 from .resample import MAX_DRAWS, ResamplePlan, estimate_deviation, resample_target
-from .search import SearchContext, TopKResult, threshold_mine, top_k
+from .search import SearchContext, threshold_mine, top_k
 
 
 @dataclass
@@ -59,6 +64,8 @@ class RunConfig:
             raise ConfigError("permutation count must lie in [1, 2**32]")
         if self.top_k is not None and self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must lie in [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,12 @@ class Discovery:
     quality: float
     frequency: float
     threshold_margin: float
+
+    @property
+    def significant(self) -> bool:
+        """Whether the quality reaches the cutoff; for finite doubles
+        a - b >= 0 holds iff a >= b, so this is the scan's own test."""
+        return self.threshold_margin >= 0
 
 
 def compute_bounds(ctx: SearchContext, cfg: RunConfig) -> BoundReport:
@@ -112,10 +125,20 @@ def compute_bounds(ctx: SearchContext, cfg: RunConfig) -> BoundReport:
     return report
 
 
-def significance_cutoff(report: BoundReport, frequency: float) -> float:
-    """The quality a pattern of `frequency` must reach to be reported under
-    `report`: eps + eps_t * frequency."""
-    return report.epsilon + report.eps_t * frequency
+def _discoveries(hits, report: BoundReport) -> list[Discovery]:
+    """The records of `hits`, with their margins over the report's cutoff,
+    sorted by quality; ties keep the order of `hits`."""
+    out = [
+        Discovery(
+            pattern=p,
+            quality=q.value,
+            frequency=q.frequency,
+            threshold_margin=q.value - significance_cutoff(report.epsilon, report.eps_t, q.frequency),
+        )
+        for p, q in hits
+    ]
+    out.sort(key=lambda d: -d.quality)
+    return out
 
 
 def significant_patterns(ctx: SearchContext, report: BoundReport) -> list[Discovery]:
@@ -126,17 +149,7 @@ def significant_patterns(ctx: SearchContext, report: BoundReport) -> list[Discov
     threshold is scanned the same way."""
     ds = ctx.dataset
     hits = threshold_mine(ctx, ds.target, ds.mean_target(), report.epsilon, report.eps_t)
-    out = [
-        Discovery(
-            pattern=p,
-            quality=q.value,
-            frequency=q.frequency,
-            threshold_margin=q.value - significance_cutoff(report, q.frequency),
-        )
-        for p, q in hits
-    ]
-    out.sort(key=lambda d: -d.quality)
-    return out
+    return _discoveries(hits, report)
 
 
 def run_discovery(dataset: Dataset, cfg: RunConfig) -> tuple[list[Discovery], BoundReport]:
@@ -146,29 +159,24 @@ def run_discovery(dataset: Dataset, cfg: RunConfig) -> tuple[list[Discovery], Bo
     return significant_patterns(ctx, report), report
 
 
-def top_k_flags(
-    ctx: SearchContext, report: BoundReport, k: int
-) -> tuple[TopKResult, list[bool]]:
-    """The k patterns of the context of highest observed quality, each
-    flagged iff it clears the report's threshold, that is iff
-    `significant_patterns` would report it."""
+def top_k_patterns(ctx: SearchContext, report: BoundReport, k: int) -> list[Discovery]:
+    """The k patterns of the context of highest observed quality, with their
+    margins over the report's threshold: a record is `significant` iff
+    `significant_patterns` would report its pattern."""
     ds = ctx.dataset
-    result = top_k(ctx, ds.target, ds.mean_target(), k)
-    flags = [q.value >= significance_cutoff(report, q.frequency) for _, q in result.entries]
-    return result, flags
+    return _discoveries(top_k(ctx, ds.target, ds.mean_target(), k), report)
 
 
-def flag_top_k(
-    dataset: Dataset, cfg: RunConfig
-) -> tuple[TopKResult, list[bool], BoundReport]:
-    """Mine the top-k patterns by observed quality, then flag each one
-    against the run's significance threshold.
+def flag_top_k(dataset: Dataset, cfg: RunConfig) -> tuple[list[Discovery], BoundReport]:
+    """Mine the top-k patterns by observed quality, each with its margin
+    over the run's significance threshold.
 
-    A pattern is flagged iff it would appear in the run's output set, so
-    flags agree with `run_discovery` membership for the same config/seed.
+    A record is significant iff its pattern would appear in the run's
+    output set, so the flags agree with `run_discovery` membership for the
+    same config/seed.
     """
     if cfg.top_k is None:
         raise ConfigError("cfg.top_k must be set")
     ctx = SearchContext(dataset, cfg.language)
     report = compute_bounds(ctx, cfg)
-    return (*top_k_flags(ctx, report, cfg.top_k), report)
+    return top_k_patterns(ctx, report, cfg.top_k), report

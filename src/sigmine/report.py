@@ -2,12 +2,14 @@
 drivers.
 
 `METHODS` maps each method name to its threshold; every method then runs
-the same output scan (`significant_patterns`) or the same top-k flagging
-(`top_k_flags`).  TSV and JSON renderings of output records carry identical
-values; a method's report appends to TSV output as a `# key=value` comment
-block.  The sweep driver measures how the threshold reacts to the resample
-count, the comparison driver runs all four methods on one dataset with
-shared search machinery so timings are comparable.
+the same output scan (`significant_patterns`) or the same top-k mining
+(`top_k_patterns`).  Both give `Discovery` records, which
+`records_from_discoveries` turns into output records, `significant` being
+`threshold_margin >= 0` in both.  TSV and JSON renderings of output records
+carry identical values; a method's report appends to TSV output as a
+`# key=value` comment block.  The sweep driver measures how the threshold
+reacts to the resample count, the comparison driver runs all four methods on
+one dataset with shared search machinery so timings are comparable.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ from dataclasses import asdict, dataclass, replace
 from .baselines import run_ub, run_wy, ub_report, wy_quantile  # noqa: F401
 from .bounds import Mode
 from .data import Dataset
-from .discovery import (
-    Discovery,
-    RunConfig,
-    compute_bounds,
-    significance_cutoff,
-    significant_patterns,
-)
+from .discovery import Discovery, RunConfig, compute_bounds, significant_patterns
 from .search import SearchContext
 
 
@@ -66,26 +62,10 @@ def records_from_discoveries(discoveries: list[Discovery], dataset: Dataset) -> 
             quality=d.quality,
             frequency=d.frequency,
             threshold_margin=d.threshold_margin,
-            significant=True,
+            significant=d.significant,
         )
         for i, d in enumerate(discoveries)
     ]
-
-
-def records_from_flags(entries, flags, dataset: Dataset, report) -> list[OutputRecord]:
-    out = []
-    for i, ((pattern, stat), flag) in enumerate(zip(entries, flags)):
-        out.append(
-            OutputRecord(
-                rank=i + 1,
-                pattern=pattern.describe(dataset),
-                quality=stat.value,
-                frequency=stat.frequency,
-                threshold_margin=stat.value - significance_cutoff(report, stat.frequency),
-                significant=bool(flag),
-            )
-        )
-    return out
 
 
 def records_tsv(records: list[OutputRecord]) -> str:

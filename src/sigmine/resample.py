@@ -25,7 +25,6 @@ STREAM_RESAMPLE = 1
 STREAM_PERMUTE = 2
 STREAM_SYNTH = 3
 
-_MASK64 = (1 << 64) - 1
 # cells j of one (seed, stream): j fills the low 32 bits of the Philox key,
 # so no run may ask for more resamples or permutations than this
 MAX_DRAWS = 1 << 32
@@ -33,9 +32,11 @@ MAX_DRAWS = 1 << 32
 
 def generator(seed: int, stream: int, j: int) -> np.random.Generator:
     """Counter-based generator for one (seed, stream, j) cell."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
     if not 0 <= j < MAX_DRAWS:
         raise ConfigError("stream index out of range")
-    key = np.array([seed & _MASK64, ((stream & 0xFFFFFFFF) << 32) | j], dtype=np.uint64)
+    key = np.array([seed, ((stream & 0xFFFFFFFF) << 32) | j], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -47,6 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bitset
+from .bounds import significance_cutoff
 from .data import Dataset, LabelVector
 from .errors import ConfigError
 from .language import Cover, LanguageConfig, Pattern, base_selectors, selector_flags
@@ -296,7 +297,7 @@ def _subtract(total, cnt, first, basis):
 class SearchResult:
     """Per-vector suprema of one batched search, plus the node counts of
     the traversal they shared.  A vector's first maximizer in canonical
-    order is `top_k(ctx, labels, center, 1).entries[0][0]`."""
+    order is `top_k(ctx, labels, center, 1)[0][0]`."""
 
     suprema: list[float]
     nodes_visited: int
@@ -307,14 +308,6 @@ class SearchResult:
         if len(self.suprema) != 1:
             raise ValueError(f"batch of {len(self.suprema)} vectors; read suprema")
         return self.suprema[0]
-
-
-@dataclass
-class TopKResult:
-    """Top patterns by quality, descending; ties resolved in canonical order."""
-
-    entries: list[tuple[Pattern, QualityStat]]
-    k: int
 
 
 def sup_quality(
@@ -794,7 +787,7 @@ class _Scan:
 
         n, pos = cnt[:, 0], cnt[:, 1]
         vals = (pos - n * self.center) / m
-        found = np.flatnonzero(vals >= self.eps + self.eps_t * (n / m))
+        found = np.flatnonzero(vals >= significance_cutoff(self.eps, self.eps_t, n / m))
         hits = [
             (-v, chosen[par[h]] + (int(sel[h]),), int(n[h]), int(pos[h]))
             for h, v in zip(found, vals[found].tolist())
@@ -853,7 +846,9 @@ def _restrict(words: np.ndarray, size: int, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def top_k(ctx: SearchContext, labels: LabelVector, center: float, k: int) -> TopKResult:
+def top_k(
+    ctx: SearchContext, labels: LabelVector, center: float, k: int
+) -> list[tuple[Pattern, QualityStat]]:
     """Exact k highest-quality patterns: the first k of the language sorted
     by descending quality, then canonical DFS order.
 
@@ -867,7 +862,7 @@ def top_k(ctx: SearchContext, labels: LabelVector, center: float, k: int) -> Top
     if k < 1:
         raise ConfigError("k must be >= 1")
     hits = _Scan(ctx, labels, center, -np.inf, 0.0, k).run()
-    return TopKResult([(ctx.pattern(idx), q) for idx, q in hits], k)
+    return [(ctx.pattern(idx), q) for idx, q in hits]
 
 
 def threshold_mine(

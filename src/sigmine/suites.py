@@ -89,7 +89,7 @@ def suite_oracle(instances: int = 200, seed: int = 0) -> SuiteOutcome:
         k = 5
         mine = top_k(ctx, labels, center, k)
         brute = brute_force_top_k(ds, labels, center, cfg, k)
-        got = [(p, q.value) for p, q in mine.entries]
+        got = [(p, q.value) for p, q in mine]
         if got != brute:
             mismatches.append(f"instance {i}: top-k mismatch")
     ok = not mismatches

@@ -60,7 +60,7 @@ def oracle(ds, labels, center, cfg):
 def argmax(ctx, lv, center):
     """A vector's first maximizer in canonical order: the search keeps
     values only, and top-k breaks ties canonically."""
-    return top_k(ctx, lv, center, 1).entries[0][0]
+    return top_k(ctx, lv, center, 1)[0][0]
 
 
 def batch_for(ds, labels, size, seed):
@@ -365,7 +365,7 @@ def test_derived_selectors(name):
             want = sorted((idx, p, v) for p, v, idx in rows
                           if v >= eps + eps_t * (evaluate(p, ds).bit_count() / ds.m))
             assert [(p, q.value) for p, q in got] == [(p, v) for _, p, v in want]
-        top = top_k(zctx, ds.target, center, 6).entries
+        top = top_k(zctx, ds.target, center, 6)
         assert [(p, q.value) for p, q in top] == brute_force_top_k(ds, ds.target, center, zcfg, 6)
     # deeper, a depth z-3 node below the root tables its derived children
     for z in (4, 5):

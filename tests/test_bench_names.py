@@ -1,6 +1,8 @@
 """The benchmark times layers by wrapping sigmine functions from outside, at
-the names their callers look them up under (bench/layers.py).  A renamed
-function or a dropped re-export would silently stop a per-layer metric."""
+the names their callers look them up under (bench/layers.py), and builds its
+workloads from sigmine's public names (bench/workloads.py).  A renamed
+function or a dropped re-export would silently stop a per-layer metric, or
+fail only when the benchmark runs."""
 
 import ast
 import importlib
@@ -11,18 +13,31 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 SRC = Path(__file__).resolve().parents[1] / "src" / "sigmine"
 
 
-def _wrapped():
-    """bench/layers.py's WRAPPED: (owner, attribute, span name, counter)."""
+def _bench(module: str):
+    """The module `module` of bench/, imported as the benchmark imports it."""
     sys.path.insert(0, str(BENCH))
     try:
-        return importlib.import_module("layers").WRAPPED
+        return importlib.import_module(module)
     finally:
         sys.path.remove(str(BENCH))
+
+
+def _wrapped():
+    """bench/layers.py's WRAPPED: (owner, attribute, span name, counter)."""
+    return _bench("layers").WRAPPED
 
 
 def test_bench_wrapped_names_resolve():
     for owner, attr, name, _ in _wrapped():
         assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
+
+
+def test_bench_workloads_and_searches_resolve():
+    # the workloads import sigmine's names at import time; the searches whose
+    # heap use the benchmark measures are patched by (owner, attribute)
+    assert _bench("workloads").WORKLOADS
+    for owner, attr in _bench("layers").SEARCHES:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
 
 
 def _imported_names(tree):

@@ -80,7 +80,7 @@ def test_planted_found_and_json_round_trip(planted_csv, tmp_path):
     assert json.loads(json.dumps(payload)) == payload
 
 
-def test_top_k_flags(planted_csv, tmp_path):
+def test_top_k_flags(planted_csv, tmp_path, capsys):
     out = tmp_path / "o.json"
     code = run_mine(planted_csv, "--mode", "conditional", "--seed", "3",
                     "--top-k", "8", "--format", "json", "--output", str(out))
@@ -90,6 +90,9 @@ def test_top_k_flags(planted_csv, tmp_path):
     assert any(r["significant"] for r in payload["records"])
     for r in payload["records"]:
         assert r["significant"] == (r["threshold_margin"] >= 0.0)
+    # stderr counts the significant records apart from the k reported
+    significant = sum(r["significant"] for r in payload["records"])
+    assert f"patterns reported: 8, significant: {significant}\n" in capsys.readouterr().err
 
 
 def test_ub_mode_runs(planted_csv, tmp_path):
@@ -145,6 +148,27 @@ def test_config_error_names_flag(null_csv, capsys):
     assert "--delta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [2**64, -1])
+@pytest.mark.parametrize("command", ["mine", "validate"])
+def test_seed_outside_64_bits_is_refused(null_csv, capsys, command, seed):
+    # the seed is one 64-bit word of the generator's key: a seed outside
+    # [0, 2**64) is refused, not taken modulo 2**64
+    argv = {
+        "mine": ["mine", "--input", str(null_csv)],
+        "validate": ["validate", "--suite", "oracle", "--trials", "1"],
+    }[command]
+    assert main([*argv, "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err and captured.out == ""
+
+
+def test_validate_refused_suite_seed_is_a_config_error(capsys):
+    # the oracle suite runs instance i at seed + i, past 2**64 - 1 at i = 1:
+    # exit 2, never 1, which would report a band violation
+    assert main(["validate", "--suite", "oracle", "--trials", "2", "--seed", str(2**64 - 1)]) == 2
+    assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, mode", [("--resamples", "conditional"), ("--permutations", "wy")])
 def test_draw_counts_capped_before_any_draw(null_csv, capsys, monkeypatch, flag, mode):
     # the generator keys at most 2**32 label vectors; a larger count is
@@ -171,6 +195,9 @@ BATCHING_RUNS = [
     (mode, top) for mode in ("conditional", "unconditional", "wy", "ub")
     for top in ((), ("--top-k", "5"))
 ]
+# at least the size of any language of `mine_inputs`: at most 3 columns of
+# at most 14 selectors each (5 cuts, each less_than and at_least, 4 intervals)
+TOP_ALL = ("--top-k", str(15**3))
 
 
 def mined_bytes(path, out, mode, top):
@@ -200,30 +227,39 @@ def test_output_bytes_do_not_depend_on_batching(mixed_csv, default_bytes, tmp_pa
 @st.composite
 def mine_inputs(draw):
     """A small CSV of 1-3 feature columns and a target, its sidecar schema,
-    and the language flags of a `sigmine mine` run on it."""
-    m = draw(st.integers(1, 60))
+    and the language flags of a `sigmine mine` run on it.  A `planted`
+    column is the target in other words, so that some runs report
+    significant patterns."""
+    m = draw(st.integers(1, 200))
 
     def cells(values):
         return draw(st.lists(values, min_size=m, max_size=m))
 
+    target = cells(st.sampled_from("01"))
     kinds = {
         "categorical": lambda: cells(st.sampled_from("abcdef"[: draw(st.integers(1, 6))])),
         "continuous": lambda: [repr(v) for v in cells(st.floats(-10, 10, allow_nan=False))],
         "tied": lambda: cells(st.sampled_from(["0.5", "1.5", "2.5"])),
         "one_value": lambda: ["2.5"] * m,
+        "planted": lambda: ["pq"[int(y)] for y in target],
     }
     picked = [draw(st.sampled_from(sorted(kinds))) for _ in range(draw(st.integers(1, 3)))]
-    columns = [kinds[k]() for k in picked] + [cells(st.sampled_from("01"))]
+    columns = [kinds[k]() for k in picked] + [target]
     header = [f"c{j}" for j in range(len(picked))] + ["y"]
     text = "\n".join(",".join(row) for row in [header, *zip(*columns)]) + "\n"
     schema = "".join(
-        f"{name}={'categorical' if k == 'categorical' else 'continuous'}\n"
+        f"{name}={'categorical' if k in ('categorical', 'planted') else 'continuous'}\n"
         for name, k in zip(header, picked)
     ) + "y=target\n"
     forms = "equals,less_than,at_least" + (",interval" if draw(st.booleans()) else "")
     flags = ["--forms", forms, "--depth", str(draw(st.integers(1, 4))),
              "--permutations", str(draw(st.integers(1, 20)))]
     return text, schema, flags
+
+
+def tsv_rows(data: bytes) -> list[list[str]]:
+    """The record rows of a TSV output, header and report block dropped."""
+    return [ln.split("\t") for ln in data.decode().splitlines()[1:] if not ln.startswith("#")]
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -237,15 +273,26 @@ def test_output_bytes_do_not_depend_on_batching_on_random_files(tmp_path_factory
     path.write_text(text)
     (folder / "schema.txt").write_text(schema)
     flags = [*flags, "--schema", str(folder / "schema.txt")]
+    modes = dict.fromkeys(mode for mode, _ in BATCHING_RUNS)
+    runs = [*BATCHING_RUNS, *((mode, TOP_ALL) for mode in modes)]
 
     def mined():
-        runs = []
-        for mode, top in BATCHING_RUNS:
+        outputs = {}
+        for mode, top in runs:
             code = run_mine(path, "--mode", mode, *flags, "--output", str(out), *top)
-            runs.append((code, out.read_bytes() if code == 0 else b""))
-        return runs
+            outputs[mode, top] = (code, out.read_bytes() if code == 0 else b"")
+        return outputs
 
     default = mined()
+    # the scan and a top-k over the whole language agree: the significant
+    # rows of the one are the rows of the other, value for value, and every
+    # row is significant iff its margin is >= 0
+    for mode in modes:
+        (code, scan), (top_code, top) = default[mode, ()], default[mode, TOP_ALL]
+        assert code == top_code
+        assert [r[1:5] for r in tsv_rows(top) if r[5] == "1"] == [r[1:5] for r in tsv_rows(scan)]
+    for _, data in default.values():
+        assert all(r[5] == str(int(float(r[4]) >= 0)) for r in tsv_rows(data))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sigmine.search, "BATCH_BYTES", 1)
         mp.setattr(sigmine.search, "PAIR_BYTES", 1)
@@ -254,6 +301,10 @@ def test_output_bytes_do_not_depend_on_batching_on_random_files(tmp_path_factory
 
 def test_bad_forms_flag(null_csv, capsys):
     code = run_mine(null_csv, "--forms", "equals,sideways")
+    assert code == 2
+    assert "--forms" in capsys.readouterr().err
+    # forms that no column of the file takes: null_csv is all categorical
+    code = run_mine(null_csv, "--forms", "interval")
     assert code == 2
     assert "--forms" in capsys.readouterr().err
 
@@ -265,6 +316,11 @@ def test_ingestion_error_exit_code(tmp_path, capsys):
     bad2 = tmp_path / "bad2.csv"
     bad2.write_text("a,y\n1,2\n")
     assert run_mine(bad2) == 3
+    # a target column and no feature column
+    bare = tmp_path / "bare.csv"
+    bare.write_text("y\n1\n0\n")
+    assert run_mine(bare) == 3
+    assert "feature column" in capsys.readouterr().err
 
 
 def test_ub_one_row_file(tmp_path):
@@ -279,7 +335,7 @@ def test_ub_one_row_file(tmp_path):
     assert math.isfinite(report["epsilon"])
 
 
-def test_wy_constant_target_reports_nothing(tmp_path):
+def test_wy_constant_target_reports_nothing(tmp_path, capsys):
     # every permutation supremum is 0 and so is every quality: under the
     # strict Westfall-Young rule no pattern beats the quantile
     flat = tmp_path / "flat.csv"
@@ -296,6 +352,7 @@ def test_wy_constant_target_reports_nothing(tmp_path):
     assert code == 0
     records = json.loads(out.read_text())["records"]
     assert records and not any(r["significant"] for r in records)
+    assert f"patterns reported: {len(records)}, significant: 0\n" in capsys.readouterr().err
 
 
 def test_validate_oracle_suite(capsys):

@@ -16,7 +16,7 @@ from sigmine import (
     flag_top_k,
     run_discovery,
 )
-from sigmine.discovery import significant_patterns, top_k_flags
+from sigmine.discovery import significant_patterns, top_k_patterns
 from sigmine.report import METHODS
 from sigmine.search import SearchContext
 from sigmine.oracle import (
@@ -110,29 +110,29 @@ def test_flag_top_k_consistency(planted_ds, method):
     cfg = _cfg(Mode.CONDITIONAL, seed=6, top_k=50, permutations=50)
     ctx = SearchContext(planted_ds, cfg.language)
     report = METHODS[method](ctx, cfg)
-    result, flags = top_k_flags(ctx, report, cfg.top_k)
+    top = top_k_patterns(ctx, report, cfg.top_k)
     members = {d.pattern for d in significant_patterns(ctx, report)}
     # the cut falls inside the top 50 (above all of them for ub)
-    assert len(result.entries) == 50 and sum(flags) < 50
-    for (pattern, stat), flag in zip(result.entries, flags):
-        assert flag == (pattern in members)
+    assert len(top) == 50 and sum(d.significant for d in top) < 50
+    for d in top:
+        assert d.significant == (d.pattern in members)
     if method in {m.value for m in Mode}:
         # the library entry point agrees: same seed, same threshold, same flags
-        _, lib_flags, lib_report = flag_top_k(planted_ds, replace(cfg, mode=Mode(method)))
-        assert lib_report.to_json() == report.to_json() and lib_flags == flags
+        lib_top, lib_report = flag_top_k(planted_ds, replace(cfg, mode=Mode(method)))
+        assert lib_report.to_json() == report.to_json() and lib_top == top
 
 
 def test_flag_top_k_saturation_and_zero(planted_ds):
     cfg = _cfg(Mode.CONDITIONAL, seed=6, top_k=10**6)
-    result, flags, report = flag_top_k(planted_ds, cfg)
-    assert len(result.entries) < 10**6  # whole language returned
+    top, report = flag_top_k(planted_ds, cfg)
+    assert len(top) < 10**6  # whole language returned
     found, _ = run_discovery(planted_ds, _cfg(Mode.CONDITIONAL, seed=6))
-    assert sum(flags) == len(found)
+    assert sum(d.significant for d in top) == len(found)
 
     # threshold above every quality: tiny null dataset, huge language noise
     null_ds = generate(SyntheticSpec(60, (CatColumn((0.5, 0.5)),) * 3, NullIID(0.5), seed=8))
-    out, nflags, _ = flag_top_k(null_ds, _cfg(Mode.UNCONDITIONAL, seed=8, top_k=5))
-    assert sum(nflags) == 0
+    out, _ = flag_top_k(null_ds, _cfg(Mode.UNCONDITIONAL, seed=8, top_k=5))
+    assert sum(d.significant for d in out) == 0
 
 
 def test_flag_top_k_requires_k(planted_ds):

@@ -94,3 +94,15 @@ def test_draw_counts_capped_at_the_generator_limit():
     generator(1, STREAM_RESAMPLE, MAX_DRAWS - 1)
     with pytest.raises(ConfigError):
         generator(1, STREAM_RESAMPLE, MAX_DRAWS)
+
+
+def test_seeds_outside_64_bits_are_refused():
+    # a seed is one 64-bit word of the Philox key: a seed outside it is
+    # refused, not drawn as the seed it equals modulo 2**64
+    RunConfig(seed=2**64 - 1)
+    assert generator(2**64 - 1, STREAM_RESAMPLE, 0).random() != generator(0, STREAM_RESAMPLE, 0).random()
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="2\\*\\*64"):
+            generator(seed, STREAM_RESAMPLE, 0)
+        with pytest.raises(ConfigError, match="2\\*\\*64"):
+            RunConfig(seed=seed)

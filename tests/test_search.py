@@ -103,7 +103,7 @@ def test_sup_matches_brute_force_on_fixed_instance():
     ctx = SearchContext(ds, cfg)
     res = sup_quality(ctx, ds.target, ds.mean_target())
     assert res.supremum == brute_force_sup(ds, ds.target, ds.mean_target(), cfg)
-    first = top_k(ctx, ds.target, ds.mean_target(), 1).entries[0][0]
+    first = top_k(ctx, ds.target, ds.mean_target(), 1)[0][0]
     got = empirical_quality(evaluate(first, ds), ds.target, ds.mean_target())
     assert got.value == res.supremum
 
@@ -115,7 +115,7 @@ def test_pruning_is_lossless(seed):
     on = sup_quality(ctx, labels, center, prune=True)
     off = sup_quality(ctx, labels, center, prune=False)
     assert on.supremum == off.supremum
-    first = top_k(ctx, labels, center, 1).entries[0][0]
+    first = top_k(ctx, labels, center, 1)[0][0]
     assert empirical_quality(evaluate(first, ds), labels, center).value == off.supremum
     assert on.nodes_visited <= off.nodes_visited
 
@@ -126,13 +126,13 @@ def test_top_k_saturation_and_k1():
     total = pattern_count(base, cfg)
     ctx = SearchContext(ds, cfg)
     all_of_them = top_k(ctx, labels, center, total + 10)
-    assert len(all_of_them.entries) == total
-    vals = [q.value for _, q in all_of_them.entries]
+    assert len(all_of_them) == total
+    vals = [q.value for _, q in all_of_them]
     assert vals == sorted(vals, reverse=True)
     single = top_k(ctx, labels, center, 1)
     sup = sup_quality(ctx, labels, center)
-    assert single.entries[0][0] == brute_force_top_k(ds, labels, center, cfg, 1)[0][0]
-    assert single.entries[0][1].value == sup.supremum
+    assert single[0][0] == brute_force_top_k(ds, labels, center, cfg, 1)[0][0]
+    assert single[0][1].value == sup.supremum
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -140,7 +140,7 @@ def test_top_k_matches_brute_force(seed):
     ds, labels, center, cfg = _random_tiny_instance(seed + 4000)
     mine = top_k(SearchContext(ds, cfg), labels, center, 5)
     brute = brute_force_top_k(ds, labels, center, cfg, 5)
-    assert [(p, q.value) for p, q in mine.entries] == brute
+    assert [(p, q.value) for p, q in mine] == brute
 
 
 @st.composite
@@ -188,7 +188,7 @@ def test_top_k_matches_brute_force_on_ties(case):
     ties = [k for k in range(1, len(vals)) if vals[k - 1] == vals[k]]
     ctx = SearchContext(ds, cfg)
     for k in [1, *ties[:1], len(rows) + 3]:
-        got = top_k(ctx, ds.target, center, k).entries
+        got = top_k(ctx, ds.target, center, k)
         assert [(p, q.value) for p, q in got] == brute_force_top_k(ds, ds.target, center, cfg, k)
         for p, q in got:
             assert q == empirical_quality(evaluate(p, ds), ds.target, center)
@@ -207,7 +207,7 @@ def test_suprema_are_top_k_values_on_ties(case, rate, seed):
     ]
     ctx = SearchContext(ds, cfg)
     res = sup_quality(ctx, batch, center)
-    assert res.suprema == [top_k(ctx, lv, center, 1).entries[0][1].value for lv in batch]
+    assert res.suprema == [top_k(ctx, lv, center, 1)[0][1].value for lv in batch]
 
 
 def test_top_k_enters_few_subtrees_on_tied_qualities(monkeypatch):
@@ -226,7 +226,7 @@ def test_top_k_enters_few_subtrees_on_tied_qualities(monkeypatch):
 
     monkeypatch.setattr(sigmine.search._Scan, "level", counted)
     ctx = SearchContext(ds, cfg)
-    got = top_k(ctx, ds.target, 0.0, 3).entries
+    got = top_k(ctx, ds.target, 0.0, 3)
     assert [len(p) for p, _ in got] == [1, 2, 3]
     tied, entered[:] = sum(entered), []
     threshold_mine(ctx, ds.target, 0.0, -np.inf, 0.0)
