@@ -26,13 +26,13 @@ every result, is the one a popcount would give, bit for bit.
 
 The supremum search applies them to whole subtrees too.  Its last two
 levels are counted per depth z-2 node into a table, and a depth z-3 node
-whose children's tables fit in BATCH_BYTES tables them all before it
-replays them in canonical order; a derived child's table is its siblings'
-tables subtracted, with no restriction and no popcount (see
-`_BatchSearch.tables`).  The children of one column share the selectors
-below them, so they are tabled in groups, each child's label rows one more
-block of columns of the same counts, and replayed in pieces of several
-children, so that the per-child work is a few numpy calls per group.
+whose children's tables fit its budget tables them all; a derived child's
+table is its siblings' tables subtracted, with no restriction and no
+popcount (see `_BatchSearch.tables`).  A table only raises each vector's
+running maximum, so it is counted in whatever order suits the counting.
+The children of one column share the selectors below them, so they are
+tabled in groups, each child's label rows one more block of columns of the
+same counts, so that the per-child work is a few numpy calls per group.
 A subtree is restricted to its root's transactions by one routine,
 `_BatchSearch.groups`, whether its root is tabled or searched one by one.
 """
@@ -295,9 +295,11 @@ def _subtract(total, cnt, first, basis):
 
 @dataclass
 class SearchResult:
-    """Per-vector suprema of one batched search, plus the node counts of
-    the traversal they shared.  A vector's first maximizer in canonical
-    order is `top_k(ctx, labels, center, 1)[0][0]`."""
+    """Per-vector suprema of one batched search, and its work:
+    `nodes_visited` counts the patterns whose counts it formed, by popcount
+    or by subtraction, and `nodes_pruned` the subtrees it skipped.  A
+    vector's first maximizer in canonical order is
+    `top_k(ctx, labels, center, 1)[0][0]`."""
 
     suprema: list[float]
     nodes_visited: int
@@ -327,42 +329,35 @@ def sup_quality(
     ones its patterns can cover: compacted, so deep levels work on fewer
     words, or masked, where compaction would cost more than it saves.
 
-    The last two levels run as table and replay.  A depth z-2 node's table
-    holds its children's counts and per child and vector the best leaf
-    quality: every (child, leaf) pair below it is counted for every vector,
-    by popcount only when neither selector is derived, in blocks of whole
-    columns.  A depth z-3 node (the root when z=3) tables all its children
-    first, a column at a time from the last one back, when their tables take
-    at most BATCH_BYTES; a derived child's table is the node's counts and
+    The last two levels run as tables.  A depth z-2 node's table holds its
+    children's counts and those of every (child, leaf) pair below it, for
+    every vector, by popcount only when neither selector is derived, in
+    blocks of whole columns.  A depth z-3 node (the root when z=3) tables
+    all its children, a column at a time from the last one back, when their
+    tables fit its budget; a derived child's table is the node's counts and
     the tables of its later siblings minus those of its basis siblings, with
     no restriction and no popcount.  The children of a column are tabled in
     groups: masked children share the node's cover rows and stack their own
     label rows, so a group takes one count, one pair count and one leaf
-    reduction, a (child, vector) being one more column; the derived children
-    of a column take one leaf reduction per group as well.  The node then
-    replays its children in canonical order, in pieces of several: a
-    cumulative maximum over child values, grandchild values and leaf maxima
-    in preorder, carried from piece to piece, replays the per-child loop.
-    Subtrees a vector's own search would prune cannot raise its running
-    best, because the estimate that prunes them dominates their computed
-    qualities.  When z <= 2 the root tables and replays itself.  The tables
-    grow with the square of the selectors: a depth z-3 node whose tables
-    would take more searches its children one by one, as the nodes above it
-    do.
+    reduction, a (child, vector) being one more column.  When z <= 2 the
+    root tables itself.  A depth z-3 node whose tables would not fit
+    searches its children one by one, as the nodes above it do.
 
-    Every vector gets exactly the result of a search of its own: it only
-    looks at the nodes its own pruned search would visit (its live set) and
-    keeps a running maximum over them in canonical preorder, which decides
-    what it prunes.  A subtree is entered while any vector is live in it
-    and counts as pruned when none is.  Only the values are kept: a
-    vector's first maximizer is `top_k(ctx, labels, center, 1)`'s entry.
+    Each vector keeps a running maximum, which every value a table counts
+    raises.  Above the tables, children are taken in canonical order: a
+    child's value raises the maxima, and its subtree is entered when some
+    vector's estimate beats that vector's maximum.  The maxima end as the
+    exact suprema, since a vector's estimate that does not beat its maximum
+    dominates every computed quality below (`optimistic_estimate`).  Only
+    the values are kept: a vector's first maximizer is
+    `top_k(ctx, labels, center, 1)`'s entry.
     """
     batch = [labels] if isinstance(labels, LabelVector) else list(labels)
     if not batch:
         raise ConfigError("sup_quality needs at least one label vector")
     search = _BatchSearch(ctx, len(batch), center, prune)
     lab = _label_words(batch, ctx.m)
-    search.node(ctx.words, lab, 0, 0, np.ones(len(batch), dtype=bool))
+    search.node(ctx.words, lab, 0, 0)
     return SearchResult(search.best.tolist(), search.visited, search.pruned)
 
 
@@ -383,7 +378,8 @@ def _popcounts(covers, lab):
 
 
 class _BatchSearch:
-    """Running maxima of one `sup_quality` call and its node counters.
+    """The running maximum of each vector of one `sup_quality` call, and
+    the call's node counters.
 
     Counts are (entries x (1 + vectors)) int64 arrays from `_popcounts`:
     row 0 of the label matrix holds every transaction of the node."""
@@ -403,6 +399,12 @@ class _BatchSearch:
         n, g, w = len(cnt), cnt.shape[1] // self.width, self.width
         c = cnt.reshape(n, g, w)
         return ((c[..., 1:] - c[..., :1] * self.center) / self.ctx.m).reshape(n, g * (w - 1))
+
+    def raise_best(self, cnt) -> None:
+        """Raise each vector's maximum to the best quality of counts whose
+        columns are one or more blocks of (1 + vectors)."""
+        q = self.quality(cnt).max(axis=0).reshape(-1, len(self.best))
+        np.maximum(self.best, q.max(axis=0), out=self.best)
 
     def estimate(self, cnt):
         """Optimistic estimates: `optimistic_estimate` for every entry."""
@@ -488,22 +490,17 @@ class _BatchSearch:
                 e = e1
         return pc
 
-    def leaf_best(self, start: int, width: int, pair_counts):
-        """The leaves of a node whose children start at selector `start`:
-        per child and vector the best quality among the child's leaves
-        (-inf where it has none).
+    def leaves(self, start: int, width: int, pair_counts) -> None:
+        """Raise each vector's maximum to the best quality among the leaves
+        of a node whose children start at selector `start`.
 
         Pairs are counted in blocks of whole columns of at most PAIR_BYTES
         of (pairs x `width`) counts, or one column's children when those
         alone take more, `pair_counts(a, b)` giving the counts of the pairs
-        of children a..b, and reduced in pieces of whole children of at
-        most PAIR_BYTES (or one child's), in canonical order.  Counts of a
-        group of nodes (`tables`) hold a block of (1 + vectors) columns per
-        node, and the group is reduced at once, each (node, vector) one
-        more column of the results."""
+        of children a..b, and reduced in chunks of at most PAIR_BYTES (or
+        one pair's).  Counts of a group of nodes (`tables`) hold a block of
+        (1 + vectors) columns per node, each node's leaves its own."""
         ctx, pix = self.ctx, self.ctx.pairs
-        cols = width // self.width * (self.width - 1)
-        top = np.full((len(ctx.base) - start, cols), -np.inf)
         # children start..last have leaves, those of the last column none
         last = start + np.count_nonzero(pix.pair_count[start:])
         first = pix.pair_start[start : last + 1] - pix.pair_start[start]
@@ -512,30 +509,26 @@ class _BatchSearch:
         blocks = heads[np.flatnonzero(np.diff(first[heads - start] // step, prepend=-1))]
         for a, b in zip(blocks.tolist(), [*blocks[1:].tolist(), last]):
             pc = pair_counts(a, b)
-            rows = first[a - start : b - start + 1] - first[a - start]
-            cut = np.flatnonzero(np.diff(rows[:-1] // step, prepend=-1)).tolist()
-            for u, v in zip(cut, [*cut[1:], b - a]):
-                q = self.quality(pc[rows[u] : rows[v]])
-                seg = rows[u:v] - rows[u]
-                top[a - start + u : a - start + v] = np.maximum.reduceat(q, seg, axis=0)
-        return top
+            self.visited += len(pc) * (width // self.width)
+            for u in range(0, len(pc), step):
+                self.raise_best(pc[u : u + step])
 
-    def tables(self, kids, lab, cnt, start: int, depth: int):
+    def tables(self, kids, lab, cnt, start: int, depth: int) -> None:
         """Tables of the children start.. of a depth z-3 node with counts
-        `cnt`: per child i, its children's counts and, per grandchild and
-        vector, the best leaf quality (`leaf_best`), in the pair index's
-        rows of child i (from pair_start[start] on).
+        `cnt`: per child i, its children's counts, in the pair index's rows
+        of child i (from pair_start[start] on), and the leaves below them
+        (`leaves`), all raising each vector's maximum.
 
         The children of one column share their children, the selectors
         after the column, so they are tabled in groups (`groups`): one
-        `counts`, one `pair_counts` and one `leaf_best` call per group, on
+        `counts`, one `pair_counts` and one `leaves` call per group, on
         (children x (1 + vectors)) label rows, each child's counts a block
         of columns.  A derived child d is not restricted or counted: its
         children's counts are the node's minus those of its basis siblings,
         and its pair counts are its later siblings' children's counts (the
         same pairs, in the same order) minus its basis siblings' pair
         counts, subtracted as their groups count them; the derived children
-        of a column take one `leaf_best` per group too.  Columns are tabled
+        of a column take one `leaves` per group too.  Columns are tabled
         from the last one back, so later siblings come first.  A column's
         derived children are taken in groups whose pair counts take at
         most PAIR_BYTES (or one child's), each with the groups of its basis
@@ -543,7 +536,7 @@ class _BatchSearch:
         ctx, pix, w = self.ctx, self.ctx.pairs, self.width
         nsel, p0 = len(ctx.base), pix.pair_start[start]
         cnts = np.empty((pix.pair_start[-1] - p0, w), dtype=np.int64)
-        top = np.empty((len(cnts), w - 1))
+        self.visited += len(cnts)
         heads = ctx.col_heads[np.searchsorted(ctx.col_heads, start) :].tolist()
         for a, nxt in reversed(list(zip(heads, [*heads[1:], nsel]))):
             if nxt == nsel:
@@ -551,16 +544,12 @@ class _BatchSearch:
             n, r0 = nsel - nxt, pix.pair_start[nxt]
             col = slice(pix.pair_start[a] - p0, r0 - p0)
             col_cnts = cnts[col].reshape(nxt - a, n, w)
-            col_top = top[col].reshape(nxt - a, n, w - 1)
             tail = cnts[r0 - p0 :]  # the pairs below the column: later siblings' tables
             fit = max(1, PAIR_BYTES // max(tail.nbytes, 1))
 
-            def table(group, pc):
-                best = self.leaf_best(
-                    nxt, pc.shape[1],
-                    lambda x, y: pc[pix.pair_start[x] - r0 : pix.pair_start[y] - r0],
-                )
-                col_top[group - a] = best.reshape(n, len(group), w - 1).swapaxes(0, 1)
+            def table(pc):
+                rows = lambda x, y: pc[pix.pair_start[x] - r0 : pix.pair_start[y] - r0]
+                self.leaves(nxt, pc.shape[1], rows)
 
             # derived children a group at a time, each group with its basis
             # siblings, then the scored children in no basis
@@ -575,7 +564,7 @@ class _BatchSearch:
                     sub_cnt = self.counts(sub_kids, sub_lab, nxt)
                     col_cnts[group - a] = sub_cnt.reshape(n, len(group), w).swapaxes(0, 1)
                     pc = self.pair_counts(sub_kids, sub_lab, nxt, sub_cnt, nxt, nsel)
-                    table(group, pc)
+                    table(pc)
                     if ds and dpc is None:  # allocated once the first basis group is tabled
                         dpc = np.repeat(tail[:, None], len(ds), axis=1)
                     for g, i in enumerate(group.tolist()):
@@ -586,9 +575,9 @@ class _BatchSearch:
                     for d in ds:
                         basis = col_cnts[np.array(ctx.basis[d]) - a]
                         col_cnts[d - a] = cnt[nxt - start :] - basis.sum(axis=0)
-                    table(np.array(ds), dpc.reshape(len(tail), len(ds) * w))
+                    table(dpc.reshape(len(tail), len(ds) * w))
                     del dpc
-        return cnts, top
+            self.raise_best(cnts[col])
 
     def groups(self, kids, lab, cnt, children, start: int, depth: int, fit: int):
         """The `children`, of one column, of a node whose children start at
@@ -613,112 +602,51 @@ class _BatchSearch:
             stacked = lab & kids[group - start, None]
             yield group, kids[nxt - start :], stacked.reshape(len(group) * len(lab), lab.shape[1])
 
-    def node(self, kids, lab, start: int, depth: int, live) -> None:
+    def node(self, kids, lab, start: int, depth: int) -> None:
         """Search below one node.  `kids` holds the covers of selectors
         start.. and `lab` the label vectors after the all-ones row, the
         label rows restricted to the node's transactions and the cover rows
         compacted to them or kept whole (`groups`), so the two together
         count the children's covers.
 
-        A node at depth z-3 tables all its children first (`tables`), then
-        replays them (`replay`) in pieces of whole children whose
-        sequences take at most PAIR_BYTES (or one child's), when the tables
-        take at most BATCH_BYTES; they grow with the square of the
-        selectors, so a node with more searches its children one by one, as
-        a node above it does.  A node at depth z-2 is its own table and
-        replays itself as a piece of one."""
+        A node at depth z-2 is its own table: its children and their leaves
+        (`leaves`) raise each vector's maximum.  A node at depth z-3 tables
+        all its children (`tables`) when they fit its budget.  Any other
+        node takes its children one by one in canonical order: a child's
+        value raises the maxima, then its subtree is entered when some
+        vector's estimate beats that vector's maximum, and counts as pruned
+        when none does.  The estimate does not grow down the tree and the
+        maxima only rise, so a vector whose estimate fails at a node fails
+        at every node below it."""
         ctx, pix = self.ctx, self.ctx.pairs
         nsel = len(ctx.base)
         cnt = self.counts(kids, lab, start)
+        self.visited += len(cnt)
         if depth + 2 >= ctx.cfg.z:
-            top = self.leaf_best(
-                start, self.width, lambda a, b: self.pair_counts(kids, lab, start, cnt, a, b)
-            )
-            own = np.full((1, len(live)), -np.inf)  # its parent weighed its value
-            self.replay(np.array([start]), own, -own, cnt, top, live)
+            self.raise_best(cnt)
+            self.leaves(start, self.width, lambda a, b: self.pair_counts(kids, lab, start, cnt, a, b))
             return
-        self.visited += len(kids)
-        vals = self.quality(cnt)
-        bound = self.estimate(cnt)
-        # counts (8 bytes) and best leaves (8) per pair and vector
+        # the tables hold counts, 8 bytes per pair and label row; charged
+        # 16 * width - 8 bytes a pair, they take at most about half of
+        # BATCH_BYTES.  A node whose tables take more, on a wide language,
+        # searches its children one by one, and there pruning saves work
         pairs = pix.pair_start[-1] - pix.pair_start[start]
         if depth + 3 == ctx.cfg.z and pairs * (16 * self.width - 8) <= BATCH_BYTES:
-            cnts, top = self.tables(kids, lab, cnt, start, depth)
-            p0 = pix.pair_start[start]
-            # a child takes 1 + 2 x its children rows of a replay sequence
-            rows = 2 * pix.pair_count[start:] + 1
-            first = np.cumsum(rows) - rows
-            step = max(1, PAIR_BYTES // (8 * len(live)))
-            cut = np.flatnonzero(np.diff(first // step, prepend=-1))
-            for u, v in zip(cut.tolist(), [*cut[1:].tolist(), nsel - start]):
-                t = slice(pix.pair_start[start + u] - p0, pix.pair_start[start + v] - p0)
-                self.replay(
-                    ctx.next_start[start + u : start + v], vals[u:v], bound[u:v],
-                    cnts[t], top[t], live,
-                )
+            self.raise_best(cnt)
+            self.tables(kids, lab, cnt, start, depth)
             return
+        vals = self.quality(cnt)
+        bound = self.estimate(cnt)
         for r, i in enumerate(range(start, nsel)):
-            # every vector's best, live or not, as at the end of `replay`
             np.maximum(self.best, vals[r], out=self.best)
-            sub = live & (bound[r] > self.best) if self.prune else live
-            if not sub.any():
-                self.pruned += 1
-                continue
             nxt = ctx.next_start[i]
             if nxt == nsel:
                 continue
+            if self.prune and not (bound[r] > self.best).any():
+                self.pruned += 1
+                continue
             [(_, sub_kids, sub_lab)] = self.groups(kids, lab, cnt, [i], start, depth + 1, 1)
-            self.node(sub_kids, sub_lab, nxt, depth + 1, sub)
-
-    def replay(self, starts, vals, bound, cnt, top, live) -> None:
-        """Depth z-2 nodes, consecutive children of one node, with their
-        values `vals` and estimates `bound` per vector, and all their
-        children and the leaves, from their tables (`leaf_best`): node o's
-        children start at selector starts[o], and their counts `cnt` and
-        per vector best leaf qualities `top` come node after node (only the
-        children when z=1).  A node that replays itself is a piece of one
-        with value -inf and estimate inf, its parent having weighed both.
-
-        In preorder every vector sees a node's value, then child value,
-        best leaf below it, child value, ..., then the next node's value;
-        its running best is the cumulative maximum of that sequence, from
-        the best it had before.  A vector skips a subtree when the estimate
-        of its root does not beat its running best; the estimate dominates
-        the subtree, so counting it anyway leaves the running best as it
-        was.  The replay is therefore each vector's own pruned search,
-        supremum and node counts included.
-        """
-        ctx, n, c = self.ctx, len(starts), len(live)
-        size = len(ctx.base) - starts
-        before = np.cumsum(size) - size
-        owner = np.repeat(np.arange(n), size)
-        kid = starts[owner] + np.arange(len(cnt)) - before[owner]
-        # sequence rows of each node's value, and of each child's value; its
-        # best leaf follows it
-        head = np.arange(n) + 2 * before + 1
-        pos = owner + 2 * np.arange(len(cnt)) + 2
-        seq = np.empty((1 + n + 2 * len(cnt), c))
-        seq[0] = self.best
-        seq[head] = vals
-        seq[pos] = self.quality(cnt)
-        seq[pos + 1] = top
-        run = np.maximum.accumulate(seq, axis=0, out=seq)
-        sub = np.broadcast_to(live, (n, c))
-        if self.prune:
-            sub = sub & (bound > run[head])
-        went = sub.any(axis=1)
-        self.pruned += n - int(went.sum())
-        into = went[owner]
-        self.visited += int(into.sum())
-        if ctx.cfg.z > 1:
-            entered = into
-            if self.prune:
-                entered = (sub[owner] & (self.estimate(cnt) > run[pos])).any(axis=1)
-            self.pruned += int(into.sum()) - int(entered.sum())
-            self.visited += int(ctx.pairs.pair_count[kid[entered]].sum())
-        # a vector not live here keeps its best: an estimate that did not
-        # beat it dominates every value below
-        self.best[:] = run[-1]
+            self.node(sub_kids, sub_lab, nxt, depth + 1)
 
 
 class _Scan:

@@ -39,7 +39,7 @@ from sigmine.oracle import (
     generate,
 )
 from sigmine.baselines import permuted_labels, wy_quantile
-from sigmine.language import selector_cover
+from sigmine.language import pattern_count, selector_cover
 from sigmine.resample import bernoulli_labels
 from sigmine.search import BATCH_BYTES, PAIR_BYTES, derive_bases
 from sigmine.suites import (
@@ -68,6 +68,45 @@ def batch_for(ds, labels, size, seed):
     return [labels] + [bernoulli_labels(ds.m, p, seed, j) for j, p in enumerate(rates)]
 
 
+def counted(ctx, batch, center, prune=True):
+    """`sup_quality`, its node counts checked against the nodes it searched:
+    every pattern is visited but those in subtrees that a node searching
+    its children one by one skipped, and only such skips count as pruned."""
+    batched = sigmine.search._BatchSearch
+    node, tables = batched.node, batched.tables
+    calls, tabled = [], set()
+
+    def record_node(self, kids, lab, start, depth):
+        calls.append((start, depth))
+        return node(self, kids, lab, start, depth)
+
+    def record_tables(self, kids, lab, cnt, start, depth):
+        tabled.add((start, depth))
+        return tables(self, kids, lab, cnt, start, depth)
+
+    batched.node, batched.tables = record_node, record_tables
+    try:
+        res = sup_quality(ctx, batch, center, prune=prune)
+    finally:
+        batched.node, batched.tables = node, tables
+    z, nsel, nxt = ctx.cfg.z, len(ctx.base), ctx.next_start
+
+    def below(start, levels):
+        """Patterns below a node whose children start at `start`."""
+        return pattern_count(ctx.base[start:], replace(ctx.cfg, z=levels))
+
+    # (start, depth) of every child with children of a one-by-one node;
+    # every node searched but the root is such a child
+    loops = [(s, d) for s, d in calls if d + 2 < z and (s, d) not in tabled]
+    kids = [(nxt[i], d + 1) for s, d in loops for i in range(s, nsel) if nxt[i] < nsel]
+    skipped = sum(below(s, z - d) for s, d in kids) - sum(below(s, z - d) for s, d in calls[1:])
+    assert res.nodes_pruned == len(kids) - len(calls[1:])
+    assert res.nodes_visited + skipped == pattern_count(ctx.base, ctx.cfg)
+    if not prune:
+        assert (res.nodes_visited, res.nodes_pruned) == (pattern_count(ctx.base, ctx.cfg), 0)
+    return res
+
+
 @pytest.mark.parametrize("size", [1, 2, 7])
 @pytest.mark.parametrize("prune", [True, False])
 # z=1 has no leaf pairs, z=2 fuses at the root, z >= 3 compacts subtrees first
@@ -79,7 +118,7 @@ def test_batch_matches_single_and_brute_force(size, prune, z):
             cfg = replace(cfg, z=z)
         batch = batch_for(ds, labels, size, seed)
         ctx = SearchContext(ds, cfg)
-        res = sup_quality(ctx, batch, center, prune=prune)
+        res = counted(ctx, batch, center, prune=prune)
         assert len(res.suprema) == size
         for lv, sup in zip(batch, res.suprema):
             assert sup == sup_quality(ctx, lv, center, prune=prune).supremum
@@ -87,41 +126,38 @@ def test_batch_matches_single_and_brute_force(size, prune, z):
 
 
 def own_search(ds, lv, center, cfg):
-    """A plain pruned DFS over int bitsets for one vector: supremum, first
-    maximizer, nodes visited and nodes whose subtree was cut."""
+    """A plain pruned DFS over int bitsets for one vector: supremum and
+    first maximizer."""
     ctx = SearchContext(ds, cfg)
     masks = [selector_cover(s, ds) for s in ctx.base]
-    best, arg, visited, pruned = -np.inf, None, 0, 0
+    best, arg = -np.inf, None
 
     def walk(cover, chosen, start, depth):
-        nonlocal best, arg, visited, pruned
+        nonlocal best, arg
         for i in range(start, len(masks)):
             child, here = cover & masks[i], chosen + (i,)
-            visited += 1
             val = empirical_quality(child, lv, center).value
             if val > best:
                 best, arg = val, ctx.pattern(here)
-            if depth + 1 < cfg.z:
-                if optimistic_estimate(child, lv, center) > best:
-                    walk(child, here, ctx.next_start[i], depth + 1)
-                else:
-                    pruned += 1
+            if depth + 1 < cfg.z and optimistic_estimate(child, lv, center) > best:
+                walk(child, here, ctx.next_start[i], depth + 1)
 
     walk(bitset.full(ds.m), (), 0, 0)
-    return best, arg, visited, pruned
+    return best, arg
 
 
 @pytest.mark.parametrize("z", [1, 2, 3, 4])
 def test_single_vector_is_its_own_pruned_search(z):
-    # node counts included; all-0 and all-1 labels make estimates tie the
-    # running best, where only a strict > may prune
+    # all-0 and all-1 labels make estimates tie the running best, where
+    # only a strict > may prune
     for seed in range(30):
         ds, labels, center, cfg = _random_tiny_instance(seed + 6400)
         cfg = replace(cfg, z=z)
         flat = [LabelVector(np.full(ds.m, b, dtype=np.uint8)) for b in (0, 1)]
         for lv in [labels, *flat]:
-            own = own_search(ds, lv, center, cfg)
-            assert own_fields(SearchContext(ds, cfg), lv, center) == own
+            ctx = SearchContext(ds, cfg)
+            res = counted(ctx, lv, center)
+            assert (res.supremum, argmax(ctx, lv, center)) == own_search(ds, lv, center, cfg)
 
 
 def fields(res):
@@ -129,50 +165,62 @@ def fields(res):
 
 
 def own_fields(ctx, lv, center):
-    """A one-vector search in `own_search`'s order, its maximizer from
-    `argmax`."""
-    res = sup_quality(ctx, lv, center)
-    return res.supremum, argmax(ctx, lv, center), res.nodes_visited, res.nodes_pruned
+    """A one-vector search's supremum and first maximizer, as `own_search`
+    gives them."""
+    return sup_quality(ctx, lv, center).supremum, argmax(ctx, lv, center)
 
 
 @pytest.mark.parametrize("z", [2, 3, 4])
 def test_batch_above_budget_and_split_pair_chunks(z, monkeypatch):
     # the budgets only size temporaries: a batch beyond batch_size(), pairs
     # scored one at a time, or a child's leaves split over reduction blocks
-    # all give the same suprema and node counts; the scan's pieces of
-    # frontier likewise give the same patterns and maximizers
+    # all give the same suprema, and the same node counts at one
+    # BATCH_BYTES; the scan's pieces of frontier likewise give the same
+    # patterns and maximizers
     for seed in range(8):
         ds, labels, center, cfg = _random_tiny_instance(seed + 6200)
         cfg = replace(cfg, z=z)
         batch = batch_for(ds, labels, 7, seed)
         ctx = SearchContext(ds, cfg)
-        whole = fields(sup_quality(ctx, batch, center))
+        whole = counted(ctx, batch, center).suprema
         scan = threshold_mine(ctx, labels, center, 0.0, 0.05)
         maxima = [argmax(ctx, lv, center) for lv in batch]
         monkeypatch.setattr(sigmine.search, "BATCH_BYTES", 2 * ctx.words.nbytes)
         assert ctx.batch_size() == 2 < len(batch)
+        shrunk = []
         for budget in (1, 8 * len(batch) * 3, 8 * len(batch) * 5 + 7):
             monkeypatch.setattr(sigmine.search, "PAIR_BYTES", budget)
-            assert fields(sup_quality(ctx, batch, center)) == whole
+            shrunk.append(fields(counted(ctx, batch, center)))
+            assert shrunk[-1][0] == whole
             assert threshold_mine(ctx, labels, center, 0.0, 0.05) == scan
             assert [argmax(ctx, lv, center) for lv in batch] == maxima
+        assert shrunk[1:] == shrunk[:-1]
         monkeypatch.undo()
-        for lv, sup, arg in zip(batch, whole[0], maxima):
+        for lv, sup, arg in zip(batch, whole, maxima):
             assert (sup, arg) == oracle(ds, lv, center, cfg)
 
 
-@pytest.mark.parametrize(
-    "z, prune, visited, pruned",
-    [(2, True, 4023, 0), (3, True, 40253, 2408), (3, False, 111327, 0), (4, True, 80265, 35716)],
-)
-def test_node_counts_pinned(z, prune, visited, pruned):
-    # pinned from the per-child search that visited each child's leaves in
-    # a loop; the one-pass last two levels must reproduce its counts exactly
+@pytest.mark.parametrize("z, prune", [(2, True), (3, True), (3, False), (4, True)])
+def test_node_counts_match_the_language(z, prune, monkeypatch):
+    # tables count every pattern below them, so a search that tables at
+    # depth z-3 visits the whole language unless it searches one by one
+    # above (z=4); with BATCH_BYTES at 1 every depth z-3 node searches its
+    # children one by one, and there pruning skips subtrees, most of them
+    # under the planted target alone
     ds = generate(replace(mushroom_class_spec(3), m=600))
     batch = [ds.target, *resample_target(ds, ResamplePlan(c=6, p=0.45, seed=2))]
     ctx = SearchContext(ds, LanguageConfig(z=z, bins=3))
-    res = sup_quality(ctx, batch, ds.mean_target(), prune=prune)
-    assert (res.nodes_visited, res.nodes_pruned) == (visited, pruned)
+    total = pattern_count(ctx.base, ctx.cfg)
+    assert total == {2: 4023, 3: 111327, 4: 2186521}[z]
+    center = ds.mean_target()
+    tabled = counted(ctx, batch, center, prune)
+    if z <= 3:
+        assert (tabled.nodes_visited, tabled.nodes_pruned) == (total, 0)
+    monkeypatch.setattr(sigmine.search, "BATCH_BYTES", 1)
+    alone = counted(ctx, batch, center, prune)
+    assert alone.suprema == tabled.suprema
+    target = counted(ctx, ds.target, center, prune)
+    assert (target.nodes_pruned > 0) == (prune and z > 2)
 
 
 def test_batch_of_one_equals_bare_vector():
@@ -183,15 +231,23 @@ def test_batch_of_one_equals_bare_vector():
     assert bare == listed
 
 
-def test_batch_counts_cover_every_vector():
+def test_batch_counts_cover_every_vector(monkeypatch):
+    # the shared traversal enters every subtree that a vector's own search
+    # enters, whether the depth z-3 nodes table or, with BATCH_BYTES at 1,
+    # search their children one by one and prune
     ds, labels, center, cfg = _random_tiny_instance(6301)
+    cfg = replace(cfg, z=4)
     batch = batch_for(ds, labels, 7, 6301)
     ctx = SearchContext(ds, cfg)
-    shared = sup_quality(ctx, batch, center)
-    unpruned = sup_quality(ctx, batch, center, prune=False)
-    alone = [sup_quality(ctx, lv, center) for lv in batch]
-    assert max(r.nodes_visited for r in alone) <= shared.nodes_visited
-    assert shared.nodes_visited <= unpruned.nodes_visited
+    for budget in (BATCH_BYTES, 1):
+        monkeypatch.setattr(sigmine.search, "BATCH_BYTES", budget)
+        shared = counted(ctx, batch, center)
+        unpruned = counted(ctx, batch, center, prune=False)
+        alone = [counted(ctx, lv, center) for lv in batch]
+        assert max(r.nodes_visited for r in alone) <= shared.nodes_visited
+        assert shared.nodes_visited <= unpruned.nodes_visited
+        assert shared.suprema == [r.supremum for r in alone] == unpruned.suprema
+    assert max(r.nodes_pruned for r in alone) > 0
     with pytest.raises(ValueError):
         shared.supremum
 
@@ -311,38 +367,34 @@ def derived_instances():
     }
 
 
-# derived selector -> basis, and the batch's (visited, pruned) at z = 1, 2, 3,
-# pinned from the search before derivation
+# derived selector -> basis
 DERIVED = {
     # the most frequent code of each column (the first of two equal ones)
-    "categorical": ({0: (1,), 4: (2, 3), 5: (6, 7, 8)}, [(9, 0), (35, 0), (59, 9)]),
+    "categorical": {0: (1,), 4: (2, 3), 5: (6, 7, 8)},
     # the larger of less_than(c) and at_least(c) from the other
-    "continuous": (
-        {2: (5,), 3: (0,), 4: (1,), 8: (11,), 9: (6,), 10: (7,), 14: (17,), 15: (12,), 16: (13,)},
-        [(18, 0), (126, 0), (330, 17)],
-    ),
+    "continuous": {
+        2: (5,), 3: (0,), 4: (1,), 8: (11,), 9: (6,), 10: (7,), 14: (17,), 15: (12,), 16: (13,),
+    },
     # the tied column's empty less_than and full at_least derive nothing
-    "tied": ({4: (2, 3), 7: (10,), 8: (5,), 9: (6,)}, [(11, 0), (38, 1), (56, 3)]),
+    "tied": {4: (2, 3), 7: (10,), 8: (5,), 9: (6,)},
     # a full cover has no basis
-    "one_code": ({1: (2,), 5: (3, 4)}, [(6, 0), (17, 0), (23, 0)]),
+    "one_code": {1: (2,), 5: (3, 4)},
     # one selector per column; the all-ones column covers every row
-    "itemset": ({}, [(4, 0), (10, 0), (14, 0)]),
+    "itemset": {},
     # intervals never fill a complement; less_than(c) and at_least(c) still do
-    "interval": ({2: (5,), 3: (0,), 4: (1,), 10: (8, 9), 13: (16,), 14: (11,), 15: (12,)},
-                 [(19, 0), (131, 1), (219, 46)]),
-    "interval_only": ({}, [(6, 0), (18, 0), (22, 8)]),
+    "interval": {2: (5,), 3: (0,), 4: (1,), 10: (8, 9), 13: (16,), 14: (11,), 15: (12,)},
+    "interval_only": {},
     # c1 < median is the complement of c0 = 0, but on another column
-    "across_columns": ({1: (0,), 4: (3, 5)}, [(6, 0), (17, 0), (20, 1)]),
+    "across_columns": {1: (0,), 4: (3, 5)},
     # equal covers share no basis: c0>=10 from c0<10, not from c0<5
-    "equal_cuts": ({4: (1,), 5: (2,), 7: (6, 8), 11: (14,), 12: (9,), 13: (10,)},
-                   [(15, 0), (78, 1), (144, 10)]),
+    "equal_cuts": {4: (1,), 5: (2,), 7: (6, 8), 11: (14,), 12: (9,), 13: (10,)},
 }
 
 
 @pytest.mark.parametrize("name", sorted(DERIVED))
 def test_derived_selectors(name):
     ds, cfg = derived_instances()[name]
-    bases, pinned = DERIVED[name]
+    bases = DERIVED[name]
     ctx = SearchContext(ds, cfg)
     assert {k: b for k, b in enumerate(ctx.basis) if b is not None} == bases
     for k, basis in enumerate(ctx.basis):
@@ -350,11 +402,10 @@ def test_derived_selectors(name):
         assert rows == list(basis or ())
     batch = [ds.target] + [bernoulli_labels(ds.m, p, 5, j) for j, p in enumerate((0.2, 0.5, 0.8))]
     center = ds.mean_target()
-    for z, counts in zip((1, 2, 3), pinned):
+    for z in (1, 2, 3):
         zcfg = replace(cfg, z=z)
         zctx = SearchContext(ds, zcfg)
-        res = sup_quality(zctx, batch, center)
-        assert (res.nodes_visited, res.nodes_pruned) == counts
+        res = counted(zctx, batch, center)
         for lv, sup in zip(batch, res.suprema):
             assert sup == sup_quality(zctx, lv, center).supremum
             assert (sup, argmax(zctx, lv, center)) == oracle(ds, lv, center, zcfg)
@@ -371,7 +422,7 @@ def test_derived_selectors(name):
     for z in (4, 5):
         zcfg = replace(cfg, z=z)
         zctx = SearchContext(ds, zcfg)
-        res = sup_quality(zctx, batch, center)
+        res = counted(zctx, batch, center)
         for lv, sup in zip(batch, res.suprema):
             own = own_search(ds, lv, center, zcfg)
             assert sup == own[0]
@@ -439,31 +490,32 @@ def test_compaction_choice_keeps_results(name, compact, monkeypatch):
 @pytest.mark.parametrize("name", sorted(DERIVED))
 def test_grouped_tables_and_replay_pieces(name, shrunk, monkeypatch):
     # with every child masked, a depth z-3 node tables the scored children
-    # of a column in groups and replays its children in pieces; with the
-    # budgets shrunk, groups and pieces hold one child, and the root still
-    # tables; either way every vector gets its own search
+    # of a column in groups, and the leaves raise the maxima in pieces of
+    # several pairs; with the budgets shrunk, groups hold one child and
+    # pieces one pair, and the root still tables; either way every vector
+    # gets its own search
     ds, cfg = derived_instances()[name]
     batch = [ds.target] + [bernoulli_labels(ds.m, p, 8, j) for j, p in enumerate((0.3, 0.6, 0.9))]
     center, w = ds.mean_target(), len(batch) + 1
     widths, pieces, tabled = [], [], []
     batched = sigmine.search._BatchSearch
-    leaf_best, replay, tables = batched.leaf_best, batched.replay, batched.tables
+    leaves, tables = batched.leaves, batched.tables
 
-    def record_leaf_best(self, start, width, pair_counts):
+    def record_leaves(self, start, width, pair_counts):
         widths.append(width)
-        return leaf_best(self, start, width, pair_counts)
-
-    def record_replay(self, starts, *args):
-        pieces.append(len(starts))
-        return replay(self, starts, *args)
+        raise_best = self.raise_best
+        self.raise_best = lambda cnt: (pieces.append(len(cnt)), raise_best(cnt))
+        try:
+            return leaves(self, start, width, pair_counts)
+        finally:
+            del self.raise_best
 
     def record_tables(self, *args):
         tabled.append(z)
         return tables(self, *args)
 
     monkeypatch.setattr(batched, "compacts", lambda *args: False)
-    monkeypatch.setattr(batched, "leaf_best", record_leaf_best)
-    monkeypatch.setattr(batched, "replay", record_replay)
+    monkeypatch.setattr(batched, "leaves", record_leaves)
     monkeypatch.setattr(batched, "tables", record_tables)
     for z in (3, 4, 5):
         zcfg = replace(cfg, z=z)
@@ -471,10 +523,10 @@ def test_grouped_tables_and_replay_pieces(name, shrunk, monkeypatch):
         own = [own_search(ds, lv, center, zcfg) for lv in batch]
         if shrunk:
             monkeypatch.setattr(sigmine.search, "PAIR_BYTES", 1)
-            # the root's tables, counts and best leaves, just fit
+            # the root's tables just fit their budget
             root = ctx.pairs.pair_start[-1] * (16 * w - 8)
             monkeypatch.setattr(sigmine.search, "BATCH_BYTES", root)
-        res = sup_quality(ctx, batch, center)
+        res = counted(ctx, batch, center)
         assert res.suprema == [o[0] for o in own]
         assert [own_fields(ctx, lv, center) for lv in batch] == own
         monkeypatch.setattr(sigmine.search, "PAIR_BYTES", PAIR_BYTES)
@@ -577,7 +629,7 @@ def test_table_memory_is_bounded():
 
 def test_sweep_chunk_memory_is_bounded():
     # a WY chunk on the sweep instance: 66 vectors, masked children grouped
-    # by column; groups, their derived pair counts and replay pieces are
+    # by column; groups, their derived pair counts and leaf pieces are
     # budgeted, so the peak stays within twice BATCH_BYTES
     ds = sweep_dataset()
     ctx = SearchContext(ds, SWEEP_LANGUAGE)

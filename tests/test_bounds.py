@@ -48,6 +48,7 @@ def test_bound_target_rejects_bad_delta():
 def test_variance_factor_examples():
     assert variance_factor(0.5, 1.0) == 0.25
     assert variance_factor(0.0, 0.7) == 0.0
+    assert variance_factor(0.3, 0.0) == 0.0  # sup_freq = 0 is accepted
     assert variance_factor(0.482, 1.0) == pytest.approx(0.518 * 0.482, abs=1e-12)
 
 

@@ -11,9 +11,9 @@ import sigmine.baselines
 import sigmine.discovery
 import sigmine.resample
 import sigmine.search
-from sigmine import to_csv
+from sigmine import Form, Selector, to_csv
 from sigmine.cli import main
-from sigmine.oracle import CatColumn, ContColumn, NullIID, SyntheticSpec, generate
+from sigmine.oracle import CatColumn, ContColumn, NullIID, Planted, SyntheticSpec, generate
 from sigmine.suites import planted_spec
 
 
@@ -297,6 +297,32 @@ def test_output_bytes_do_not_depend_on_batching_on_random_files(tmp_path_factory
         mp.setattr(sigmine.search, "BATCH_BYTES", 1)
         mp.setattr(sigmine.search, "PAIR_BYTES", 1)
         assert mined() == default
+
+
+@pytest.mark.parametrize(
+    "m, seed, share, columns", [(2000, 1, 0.4, 3), (3000, 2, 0.3, 4), (4000, 3, 0.5, 3)]
+)
+def test_top_k_flags_the_scan_rows_where_eps_t_is_positive(tmp_path, m, seed, share, columns):
+    # a strong plant on column 0 at a few thousand rows: the modes with
+    # eps_t > 0 report patterns, and a top-k over the whole language flags
+    # exactly the scan's rows, margins included
+    cats = (CatColumn((0.3, 0.3, 0.4)),) * (columns - 2)
+    spec = SyntheticSpec(
+        m, (CatColumn((share, 1 - share)), *cats, ContColumn("normal")),
+        Planted(Selector(0, Form.EQUALS, 0.0), p_in=0.95, p_out=0.05), seed=seed,
+    )
+    path, out = tmp_path / "in.csv", tmp_path / "out"
+    to_csv(generate(spec), path)
+    for mode in ("unconditional", "ub"):
+        rows = {}
+        for top in ((), TOP_ALL):
+            assert run_mine(path, "--mode", mode, "--output", str(out), *top) == 0
+            text = out.read_text()
+            rows[top] = tsv_rows(out.read_bytes())
+        eps_t = next(ln for ln in text.splitlines() if ln.startswith("# eps_t="))
+        assert float(eps_t.split("=")[1]) > 0
+        assert 0 < len(rows[()]) < len(rows[TOP_ALL]) < int(TOP_ALL[1])
+        assert [r[1:5] for r in rows[TOP_ALL] if r[5] == "1"] == [r[1:5] for r in rows[()]]
 
 
 def test_bad_forms_flag(null_csv, capsys):

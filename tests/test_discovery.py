@@ -16,7 +16,7 @@ from sigmine import (
     flag_top_k,
     run_discovery,
 )
-from sigmine.discovery import significant_patterns, top_k_patterns
+from sigmine.discovery import compute_bounds, significant_patterns, top_k_patterns
 from sigmine.report import METHODS
 from sigmine.search import SearchContext
 from sigmine.oracle import (
@@ -122,6 +122,22 @@ def test_flag_top_k_consistency(planted_ds, method):
         assert lib_report.to_json() == report.to_json() and lib_top == top
 
 
+def test_a_record_at_the_cutoff_is_significant(planted_ds):
+    # epsilon at the best observed quality and eps_t = 0: the best pattern's
+    # margin is exactly 0.0, the scan reports it, and both outputs flag it
+    ctx = SearchContext(planted_ds, LanguageConfig(z=2))
+    report = compute_bounds(ctx, _cfg(Mode.CONDITIONAL, seed=4))
+    best = top_k_patterns(ctx, report, 1)[0]
+    at_cut = replace(report, epsilon=best.quality, eps_t=0.0)
+    found = significant_patterns(ctx, at_cut)
+    assert [(d.pattern, d.threshold_margin, d.significant) for d in found] == [
+        (best.pattern, 0.0, True)
+    ]
+    top = top_k_patterns(ctx, at_cut, 3)
+    assert top[0] == found[0]
+    assert [d.significant for d in top] == [True, False, False]
+
+
 def test_flag_top_k_saturation_and_zero(planted_ds):
     cfg = _cfg(Mode.CONDITIONAL, seed=6, top_k=10**6)
     top, report = flag_top_k(planted_ds, cfg)
@@ -141,8 +157,9 @@ def test_flag_top_k_requires_k(planted_ds):
 
 
 def test_run_config_validation():
-    with pytest.raises(ConfigError):
-        RunConfig(delta=1.5)
+    for delta in (0.0, 1.0, 1.5):
+        with pytest.raises(ConfigError):
+            RunConfig(delta=delta)
     with pytest.raises(ConfigError):
         RunConfig(c=0)
     assert RunConfig(mode="conditional").mode is Mode.CONDITIONAL
