@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (even with an empty output set), 1 validation-band
 violation, 2 configuration error (message names the flag), 3 ingestion or
-schema error.  Data goes to --output or stdout; progress and diagnostics go
-to stderr only, so equal seeds produce byte-identical output files.
+schema error, or a file that cannot be read or written.  Data goes to
+--output or stdout; progress and diagnostics go to stderr only, so equal
+seeds produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .discovery import RunConfig, compute_bounds, significant_patterns, top_k_pa
 from .errors import ConfigError, IngestionError, SchemaError, SigmineError
 from .language import Form, LanguageConfig
 from .report import METHODS, records_from_discoveries, records_json, records_tsv
-from .resample import MAX_DRAWS
 from .search import SearchContext
 from .suites import SUITES
 
@@ -64,6 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the flag of each field a ConfigError can name
+FLAGS = {
+    "delta": "--delta", "c": "--resamples", "permutations": "--permutations",
+    "z": "--depth", "bins": "--bins", "forms": "--forms", "top_k": "--top-k",
+    "seed": "--seed", "trials": "--trials",
+}
+
+
 def _parse_forms(text: str) -> frozenset[Form]:
     out = set()
     for token in text.split(","):
@@ -73,63 +81,30 @@ def _parse_forms(text: str) -> frozenset[Form]:
         try:
             out.add(Form(token))
         except ValueError:
-            raise ConfigError(f"--forms: unknown form {token!r}") from None
+            raise ConfigError(f"unknown form {token!r}", "forms") from None
     if not out:
-        raise ConfigError("--forms: at least one form is required")
+        raise ConfigError("at least one form is required", "forms")
     return frozenset(out)
 
 
 def cmd_mine(args) -> int:
-    try:
-        if not 0.0 < args.delta < 1.0:
-            raise ConfigError("--delta must lie in (0, 1)")
-        # the generator keys at most MAX_DRAWS label vectors: a larger count
-        # is refused here, before any vector below the limit is drawn
-        if not 1 <= args.resamples <= MAX_DRAWS:
-            raise ConfigError("--resamples must lie in [1, 2**32]")
-        if not 1 <= args.permutations <= MAX_DRAWS:
-            raise ConfigError("--permutations must lie in [1, 2**32]")
-        if args.depth < 1:
-            raise ConfigError("--depth must be >= 1")
-        if args.bins < 1:
-            raise ConfigError("--bins must be >= 1")
-        if args.top_k is not None and args.top_k < 1:
-            raise ConfigError("--top-k must be >= 1")
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("--seed must lie in [0, 2**64)")
-        language = LanguageConfig(z=args.depth, bins=args.bins, forms=_parse_forms(args.forms))
-        cfg = RunConfig(
-            delta=args.delta,
-            c=args.resamples,
-            seed=args.seed,
-            language=language,
-            top_k=args.top_k,
-            permutations=args.permutations,
-        )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        dataset = load_csv(args.input, schema=args.schema)
-        ctx = SearchContext(dataset, language)
-    except (IngestionError, SchemaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INGEST
-    except ConfigError as exc:  # no column of the file takes any of the forms
-        print(f"error: --forms {args.forms}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        report = METHODS[args.mode](ctx, cfg)
-        if cfg.top_k is None:
-            found = significant_patterns(ctx, report)
-        else:
-            found = top_k_patterns(ctx, report, cfg.top_k)
-        records = records_from_discoveries(found, dataset)
-    except SigmineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    language = LanguageConfig(z=args.depth, bins=args.bins, forms=_parse_forms(args.forms))
+    cfg = RunConfig(
+        delta=args.delta,
+        c=args.resamples,
+        seed=args.seed,
+        language=language,
+        top_k=args.top_k,
+        permutations=args.permutations,
+    )
+    dataset = load_csv(args.input, schema=args.schema)
+    ctx = SearchContext(dataset, language)
+    report = METHODS[args.mode](ctx, cfg)
+    if cfg.top_k is None:
+        found = significant_patterns(ctx, report)
+    else:
+        found = top_k_patterns(ctx, report, cfg.top_k)
+    records = records_from_discoveries(found, dataset)
 
     if args.format == "tsv":
         text = records_tsv(records) + "\n" + report.to_kv_block() + "\n"
@@ -148,18 +123,13 @@ def cmd_mine(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise ConfigError("trials must be >= 1", "trials")
     suite, count = SUITES[args.suite]
     sizes = {} if args.trials is None else {count: args.trials}
-    try:
-        if args.trials is not None and args.trials < 1:
-            raise ConfigError("--trials must be >= 1")
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("--seed must lie in [0, 2**64)")
-        # a seed the suite derives from --seed can still leave the range
-        outcome = suite(seed=args.seed, **sizes)
-    except SigmineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # a seed out of range, or one the suite derives from it, is refused by
+    # the generator
+    outcome = suite(seed=args.seed, **sizes)
     for line in outcome.lines:
         print(line, file=sys.stderr)
     print(json.dumps({"suite": outcome.name, "ok": outcome.ok, **outcome.summary}, sort_keys=True))
@@ -167,11 +137,18 @@ def cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "mine":
-        return cmd_mine(args)
-    return cmd_validate(args)
+    """Run one command; an error prints on stderr, led by the flag of the
+    field a ConfigError names, and sets the exit code."""
+    args = build_parser().parse_args(argv)
+    try:
+        return cmd_mine(args) if args.command == "mine" else cmd_validate(args)
+    except (IngestionError, SchemaError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INGEST
+    except SigmineError as exc:
+        flag = isinstance(exc, ConfigError) and FLAGS.get(exc.field)
+        print(f"error: {flag}: {exc}" if flag else f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entry() -> None:

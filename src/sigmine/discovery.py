@@ -57,15 +57,15 @@ class RunConfig:
         if isinstance(self.mode, str):
             self.mode = Mode(self.mode)
         if not 0.0 < self.delta < 1.0:
-            raise ConfigError("delta must lie in (0, 1)")
+            raise ConfigError("delta must lie in (0, 1)", "delta")
         if not 1 <= self.c <= MAX_DRAWS:
-            raise ConfigError("c must lie in [1, 2**32]")
+            raise ConfigError("c must lie in [1, 2**32]", "c")
         if not 1 <= self.permutations <= MAX_DRAWS:
-            raise ConfigError("permutation count must lie in [1, 2**32]")
+            raise ConfigError("permutation count must lie in [1, 2**32]", "permutations")
         if self.top_k is not None and self.top_k < 1:
-            raise ConfigError("top_k must be >= 1")
+            raise ConfigError("top_k must be >= 1", "top_k")
         if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must lie in [0, 2**64)")
+            raise ConfigError("seed must lie in [0, 2**64)", "seed")
 
 
 @dataclass(frozen=True)

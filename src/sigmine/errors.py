@@ -14,7 +14,12 @@ class SchemaError(SigmineError):
 
 
 class ConfigError(SigmineError):
-    """A run/language configuration is invalid."""
+    """A run/language configuration is invalid; `field` names the setting
+    it refuses, when there is one (the CLI maps it to a flag)."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class ComputationError(SigmineError):

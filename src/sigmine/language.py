@@ -113,11 +113,11 @@ class LanguageConfig:
 
     def __post_init__(self):
         if self.z < 1:
-            raise ConfigError("z must be >= 1")
+            raise ConfigError("z must be >= 1", "z")
         if self.bins < 1:
-            raise ConfigError("bins must be >= 1")
+            raise ConfigError("bins must be >= 1", "bins")
         if self.mode not in ("subgroup", "itemset"):
-            raise ConfigError(f"unknown language mode {self.mode!r}")
+            raise ConfigError(f"unknown language mode {self.mode!r}", "mode")
 
 
 def base_selectors(dataset: Dataset, cfg: LanguageConfig) -> list[Selector]:

@@ -33,9 +33,9 @@ MAX_DRAWS = 1 << 32
 def generator(seed: int, stream: int, j: int) -> np.random.Generator:
     """Counter-based generator for one (seed, stream, j) cell."""
     if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}", "seed")
     if not 0 <= j < MAX_DRAWS:
-        raise ConfigError("stream index out of range")
+        raise ConfigError("stream index out of range", "j")
     key = np.array([seed, ((stream & 0xFFFFFFFF) << 32) | j], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -56,9 +56,9 @@ class ResamplePlan:
 
     def __post_init__(self):
         if not 1 <= self.c <= MAX_DRAWS:
-            raise ConfigError("resample count c must lie in [1, 2**32]")
+            raise ConfigError("resample count c must lie in [1, 2**32]", "c")
         if not 0.0 <= self.p <= 1.0:
-            raise ConfigError("Bernoulli rate must lie in [0, 1]")
+            raise ConfigError("Bernoulli rate must lie in [0, 1]", "p")
 
 
 @dataclass

@@ -91,7 +91,8 @@ class SearchContext:
     Selector covers are computed once, as the rows of the (selectors, words)
     uint64 matrix `words` that every search intersects down the language.
     `col_heads` holds the first selector of each column, and `next_start[k]`
-    the first on a column after k's.  The context is immutable.
+    the first on a column after k's.  The context is immutable but for
+    `layouts`, the cache of `children`.
 
     Selector k is *derived* when its cover and the covers of `basis[k]`, a
     non-empty set of other non-derived selectors on the same column, are
@@ -129,7 +130,7 @@ class SearchContext:
         self.cfg = cfg
         self.base = base_selectors(dataset, cfg)
         if not self.base:
-            raise ConfigError("language has no base selectors")
+            raise ConfigError("language has no base selectors", "forms")
         self.m = m = dataset.m
         nsel = len(self.base)
         # selector flags are packed in blocks of at most BATCH_BYTES: all of
@@ -160,12 +161,20 @@ class SearchContext:
             for b in bs or ():
                 self.user[b] = k
         self.col_heads = np.flatnonzero(np.diff(cols, prepend=-1))
+        self.layouts: dict[int, tuple] = {}
 
     @cached_property
     def pairs(self) -> _PairIndex:
         """The pair index of the batched search, built on first use, so a
         context only `threshold_mine` or `top_k` use never holds it."""
         return _PairIndex(self)
+
+    def children(self, start: int) -> tuple:
+        """`_child_layout` of a node whose children start at `start`, built
+        once per context: the batched search counts many such nodes."""
+        if start not in self.layouts:
+            self.layouts[start] = _child_layout(self, [start])
+        return self.layouts[start]
 
     def sup_frequency(self) -> float:
         """max_P f_P over the whole language (attained at depth 1)."""
@@ -377,6 +386,51 @@ def _popcounts(covers, lab):
     return np.bitwise_count(covers[:, None, :] & lab).sum(axis=2, dtype=np.uint32)
 
 
+def _popcount_rows(cnt, rows, lab, words, w, parents=None, p=None) -> None:
+    """Fill the rows `rows` of `cnt` with the counts (`_popcounts`) of the
+    covers words[w], ANDed with parents[p] when given, in chunks of at most
+    PAIR_BYTES of (rows x label rows x words) temporary (or one row's)."""
+    step = max(1, PAIR_BYTES // max(lab.nbytes, 1))
+    for c in range(0, len(rows), step):
+        chunk = slice(c, c + step)
+        covers = words[w[chunk]]
+        if parents is not None:  # not `&=`: in place, the scan faulted 3x as often
+            covers = parents[p[chunk]] & covers
+        cnt[rows[chunk]] = _popcounts(covers, lab)
+
+
+def _child_layout(ctx: SearchContext, starts):
+    """The children starts[p].. of each parent p, parent after parent, as
+    (selectors, parents, scored rows, derived rows, basis offsets, basis
+    rows), the bases as `_subtract` reads them.  Derived child k at row r
+    has its basis sibling b at row r + b - k, and the bases of parent p's
+    derived children are basis_rows[basis_ptr[starts[p]]:]."""
+    lens = len(ctx.base) - np.asarray(starts)
+    sel = _ranges(starts, lens)
+    d = np.flatnonzero(ctx.is_derived[sel])
+    k = sel[d]
+    sizes = ctx.basis_ptr[k + 1] - ctx.basis_ptr[k]
+    b0 = ctx.basis_ptr[starts]
+    basis = np.repeat(d - k, sizes) + ctx.basis_rows[_ranges(b0, ctx.basis_ptr[-1] - b0)]
+    par = np.repeat(np.arange(len(lens)), lens)
+    return sel, par, np.flatnonzero(~ctx.is_derived[sel]), d, np.cumsum(sizes) - sizes, basis
+
+
+def _child_counts(lab, children, words, first=0, parents=None, total=None):
+    """Counts (children x label rows) of the `children` (`_child_layout`)
+    of one or more parents: scored child k by popcount of row k - first of
+    `words`, ANDed with its parent's row of `parents` if given
+    (`_popcount_rows`); derived ones as their parent's counts `total[p]`,
+    by default those of `lab`, minus their basis siblings'."""
+    sel, par, rows, d, offsets, basis = children
+    if total is None:
+        total = np.bitwise_count(lab).sum(axis=1, dtype=np.int64)[None]
+    cnt = np.empty((len(sel), len(lab)), dtype=np.int64)
+    _popcount_rows(cnt, rows, lab, words, sel[rows] - first, parents, par[rows])
+    cnt[d] = _subtract(total[par[d]], cnt, offsets, basis)
+    return cnt
+
+
 class _BatchSearch:
     """The running maximum of each vector of one `sup_quality` call, and
     the call's node counters.
@@ -406,41 +460,6 @@ class _BatchSearch:
         q = self.quality(cnt).max(axis=0).reshape(-1, len(self.best))
         np.maximum(self.best, q.max(axis=0), out=self.best)
 
-    def estimate(self, cnt):
-        """Optimistic estimates: `optimistic_estimate` for every entry."""
-        return (cnt[:, 1:] - cnt[:, 1:] * self.center) / self.ctx.m
-
-    def counts(self, kids, lab, start: int):
-        """Counts of the children start.. of a node whose transactions
-        `kids` and `lab` are restricted to: scored children by popcount, in
-        chunks of at most PAIR_BYTES of (children x label rows x words)
-        temporary (or one child's), derived ones by subtraction from the
-        node's own counts."""
-        ctx = self.ctx
-        cnt = np.empty((len(kids), len(lab)), dtype=np.int64)
-        derived = ctx.is_derived[start:]
-        rows = np.flatnonzero(~derived)
-        step = max(1, PAIR_BYTES // max(lab.nbytes, 1))
-        for c in range(0, len(rows), step):
-            cnt[rows[c : c + step]] = _popcounts(kids[rows[c : c + step]], lab)
-        # the bases of derived children start..: basis rows from start's on
-        d = np.flatnonzero(derived)
-        p0 = ctx.basis_ptr[start]
-        cnt[d] = _subtract(
-            np.bitwise_count(lab).sum(axis=1, dtype=np.int64), cnt,
-            ctx.basis_ptr[start + d] - p0, ctx.basis_rows[p0:] - start,
-        )
-        return cnt
-
-    @staticmethod
-    def compact(kids, lab, r: int, rest: int):
-        """Cover rows rest.. and the label matrix, compacted to the
-        transactions of cover row r (`_restrict`), derived rows or scored
-        alike."""
-        size = lab.shape[1] * 64
-        keep = np.flatnonzero(bitset.unpack_rows(kids[r : r + 1], size)[0])
-        return _restrict(kids[rest:], size, keep), _restrict(lab, size, keep)
-
     def compacts(self, keep: int, lab, start: int, depth: int) -> bool:
         """Whether a node at `depth` with `keep` transactions, whose
         children start at selector `start`, works on them compacted.
@@ -465,19 +484,15 @@ class _BatchSearch:
         """Counts of the (child, leaf) pairs of the children a..b, whole
         columns, of a node whose children start at selector `start`, given
         the children's counts `cnt`, in the pair index's order: pairs of
-        two scored selectors by popcount, in chunks of at most PAIR_BYTES
-        of (pairs x vectors x words) temporary, the rest by subtraction from
-        the counts of a child, in chunks of at most PAIR_BYTES of gathered
-        basis counts (or one pair's).  A derived pair's basis pairs have
-        its child's column, so they are among them."""
+        two scored selectors by popcount (`_popcount_rows`), the rest by
+        subtraction from the counts of a child, in chunks of at most
+        PAIR_BYTES of gathered basis counts (or one pair's).  A derived
+        pair's basis pairs have its child's column, so they are among them."""
         pix = self.ctx.pairs
         r0, s0, s1 = pix.pair_start[a], pix.ss_start[a], pix.ss_start[b]
         pc = np.empty((pix.pair_start[b] - r0, len(lab)), dtype=np.int64)
-        rows, i, k = pix.ss_row[s0:s1] - r0, pix.ss_i[s0:s1] - start, pix.ss_k[s0:s1] - start
-        step = max(1, PAIR_BYTES // max(lab.nbytes, 1))
-        for c in range(0, len(rows), step):
-            chunk = slice(c, c + step)
-            pc[rows[chunk]] = _popcounts(kids[i[chunk]] & kids[k[chunk]], lab)
+        i, k = pix.ss_i[s0:s1] - start, pix.ss_k[s0:s1] - start
+        _popcount_rows(pc, pix.ss_row[s0:s1] - r0, lab, kids, i, kids, k)
         step = max(1, PAIR_BYTES // (8 * len(lab)))
         for first, row, total, ptr, basis in pix.pair_phases:
             e, end = first[a], first[b]
@@ -521,9 +536,9 @@ class _BatchSearch:
 
         The children of one column share their children, the selectors
         after the column, so they are tabled in groups (`groups`): one
-        `counts`, one `pair_counts` and one `leaves` call per group, on
-        (children x (1 + vectors)) label rows, each child's counts a block
-        of columns.  A derived child d is not restricted or counted: its
+        `_child_counts`, one `pair_counts` and one `leaves` call per group,
+        on (children x (1 + vectors)) label rows, each child's counts a
+        block of columns.  A derived child d is not restricted or counted: its
         children's counts are the node's minus those of its basis siblings,
         and its pair counts are its later siblings' children's counts (the
         same pairs, in the same order) minus its basis siblings' pair
@@ -561,7 +576,8 @@ class _BatchSearch:
                 slot, dpc = {d: s for s, d in enumerate(ds)}, None
                 groups = self.groups(kids, lab, cnt, scored, start, depth + 1, fit)
                 for group, sub_kids, sub_lab in groups:
-                    sub_cnt = self.counts(sub_kids, sub_lab, nxt)
+                    total = cnt[group - start].reshape(1, -1)  # the group's own counts
+                    sub_cnt = _child_counts(sub_lab, ctx.children(nxt), sub_kids, nxt, total=total)
                     col_cnts[group - a] = sub_cnt.reshape(n, len(group), w).swapaxes(0, 1)
                     pc = self.pair_counts(sub_kids, sub_lab, nxt, sub_cnt, nxt, nsel)
                     table(pc)
@@ -583,7 +599,8 @@ class _BatchSearch:
         """The `children`, of one column, of a node whose children start at
         `start`, as groups at `depth` with the cover rows after their column
         and the label rows they are counted on.  A child that `compacts` is
-        a group of its own, on its compacted matrices (`compact`).  The
+        a group of its own, on the cover rows after its column and the
+        label rows compacted to its transactions (`_restrict`).  The
         others are masked, `fit` children a group: they share the node's
         cover rows, each with its own label rows, the node's ANDed with its
         cover, stacked.  A node searching its children one by one takes
@@ -591,10 +608,13 @@ class _BatchSearch:
         if not children:
             return
         nxt = self.ctx.next_start[children[0]]
+        size = lab.shape[1] * 64
         masked = []
         for i in children:
             if self.compacts(int(cnt[i - start, 0]), lab, nxt, depth):
-                yield np.array([i]), *self.compact(kids, lab, i - start, nxt - start)
+                keep = np.flatnonzero(bitset.unpack_rows(kids[i - start : i - start + 1], size)[0])
+                sub_kids = _restrict(kids[nxt - start :], size, keep)
+                yield np.array([i]), sub_kids, _restrict(lab, size, keep)
             else:
                 masked.append(i)
         for x in range(0, len(masked), fit):
@@ -620,7 +640,7 @@ class _BatchSearch:
         at every node below it."""
         ctx, pix = self.ctx, self.ctx.pairs
         nsel = len(ctx.base)
-        cnt = self.counts(kids, lab, start)
+        cnt = _child_counts(lab, ctx.children(start), kids, start)
         self.visited += len(cnt)
         if depth + 2 >= ctx.cfg.z:
             self.raise_best(cnt)
@@ -628,15 +648,19 @@ class _BatchSearch:
             return
         # the tables hold counts, 8 bytes per pair and label row; charged
         # 16 * width - 8 bytes a pair, they take at most about half of
-        # BATCH_BYTES.  A node whose tables take more, on a wide language,
-        # searches its children one by one, and there pruning saves work
+        # BATCH_BYTES.  The charge bounds those count tables only: the
+        # groups' pair counts and the derived children's `dpc` come on top,
+        # about as much again or more (120 selectors, 64 vectors: count
+        # tables of 3.4 MiB peaked at 9.9 MiB traced, against 2.4 MiB one by
+        # one).  A node whose tables take more, on a wide language, searches
+        # its children one by one, and there pruning saves work
         pairs = pix.pair_start[-1] - pix.pair_start[start]
         if depth + 3 == ctx.cfg.z and pairs * (16 * self.width - 8) <= BATCH_BYTES:
             self.raise_best(cnt)
             self.tables(kids, lab, cnt, start, depth)
             return
         vals = self.quality(cnt)
-        bound = self.estimate(cnt)
+        bound = (cnt[:, 1:] - cnt[:, 1:] * self.center) / ctx.m  # optimistic_estimate
         for r, i in enumerate(range(start, nsel)):
             np.maximum(self.best, vals[r], out=self.best)
             nxt = ctx.next_start[i]
@@ -653,9 +677,9 @@ class _Scan:
     """The patterns one `threshold_mine` or `top_k` call reports.
 
     The scan goes level by level over a frontier of entered patterns, in
-    pieces: the children of every pattern of a piece are counted at once,
-    by popcount against the pattern's cover, or by subtraction from the
-    pattern's counts for derived selectors (see `SearchContext`).
+    pieces: the children of every pattern of a piece are counted at once
+    (`_child_counts`), by popcount against the pattern's cover, or by
+    subtraction from the pattern's counts for derived selectors.
 
     A pattern is reported when its quality reaches eps + eps_t * frequency,
     and entered when its optimistic estimate reaches eps.  Reports are
@@ -686,33 +710,19 @@ class _Scan:
         """Scan the language; the hits with their quality statistics, in
         canonical order, or with k set the k best in (-quality, canonical)
         order."""
-        total = np.bitwise_count(self.lab).sum(axis=1, dtype=np.int64)
-        self.level(self.lab[:1], [()], np.zeros(1, dtype=np.intp), total[None], 1)
+        self.level(self.lab[:1], [()], np.zeros(1, dtype=np.intp), None, 1)
         hits = self.hits if self.k is not None else sorted(self.hits, key=lambda h: h[1])
         return [(idx, QualityStat(-q, n / self.ctx.m, pos)) for q, idx, n, pos in hits]
 
     def level(self, covers, chosen, starts, total, depth: int) -> None:
         """Scan the children of the patterns `chosen`, whose covers are
-        `covers`, counts `total` and children start at `starts`, at `depth`."""
+        `covers`, counts `total` (None at the root: `_child_counts`) and
+        children start at `starts`, at `depth`."""
         ctx = self.ctx
         nsel, m = len(ctx.base), ctx.m
-        lens = nsel - starts
-        par = np.repeat(np.arange(len(starts)), lens)
-        sel = _ranges(starts, lens)
-        cnt = np.empty((len(sel), 2), dtype=np.int64)
-        rows = np.flatnonzero(~ctx.is_derived[sel])
-        step = max(1, PAIR_BYTES // max(self.lab.nbytes, 1))
-        for c in range(0, len(rows), step):
-            r = rows[c : c + step]
-            cnt[r] = _popcounts(covers[par[r]] & ctx.words[sel[r]], self.lab)
-        # a derived child's basis are its siblings b, at first[p] + b - starts[p]
-        d = np.flatnonzero(ctx.is_derived[sel])
-        k = sel[d]
-        sizes = ctx.basis_ptr[k + 1] - ctx.basis_ptr[k]
-        offset = (np.cumsum(lens) - lens - starts)[par[d]]
-        basis = np.repeat(offset, sizes) + ctx.basis_rows[_ranges(ctx.basis_ptr[k], sizes)]
-        cnt[d] = _subtract(total[par[d]], cnt, np.cumsum(sizes) - sizes, basis)
-
+        children = _child_layout(ctx, starts)
+        cnt = _child_counts(self.lab, children, ctx.words, 0, covers, total)
+        sel, par = children[:2]
         n, pos = cnt[:, 0], cnt[:, 1]
         vals = (pos - n * self.center) / m
         found = np.flatnonzero(vals >= significance_cutoff(self.eps, self.eps_t, n / m))

@@ -82,7 +82,7 @@ def test_tests_and_demos_have_no_unused_imports():
     root = SRC.parents[1]
     unused = [
         f"{path.relative_to(root)}:{line}: {name}"
-        for folder in ("tests", "demos")
+        for folder in ("tests", "demos", "tools")
         for path in sorted((root / folder).glob("*.py"))
         for name, line in _unused_imports(path)
     ]

@@ -8,7 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sigmine.baselines
+import sigmine.cli
 import sigmine.discovery
+import sigmine.errors
 import sigmine.resample
 import sigmine.search
 from sigmine import Form, Selector, to_csv
@@ -143,9 +145,30 @@ def test_top_k_runs_no_scan(planted_csv, tmp_path, monkeypatch, mode):
 
 
 def test_config_error_names_flag(null_csv, capsys):
-    code = run_mine(null_csv, "--delta", "2.0")
-    assert code == 2
-    assert "--delta" in capsys.readouterr().err
+    # every range-checked flag, refused by the library check behind it
+    # (or, for --trials, by the CLI's own), exits 2 and names the flag
+    cases = [
+        *(["mine", "--input", str(null_csv), flag, value] for flag, value in [
+            ("--delta", "0"), ("--delta", "1"), ("--resamples", "0"), ("--permutations", "0"),
+            ("--depth", "0"), ("--bins", "0"), ("--top-k", "0"), ("--seed", "-1"),
+        ]),
+        ["validate", "--suite", "oracle", "--trials", "0"],
+    ]
+    for argv in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert argv[-2] in captured.err and captured.out == "", argv
+
+
+def test_config_error_without_a_field_names_no_flag(null_csv, capsys, monkeypatch):
+    # an error no flag caused, such as a file of 2**32 rows or more, is
+    # printed as it is, not as a --forms error
+    def refuse(*args):
+        raise sigmine.errors.ConfigError("a search takes fewer than 2**32 rows")
+
+    monkeypatch.setattr(sigmine.cli, "SearchContext", refuse)
+    assert run_mine(null_csv) == 2
+    assert capsys.readouterr().err == "error: a search takes fewer than 2**32 rows\n"
 
 
 @pytest.mark.parametrize("seed", [2**64, -1])
@@ -439,10 +462,11 @@ def test_missing_input_file_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_bins_flag(null_csv, capsys):
-    code = run_mine(null_csv, "--bins", "0")
-    assert code == 2
-    assert "--bins" in capsys.readouterr().err
+def test_unwritable_output_file_exit_code(null_csv, tmp_path, capsys):
+    # a file that cannot be written exits like one that cannot be read
+    assert run_mine(null_csv, "--output", str(tmp_path / "missing" / "o.tsv")) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 DEGENERATE = {

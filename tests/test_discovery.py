@@ -18,6 +18,7 @@ from sigmine import (
 )
 from sigmine.discovery import compute_bounds, significant_patterns, top_k_patterns
 from sigmine.report import METHODS
+from sigmine.resample import MAX_DRAWS, STREAM_RESAMPLE, ResamplePlan, generator
 from sigmine.search import SearchContext
 from sigmine.oracle import (
     CatColumn,
@@ -163,6 +164,29 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(c=0)
     assert RunConfig(mode="conditional").mode is Mode.CONDITIONAL
+
+
+def test_config_errors_name_their_field():
+    # the field a check refuses travels with the error, for the CLI to name
+    # its flag (`cli.FLAGS`)
+    refused = [
+        ("delta", lambda: RunConfig(delta=1.0)),
+        ("c", lambda: RunConfig(c=0)),
+        ("permutations", lambda: RunConfig(permutations=MAX_DRAWS + 1)),
+        ("top_k", lambda: RunConfig(top_k=0)),
+        ("seed", lambda: RunConfig(seed=2**64)),
+        ("z", lambda: LanguageConfig(z=0)),
+        ("bins", lambda: LanguageConfig(bins=0)),
+        ("mode", lambda: LanguageConfig(mode="sequence")),
+        ("c", lambda: ResamplePlan(c=MAX_DRAWS + 1, p=0.5, seed=1)),
+        ("p", lambda: ResamplePlan(c=1, p=-0.5, seed=1)),
+        ("seed", lambda: generator(-1, STREAM_RESAMPLE, 0)),
+        ("j", lambda: generator(1, STREAM_RESAMPLE, MAX_DRAWS)),
+    ]
+    for field, make in refused:
+        with pytest.raises(ConfigError) as info:
+            make()
+        assert info.value.field == field
 
 
 def test_run_config_rejects_top_k_below_one():

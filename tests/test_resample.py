@@ -27,6 +27,15 @@ def test_boundary_rates(small_ds):
     assert all(lv.ones == lv.m for lv in ones)
 
 
+def test_bit_is_one_iff_the_uniform_is_strictly_below_p():
+    # entry i is 1 iff u_{i,j} < p: at p equal to a drawn uniform it is 0
+    u = generator(5, STREAM_RESAMPLE, 3).random(40)
+    for i in (0, 17):
+        bits = bernoulli_labels(40, float(u[i]), 5, 3).bits
+        assert bits[i] == 0
+        assert bits.tolist() == [int(x < u[i]) for x in u]
+
+
 def test_per_vector_means_concentrate():
     m, c = 10_000, 10
     vecs = [bernoulli_labels(m, 0.5, seed=42, j=j) for j in range(c)]
