@@ -150,7 +150,7 @@ def test_config_error_names_flag(null_csv, capsys):
     cases = [
         *(["mine", "--input", str(null_csv), flag, value] for flag, value in [
             ("--delta", "0"), ("--delta", "1"), ("--resamples", "0"), ("--permutations", "0"),
-            ("--depth", "0"), ("--bins", "0"), ("--top-k", "0"), ("--seed", "-1"),
+            ("--depth", "0"), ("--top-k", "0"), ("--seed", "-1"),
         ]),
         ["validate", "--suite", "oracle", "--trials", "0"],
     ]
@@ -460,6 +460,13 @@ def test_stdout_default(null_csv, capsys):
 def test_missing_input_file_exit_code(capsys):
     assert run_mine("/nonexistent/input.csv") == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_bad_bins_flag(null_csv, capsys):
+    code = run_mine(null_csv, "--bins", "0")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--bins" in captured.err and captured.out == ""
 
 
 def test_unwritable_output_file_exit_code(null_csv, tmp_path, capsys):
