@@ -17,7 +17,7 @@ from .data import load_csv
 # compute_bounds stays importable here for bench/layers.py, which wraps it
 from .discovery import RunConfig, compute_bounds, significant_patterns, top_k_patterns  # noqa: F401
 from .errors import ConfigError, IngestionError, SchemaError, SigmineError
-from .language import Form, LanguageConfig
+from .language import LanguageConfig
 from .report import METHODS, records_from_discoveries, records_json, records_tsv
 from .search import SearchContext
 from .suites import SUITES
@@ -72,16 +72,10 @@ FLAGS = {
 }
 
 
-def _parse_forms(text: str) -> frozenset[Form]:
-    out = set()
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            out.add(Form(token))
-        except ValueError:
-            raise ConfigError(f"unknown form {token!r}", "forms") from None
+def _parse_forms(text: str) -> frozenset[str]:
+    """The comma-separated form names of `--forms`; `LanguageConfig` maps
+    them to forms and refuses an unknown one."""
+    out = {token.strip() for token in text.split(",")} - {""}
     if not out:
         raise ConfigError("at least one form is required", "forms")
     return frozenset(out)

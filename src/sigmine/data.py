@@ -41,6 +41,15 @@ INFER_DISTINCT_THRESHOLD = 12
 TO_CSV_ROWS = 1024
 
 
+def _cast(values, dtype) -> tuple[np.ndarray, bool]:
+    """`values` as a contiguous array of `dtype`, and whether the cast kept
+    every value; a cast that is safe from the values' dtype is not checked."""
+    src = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN: refused below
+        arr = np.ascontiguousarray(src, dtype=dtype)
+    return arr, np.can_cast(src.dtype, dtype) or np.array_equal(arr, src)
+
+
 class LabelVector:
     """A binary vector of length m: observed targets or one resample.
 
@@ -51,10 +60,10 @@ class LabelVector:
     __slots__ = ("bits", "mask", "m", "ones")
 
     def __init__(self, bits) -> None:
-        arr = np.ascontiguousarray(bits, dtype=np.uint8)
+        arr, exact = _cast(bits, np.uint8)
         if arr.ndim != 1:
             raise ValueError("labels must be 1-d")
-        if arr.size and arr.max() > 1:
+        if not exact or arr.size and arr.max() > 1:
             raise ValueError("labels must be 0/1")
         self.bits = arr
         self.bits.setflags(write=False)
@@ -106,7 +115,9 @@ class Dataset:
         self.cat_values = dict(cat_values or {})
         for i, (col, arr) in enumerate(zip(schema, values)):
             if col.kind is Kind.CATEGORICAL:
-                a = np.ascontiguousarray(arr, dtype=np.int32)
+                a, exact = _cast(arr, np.int32)
+                if not exact:
+                    raise SchemaError(f"column '{col.name}' has codes that are not int32 integers")
             elif col.kind is Kind.CONTINUOUS:
                 a = np.ascontiguousarray(arr, dtype=np.float64)
                 if not np.all(np.isfinite(a)):

@@ -103,7 +103,8 @@ class LanguageConfig:
 
     bins is the number of quantile cut points per continuous column
     (cuts at the empirical q_{i/(bins+1)}, i = 1..bins); interval selectors,
-    when enabled, are the windows between consecutive cut points.
+    when enabled, are the windows between consecutive cut points.  `forms`
+    may name forms by value ("less_than"); they are kept as `Form` members.
     """
 
     z: int = 2
@@ -118,6 +119,13 @@ class LanguageConfig:
             raise ConfigError("bins must be >= 1", "bins")
         if self.mode not in ("subgroup", "itemset"):
             raise ConfigError(f"unknown language mode {self.mode!r}", "mode")
+        forms = set()
+        for form in sorted(self.forms, key=str):
+            try:
+                forms.add(Form(form))
+            except ValueError:
+                raise ConfigError(f"unknown form {form!r}", "forms") from None
+        object.__setattr__(self, "forms", frozenset(forms))
 
 
 def base_selectors(dataset: Dataset, cfg: LanguageConfig) -> list[Selector]:

@@ -42,7 +42,6 @@ from __future__ import annotations
 from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -112,15 +111,15 @@ class SearchContext:
     basis_rows[basis_ptr[k] : basis_ptr[k + 1]], empty when k is scored.
     Counts are summed as uint32, so a context takes fewer than 2**32 rows.
 
-    For the last two levels of the batched search, the (child, leaf) pairs
-    below a node are indexed once, in `pairs`: `ss_*` the pairs of two
-    scored selectors, counted by popcount, and `pair_phases` the others with
-    their basis pairs (CSR), counted by subtraction in an order that counts
-    every basis first.  The same identity holds one level up: below a node
-    N, |N & d & x| = |N & x| - the sum of |N & b & x| over d's basis for any
-    pattern x on later columns, so a derived child's whole table of
-    children and pairs is its siblings' tables subtracted; `user[b]` is the
-    derived selector whose basis holds b, if any.
+    The last two levels of the batched search count (child, leaf) pairs
+    (i, k), k >= next_start[i], child after child: child i's pairs are rows
+    pair_start[i] - pair_start[s] .. of those of a node whose children
+    start at s (none when z=1), and `scored_pairs[s]` counts the pairs of
+    two scored selectors from child s on.  The same identity holds one level
+    up: below a node N, |N & d & x| = |N & x| - the sum of |N & b & x| over
+    d's basis for any pattern x on later columns, so a derived child's
+    leaves, children or a whole table are its siblings' subtracted;
+    `user[b]` is the derived selector whose basis holds b, if any.
     """
 
     def __init__(self, dataset: Dataset, cfg: LanguageConfig):
@@ -161,20 +160,24 @@ class SearchContext:
             for b in bs or ():
                 self.user[b] = k
         self.col_heads = np.flatnonzero(np.diff(cols, prepend=-1))
-        self.layouts: dict[int, tuple] = {}
+        pairs = (nsel - self.next_start) * (cfg.z > 1)
+        self.pair_start = np.concatenate([[0], np.cumsum(pairs)])
+        suffix = lambda x: np.append(np.cumsum(x[::-1])[::-1], 0)  # sums from each index on
+        scored = suffix(~self.is_derived)
+        self.scored_pairs = suffix(~self.is_derived * scored[self.next_start] * (cfg.z > 1))
+        self.layouts: dict[int | tuple[int, int], tuple] = {}
 
-    @cached_property
-    def pairs(self) -> _PairIndex:
-        """The pair index of the batched search, built on first use, so a
-        context only `threshold_mine` or `top_k` use never holds it."""
-        return _PairIndex(self)
-
-    def children(self, start: int) -> tuple:
-        """`_child_layout` of a node whose children start at `start`, built
-        once per context: the batched search counts many such nodes."""
-        if start not in self.layouts:
-            self.layouts[start] = _child_layout(self, [start])
-        return self.layouts[start]
+    def children(self, a: int, b: int | None = None) -> tuple:
+        """`_child_layout`, built once per context and kept as int32, as the
+        batched search counts many nodes alike: that of the children of a
+        node whose children start at `a`, or given `b`, that of the (child,
+        leaf) pairs of the scored children a..b, their children
+        (`pair_counts`)."""
+        key = a if b is None else (a, b)
+        if key not in self.layouts:
+            starts, keep = ([a], None) if b is None else (self.next_start[a:b], ~self.is_derived[a:b])
+            self.layouts[key] = tuple(x.astype(np.int32) for x in _child_layout(self, starts, keep))
+        return self.layouts[key]
 
     def sup_frequency(self) -> float:
         """max_P f_P over the whole language (attained at depth 1)."""
@@ -187,53 +190,6 @@ class SearchContext:
         """The chunk size callers split label vectors by, one `sup_quality`
         call per chunk: BATCH_BYTES over the bytes of `words`, at least 1."""
         return max(1, BATCH_BYTES // self.words.nbytes)
-
-
-class _PairIndex:
-    """The (child, leaf) pairs (i, k), k >= next_start[i], of the batched
-    search's last two levels, sorted by (i, k): child i's pairs are the rows
-    pair_start[i]:pair_start[i + 1] (none when z=1)."""
-
-    def __init__(self, ctx: SearchContext):
-        nsel, is_derived = len(ctx.base), ctx.is_derived
-        self.pair_count = (nsel - ctx.next_start) * (ctx.cfg.z > 1)
-        self.pair_start = np.concatenate([[0], np.cumsum(self.pair_count)])
-        pi = np.repeat(np.arange(nsel), self.pair_count)
-        pk = _ranges(ctx.next_start, self.pair_count)
-        di, dk = is_derived[pi], is_derived[pk]
-        # pairs of two scored selectors are counted by popcount: rows
-        # ss_row[ss_start[i]:ss_start[i + 1]] for child i
-        ss = np.flatnonzero(~di & ~dk)
-        self.ss_row = ss.astype(np.int32)
-        self.ss_i, self.ss_k = pi[ss].astype(np.int32), pk[ss].astype(np.int32)
-        self.ss_start = np.searchsorted(ss, self.pair_start)
-        # the others by subtraction, in two phases whose bases are counted
-        # before them: a pair with one derived selector from pairs of two
-        # scored ones, then a pair of two derived selectors from pairs with
-        # a derived child and a scored leaf
-        one = np.flatnonzero(di != dk)
-        two = np.flatnonzero(di & dk)
-        self.pair_phases = [
-            self._pair_phase(ctx, one, dk[one], pi, pk),
-            self._pair_phase(ctx, two, np.ones(len(two), dtype=bool), pi, pk),
-        ]
-
-    def _pair_phase(self, ctx: SearchContext, rows, leaf_side, pi, pk):
-        """Derived pairs `rows` as (per-child starts, rows, total, basis
-        pointers, basis rows).  Pair (i, k) with derived k (leaf_side) is
-        child i's counts minus the pairs (i, b), b in basis[k]; with derived
-        i it is child k's counts minus the pairs (a, k), a in basis[i]."""
-        d = np.where(leaf_side, pk[rows], pi[rows])
-        total = np.where(leaf_side, pi[rows], pk[rows])
-        lens = ctx.basis_ptr[d + 1] - ctx.basis_ptr[d]
-        ptr = np.concatenate([[0], np.cumsum(lens)])
-        b = ctx.basis_rows[_ranges(ctx.basis_ptr[d], lens)]
-        row, leaf = np.repeat(rows, lens), np.repeat(leaf_side, lens)
-        ci = np.where(leaf, pi[row], b)
-        ck = np.where(leaf, b, pk[row])
-        basis = self.pair_start[ci] + ck - ctx.next_start[ci]
-        small = [a.astype(np.int32) for a in (rows, total, ptr, basis)]
-        return np.searchsorted(rows, self.pair_start), *small
 
 
 def derive_bases(words: np.ndarray, columns: Sequence[int], m: int) -> list[tuple[int, ...] | None]:
@@ -289,17 +245,8 @@ def derive_bases(words: np.ndarray, columns: Sequence[int], m: int) -> list[tupl
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The concatenated ranges starts[r] .. starts[r] + lens[r]."""
-    offset = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
-    return np.repeat(starts, lens) + offset
-
-
-def _subtract(total, cnt, first, basis):
-    """Counts of derived entries: `total` minus the sum of their basis rows
-    of `cnt`, entry r's basis being the rows basis[first[r]:first[r + 1]]
-    (the last one's running to the end of `basis`); no basis is empty."""
-    if not len(first):
-        return np.empty((0, cnt.shape[1]), dtype=np.int64)
-    return total - np.add.reduceat(cnt[basis], first, axis=0)
+    first = np.cumsum(lens) - lens
+    return np.repeat(starts - first, lens) + np.arange(lens.sum())
 
 
 @dataclass
@@ -340,8 +287,10 @@ def sup_quality(
 
     The last two levels run as tables.  A depth z-2 node's table holds its
     children's counts and those of every (child, leaf) pair below it, for
-    every vector, by popcount only when neither selector is derived, in
-    blocks of whole columns.  A depth z-3 node (the root when z=3) tables
+    every vector, in blocks of whole columns: a scored child's leaves are
+    counted as its children, a derived child's are the node's children
+    minus its basis siblings' leaves, so only pairs of two scored selectors
+    take a popcount.  A depth z-3 node (the root when z=3) tables
     all its children, a column at a time from the last one back, when their
     tables fit its budget; a derived child's table is the node's counts and
     the tables of its later siblings minus those of its basis siblings, with
@@ -399,21 +348,27 @@ def _popcount_rows(cnt, rows, lab, words, w, parents=None, p=None) -> None:
         cnt[rows[chunk]] = _popcounts(covers, lab)
 
 
-def _child_layout(ctx: SearchContext, starts):
+def _child_layout(ctx: SearchContext, starts, keep=None):
     """The children starts[p].. of each parent p, parent after parent, as
     (selectors, parents, scored rows, derived rows, basis offsets, basis
-    rows), the bases as `_subtract` reads them.  Derived child k at row r
-    has its basis sibling b at row r + b - k, and the bases of parent p's
-    derived children are basis_rows[basis_ptr[starts[p]]:]."""
+    rows): the r-th derived row's basis siblings are the rows
+    basis[offsets[r]:offsets[r + 1]], the last one's running to the end,
+    and derived child k at row r has its basis sibling b at row r + b - k;
+    no basis is empty.  With the mask `keep` over the parents, the
+    children of the others are in neither row list."""
     lens = len(ctx.base) - np.asarray(starts)
     sel = _ranges(starts, lens)
-    d = np.flatnonzero(ctx.is_derived[sel])
+    derived = ctx.is_derived[sel]
+    scored = ~derived
+    if keep is not None:
+        kept = np.repeat(keep, lens)
+        derived, scored = derived & kept, scored & kept
+    d = np.flatnonzero(derived)
     k = sel[d]
     sizes = ctx.basis_ptr[k + 1] - ctx.basis_ptr[k]
-    b0 = ctx.basis_ptr[starts]
-    basis = np.repeat(d - k, sizes) + ctx.basis_rows[_ranges(b0, ctx.basis_ptr[-1] - b0)]
+    basis = np.repeat(d - k, sizes) + ctx.basis_rows[_ranges(ctx.basis_ptr[k], sizes)]
     par = np.repeat(np.arange(len(lens)), lens)
-    return sel, par, np.flatnonzero(~ctx.is_derived[sel]), d, np.cumsum(sizes) - sizes, basis
+    return sel, par, np.flatnonzero(scored), d, np.cumsum(sizes) - sizes, basis
 
 
 def _child_counts(lab, children, words, first=0, parents=None, total=None):
@@ -427,7 +382,8 @@ def _child_counts(lab, children, words, first=0, parents=None, total=None):
         total = np.bitwise_count(lab).sum(axis=1, dtype=np.int64)[None]
     cnt = np.empty((len(sel), len(lab)), dtype=np.int64)
     _popcount_rows(cnt, rows, lab, words, sel[rows] - first, parents, par[rows])
-    cnt[d] = _subtract(total[par[d]], cnt, offsets, basis)
+    if len(d):
+        cnt[d] = total[par[d]] - np.add.reduceat(cnt[basis], offsets, axis=0)
     return cnt
 
 
@@ -477,32 +433,26 @@ class _BatchSearch:
             return True
         size = lab.shape[1] * 64
         rows = np.count_nonzero(~ctx.is_derived[start:])
-        pairs = len(ctx.pairs.ss_row) - ctx.pairs.ss_start[start]
+        pairs = ctx.scored_pairs[start]
         return (size - keep) * len(lab) * (rows + pairs) > 64 * (rows + len(lab)) * size
 
     def pair_counts(self, kids, lab, start: int, cnt, a: int, b: int):
         """Counts of the (child, leaf) pairs of the children a..b, whole
         columns, of a node whose children start at selector `start`, given
-        the children's counts `cnt`, in the pair index's order: pairs of
-        two scored selectors by popcount (`_popcount_rows`), the rest by
-        subtraction from the counts of a child, in chunks of at most
-        PAIR_BYTES of gathered basis counts (or one pair's).  A derived
-        pair's basis pairs have its child's column, so they are among them."""
-        pix = self.ctx.pairs
-        r0, s0, s1 = pix.pair_start[a], pix.ss_start[a], pix.ss_start[b]
-        pc = np.empty((pix.pair_start[b] - r0, len(lab)), dtype=np.int64)
-        i, k = pix.ss_i[s0:s1] - start, pix.ss_k[s0:s1] - start
-        _popcount_rows(pc, pix.ss_row[s0:s1] - r0, lab, kids, i, kids, k)
-        step = max(1, PAIR_BYTES // (8 * len(lab)))
-        for first, row, total, ptr, basis in pix.pair_phases:
-            e, end = first[a], first[b]
-            while e < end:  # entries whose basis rows fit in a chunk
-                e1 = max(e + 1, int(np.searchsorted(ptr, ptr[e] + step, side="right")) - 1)
-                e1 = min(e1, end)
-                pc[row[e:e1] - r0] = _subtract(
-                    cnt[total[e:e1] - start], pc, ptr[e:e1] - ptr[e], basis[ptr[e] : ptr[e1]] - r0
-                )
-                e = e1
+        the children's counts `cnt`, child after child.  A scored child's
+        leaves are its children (`_child_counts`, its counts their total).
+        A derived child d's are the node's children from its next column on
+        minus its basis siblings' leaves, which have its column."""
+        ctx = self.ctx
+        parents = slice(a - start, b - start)
+        pc = _child_counts(lab, ctx.children(a, b), kids, start, kids[parents], cnt[parents])
+        # child a + j's pairs are the rows rows[j]:rows[j + 1] of pc
+        rows = (ctx.pair_start[a : b + 1] - ctx.pair_start[a]).tolist()
+        for j in np.flatnonzero(ctx.is_derived[a:b]).tolist():
+            block = pc[rows[j] : rows[j + 1]]
+            block[:] = cnt[ctx.next_start[a + j] - start :]
+            for s in ctx.basis[a + j]:
+                block -= pc[rows[s - a] : rows[s - a + 1]]
         return pc
 
     def leaves(self, start: int, width: int, pair_counts) -> None:
@@ -515,10 +465,10 @@ class _BatchSearch:
         of children a..b, and reduced in chunks of at most PAIR_BYTES (or
         one pair's).  Counts of a group of nodes (`tables`) hold a block of
         (1 + vectors) columns per node, each node's leaves its own."""
-        ctx, pix = self.ctx, self.ctx.pairs
+        ctx = self.ctx
         # children start..last have leaves, those of the last column none
-        last = start + np.count_nonzero(pix.pair_count[start:])
-        first = pix.pair_start[start : last + 1] - pix.pair_start[start]
+        last = max(start, int(np.searchsorted(ctx.pair_start, ctx.pair_start[-1])))
+        first = ctx.pair_start[start : last + 1] - ctx.pair_start[start]
         step = max(1, PAIR_BYTES // (8 * width))
         heads = ctx.col_heads[(ctx.col_heads >= start) & (ctx.col_heads < last)]
         blocks = heads[np.flatnonzero(np.diff(first[heads - start] // step, prepend=-1))]
@@ -530,8 +480,8 @@ class _BatchSearch:
 
     def tables(self, kids, lab, cnt, start: int, depth: int) -> None:
         """Tables of the children start.. of a depth z-3 node with counts
-        `cnt`: per child i, its children's counts, in the pair index's rows
-        of child i (from pair_start[start] on), and the leaves below them
+        `cnt`: per child i, its children's counts, in rows pair_start[i] -
+        pair_start[start] .. (see `SearchContext`), and the leaves below them
         (`leaves`), all raising each vector's maximum.
 
         The children of one column share their children, the selectors
@@ -548,22 +498,22 @@ class _BatchSearch:
         derived children are taken in groups whose pair counts take at
         most PAIR_BYTES (or one child's), each with the groups of its basis
         siblings, and the column's other scored children last."""
-        ctx, pix, w = self.ctx, self.ctx.pairs, self.width
-        nsel, p0 = len(ctx.base), pix.pair_start[start]
-        cnts = np.empty((pix.pair_start[-1] - p0, w), dtype=np.int64)
+        ctx, w = self.ctx, self.width
+        nsel, p0 = len(ctx.base), ctx.pair_start[start]
+        cnts = np.empty((ctx.pair_start[-1] - p0, w), dtype=np.int64)
         self.visited += len(cnts)
         heads = ctx.col_heads[np.searchsorted(ctx.col_heads, start) :].tolist()
         for a, nxt in reversed(list(zip(heads, [*heads[1:], nsel]))):
             if nxt == nsel:
                 continue  # the last column's children have no children
-            n, r0 = nsel - nxt, pix.pair_start[nxt]
-            col = slice(pix.pair_start[a] - p0, r0 - p0)
+            n, r0 = nsel - nxt, ctx.pair_start[nxt]
+            col = slice(ctx.pair_start[a] - p0, r0 - p0)
             col_cnts = cnts[col].reshape(nxt - a, n, w)
             tail = cnts[r0 - p0 :]  # the pairs below the column: later siblings' tables
             fit = max(1, PAIR_BYTES // max(tail.nbytes, 1))
 
             def table(pc):
-                rows = lambda x, y: pc[pix.pair_start[x] - r0 : pix.pair_start[y] - r0]
+                rows = lambda x, y: pc[ctx.pair_start[x] - r0 : ctx.pair_start[y] - r0]
                 self.leaves(nxt, pc.shape[1], rows)
 
             # derived children a group at a time, each group with its basis
@@ -638,7 +588,7 @@ class _BatchSearch:
         when none does.  The estimate does not grow down the tree and the
         maxima only rise, so a vector whose estimate fails at a node fails
         at every node below it."""
-        ctx, pix = self.ctx, self.ctx.pairs
+        ctx = self.ctx
         nsel = len(ctx.base)
         cnt = _child_counts(lab, ctx.children(start), kids, start)
         self.visited += len(cnt)
@@ -654,7 +604,7 @@ class _BatchSearch:
         # tables of 3.4 MiB peaked at 9.9 MiB traced, against 2.4 MiB one by
         # one).  A node whose tables take more, on a wide language, searches
         # its children one by one, and there pruning saves work
-        pairs = pix.pair_start[-1] - pix.pair_start[start]
+        pairs = ctx.pair_start[-1] - ctx.pair_start[start]
         if depth + 3 == ctx.cfg.z and pairs * (16 * self.width - 8) <= BATCH_BYTES:
             self.raise_best(cnt)
             self.tables(kids, lab, cnt, start, depth)

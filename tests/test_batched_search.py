@@ -486,6 +486,24 @@ def test_compaction_choice_keeps_results(name, compact, monkeypatch):
         monkeypatch.undo()
 
 
+def test_compaction_rule():
+    # a node above the last two levels always works on its transactions
+    # compacted; below, compaction pays only when it drops enough of them:
+    # never when it keeps all of them or drops one, and when it keeps one
+    # of 128 under 64 label rows and many (child, leaf) pairs
+    spec = SyntheticSpec(128, tuple(ContColumn("normal") for _ in range(6)), NullIID(0.4), seed=1)
+    ds = generate(spec)
+    ctx = SearchContext(ds, LanguageConfig(z=3, bins=4, forms=frozenset(Form)))
+    search = sigmine.search._BatchSearch(ctx, 63, ds.mean_target(), True)
+    lab = bitset.pack_rows(np.ones((64, ds.m), dtype=np.uint8))
+    start = int(ctx.col_heads[1])
+    assert ctx.scored_pairs[start] > 300
+    assert search.compacts(ds.m, lab, start, 0)
+    assert not search.compacts(ds.m, lab, start, 1)
+    assert not search.compacts(ds.m - 1, lab, start, 1)
+    assert search.compacts(1, lab, start, 1)
+
+
 @pytest.mark.parametrize("shrunk", [False, True])
 @pytest.mark.parametrize("name", sorted(DERIVED))
 def test_grouped_tables_and_replay_pieces(name, shrunk, monkeypatch):
@@ -511,7 +529,7 @@ def test_grouped_tables_and_replay_pieces(name, shrunk, monkeypatch):
             del self.raise_best
 
     def record_tables(self, *args):
-        tabled.append(z)
+        tabled.append((z, self.width))
         return tables(self, *args)
 
     monkeypatch.setattr(batched, "compacts", lambda *args: False)
@@ -524,7 +542,7 @@ def test_grouped_tables_and_replay_pieces(name, shrunk, monkeypatch):
         if shrunk:
             monkeypatch.setattr(sigmine.search, "PAIR_BYTES", 1)
             # the root's tables just fit their budget
-            root = ctx.pairs.pair_start[-1] * (16 * w - 8)
+            root = ctx.pair_start[-1] * (16 * w - 8)
             monkeypatch.setattr(sigmine.search, "BATCH_BYTES", root)
         res = counted(ctx, batch, center)
         assert res.suprema == [o[0] for o in own]
@@ -533,7 +551,8 @@ def test_grouped_tables_and_replay_pieces(name, shrunk, monkeypatch):
         monkeypatch.setattr(sigmine.search, "BATCH_BYTES", BATCH_BYTES)
         for lv, sup in zip(batch, res.suprema):
             assert (sup, argmax(ctx, lv, center)) == oracle(ds, lv, center, zcfg)
-    assert set(tabled) == {3, 4, 5}
+    # the batch tables at every depth, within the shrunk budgets too
+    assert {z for z, width in tabled if width == w} == {3, 4, 5}
     # a column of several scored children before the last one is grouped
     cols = [s.column for s in ctx.base]
     scored = [cols[i] for i in np.flatnonzero(~ctx.is_derived).tolist() if cols[i] != cols[-1]]
@@ -542,11 +561,57 @@ def test_grouped_tables_and_replay_pieces(name, shrunk, monkeypatch):
     assert max(widths) > w if grouped and not shrunk else max(widths) <= w
 
 
+@pytest.mark.parametrize("pair_bytes", [PAIR_BYTES, 1])
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_pair_counts_are_the_pairs_popcounts(name, pair_bytes, monkeypatch):
+    # the counts of every (child, leaf) pair, a derived child's or leaf's
+    # too, are a popcount of the pair's cover against each label row it is
+    # counted on: below the root of a z=2 search, and below each table
+    # group (a child, or masked children stacked) of a z=3 root
+    ds, cfg = derived_instances()[name]
+    batch = [ds.target, bernoulli_labels(ds.m, 0.4, 6, 0)]
+    pair_counts, calls = sigmine.search._BatchSearch.pair_counts, []
+
+    def checked(self, kids, lab, start, cnt, a, b):
+        pc = pair_counts(self, kids, lab, start, cnt, a, b)
+        nsel, nxt = len(self.ctx.base), self.ctx.next_start
+        pairs = [(i, k) for i in range(a, b) for k in range(nxt[i], nsel)]
+        want = [np.bitwise_count(kids[i - start] & kids[k - start] & lab).sum(axis=1) for i, k in pairs]
+        assert pc.tolist() == np.reshape(want, (len(pairs), len(lab))).tolist()
+        calls.append((start, len(lab), pairs))
+        return pc
+
+    monkeypatch.setattr(sigmine.search, "PAIR_BYTES", pair_bytes)
+    monkeypatch.setattr(sigmine.search._BatchSearch, "pair_counts", checked)
+    seen = set()
+    for z, masked in ((2, False), (3, False), (3, True)):
+        if masked:  # every child masked: a column's scored children are grouped
+            monkeypatch.setattr(sigmine.search._BatchSearch, "compacts", lambda *args: False)
+        ctx = SearchContext(ds, replace(cfg, z=z))
+        nsel, nxt, derived = len(ctx.base), ctx.next_start, ctx.is_derived
+        calls.clear()
+        sup_quality(ctx, batch, ds.mean_target())
+        pairs = [p for _, _, ps in calls for p in ps]
+        if z == 2:  # the root's blocks hold every pair once
+            assert {s for s, _, _ in calls} == {0}
+            assert sorted(pairs) == [(i, k) for i in range(nsel) for k in range(nxt[i], nsel)]
+        else:  # the root tables its children
+            assert all(s > 0 for s, _, _ in calls) and len(calls) > 1
+        # a column of several scored children before the last one is grouped
+        cols = [s.column for s in ctx.base]
+        scored = [cols[i] for i in np.flatnonzero(~derived).tolist() if cols[i] != cols[-1]]
+        if masked and pair_bytes > 1 and len(scored) > len(set(scored)):
+            assert max(w for _, w, _ in calls) > len(batch) + 1
+        seen.update((bool(derived[i]), bool(derived[k])) for i, k in pairs)
+    assert seen == ({(False, False), (False, True), (True, False), (True, True)}
+                    if DERIVED[name] else {(False, False)})
+
+
 def popcount_rows(ctx, start, depth):
     """Rows a prune-free batched search below a node counts by popcount
     when only the scored children of a depth z-3 node are restricted and
     counted, the derived ones by subtraction."""
-    nsel, z, pix = len(ctx.base), ctx.cfg.z, ctx.pairs
+    nsel, z = len(ctx.base), ctx.cfg.z
     rows = np.count_nonzero(~ctx.is_derived[start:])
     for i in range(start, nsel):
         nxt = ctx.next_start[i]
@@ -555,7 +620,7 @@ def popcount_rows(ctx, start, depth):
         if depth + 3 < z:
             rows += popcount_rows(ctx, nxt, depth + 1)
         elif not ctx.is_derived[i]:
-            rows += np.count_nonzero(~ctx.is_derived[nxt:]) + len(pix.ss_row) - pix.ss_start[nxt]
+            rows += np.count_nonzero(~ctx.is_derived[nxt:]) + ctx.scored_pairs[nxt]
     return rows
 
 
@@ -621,7 +686,7 @@ def test_table_memory_is_bounded():
     ds = generate(mushroom_class_spec(77))
     cfg = LanguageConfig(z=3, bins=5)
     ctx = SearchContext(ds, cfg)
-    assert ctx.pairs.pair_start[-1] == 3932
+    assert ctx.pair_start[-1] == 3932
     batch = [ds.target, *(bernoulli_labels(ds.m, 0.5, 9, j) for j in range(65))]
     assert 3932 * (16 * 67 - 8) <= sigmine.search.BATCH_BYTES
     assert search_peak(ctx, batch) < 3 * sigmine.search.BATCH_BYTES  # 12 MiB
@@ -648,7 +713,7 @@ def test_wide_language_memory_is_bounded(z):
     ds = generate(spec)
     cfg = LanguageConfig(z=z, bins=2, forms=frozenset(Form))
     ctx = SearchContext(ds, cfg)
-    assert (len(ctx.base), ctx.pairs.pair_start[-1]) == (120, 6900)
+    assert (len(ctx.base), ctx.pair_start[-1]) == (120, 6900)
     assert 6900 * (16 * 65 - 8) > sigmine.search.BATCH_BYTES
     batch = [ds.target, *(bernoulli_labels(ds.m, 0.4, 3, j) for j in range(63))]
     assert search_peak(ctx, batch) < sigmine.search.BATCH_BYTES

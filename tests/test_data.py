@@ -206,3 +206,23 @@ def test_to_csv_writes_the_per_cell_bytes(tmp_path_factory, ds, rows):
 def test_label_vector_validates():
     with pytest.raises(ValueError):
         LabelVector(np.array([0, 2], dtype=np.uint8))
+
+
+def test_casts_that_would_change_a_value_are_refused():
+    # labels and categorical codes are stored as uint8 and int32: a value
+    # the cast would truncate or wrap is refused, an exact one kept
+    for bits in ([0.5, 0.9, 1.7], np.array([0, 256]), np.array([1, -255])):
+        with pytest.raises(ValueError, match="0/1"):
+            LabelVector(bits)
+    for bits in ([0.0, 1.0, 1.0], [0, 1, 1], np.array([0, 1, 1], dtype=bool)):
+        assert LabelVector(bits).bits.tolist() == [0, 1, 1]
+    target = LabelVector([0, 1, 1])
+
+    def codes(values):
+        ds = Dataset([ColumnSchema("c", Kind.CATEGORICAL)], [values], target)
+        return ds.values[0].tolist()
+
+    for values in ([0.5, 1.5, 1.0], np.array([0, 2**31, 1]), [0, 1, np.nan]):
+        with pytest.raises(SchemaError, match="'c' has codes"):
+            codes(values)
+    assert codes([0.0, 2.0, 1.0]) == codes(np.array([0, 2, 1], dtype=np.int8)) == [0, 2, 1]

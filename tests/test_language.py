@@ -126,6 +126,16 @@ def test_enumeration_matches_nested_loop(seed):
     assert len(rows) == pattern_count(base_selectors(ds, cfg), cfg)
 
 
+def test_forms_named_by_value_are_forms():
+    named = LanguageConfig(forms=frozenset({"less_than", Form.EQUALS}))
+    assert named.forms == frozenset({Form.LESS_THAN, Form.EQUALS})
+    assert all(type(f) is Form for f in named.forms)
+    assert named == LanguageConfig(forms=frozenset({Form.LESS_THAN, Form.EQUALS}))
+    with pytest.raises(ConfigError, match="unknown form 'equalz'") as err:
+        LanguageConfig(forms=frozenset({"equalz"}))
+    assert err.value.field == "forms"
+
+
 def test_pattern_canonicalization():
     s0 = Selector(0, Form.EQUALS, 1.0)
     s1 = Selector(1, Form.EQUALS, 0.0)

@@ -68,6 +68,15 @@ def test_config_hash_sensitivity():
     assert len(digests) == len(changed)
 
 
+def test_forms_named_by_value_hash_and_sweep(ds):
+    # forms given by value are the same language: same hash, and sweep_c,
+    # which hashes the config, runs
+    named = _cfg(language=LanguageConfig(z=2, forms=frozenset({"less_than", "equals"})))
+    forms = _cfg(language=LanguageConfig(z=2, forms=frozenset({Form.LESS_THAN, Form.EQUALS})))
+    assert config_hash(named) == config_hash(forms)
+    assert sweep_c(ds, named, [1]).config_digest == config_hash(forms)
+
+
 def test_sweep_deterministic_and_monotone_addend(ds):
     cfg = _cfg(seed=21)
     c_values = [1, 4, 16]

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -315,16 +316,16 @@ def test_label_length_must_match_the_context(call):
             run([labels, lv(labels.bits[:-1])])
 
 
-def test_pair_index_is_built_by_the_batched_search_only():
-    # the (child, leaf) pair index serves sup_quality alone: a context the
-    # scan and top-k use never builds it
+def test_layouts_are_built_by_the_batched_search_only():
+    # the cached child and (child, leaf) pair layouts serve sup_quality
+    # alone: a context the scan and top-k use never builds them
     ds, labels, center, cfg = _random_tiny_instance(5)
-    ctx = SearchContext(ds, cfg)
+    ctx = SearchContext(ds, replace(cfg, z=3))
     top_k(ctx, labels, center, 3)
     threshold_mine(ctx, labels, center, 0.0, 0.0)
-    assert "pairs" not in vars(ctx)
+    assert ctx.layouts == {}
     sup_quality(ctx, labels, center)
-    assert "pairs" in vars(ctx)
+    assert any(isinstance(key, tuple) for key in ctx.layouts)
 
 
 def test_threshold_mine_enters_subtrees_whose_estimate_ties_eps():
