@@ -198,48 +198,38 @@ def derive_bases(words: np.ndarray, columns: Sequence[int], m: int) -> list[tupl
     all m rows (see `SearchContext`); selector k's cover is row k of the
     packed matrix `words`, and `columns` is ascending, as in the base.
 
-    Partitions are found in one greedy pass over the selectors.  For
-    selector k the candidates are the earlier non-empty covers disjoint
-    from its own, not derived and in no other basis, largest first, kept
-    while disjoint from those already kept; they and k form a partition
-    when their sizes and its own sum to m.  So a selector is in at most one
-    partition (equal covers, as at cuts with no value between them, would
-    otherwise share one).  The largest cover of each partition is then the
-    derived one, k on equal sizes, so that the smaller ones are popcounted.
+    Partitions are found in one greedy pass.  `free` holds the earlier
+    non-empty selectors of k's column in no partition yet; k is skipped at
+    once when its size and theirs sum to less than m, as every code of a
+    categorical column but the last is.  Otherwise each free selector,
+    largest first, is kept when its cover misses `cover`, the union of k's
+    and those kept so far; when their sizes and k's sum to m, the largest
+    of them, k on equal sizes, is made derived in place, so that the
+    smaller ones are popcounted.  So a selector is in at most one partition
+    (equal covers, as at cuts with no value between them, would otherwise
+    share one).
     """
     sizes = np.bitwise_count(words).sum(axis=1).tolist()
-    # the pairs (i, j), i < j, of selectors on one column whose covers
-    # overlap, from chunks of at most BATCH_BYTES of intersections
-    index = np.arange(len(words))
-    first = np.searchsorted(columns, columns).tolist()
-    lens = np.searchsorted(columns, columns, side="right") - index - 1
-    pi, pj = np.repeat(index, lens), _ranges(index + 1, lens)
-    step = max(1, BATCH_BYTES // max(words[:1].nbytes, 1))
-    hit = np.zeros(len(pi), dtype=bool)
-    for c in range(0, len(pi), step):
-        hit[c : c + step] = (words[pi[c : c + step]] & words[pj[c : c + step]]).any(axis=1)
-    pairs = list(zip(pi[hit].tolist(), pj[hit].tolist()))
-    meets = {*pairs, *((j, i) for i, j in pairs)}
-    bases: list[tuple[int, ...] | None] = []
-    used: set[int] = set()
+    bases: list[tuple[int, ...] | None] = [None] * len(words)
+    free: list[int] = []
     for k in range(len(words)):
-        cand = [
-            j for j in range(first[k], k)
-            if bases[j] is None and sizes[j] and (j, k) not in meets and j not in used
-        ]
+        if k and columns[k] != columns[k - 1]:
+            free = []
         picked, filled = [], sizes[k]
-        for j in sorted(cand, key=lambda j: -sizes[j]):
-            if not any((j, p) in meets for p in picked):
-                picked.append(j)
-                filled += sizes[j]
-        derived = picked and filled == m
-        bases.append(tuple(sorted(picked)) if derived else None)
-        used.update(picked if derived else ())
-    # hand each partition's derived role to its largest cover, k's on a tie
-    for k, picked in enumerate(list(bases)):
-        big = max(picked or (), key=sizes.__getitem__, default=k)
-        if sizes[big] > sizes[k]:
-            bases[k], bases[big] = None, tuple(sorted({*picked, k} - {big}))
+        if filled + sum(sizes[j] for j in free) >= m:
+            cover = words[k].copy()
+            for j in sorted(free, key=lambda j: -sizes[j]):
+                if not np.count_nonzero(cover & words[j]):
+                    cover |= words[j]
+                    picked.append(j)
+                    filled += sizes[j]
+        if picked and filled == m:
+            # picked[0] has the largest cover of them, the first on a tie
+            big = picked[0] if sizes[picked[0]] > sizes[k] else k
+            bases[big] = tuple(sorted({*picked, k} - {big}))
+            free = sorted({*free} - {*picked})
+        elif sizes[k]:
+            free.append(k)
     return bases
 
 

@@ -1,6 +1,7 @@
 """The batched supremum search against single-vector searches and the
 brute-force oracle: every vector of a batch gets exactly its own result."""
 
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -252,6 +253,40 @@ def test_batch_counts_cover_every_vector(monkeypatch):
         shared.supremum
 
 
+def test_pruning_skips_work(monkeypatch):
+    # at a 5% target rate on a wide language, a pruned search skips
+    # subtrees and popcount words, most when every depth z-3 node searches
+    # its children one by one (BATCH_BYTES at 1), to the same suprema
+    ds = generate(SyntheticSpec(400, (ContColumn(),) * 5, NullIID(0.05), seed=2))
+    ctx = SearchContext(ds, LanguageConfig(z=4, bins=3, forms=frozenset(Form)))
+    batch = [bernoulli_labels(400, 0.05, 3, j) for j in range(4)]
+    popcounts, words = sigmine.search._popcounts, []
+
+    def record_popcounts(covers, lab):
+        words.append(len(covers) * lab.size)
+        return popcounts(covers, lab)
+
+    monkeypatch.setattr(sigmine.search, "_popcounts", record_popcounts)
+    want = {
+        (BATCH_BYTES, True): (23088, 2, 112275),
+        (BATCH_BYTES, False): (26280, 0, 121125),
+        (1, True): (12752, 167, 111700),
+        (1, False): (26280, 0, 189375),
+    }
+    suprema = []
+    for budget, prune in want:
+        monkeypatch.setattr(sigmine.search, "BATCH_BYTES", budget)
+        words.clear()
+        res = counted(ctx, batch, 0.05, prune)
+        assert (res.nodes_visited, res.nodes_pruned, sum(words)) == want[budget, prune]
+        suprema.append(res.suprema)
+    assert suprema[1:] == suprema[:-1]
+    # no label is 1, so every estimate ties the maximum of 0 from the
+    # first child on, and only a strict > enters a subtree
+    res = counted(ctx, LabelVector(np.zeros(400, dtype=np.uint8)), 0.0)
+    assert (res.nodes_visited, res.nodes_pruned) == (40, 32)
+
+
 @pytest.fixture
 def wy_instance():
     ds = generate(
@@ -465,6 +500,72 @@ def test_derivation_checks_the_covers():
     # bases and a search may sum a basis' counts in place
     masks = words([0], [0], [1, 2, 3], [1, 2, 3])
     assert derive_bases(masks, [0, 0, 0, 0], 4) == [None, None, (0,), (1,)]
+
+
+def random_covers(rng):
+    """Flags of the selectors of a few columns over m rows, and their
+    columns: categorical partitions with empty codes, tied cuts and their
+    complements with NaN rows in neither, a cover and its complement,
+    unions of codes, empty and full covers, and random covers, shuffled
+    within each column."""
+    m = int(rng.integers(1, 90))
+    flags, cols = [], []
+    for c in range(int(rng.integers(1, 4))):
+        col = []
+        for kind in rng.integers(0, 6, int(rng.integers(1, 5))):
+            codes = rng.integers(0, int(rng.integers(1, 8)), m)
+            if kind == 0:
+                col += [codes == v for v in range(codes.max() + 2)]
+            elif kind == 1:
+                values = np.where(rng.random(m) < rng.choice([0, 0.1]), np.nan, codes % 4)
+                col += [f(values, t) for t in rng.integers(0, 5, 3) for f in (np.less, np.greater_equal)]
+            elif kind == 2:
+                f = rng.random(m) < rng.random()
+                col += [f, ~f]
+            elif kind == 3:
+                col += [np.isin(codes, rng.choice(8, int(rng.integers(1, 4)))) for _ in range(3)]
+            elif kind == 4:
+                col += [np.full(m, rng.random() < 0.5)]
+            else:
+                col += [rng.random(m) < rng.random() for _ in range(3)]
+        flags += [col[i] for i in rng.permutation(len(col))]
+        cols += [c] * len(col)
+    return np.array(flags), cols, m
+
+
+def test_derived_bases_partition_the_rows():
+    # on random cover sets, each derived selector and its basis, non-empty
+    # and on its column, are disjoint and hold all m rows, the derived one
+    # the largest; no basis member is derived, and no selector is in two
+    # partitions
+    rng = np.random.default_rng(19)
+    derived = 0
+    for _ in range(500):
+        flags, cols, m = random_covers(rng)
+        sizes = flags.sum(axis=1)
+        bases = derive_bases(bitset.pack_rows(flags), cols, m)
+        parts = [(k, basis) for k, basis in enumerate(bases) if basis is not None]
+        used = [x for k, basis in parts for x in (k, *basis)]
+        assert len(used) == len(set(used))
+        for k, basis in parts:
+            assert basis and all(cols[b] == cols[k] for b in basis)
+            assert all(bases[b] is None for b in basis)
+            assert flags[[k, *basis]].sum(axis=0).max() <= 1
+            assert sizes[k] + sizes[list(basis)].sum() == m
+            assert all(sizes[k] >= sizes[b] for b in basis)
+        derived += len(parts)
+    assert derived > 1000
+
+
+def test_many_codes_build_fast():
+    # 800 codes: every code but the last is skipped at once, as its size
+    # and those of the codes before it fall short of m, and the last one's
+    # partition takes one pass over the others
+    ds = generate(SyntheticSpec(5000, (CatColumn((1 / 800,) * 800),), NullIID(0.5), seed=0))
+    t = time.perf_counter()
+    ctx = SearchContext(ds, LanguageConfig(z=2))
+    assert time.perf_counter() - t < 2.0
+    assert ctx.is_derived.sum() == 1 and len(ctx.basis_rows) == len(ctx.base) - 1
 
 
 @pytest.mark.parametrize("compact", [True, False])

@@ -26,9 +26,11 @@ from sigmine.oracle import (
     NullIID,
     SyntheticSpec,
     brute_force_qualities,
+    fwer_band,
     generate,
+    monte_carlo,
 )
-from sigmine.suites import planted_spec
+from sigmine.suites import _runner, planted_spec
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +208,18 @@ def test_conditional_null_fwer_smoke():
         found, _ = run_discovery(ds, _cfg(Mode.CONDITIONAL, seed=t))
         rejections += bool(found)
     assert rejections <= 6
+
+
+@pytest.mark.parametrize(
+    "mode, rule", [(Mode.CONDITIONAL, NullConditional(100)), (Mode.UNCONDITIONAL, NullIID(0.5))]
+)
+def test_null_fwer_with_a_many_valued_column(mode, rule):
+    # 150 codes over 200 rows: most codes cover a row or two, the most
+    # frequent is counted as the complement of all the others, and the
+    # language is mostly tiny covers
+    cols = (CatColumn((1 / 150,) * 150), CatColumn((0.5, 0.5)), CatColumn((0.5, 0.5)))
+    summary = monte_carlo(SyntheticSpec(200, cols, rule), _runner(mode), trials=200, base_seed=0)
+    assert summary.empirical_fwer <= fwer_band(0.05, 200), summary
 
 
 @pytest.mark.parametrize("mu", [0.0, 1.0])
