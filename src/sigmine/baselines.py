@@ -99,20 +99,12 @@ def wy_quantile(ctx: SearchContext, cfg: RunConfig) -> QuantileEstimate:
     label permutations, keyed on `cfg.seed`.
 
     Permutations preserve the label mean, so deviations are centered at the
-    observed mean.  Permutations are searched in chunks, one batched
-    traversal per chunk, sized to the search's memory budget.
+    observed mean.  Permutations are drawn as `sup_quality` reads them, so
+    only one chunk of them, one batched traversal, is held at a time.
     """
     dataset = ctx.dataset
-    mu_d = dataset.mean_target()
-    size = ctx.batch_size()
-    p = cfg.permutations
-    devs: list[float] = []
-    for lo in range(0, p, size):
-        chunk = [
-            permuted_labels(dataset.target, cfg.seed, j) for j in range(lo, min(p, lo + size))
-        ]
-        devs += sup_quality(ctx, chunk, mu_d).suprema
-    return estimate_quantile(devs, cfg.delta)
+    perms = (permuted_labels(dataset.target, cfg.seed, j) for j in range(cfg.permutations))
+    return estimate_quantile(sup_quality(ctx, perms, dataset.mean_target()).suprema, cfg.delta)
 
 
 def run_wy(dataset: Dataset, cfg: RunConfig) -> tuple[list[Discovery], QuantileEstimate]:

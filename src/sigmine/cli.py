@@ -38,7 +38,11 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--mode", default="conditional", choices=list(METHODS))
     mine.add_argument("--delta", type=float, default=0.05)
     mine.add_argument("--resamples", type=int, default=10)
-    mine.add_argument("--permutations", type=int, default=1000)
+    mine.add_argument("--permutations", type=int, default=1000, help=(
+        "wy's p: a pattern must strictly beat the ceil(delta*p)-th largest of p permutation "
+        "suprema; at delta 0.05 the FWER can exceed delta for p <= 18, 21-38, 41-58, 61-78, "
+        "81-98 and any larger p neither a multiple of 20 nor one below one (within delta at "
+        "p = 20, 40, 100, 1000)"))
     mine.add_argument("--depth", type=int, default=2, help="max selectors per pattern (z)")
     mine.add_argument("--bins", type=int, default=5)
     mine.add_argument(

@@ -22,10 +22,26 @@ class QualityStat:
     positives: int
 
 
+def centered_quality(pos, n, center: float, m: int):
+    """(pos - n*center)/m: the centered quality of n rows, pos of them positive."""
+    return (pos - n * center) / m
+
+
+def quality_estimate(pos, center: float, m: int):
+    """(pos - pos*center)/m: the best centered quality of a subset of rows
+    holding pos positives.  In this form it dominates every subset's
+    computed quality (pos' - n'*center)/m, not just the exact one:
+    pos'*center <= n'*center survives rounding, and pos - round(pos*center)
+    does not decrease with pos while 1 - center exceeds m * 2**-52 or center
+    is 1.  pos*(1-center)/m could fall one ulp below a pure subset, so a
+    search pruning on it could lose a maximum that ties the bound."""
+    return (pos - pos * center) / m
+
+
 def empirical_quality(cover: Cover, labels: LabelVector, center: float) -> QualityStat:
     """Centered quality of one cover: value = (positives - |cover|*center)/m."""
     n = cover.bit_count()
     pos = (cover & labels.mask).bit_count()
     m = labels.m
-    return QualityStat((pos - n * center) / m, n / m, pos)
+    return QualityStat(centered_quality(pos, n, center, m), n / m, pos)
 

@@ -79,12 +79,10 @@ def estimate_deviation(
 ) -> DeviationEstimate:
     """d_j = sup quality of resample j at the given center; d_tilde = mean.
 
-    One batched search serves all resamples (split only when c exceeds the
-    search's memory budget); each d_j equals a search of resample j alone.
-    The mean uses compensated summation so d_tilde is exactly (1/c) sum d_j.
+    One batched search serves all resamples (`sup_quality` splits them only
+    when c exceeds its memory budget); each d_j equals a search of resample
+    j alone.  The mean uses compensated summation so d_tilde is exactly
+    (1/c) sum d_j.
     """
-    size = ctx.batch_size()
-    d: list[float] = []
-    for lo in range(0, len(resamples), size):
-        d += sup_quality(ctx, resamples[lo : lo + size], center).suprema
+    d = sup_quality(ctx, resamples, center).suprema
     return DeviationEstimate(d, math.fsum(d) / len(d))

@@ -40,8 +40,9 @@ A subtree is restricted to its root's transactions by one routine,
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .bounds import significance_cutoff
 from .data import Dataset, LabelVector
 from .errors import ConfigError
 from .language import Cover, LanguageConfig, Pattern, base_selectors, selector_flags
-from .quality import QualityStat
+from .quality import QualityStat, centered_quality, quality_estimate
 
 
 def optimistic_estimate(cover: Cover, labels: LabelVector, center: float) -> float:
@@ -58,17 +59,10 @@ def optimistic_estimate(cover: Cover, labels: LabelVector, center: float) -> flo
 
     A refinement's cover is a subset of `cover`; the best it can do is keep
     all label-1 transactions and drop the rest, scoring positives*(1-center)/m.
-    The bound also dominates the pattern's own quality since positives <= |cover|.
-
-    Computed as (pos - pos*center)/m, it dominates every descendant's
-    computed quality (pos' - n'*center)/m, not just the exact one:
-    pos'*center <= n'*center survives rounding, and pos - round(pos*center)
-    does not decrease with pos while 1 - center exceeds m * 2**-52 or center
-    is 1.  pos*(1-center)/m could fall one ulp below a pure descendant, so a
-    search pruning on it could lose a maximum that ties the bound.
+    The bound also dominates the pattern's own quality since positives <= |cover|,
+    and computed as `quality_estimate`, every descendant's computed quality.
     """
-    pos = (cover & labels.mask).bit_count()
-    return (pos - pos * center) / labels.m
+    return quality_estimate((cover & labels.mask).bit_count(), center, labels.m)
 
 
 # memory budget of the batched search's largest per-node temporary, and of
@@ -118,8 +112,7 @@ class SearchContext:
     two scored selectors from child s on.  The same identity holds one level
     up: below a node N, |N & d & x| = |N & x| - the sum of |N & b & x| over
     d's basis for any pattern x on later columns, so a derived child's
-    leaves, children or a whole table are its siblings' subtracted;
-    `user[b]` is the derived selector whose basis holds b, if any.
+    leaves, children or a whole table are its siblings' subtracted.
     """
 
     def __init__(self, dataset: Dataset, cfg: LanguageConfig):
@@ -154,11 +147,6 @@ class SearchContext:
         sizes = [len(b or ()) for b in self.basis]
         self.basis_ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
         self.basis_rows = np.array([b for bs in self.basis for b in bs or ()], dtype=np.intp)
-        # the derived selector whose basis holds each selector, or -1
-        self.user = [-1] * nsel
-        for k, bs in enumerate(self.basis):
-            for b in bs or ():
-                self.user[b] = k
         self.col_heads = np.flatnonzero(np.diff(cols, prepend=-1))
         pairs = (nsel - self.next_start) * (cfg.z > 1)
         self.pair_start = np.concatenate([[0], np.cumsum(pairs)])
@@ -187,8 +175,8 @@ class SearchContext:
         return Pattern(tuple(self.base[i] for i in indices))
 
     def batch_size(self) -> int:
-        """The chunk size callers split label vectors by, one `sup_quality`
-        call per chunk: BATCH_BYTES over the bytes of `words`, at least 1."""
+        """The vectors `sup_quality` searches in one traversal: BATCH_BYTES
+        over the bytes of `words`, at least 1."""
         return max(1, BATCH_BYTES // self.words.nbytes)
 
 
@@ -201,13 +189,15 @@ def derive_bases(words: np.ndarray, columns: Sequence[int], m: int) -> list[tupl
     Partitions are found in one greedy pass.  `free` holds the earlier
     non-empty selectors of k's column in no partition yet; k is skipped at
     once when its size and theirs sum to less than m, as every code of a
-    categorical column but the last is.  Otherwise each free selector,
-    largest first, is kept when its cover misses `cover`, the union of k's
-    and those kept so far; when their sizes and k's sum to m, the largest
-    of them, k on equal sizes, is made derived in place, so that the
-    smaller ones are popcounted.  So a selector is in at most one partition
-    (equal covers, as at cuts with no value between them, would otherwise
-    share one).
+    categorical column but the last is.  Otherwise the free selectors that
+    meet k, which cannot join its partition, are dropped by one AND, and
+    each of the others, largest first, is kept when its cover misses
+    `cover`, the union of k's and those kept so far, until their sizes and
+    k's sum to m (a full cover admits no further non-empty selector).  Then
+    the largest of them, k on equal sizes, is made derived in place, so
+    that the smaller ones are popcounted.  So a selector is in at most one
+    partition (equal covers, as at cuts with no value between them, would
+    otherwise share one).
     """
     sizes = np.bitwise_count(words).sum(axis=1).tolist()
     bases: list[tuple[int, ...] | None] = [None] * len(words)
@@ -218,8 +208,9 @@ def derive_bases(words: np.ndarray, columns: Sequence[int], m: int) -> list[tupl
         picked, filled = [], sizes[k]
         if filled + sum(sizes[j] for j in free) >= m:
             cover = words[k].copy()
-            for j in sorted(free, key=lambda j: -sizes[j]):
-                if not np.count_nonzero(cover & words[j]):
+            apart = [j for j, hit in zip(free, (words[free] & cover).any(axis=1)) if not hit]
+            for j in sorted(apart, key=lambda j: -sizes[j]):
+                if filled < m and not np.count_nonzero(cover & words[j]):
                     cover |= words[j]
                     picked.append(j)
                     filled += sizes[j]
@@ -241,10 +232,10 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SearchResult:
-    """Per-vector suprema of one batched search, and its work:
-    `nodes_visited` counts the patterns whose counts it formed, by popcount
-    or by subtraction, and `nodes_pruned` the subtrees it skipped.  A
-    vector's first maximizer in canonical order is
+    """Per-vector suprema of one `sup_quality` call, and its work summed
+    over its traversals: `nodes_visited` counts the patterns whose counts
+    it formed, by popcount or by subtraction, and `nodes_pruned` the
+    subtrees it skipped.  A vector's first maximizer in canonical order is
     `top_k(ctx, labels, center, 1)[0][0]`."""
 
     suprema: list[float]
@@ -260,12 +251,15 @@ class SearchResult:
 
 def sup_quality(
     ctx: SearchContext,
-    labels: LabelVector | Sequence[LabelVector],
+    labels: LabelVector | Iterable[LabelVector],
     center: float,
     prune: bool = True,
 ) -> SearchResult:
     """Exact maximum of the centered quality over the whole language, for one
-    label vector or for every vector of a batch in one traversal.
+    label vector or for every vector of a batch, one traversal per
+    `ctx.batch_size()` vectors; the vectors are read a chunk at a time, so
+    a generator keeps at most one chunk alive.  The result's suprema are in
+    the batch's order and its node counts the sums over the traversals.
 
     Covers and labels are packed into uint64 word matrices: each node forms
     all its children with one ``&`` and counts frequencies and per-vector
@@ -286,10 +280,11 @@ def sup_quality(
     the tables of its later siblings minus those of its basis siblings, with
     no restriction and no popcount.  The children of a column are tabled in
     groups: masked children share the node's cover rows and stack their own
-    label rows, so a group takes one count, one pair count and one leaf
-    reduction, a (child, vector) being one more column.  When z <= 2 the
-    root tables itself.  A depth z-3 node whose tables would not fit
-    searches its children one by one, as the nodes above it do.
+    label rows, so a group takes one count and one pair count, a (child,
+    vector) being one more column.  Each table raises the maxima once,
+    whole.  When z <= 2 the root tables itself.  A depth z-3 node whose
+    tables would not fit searches its children one by one, as the nodes
+    above it do.
 
     Each vector keeps a running maximum, which every value a table counts
     raises.  Above the tables, children are taken in canonical order: a
@@ -300,13 +295,17 @@ def sup_quality(
     the values are kept: a vector's first maximizer is
     `top_k(ctx, labels, center, 1)`'s entry.
     """
-    batch = [labels] if isinstance(labels, LabelVector) else list(labels)
-    if not batch:
+    vectors = iter([labels] if isinstance(labels, LabelVector) else labels)
+    res = SearchResult([], 0, 0)
+    while chunk := list(islice(vectors, ctx.batch_size())):
+        search = _BatchSearch(ctx, len(chunk), center, prune)
+        search.node(ctx.words, _label_words(chunk, ctx.m), 0, 0)
+        res.suprema += search.best.tolist()
+        res.nodes_visited += search.visited
+        res.nodes_pruned += search.pruned
+    if not res.suprema:
         raise ConfigError("sup_quality needs at least one label vector")
-    search = _BatchSearch(ctx, len(batch), center, prune)
-    lab = _label_words(batch, ctx.m)
-    search.node(ctx.words, lab, 0, 0)
-    return SearchResult(search.best.tolist(), search.visited, search.pruned)
+    return res
 
 
 def _label_words(batch: Sequence[LabelVector], m: int) -> np.ndarray:
@@ -398,13 +397,17 @@ class _BatchSearch:
         one or more blocks of (1 + vectors), as a group's are (`tables`)."""
         n, g, w = len(cnt), cnt.shape[1] // self.width, self.width
         c = cnt.reshape(n, g, w)
-        return ((c[..., 1:] - c[..., :1] * self.center) / self.ctx.m).reshape(n, g * (w - 1))
+        q = centered_quality(c[..., 1:], c[..., :1], self.center, self.ctx.m)
+        return q.reshape(n, g * (w - 1))
 
     def raise_best(self, cnt) -> None:
-        """Raise each vector's maximum to the best quality of counts whose
-        columns are one or more blocks of (1 + vectors)."""
-        q = self.quality(cnt).max(axis=0).reshape(-1, len(self.best))
-        np.maximum(self.best, q.max(axis=0), out=self.best)
+        """Count the patterns of a table, counts whose columns are one or
+        more blocks of (1 + vectors), as visited, and raise each vector's
+        maximum to their best quality."""
+        self.visited += cnt.size // self.width
+        if len(cnt):
+            q = self.quality(cnt).max(axis=0).reshape(-1, len(self.best))
+            np.maximum(self.best, q.max(axis=0), out=self.best)
 
     def compacts(self, keep: int, lab, start: int, depth: int) -> bool:
         """Whether a node at `depth` with `keep` transactions, whose
@@ -445,53 +448,28 @@ class _BatchSearch:
                 block -= pc[rows[s - a] : rows[s - a + 1]]
         return pc
 
-    def leaves(self, start: int, width: int, pair_counts) -> None:
-        """Raise each vector's maximum to the best quality among the leaves
-        of a node whose children start at selector `start`.
-
-        Pairs are counted in blocks of whole columns of at most PAIR_BYTES
-        of (pairs x `width`) counts, or one column's children when those
-        alone take more, `pair_counts(a, b)` giving the counts of the pairs
-        of children a..b, and reduced in chunks of at most PAIR_BYTES (or
-        one pair's).  Counts of a group of nodes (`tables`) hold a block of
-        (1 + vectors) columns per node, each node's leaves its own."""
-        ctx = self.ctx
-        # children start..last have leaves, those of the last column none
-        last = max(start, int(np.searchsorted(ctx.pair_start, ctx.pair_start[-1])))
-        first = ctx.pair_start[start : last + 1] - ctx.pair_start[start]
-        step = max(1, PAIR_BYTES // (8 * width))
-        heads = ctx.col_heads[(ctx.col_heads >= start) & (ctx.col_heads < last)]
-        blocks = heads[np.flatnonzero(np.diff(first[heads - start] // step, prepend=-1))]
-        for a, b in zip(blocks.tolist(), [*blocks[1:].tolist(), last]):
-            pc = pair_counts(a, b)
-            self.visited += len(pc) * (width // self.width)
-            for u in range(0, len(pc), step):
-                self.raise_best(pc[u : u + step])
-
     def tables(self, kids, lab, cnt, start: int, depth: int) -> None:
         """Tables of the children start.. of a depth z-3 node with counts
         `cnt`: per child i, its children's counts, in rows pair_start[i] -
-        pair_start[start] .. (see `SearchContext`), and the leaves below them
-        (`leaves`), all raising each vector's maximum.
+        pair_start[start] .. (see `SearchContext`), and the counts of the
+        leaves below them, each table raising each vector's maximum once.
 
         The children of one column share their children, the selectors
         after the column, so they are tabled in groups (`groups`): one
-        `_child_counts`, one `pair_counts` and one `leaves` call per group,
-        on (children x (1 + vectors)) label rows, each child's counts a
-        block of columns.  A derived child d is not restricted or counted: its
-        children's counts are the node's minus those of its basis siblings,
-        and its pair counts are its later siblings' children's counts (the
-        same pairs, in the same order) minus its basis siblings' pair
-        counts, subtracted as their groups count them; the derived children
-        of a column take one `leaves` per group too.  Columns are tabled
-        from the last one back, so later siblings come first.  A column's
-        derived children are taken in groups whose pair counts take at
-        most PAIR_BYTES (or one child's), each with the groups of its basis
+        `_child_counts` and one `pair_counts` per group, on (children x
+        (1 + vectors)) label rows, each child's counts a block of columns.
+        A derived child d is not restricted or counted: its children's
+        counts are the node's minus those of its basis siblings, and its
+        pair counts are its later siblings' children's counts (the same
+        pairs, in the same order) minus its basis siblings' pair counts,
+        subtracted as their groups count them.  Columns are tabled from the
+        last one back, so later siblings come first.  A column's derived
+        children are taken in parts whose pair counts take at most
+        PAIR_BYTES (or one child's), each with the groups of its basis
         siblings, and the column's other scored children last."""
         ctx, w = self.ctx, self.width
         nsel, p0 = len(ctx.base), ctx.pair_start[start]
         cnts = np.empty((ctx.pair_start[-1] - p0, w), dtype=np.int64)
-        self.visited += len(cnts)
         heads = ctx.col_heads[np.searchsorted(ctx.col_heads, start) :].tolist()
         for a, nxt in reversed(list(zip(heads, [*heads[1:], nsel]))):
             if nxt == nsel:
@@ -501,37 +479,34 @@ class _BatchSearch:
             col_cnts = cnts[col].reshape(nxt - a, n, w)
             tail = cnts[r0 - p0 :]  # the pairs below the column: later siblings' tables
             fit = max(1, PAIR_BYTES // max(tail.nbytes, 1))
-
-            def table(pc):
-                rows = lambda x, y: pc[ctx.pair_start[x] - r0 : ctx.pair_start[y] - r0]
-                self.leaves(nxt, pc.shape[1], rows)
-
-            # derived children a group at a time, each group with its basis
-            # siblings, then the scored children in no basis
+            # derived children a part at a time, each part with its basis
+            # siblings, slot[b] the part's derived child whose basis holds b;
+            # then the scored children in no basis
             derived = [d for d in range(a, nxt) if ctx.basis[d] is not None]
-            free = [i for i in range(a, nxt) if ctx.basis[i] is None and ctx.user[i] < 0]
             parts = [derived[x : x + fit] for x in range(0, len(derived), fit)]
-            parts = [(ds, [b for d in ds for b in ctx.basis[d]]) for ds in parts] + [([], free)]
-            for ds, scored in parts:
-                slot, dpc = {d: s for s, d in enumerate(ds)}, None
-                groups = self.groups(kids, lab, cnt, scored, start, depth + 1, fit)
+            parts = [(ds, {b: s for s, d in enumerate(ds) for b in ctx.basis[d]}) for ds in parts]
+            used = {b for _, slot in parts for b in slot}
+            free = [i for i in range(a, nxt) if ctx.basis[i] is None and i not in used]
+            for ds, slot in [*parts, ([], dict.fromkeys(free))]:
+                dpc = None
+                groups = self.groups(kids, lab, cnt, [*slot], start, depth + 1, fit)
                 for group, sub_kids, sub_lab in groups:
                     total = cnt[group - start].reshape(1, -1)  # the group's own counts
                     sub_cnt = _child_counts(sub_lab, ctx.children(nxt), sub_kids, nxt, total=total)
                     col_cnts[group - a] = sub_cnt.reshape(n, len(group), w).swapaxes(0, 1)
                     pc = self.pair_counts(sub_kids, sub_lab, nxt, sub_cnt, nxt, nsel)
-                    table(pc)
-                    if ds and dpc is None:  # allocated once the first basis group is tabled
-                        dpc = np.repeat(tail[:, None], len(ds), axis=1)
-                    for g, i in enumerate(group.tolist()):
-                        if ctx.user[i] in slot:
-                            dpc[:, slot[ctx.user[i]]] -= pc[:, g * w : (g + 1) * w]
+                    self.raise_best(pc)
+                    if ds:
+                        if dpc is None:  # allocated once the first basis group is tabled
+                            dpc = np.repeat(tail[:, None], len(ds), axis=1)
+                        for g, i in enumerate(group.tolist()):
+                            dpc[:, slot[i]] -= pc[:, g * w : (g + 1) * w]
                     del pc
                 if ds:
                     for d in ds:
                         basis = col_cnts[np.array(ctx.basis[d]) - a]
                         col_cnts[d - a] = cnt[nxt - start :] - basis.sum(axis=0)
-                    table(dpc.reshape(len(tail), len(ds) * w))
+                    self.raise_best(dpc.reshape(len(tail), len(ds) * w))
                     del dpc
             self.raise_best(cnts[col])
 
@@ -569,22 +544,30 @@ class _BatchSearch:
         compacted to them or kept whole (`groups`), so the two together
         count the children's covers.
 
-        A node at depth z-2 is its own table: its children and their leaves
-        (`leaves`) raise each vector's maximum.  A node at depth z-3 tables
-        all its children (`tables`) when they fit its budget.  Any other
-        node takes its children one by one in canonical order: a child's
-        value raises the maxima, then its subtree is entered when some
-        vector's estimate beats that vector's maximum, and counts as pruned
-        when none does.  The estimate does not grow down the tree and the
-        maxima only rise, so a vector whose estimate fails at a node fails
-        at every node below it."""
+        A node at depth z-2 is its own table: its children, then the
+        (child, leaf) pairs of blocks of whole columns, raise each vector's
+        maximum.  A node at depth z-3 tables all its children (`tables`)
+        when they fit its budget.  Any other node takes its children one by
+        one in canonical order: a child's value raises the maxima, then its
+        subtree is entered when some vector's estimate beats that vector's
+        maximum, and counts as pruned when none does.  The estimate does not
+        grow down the tree and the maxima only rise, so a vector whose
+        estimate fails at a node fails at every node below it."""
         ctx = self.ctx
         nsel = len(ctx.base)
         cnt = _child_counts(lab, ctx.children(start), kids, start)
-        self.visited += len(cnt)
         if depth + 2 >= ctx.cfg.z:
             self.raise_best(cnt)
-            self.leaves(start, self.width, lambda a, b: self.pair_counts(kids, lab, start, cnt, a, b))
+            # pairs in blocks of whole columns of at most PAIR_BYTES of
+            # counts, or one column's children when those alone take more;
+            # children start..last have leaves, those of the last column none
+            last = max(start, int(np.searchsorted(ctx.pair_start, ctx.pair_start[-1])))
+            step = max(1, PAIR_BYTES // (8 * self.width))
+            heads = ctx.col_heads[(ctx.col_heads >= start) & (ctx.col_heads < last)]
+            rows = (ctx.pair_start[heads] - ctx.pair_start[start]) // step
+            blocks = heads[np.flatnonzero(np.diff(rows, prepend=-1))].tolist()
+            for a, b in zip(blocks, [*blocks[1:], last]):
+                self.raise_best(self.pair_counts(kids, lab, start, cnt, a, b))
             return
         # the tables hold counts, 8 bytes per pair and label row; charged
         # 16 * width - 8 bytes a pair, they take at most about half of
@@ -599,8 +582,9 @@ class _BatchSearch:
             self.raise_best(cnt)
             self.tables(kids, lab, cnt, start, depth)
             return
+        self.visited += len(cnt)
         vals = self.quality(cnt)
-        bound = (cnt[:, 1:] - cnt[:, 1:] * self.center) / ctx.m  # optimistic_estimate
+        bound = quality_estimate(cnt[:, 1:], self.center, ctx.m)
         for r, i in enumerate(range(start, nsel)):
             np.maximum(self.best, vals[r], out=self.best)
             nxt = ctx.next_start[i]
@@ -664,7 +648,7 @@ class _Scan:
         cnt = _child_counts(self.lab, children, ctx.words, 0, covers, total)
         sel, par = children[:2]
         n, pos = cnt[:, 0], cnt[:, 1]
-        vals = (pos - n * self.center) / m
+        vals = centered_quality(pos, n, self.center, m)
         found = np.flatnonzero(vals >= significance_cutoff(self.eps, self.eps_t, n / m))
         hits = [
             (-v, chosen[par[h]] + (int(sel[h]),), int(n[h]), int(pos[h]))
@@ -677,7 +661,7 @@ class _Scan:
         if depth == ctx.cfg.z:
             return
         nxt = ctx.next_start[sel]
-        est = (pos - pos * self.center) / m
+        est = quality_estimate(pos, self.center, m)
         enter = np.flatnonzero((est >= self.eps) & (nxt < nsel))
         for e in self.pieces(enter, est[enter], nsel - nxt[enter]):
             e = e[est[e] >= self.eps]

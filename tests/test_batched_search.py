@@ -71,8 +71,9 @@ def batch_for(ds, labels, size, seed):
 
 def counted(ctx, batch, center, prune=True):
     """`sup_quality`, its node counts checked against the nodes it searched:
-    every pattern is visited but those in subtrees that a node searching
-    its children one by one skipped, and only such skips count as pruned."""
+    one traversal per `batch_size()` vectors, each visiting every pattern
+    but those in subtrees that a node searching its children one by one
+    skipped, and only such skips count as pruned."""
     batched = sigmine.search._BatchSearch
     node, tables = batched.node, batched.tables
     calls, tabled = [], set()
@@ -91,20 +92,25 @@ def counted(ctx, batch, center, prune=True):
     finally:
         batched.node, batched.tables = node, tables
     z, nsel, nxt = ctx.cfg.z, len(ctx.base), ctx.next_start
+    vectors = len(res.suprema)
+    roots = sum(d == 0 for _, d in calls)
+    assert roots == -(-vectors // ctx.batch_size())
 
     def below(start, levels):
         """Patterns below a node whose children start at `start`."""
         return pattern_count(ctx.base[start:], replace(ctx.cfg, z=levels))
 
     # (start, depth) of every child with children of a one-by-one node;
-    # every node searched but the root is such a child
+    # every node searched but the roots is such a child
     loops = [(s, d) for s, d in calls if d + 2 < z and (s, d) not in tabled]
     kids = [(nxt[i], d + 1) for s, d in loops for i in range(s, nsel) if nxt[i] < nsel]
-    skipped = sum(below(s, z - d) for s, d in kids) - sum(below(s, z - d) for s, d in calls[1:])
-    assert res.nodes_pruned == len(kids) - len(calls[1:])
-    assert res.nodes_visited + skipped == pattern_count(ctx.base, ctx.cfg)
+    entered = [(s, d) for s, d in calls if d]
+    skipped = sum(below(s, z - d) for s, d in kids) - sum(below(s, z - d) for s, d in entered)
+    assert res.nodes_pruned == len(kids) - len(entered)
+    assert res.nodes_visited + skipped == roots * pattern_count(ctx.base, ctx.cfg)
     if not prune:
-        assert (res.nodes_visited, res.nodes_pruned) == (pattern_count(ctx.base, ctx.cfg), 0)
+        assert res.nodes_pruned == 0
+        assert res.nodes_visited == roots * pattern_count(ctx.base, ctx.cfg)
     return res
 
 
@@ -174,7 +180,7 @@ def own_fields(ctx, lv, center):
 @pytest.mark.parametrize("z", [2, 3, 4])
 def test_batch_above_budget_and_split_pair_chunks(z, monkeypatch):
     # the budgets only size temporaries: a batch beyond batch_size(), pairs
-    # scored one at a time, or a child's leaves split over reduction blocks
+    # scored one at a time, or leaves counted a column block at a time
     # all give the same suprema, and the same node counts at one
     # BATCH_BYTES; the scan's pieces of frontier likewise give the same
     # patterns and maximizers
@@ -256,7 +262,8 @@ def test_batch_counts_cover_every_vector(monkeypatch):
 def test_pruning_skips_work(monkeypatch):
     # at a 5% target rate on a wide language, a pruned search skips
     # subtrees and popcount words, most when every depth z-3 node searches
-    # its children one by one (BATCH_BYTES at 1), to the same suprema
+    # its children one by one (BATCH_BYTES at 1, where batch_size() is 1
+    # and each vector takes a traversal of its own), to the same suprema
     ds = generate(SyntheticSpec(400, (ContColumn(),) * 5, NullIID(0.05), seed=2))
     ctx = SearchContext(ds, LanguageConfig(z=4, bins=3, forms=frozenset(Form)))
     batch = [bernoulli_labels(400, 0.05, 3, j) for j in range(4)]
@@ -270,8 +277,8 @@ def test_pruning_skips_work(monkeypatch):
     want = {
         (BATCH_BYTES, True): (23088, 2, 112275),
         (BATCH_BYTES, False): (26280, 0, 121125),
-        (1, True): (12752, 167, 111700),
-        (1, False): (26280, 0, 189375),
+        (1, True): (29768, 655, 109440),
+        (1, False): (105120, 0, 303000),
     }
     suprema = []
     for budget, prune in want:
@@ -568,6 +575,31 @@ def test_many_codes_build_fast():
     assert ctx.is_derived.sum() == 1 and len(ctx.basis_rows) == len(ctx.base) - 1
 
 
+def test_wide_continuous_column_tests_few_covers(monkeypatch):
+    # one continuous column at all forms: the free selectors that meet a
+    # selector are dropped by one AND, and a full cover ends its partition,
+    # so the cover tests are linear in the selectors, not quadratic
+    ds = generate(SyntheticSpec(5000, (ContColumn(),), NullIID(0.5), seed=1))
+    ctx = SearchContext(ds, LanguageConfig(z=1, bins=600, forms=frozenset(Form)))
+    assert len(ctx.base) == 1799 and ctx.is_derived.sum() == 600
+    count_nonzero, tests = np.count_nonzero, []
+
+    def cover_test(*args, **kwargs):
+        tests.append(1)
+        return count_nonzero(*args, **kwargs)
+
+    monkeypatch.setattr(np, "count_nonzero", cover_test)
+    cols = [s.column for s in ctx.base]
+    assert derive_bases(ctx.words, cols, ds.m) == ctx.basis
+    assert len(tests) <= len(ctx.base)
+    # {2, 3} and its complement {0, 1} fill the 4 rows, so {0}, though
+    # disjoint from {2, 3}, takes no cover test
+    tests.clear()
+    covers = bitset.pack_rows(np.array([[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1]], dtype=np.uint8))
+    assert derive_bases(covers, [0, 0, 0], 4) == [None, None, (0,)]
+    assert len(tests) == 1
+
+
 @pytest.mark.parametrize("compact", [True, False])
 @pytest.mark.parametrize("name", sorted(DERIVED))
 def test_compaction_choice_keeps_results(name, compact, monkeypatch):
@@ -609,32 +641,27 @@ def test_compaction_rule():
 @pytest.mark.parametrize("name", sorted(DERIVED))
 def test_grouped_tables_and_replay_pieces(name, shrunk, monkeypatch):
     # with every child masked, a depth z-3 node tables the scored children
-    # of a column in groups, and the leaves raise the maxima in pieces of
-    # several pairs; with the budgets shrunk, groups hold one child and
-    # pieces one pair, and the root still tables; either way every vector
-    # gets its own search
+    # of a column in groups, so the tables that raise the maxima hold
+    # several (1 + vectors) blocks of columns; with the budgets shrunk,
+    # groups hold one child, and the root still tables; either way every
+    # vector gets its own search
     ds, cfg = derived_instances()[name]
     batch = [ds.target] + [bernoulli_labels(ds.m, p, 8, j) for j, p in enumerate((0.3, 0.6, 0.9))]
     center, w = ds.mean_target(), len(batch) + 1
-    widths, pieces, tabled = [], [], []
+    widths, tabled = [], []
     batched = sigmine.search._BatchSearch
-    leaves, tables = batched.leaves, batched.tables
+    raise_best, tables = batched.raise_best, batched.tables
 
-    def record_leaves(self, start, width, pair_counts):
-        widths.append(width)
-        raise_best = self.raise_best
-        self.raise_best = lambda cnt: (pieces.append(len(cnt)), raise_best(cnt))
-        try:
-            return leaves(self, start, width, pair_counts)
-        finally:
-            del self.raise_best
+    def record_raise(self, cnt):
+        widths.append(cnt.shape[1])
+        return raise_best(self, cnt)
 
     def record_tables(self, *args):
         tabled.append((z, self.width))
         return tables(self, *args)
 
     monkeypatch.setattr(batched, "compacts", lambda *args: False)
-    monkeypatch.setattr(batched, "leaves", record_leaves)
+    monkeypatch.setattr(batched, "raise_best", record_raise)
     monkeypatch.setattr(batched, "tables", record_tables)
     for z in (3, 4, 5):
         zcfg = replace(cfg, z=z)
@@ -658,7 +685,6 @@ def test_grouped_tables_and_replay_pieces(name, shrunk, monkeypatch):
     cols = [s.column for s in ctx.base]
     scored = [cols[i] for i in np.flatnonzero(~ctx.is_derived).tolist() if cols[i] != cols[-1]]
     grouped = len(scored) > len(set(scored))
-    assert max(pieces) == 1 if shrunk else max(pieces) > 1
     assert max(widths) > w if grouped and not shrunk else max(widths) <= w
 
 
@@ -757,10 +783,12 @@ def test_derived_children_of_table_nodes_are_not_counted(name, z, monkeypatch):
     assert any(ctx.is_derived[i] and d < z - 2 for i, d in descended) == (z > 3)
     assert sum(counted) == popcount_rows(ctx, 0, 0)
     # tables over BATCH_BYTES: a depth z-3 node searches its children one
-    # by one, restricting the derived ones too, to the same result
+    # by one, restricting the derived ones too, to the same result, in one
+    # traversal per vector (batch_size() is 1)
     descended.clear()
     monkeypatch.setattr(sigmine.search, "BATCH_BYTES", 1)
-    assert fields(sup_quality(ctx, batch, ds.mean_target(), prune=False)) == want
+    one_by_one = fields(sup_quality(ctx, batch, ds.mean_target(), prune=False))
+    assert one_by_one == (want[0], len(batch) * want[1], want[2])
     assert any(ctx.is_derived[i] and d == z - 2 for i, d in descended)
     monkeypatch.undo()
     center = ds.mean_target()
@@ -781,9 +809,8 @@ def search_peak(ctx, batch):
 def test_table_memory_is_bounded():
     # a 66-vector search (the WY chunk on the sweep language) on the 8124-row
     # mushroom instance at z=3: the root's tables take just under
-    # BATCH_BYTES (counts and best leaves over its 3 932 (child,
-    # grandchild) pairs), and at most two pair count matrices of up to
-    # 2 MiB each are held at once
+    # BATCH_BYTES (the counts of its 3 932 (child, grandchild) pairs), and
+    # at most two pair count matrices of up to 2 MiB each are held at once
     ds = generate(mushroom_class_spec(77))
     cfg = LanguageConfig(z=3, bins=5)
     ctx = SearchContext(ds, cfg)
