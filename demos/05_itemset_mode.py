@@ -17,7 +17,7 @@ from sigmine import (
     LanguageConfig,
     Mode,
     RunConfig,
-    flag_top_k,
+    run_discovery,
 )
 from sigmine.resample import STREAM_SYNTH, generator
 
@@ -43,7 +43,7 @@ cfg = RunConfig(
     top_k=10,
     language=LanguageConfig(z=2, mode="itemset"),
 )
-top, report = flag_top_k(dataset, cfg)
+top, report = run_discovery(dataset, cfg)  # the top_k best, each flagged
 
 print(f"label rate {dataset.mean_target():.3f}, threshold eps = {report.epsilon:.5f}\n")
 print(f"{'rank':>4}  {'itemset':<24}{'quality':>9}  flagged")

@@ -20,7 +20,7 @@ from .bounds import (
     variance_factor,
 )
 from .data import ColumnSchema, Dataset, Kind, LabelVector, load_csv, to_csv
-from .discovery import Discovery, RunConfig, flag_top_k, run_discovery
+from .discovery import Discovery, RunConfig, mine, run_discovery
 from .errors import (
     ComputationError,
     ConfigError,
@@ -89,8 +89,8 @@ __all__ = [
     "empirical_quality",
     "estimate_deviation",
     "evaluate",
-    "flag_top_k",
     "load_csv",
+    "mine",
     "optimistic_estimate",
     "projection_bound_log",
     "resample_target",

@@ -8,10 +8,11 @@ qualities at that quantile.  The union-bound variant replaces the resample
 estimate with an analytic correction over the number of distinct covers the
 language can realize on the data; it draws no random bits at all.
 
-`wy_quantile` and `ub_report` take a `SearchContext` and read the dataset
-and the language from it, and the permutation count and seed from the
-`RunConfig`; `run_wy` and `run_ub`, the entry points, build one context from
-a dataset and a `RunConfig`.
+`wy_quantile` and `ub_report` are thresholds for `discovery.mine`: they take
+a `SearchContext`, read the dataset and the language from it and the
+permutation count and seed from the `RunConfig`, and return a report with an
+`epsilon` and an `eps_t`.  `run_wy` and `run_ub` run `mine` with them on a
+fresh context of a dataset.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .bounds import (
     variance_bracket,
 )
 from .data import Dataset, LabelVector
-from .discovery import Discovery, RunConfig, significant_patterns
+# bench/layers.py wraps significant_patterns at this name
+from .discovery import Discovery, RunConfig, mine, significant_patterns  # noqa: F401
 from .language import pattern_count, projection_bound_log
 from .resample import STREAM_PERMUTE, generator
 from .search import SearchContext, sup_quality
@@ -108,11 +110,10 @@ def wy_quantile(ctx: SearchContext, cfg: RunConfig) -> QuantileEstimate:
 
 
 def run_wy(dataset: Dataset, cfg: RunConfig) -> tuple[list[Discovery], QuantileEstimate]:
-    """Permutation-quantile discovery: a pattern is significant when its
-    quality strictly exceeds the delta-quantile of `wy_quantile`."""
-    ctx = SearchContext(dataset, cfg.language)
-    quantile = wy_quantile(ctx, cfg)
-    return significant_patterns(ctx, quantile), quantile
+    """Permutation-quantile discovery, `mine` at the threshold of
+    `wy_quantile`: a pattern is significant when its quality strictly
+    exceeds the delta-quantile."""
+    return mine(SearchContext(dataset, cfg.language), cfg, wy_quantile)
 
 
 def ub_report(ctx: SearchContext, cfg: RunConfig) -> BoundReport:
@@ -155,7 +156,5 @@ def ub_report(ctx: SearchContext, cfg: RunConfig) -> BoundReport:
 
 
 def run_ub(dataset: Dataset, cfg: RunConfig) -> tuple[list[Discovery], BoundReport]:
-    """Union-bound discovery: every pattern clearing `ub_report`'s threshold."""
-    ctx = SearchContext(dataset, cfg.language)
-    report = ub_report(ctx, cfg)
-    return significant_patterns(ctx, report), report
+    """Union-bound discovery: `mine` at the threshold of `ub_report`."""
+    return mine(SearchContext(dataset, cfg.language), cfg, ub_report)

@@ -14,8 +14,8 @@ import json
 import sys
 
 from .data import load_csv
-# compute_bounds stays importable here for bench/layers.py, which wraps it
-from .discovery import RunConfig, compute_bounds, significant_patterns, top_k_patterns  # noqa: F401
+# bench/layers.py wraps compute_bounds and significant_patterns at these names
+from .discovery import RunConfig, compute_bounds, mine, significant_patterns  # noqa: F401
 from .errors import ConfigError, IngestionError, SchemaError, SigmineError
 from .language import LanguageConfig
 from .report import METHODS, records_from_discoveries, records_json, records_tsv
@@ -96,12 +96,7 @@ def cmd_mine(args) -> int:
         permutations=args.permutations,
     )
     dataset = load_csv(args.input, schema=args.schema)
-    ctx = SearchContext(dataset, language)
-    report = METHODS[args.mode](ctx, cfg)
-    if cfg.top_k is None:
-        found = significant_patterns(ctx, report)
-    else:
-        found = top_k_patterns(ctx, report, cfg.top_k)
+    found, report = mine(SearchContext(dataset, language), cfg, METHODS[args.mode])
     records = records_from_discoveries(found, dataset)
 
     if args.format == "tsv":

@@ -11,12 +11,14 @@ cutoff
 Both outputs, the significant patterns and the top k by quality, are
 `Discovery` records, significant iff their margin over that cutoff is >= 0.
 
-The entry points `run_discovery` and `flag_top_k` take a dataset and a
-`RunConfig` and build one `SearchContext` from them.  The stages below them
-(`compute_bounds`, `significant_patterns`, `top_k_patterns`) take that
-context and read the dataset and the language from it alone, so the
-threshold and the final scan always see the same dataset under the same
-language.
+`mine(ctx, cfg, threshold)` is every run: it takes a method's report from
+`threshold(ctx, cfg)` (`compute_bounds` here, or any value of
+`report.METHODS`), then scans for every pattern clearing it, or takes the
+`cfg.top_k` best when that is set.  `run_discovery` runs it with
+`compute_bounds` on a fresh `SearchContext`.  The stages (`compute_bounds`,
+`significant_patterns`, `top_k_patterns`) take that context and read the
+dataset and the language from it alone, so the threshold and the final scan
+always see the same dataset under the same language.
 
 Everything is deterministic given the seed, and the BoundReport is emitted
 even when nothing is significant.
@@ -54,8 +56,10 @@ class RunConfig:
     permutations: int = 1000  # of the WY method
 
     def __post_init__(self):
-        if isinstance(self.mode, str):
+        try:
             self.mode = Mode(self.mode)
+        except ValueError:
+            raise ConfigError(f"unknown mode {self.mode!r}", "mode") from None
         if not 0.0 < self.delta < 1.0:
             raise ConfigError("delta must lie in (0, 1)", "delta")
         if not 1 <= self.c <= MAX_DRAWS:
@@ -152,13 +156,6 @@ def significant_patterns(ctx: SearchContext, report: BoundReport) -> list[Discov
     return _discoveries(hits, report)
 
 
-def run_discovery(dataset: Dataset, cfg: RunConfig) -> tuple[list[Discovery], BoundReport]:
-    """The full pipeline: threshold computation plus the final output scan."""
-    ctx = SearchContext(dataset, cfg.language)
-    report = compute_bounds(ctx, cfg)
-    return significant_patterns(ctx, report), report
-
-
 def top_k_patterns(ctx: SearchContext, report: BoundReport, k: int) -> list[Discovery]:
     """The k patterns of the context of highest observed quality, with their
     margins over the report's threshold: a record is `significant` iff
@@ -167,16 +164,15 @@ def top_k_patterns(ctx: SearchContext, report: BoundReport, k: int) -> list[Disc
     return _discoveries(top_k(ctx, ds.target, ds.mean_target(), k), report)
 
 
-def flag_top_k(dataset: Dataset, cfg: RunConfig) -> tuple[list[Discovery], BoundReport]:
-    """Mine the top-k patterns by observed quality, each with its margin
-    over the run's significance threshold.
-
-    A record is significant iff its pattern would appear in the run's
-    output set, so the flags agree with `run_discovery` membership for the
-    same config/seed.
-    """
+def mine(ctx: SearchContext, cfg: RunConfig, threshold) -> tuple[list[Discovery], object]:
+    """One run: the report of `threshold(ctx, cfg)`, then every pattern
+    clearing it, or the `cfg.top_k` best by quality when that is set."""
+    report = threshold(ctx, cfg)
     if cfg.top_k is None:
-        raise ConfigError("cfg.top_k must be set")
-    ctx = SearchContext(dataset, cfg.language)
-    report = compute_bounds(ctx, cfg)
+        return significant_patterns(ctx, report), report
     return top_k_patterns(ctx, report, cfg.top_k), report
+
+
+def run_discovery(dataset: Dataset, cfg: RunConfig) -> tuple[list[Discovery], BoundReport]:
+    """`mine` with `compute_bounds` on a fresh context of the dataset."""
+    return mine(SearchContext(dataset, cfg.language), cfg, compute_bounds)

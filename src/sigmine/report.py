@@ -1,9 +1,9 @@
 """The method table, result serialization and the desk-scale experiment
 drivers.
 
-`METHODS` maps each method name to its threshold; every method then runs
-the same output scan (`significant_patterns`) or the same top-k mining
-(`top_k_patterns`).  Both give `Discovery` records, which
+`METHODS` maps each method name to its threshold, which `discovery.mine`
+takes: every method then runs the same output scan or, with `cfg.top_k`
+set, the same top-k mining.  Both give `Discovery` records, which
 `records_from_discoveries` turns into output records, `significant` being
 `threshold_margin >= 0` in both.  TSV and JSON renderings of output records
 carry identical values; a method's report appends to TSV output as a
@@ -19,11 +19,11 @@ import json
 import time
 from dataclasses import asdict, dataclass, replace
 
-# run_wy and run_ub stay importable here for bench/layers.py, which wraps them
+# bench/layers.py wraps run_wy, run_ub and significant_patterns at these names
 from .baselines import run_ub, run_wy, ub_report, wy_quantile  # noqa: F401
 from .bounds import Mode
 from .data import Dataset
-from .discovery import Discovery, RunConfig, compute_bounds, significant_patterns
+from .discovery import Discovery, RunConfig, compute_bounds, mine, significant_patterns  # noqa: F401
 from .search import SearchContext
 
 
@@ -151,16 +151,17 @@ def compare_methods(
 
     Per-method timing covers that method's own threshold computation and
     output scan; the shared selector-cover setup is excluded from all rows
-    so ratios reflect the methods, not the plumbing.
+    so ratios reflect the methods, not the plumbing.  Each row counts the
+    method's scan, whatever `cfg.top_k`.
     """
-    if permutations is not None:
-        cfg = replace(cfg, permutations=permutations)
+    if permutations is None:
+        permutations = cfg.permutations
+    cfg = replace(cfg, top_k=None, permutations=permutations)
     ctx = SearchContext(dataset, cfg.language)
     rows = []
     for method, threshold in METHODS.items():
         t0 = time.perf_counter()
-        report = threshold(ctx, cfg)
-        found = significant_patterns(ctx, report)
+        found, report = mine(ctx, cfg, threshold)
         # the WY row shows the quantile itself, not the next float up
         cut = getattr(report, "delta_quantile", report.epsilon)
         rows.append(MethodRow(method, cut, len(found), time.perf_counter() - t0))

@@ -13,8 +13,22 @@ import sigmine.discovery
 import sigmine.errors
 import sigmine.resample
 import sigmine.search
-from sigmine import Form, Selector, to_csv
+from sigmine import (
+    Form,
+    LanguageConfig,
+    Mode,
+    RunConfig,
+    SearchContext,
+    Selector,
+    load_csv,
+    run_discovery,
+    run_ub,
+    run_wy,
+    to_csv,
+)
 from sigmine.cli import main
+from sigmine.discovery import mine
+from sigmine.report import METHODS, records_from_discoveries, records_tsv
 from sigmine.oracle import CatColumn, ContColumn, NullIID, Planted, SyntheticSpec, generate
 from sigmine.suites import planted_spec
 
@@ -142,6 +156,35 @@ def test_top_k_runs_no_scan(planted_csv, tmp_path, monkeypatch, mode):
     code = run_mine(planted_csv, "--mode", mode, "--top-k", "5", "--permutations", "50",
                     "--output", str(tmp_path / "o.tsv"))
     assert code == 0
+
+
+# each method's entry point on a dataset, as `mine` runs it on a context
+ENTRY_POINTS = {
+    "conditional": lambda ds, cfg: run_discovery(ds, replace(cfg, mode=Mode.CONDITIONAL)),
+    "unconditional": lambda ds, cfg: run_discovery(ds, replace(cfg, mode=Mode.UNCONDITIONAL)),
+    "wy": run_wy,
+    "ub": run_ub,
+}
+
+
+@pytest.mark.parametrize("top", [None, 5])
+@pytest.mark.parametrize("method", list(METHODS))
+def test_library_output_equals_the_cli(planted_csv, tmp_path, method, top):
+    # `mine` on the loaded file, with the CLI's defaults, writes the CLI's
+    # bytes; each method's entry point returns the same records and report
+    out = tmp_path / "o.tsv"
+    top_flag = [] if top is None else ["--top-k", str(top)]
+    code = run_mine(planted_csv, "--mode", method, "--seed", "3", "--permutations", "50",
+                    "--output", str(out), *top_flag)
+    assert code == 0
+    ds = load_csv(planted_csv)
+    cfg = RunConfig(seed=3, permutations=50, top_k=top, language=LanguageConfig(z=2, bins=5))
+    found, report = mine(SearchContext(ds, cfg.language), cfg, METHODS[method])
+    tsv = records_tsv(records_from_discoveries(found, ds)) + "\n" + report.to_kv_block() + "\n"
+    assert out.read_text() == tsv
+    assert top is None or len(found) == top
+    lib_found, lib_report = ENTRY_POINTS[method](ds, cfg)
+    assert lib_found == found and lib_report.to_kv_block() == report.to_kv_block()
 
 
 def test_config_error_names_flag(null_csv, capsys):

@@ -13,7 +13,6 @@ from sigmine import (
     Selector,
     empirical_quality,
     evaluate,
-    flag_top_k,
     run_discovery,
 )
 from sigmine.discovery import compute_bounds, significant_patterns, top_k_patterns
@@ -119,10 +118,6 @@ def test_flag_top_k_consistency(planted_ds, method):
     assert len(top) == 50 and sum(d.significant for d in top) < 50
     for d in top:
         assert d.significant == (d.pattern in members)
-    if method in {m.value for m in Mode}:
-        # the library entry point agrees: same seed, same threshold, same flags
-        lib_top, lib_report = flag_top_k(planted_ds, replace(cfg, mode=Mode(method)))
-        assert lib_report.to_json() == report.to_json() and lib_top == top
 
 
 def test_a_record_at_the_cutoff_is_significant(planted_ds):
@@ -143,20 +138,15 @@ def test_a_record_at_the_cutoff_is_significant(planted_ds):
 
 def test_flag_top_k_saturation_and_zero(planted_ds):
     cfg = _cfg(Mode.CONDITIONAL, seed=6, top_k=10**6)
-    top, report = flag_top_k(planted_ds, cfg)
+    top, report = run_discovery(planted_ds, cfg)
     assert len(top) < 10**6  # whole language returned
     found, _ = run_discovery(planted_ds, _cfg(Mode.CONDITIONAL, seed=6))
     assert sum(d.significant for d in top) == len(found)
 
     # threshold above every quality: tiny null dataset, huge language noise
     null_ds = generate(SyntheticSpec(60, (CatColumn((0.5, 0.5)),) * 3, NullIID(0.5), seed=8))
-    out, _ = flag_top_k(null_ds, _cfg(Mode.UNCONDITIONAL, seed=8, top_k=5))
-    assert sum(d.significant for d in out) == 0
-
-
-def test_flag_top_k_requires_k(planted_ds):
-    with pytest.raises(ConfigError):
-        flag_top_k(planted_ds, _cfg(Mode.CONDITIONAL))
+    out, _ = run_discovery(null_ds, _cfg(Mode.UNCONDITIONAL, seed=8, top_k=5))
+    assert len(out) == 5 and sum(d.significant for d in out) == 0
 
 
 def test_run_config_validation():
@@ -166,6 +156,9 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(c=0)
     assert RunConfig(mode="conditional").mode is Mode.CONDITIONAL
+    # the draw counts are capped at, not below, the generator's key space
+    cfg = RunConfig(c=MAX_DRAWS, permutations=MAX_DRAWS)
+    assert cfg.c == cfg.permutations == MAX_DRAWS
 
 
 def test_config_errors_name_their_field():
@@ -173,6 +166,9 @@ def test_config_errors_name_their_field():
     # its flag (`cli.FLAGS`)
     refused = [
         ("delta", lambda: RunConfig(delta=1.0)),
+        ("mode", lambda: RunConfig(mode="bogus")),
+        ("mode", lambda: RunConfig(mode="wy")),  # a method, not a null model
+        ("mode", lambda: RunConfig(mode=None)),
         ("c", lambda: RunConfig(c=0)),
         ("permutations", lambda: RunConfig(permutations=MAX_DRAWS + 1)),
         ("top_k", lambda: RunConfig(top_k=0)),

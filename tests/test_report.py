@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -80,7 +81,12 @@ def test_forms_named_by_value_hash_and_sweep(ds):
 def test_sweep_deterministic_and_monotone_addend(ds):
     cfg = _cfg(seed=21)
     c_values = [1, 4, 16]
+    t0 = time.perf_counter()
     a = sweep_c(ds, cfg, c_values)
+    elapsed = time.perf_counter() - t0
+    # each cell times its own bound computation, within the whole call
+    seconds = [s for _, s in a.cells.values()]
+    assert all(s > 0 for s in seconds) and sum(seconds) <= elapsed
     b = sweep_c(ds, cfg, c_values)
     for c in c_values:
         assert a.epsilon(c) == b.epsilon(c)
@@ -95,16 +101,19 @@ def test_sweep_requires_c_values(ds):
 
 
 def test_compare_methods_rows(ds):
+    t0 = time.perf_counter()
     rows = compare_methods(ds, _cfg(seed=13), permutations=20)
+    elapsed = time.perf_counter() - t0
     methods = [r.method for r in rows]
     assert methods == ["conditional", "unconditional", "wy", "ub"]
-    assert all(r.seconds >= 0 for r in rows)
+    assert all(r.seconds > 0 for r in rows) and sum(r.seconds for r in rows) <= elapsed
     assert all(math.isfinite(r.threshold) for r in rows)
     table = method_table(rows)
     assert "conditional" in table and "ub" in table
-    # reproducible thresholds given the seed
-    again = compare_methods(ds, _cfg(seed=13), permutations=20)
-    assert [r.threshold for r in again] == [r.threshold for r in rows]
+    # reproducible thresholds given the seed; each row counts its method's
+    # scan, whatever cfg.top_k
+    again = compare_methods(ds, _cfg(seed=13, top_k=5), permutations=20)
+    assert [(r.threshold, r.outputs) for r in again] == [(r.threshold, r.outputs) for r in rows]
 
 
 def test_method_table_single_row():
