@@ -5,14 +5,17 @@ stored integer-coded (codes assigned in first-appearance order, with the
 original strings kept for reporting), continuous columns as float64, and the
 binary target as a 0/1 vector.  Instances are safe for concurrent shared
 reads.
+
+`load_csv` streams a file into those codes a block of rows at a time: it
+holds each column's distinct values and codes, never the rows themselves.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import filterfalse, islice
 
 import numpy as np
 
@@ -37,7 +40,9 @@ class ColumnSchema:
 # integer columns (grades, counts) behave like categories in practice.
 INFER_DISTINCT_THRESHOLD = 12
 
-# rows `to_csv` turns into strings and writes at a time
+# rows `load_csv` reads and codes at a time, and rows `to_csv` turns into
+# strings and writes at a time
+READ_ROWS = 512
 TO_CSV_ROWS = 1024
 
 
@@ -158,54 +163,98 @@ class Dataset:
         return h.hexdigest()[:16]
 
 
-def _parse_real(text: str) -> float | None:
+def _reals(values) -> np.ndarray | None:
+    """`values` as float64, or None when one of them is not a finite real."""
     try:
-        v = float(text)
+        arr = np.fromiter(map(float, values), np.float64, len(values))
     except ValueError:
         return None
-    return v if math.isfinite(v) else None
+    return arr if np.isfinite(arr).all() else None
 
 
 def read_schema_file(path) -> list[ColumnSchema]:
     """Sidecar schema: one `name=kind` line per column, in column order."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SchemaError(f"schema line {lineno}: expected name=kind, got {line!r}")
-            name, _, kind = line.partition("=")
-            try:
-                out.append(ColumnSchema(name.strip(), Kind(kind.strip())))
-            except ValueError:
-                raise SchemaError(f"schema line {lineno}: unknown kind {kind.strip()!r}") from None
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise SchemaError(f"schema line {lineno}: expected name=kind, got {line!r}")
+        name, _, kind = line.partition("=")
+        try:
+            out.append(ColumnSchema(name.strip(), Kind(kind.strip())))
+        except ValueError:
+            raise SchemaError(f"schema line {lineno}: unknown kind {kind.strip()!r}") from None
     return out
 
 
 def _infer_schema(
-    header: list[str], distinct: list[dict], target_column: str | None
+    header: list[str], reals: dict[int, np.ndarray | None], target_column: str | None
 ) -> list[ColumnSchema]:
+    """`reals[j]` is `_reals` of column j's distinct values, for each column
+    with more than INFER_DISTINCT_THRESHOLD of them."""
     tgt = target_column if target_column is not None else header[-1]
     if tgt not in header:
         raise SchemaError(f"target column {tgt!r} not in header")
     out = []
-    for name, values in zip(header, distinct):
+    for j, name in enumerate(header):
         if name == tgt:
             out.append(ColumnSchema(name, Kind.TARGET))
-        elif len(values) > INFER_DISTINCT_THRESHOLD and all(
-            _parse_real(v) is not None for v in values
-        ):
+        elif reals.get(j) is not None:
             out.append(ColumnSchema(name, Kind.CONTINUOUS))
         else:
             out.append(ColumnSchema(name, Kind.CATEGORICAL))
     return out
 
 
-def _first_line(cells, bad) -> tuple[int, str]:
-    """File line and text of the first cell for which `bad` holds."""
-    return next((i + 2, cell) for i, cell in enumerate(cells) if bad(cell))
+def _read_codes(path, reader, width: int) -> tuple[list[dict], list[np.ndarray]]:
+    """Each column's distinct values, mapped to codes in first-appearance
+    order, and its int32 codes, read READ_ROWS rows at a time.
+
+    The first error in the file is raised: an empty cell, or a row of the
+    wrong width; no row after it is read."""
+    distinct: list[dict] = [{} for _ in range(width)]
+    chunks: list[list[np.ndarray]] = [[] for _ in range(width)]
+    m = 0
+    while block := list(islice(reader, READ_ROWS)):
+        ragged = next((i for i, row in enumerate(block) if len(row) != width), len(block))
+        rows = block[:ragged]
+        empty = False
+        for index, chunk, cells in zip(distinct, chunks, zip(*rows)):
+            new = list(filterfalse(index.__contains__, dict.fromkeys(cells)))
+            if new:
+                empty = empty or any(not v.strip() for v in new)
+                index.update(zip(new, range(len(index), len(index) + len(new))))
+            chunk.append(np.fromiter(map(index.__getitem__, cells), np.int32, len(rows)))
+        if empty:
+            i = next(i for i, row in enumerate(rows) if any(not cell.strip() for cell in row))
+            raise IngestionError(f"{path}: line {m + i + 2} has an empty cell")
+        if ragged < len(block):
+            raise IngestionError(
+                f"{path}: line {m + ragged + 2} has {len(block[ragged])} values, expected {width}"
+            )
+        m += len(rows)
+    if not m:
+        raise IngestionError(f"{path}: no data rows")
+    codes = []
+    for chunk in chunks:  # each column's blocks are freed once joined
+        codes.append(np.concatenate(chunk))
+        chunk.clear()
+    return distinct, codes
+
+
+def _first_line(codes: np.ndarray, bad: list[bool]) -> tuple[int, int]:
+    """File line and code of the first cell whose value is bad: codes count
+    values in first-appearance order, so that is the lowest bad code's first
+    cell."""
+    code = bad.index(True)
+    return int(np.argmax(codes == code)) + 2, code
 
 
 def load_csv(path, schema="infer", target_column: str | None = None) -> Dataset:
@@ -216,33 +265,36 @@ def load_csv(path, schema="infer", target_column: str | None = None) -> Dataset:
     Under inference the last column is the target unless `target_column`
     overrides it.  Rows with empty cells are rejected rather than imputed.
 
-    Every check and conversion works on each column's distinct values, in
-    first-appearance order; the cells are scanned again only to name the
-    line of an error.
+    The file is read READ_ROWS rows at a time into each column's int32
+    codes of its distinct values, so no list of rows is ever held.  Every
+    check and conversion then works on the distinct values, each parsed at
+    most once; a continuous column's values and the target bits index an
+    array of them with the codes.  Text that is not UTF-8, or that the csv
+    module refuses, raises IngestionError.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        rows = list(reader)
-    width = len(header)
-    ragged = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
-    columns = list(zip(*rows[:ragged]))
-    distinct = [dict.fromkeys(col) for col in columns]
-    if any(not v.strip() for values in distinct for v in values):
-        lineno, _ = _first_line(rows, lambda row: any(not cell.strip() for cell in row))
-        raise IngestionError(f"{path}: line {lineno} has an empty cell")
-    if ragged < len(rows):
-        raise IngestionError(
-            f"{path}: line {ragged + 2} has {len(rows[ragged])} values, expected {width}"
-        )
-    if not rows:
-        raise IngestionError(f"{path}: no data rows")
+            header = next(reader, None)
+            if header is None:
+                raise IngestionError(f"{path}: empty file")
+            distinct, codes = _read_codes(path, reader, len(header))
+        except UnicodeDecodeError as exc:
+            raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from None
 
+    reals: dict[int, np.ndarray | None] = {}
     if isinstance(schema, str):
-        cols = _infer_schema(header, distinct, target_column) if schema == "infer" else read_schema_file(schema)
+        if schema == "infer":
+            reals = {
+                j: _reals(values)
+                for j, values in enumerate(distinct)
+                if len(values) > INFER_DISTINCT_THRESHOLD
+            }
+            cols = _infer_schema(header, reals, target_column)
+        else:
+            cols = read_schema_file(schema)
     else:
         cols = list(schema)
     if len(cols) != len(header):
@@ -251,35 +303,33 @@ def load_csv(path, schema="infer", target_column: str | None = None) -> Dataset:
     if len(targets) != 1:
         raise SchemaError(f"schema must declare exactly one target column, found {len(targets)}")
     tcol = targets[0]
-    m = len(rows)
 
-    bits = {v: v.strip() for v in distinct[tcol]}
-    if not set(bits.values()) <= {"0", "1"}:
-        lineno, cell = _first_line(columns[tcol], lambda c: bits[c] not in ("0", "1"))
-        raise SchemaError(
-            f"{path}: line {lineno}: target value {cell.strip()!r} is not in {{0,1}}"
-        )
-    target_bits = np.fromiter(map(int, map(bits.__getitem__, columns[tcol])), np.uint8, m)
+    bits = [v.strip() for v in distinct[tcol]]
+    bad = [b not in ("0", "1") for b in bits]
+    if any(bad):
+        lineno, code = _first_line(codes[tcol], bad)
+        raise SchemaError(f"{path}: line {lineno}: target value {bits[code]!r} is not in {{0,1}}")
+    target_bits = np.array([b == "1" for b in bits], np.uint8)[codes[tcol]]
 
     feat_schema: list[ColumnSchema] = []
     feat_values: list[np.ndarray] = []
     cat_values: dict[int, list[str]] = {}
-    for col, cells, values in zip(cols, columns, distinct):
+    for j, col in enumerate(cols):
         if col.kind is Kind.TARGET:
             continue
+        values = list(distinct[j])
         if col.kind is Kind.CONTINUOUS:
-            parsed = {v: _parse_real(v) for v in values}
-            if None in parsed.values():
-                lineno, cell = _first_line(cells, lambda c: parsed[c] is None)
+            parsed = reals[j] if j in reals else _reals(values)
+            if parsed is None:
+                lineno, code = _first_line(codes[j], [_reals([v]) is None for v in values])
                 raise SchemaError(
-                    f"{path}: line {lineno}: non-numeric value {cell!r} "
+                    f"{path}: line {lineno}: non-numeric value {values[code]!r} "
                     f"in continuous column '{col.name}'"
                 )
-            feat_values.append(np.fromiter(map(parsed.__getitem__, cells), np.float64, m))
+            feat_values.append(parsed[codes[j]])
         else:
-            codes = {v: code for code, v in enumerate(values)}
-            cat_values[len(feat_schema)] = list(values)
-            feat_values.append(np.fromiter(map(codes.__getitem__, cells), np.int32, m))
+            cat_values[len(feat_schema)] = values
+            feat_values.append(codes[j])
         feat_schema.append(ColumnSchema(col.name, col.kind))
 
     return Dataset(

@@ -415,6 +415,33 @@ def test_ingestion_error_exit_code(tmp_path, capsys):
     assert "feature column" in capsys.readouterr().err
 
 
+def test_non_utf8_input_is_an_ingestion_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"a,target\n\xe9t\xe9,1\nb,0\n")
+    assert run_mine(bad) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: not UTF-8 text (invalid continuation byte)\n"
+
+
+def test_non_utf8_schema_file_is_a_schema_error(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("a,y\nx,1\nz,0\n")
+    schema = tmp_path / "latin1.schema"
+    schema.write_bytes(b"a=categorical\n# r\xe9sum\xe9\ny=target\n")
+    assert run_mine(data, "--schema", str(schema)) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {schema}: not UTF-8 text (invalid continuation byte)\n"
+
+
+def test_over_long_field_is_an_ingestion_error(tmp_path, capsys):
+    # the csv module refuses a field over its limit, 131 072 characters
+    bad = tmp_path / "long.csv"
+    bad.write_text('a,target\nb,0\n"' + "x" * 200_000 + '",1\n')
+    assert run_mine(bad) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 3: field larger than field limit")
+
+
 def test_ub_one_row_file(tmp_path):
     # the closed-form projection count is below ln 1 at m=1
     one = tmp_path / "one.csv"

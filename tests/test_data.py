@@ -1,4 +1,6 @@
 import csv
+import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -18,6 +20,8 @@ from sigmine import (
     to_csv,
 )
 from sigmine.data import read_schema_file
+from sigmine.oracle import generate
+from sigmine.suites import mushroom_class_spec
 
 
 def test_load_csv_basic(fruit):
@@ -48,32 +52,84 @@ def test_reload_is_identical(fruit_csv, fruit_schema):
     assert a.target == b.target
 
 
+# rows before the bad one: none, a first block's worth less one (the bad
+# row ends the first block), a block's worth (it starts the second), more
+READ = sigmine.data.READ_ROWS
+BEFORE = [0, READ - 1, READ, 2 * READ + 7]
+
+
+def fruit_rows(n: int, header: bool = True) -> str:
+    """n good rows of the fruit schema, with new values in every block, led
+    by the header unless `header` is false."""
+    rows = "".join(f"c{i % 7},{i}.5,{i % 2}\n" for i in range(n))
+    return "color,weight,y\n" + rows if header else rows
+
+
+def refused(path, error, **kw) -> str:
+    with pytest.raises(error) as info:
+        load_csv(path, **kw)
+    return str(info.value)
+
+
 def test_bad_target_value(tmp_path, fruit_schema):
     path = tmp_path / "bad.csv"
-    path.write_text("color,weight,y\nred,1.5,1\nblue,2.0,2\n")
-    with pytest.raises(SchemaError, match="line 3"):
-        load_csv(path, schema=fruit_schema)
+    for before in BEFORE:
+        path.write_text(fruit_rows(before) + "blue,2.0,2\nred,1.5,3\n")
+        message = refused(path, SchemaError, schema=fruit_schema)
+        assert message == f"{path}: line {before + 2}: target value '2' is not in {{0,1}}"
+        # a value that strips to 0 or 1 is a bit; the message shows the
+        # stripped value
+        path.write_text(fruit_rows(before) + "blue,2.0, 1 \nred,1.5, x \n")
+        message = refused(path, SchemaError, schema=fruit_schema)
+        assert message == f"{path}: line {before + 3}: target value 'x' is not in {{0,1}}"
 
 
 def test_wrong_arity_names_line(tmp_path, fruit_schema):
     path = tmp_path / "bad.csv"
-    path.write_text("color,weight,y\nred,1.5,1\nblue,2.0\n")
-    with pytest.raises(IngestionError, match="line 3"):
-        load_csv(path, schema=fruit_schema)
+    for before in BEFORE:
+        path.write_text(fruit_rows(before) + "blue,2.0\nred,,1,1\n")
+        message = refused(path, IngestionError, schema=fruit_schema)
+        assert message == f"{path}: line {before + 2} has 2 values, expected 3"
 
 
 def test_empty_cell_rejected(tmp_path, fruit_schema):
     path = tmp_path / "bad.csv"
-    path.write_text("color,weight,y\nred,,1\n")
-    with pytest.raises(IngestionError, match="empty cell"):
-        load_csv(path, schema=fruit_schema)
+    for before in BEFORE:
+        path.write_text(fruit_rows(before) + "red, ,1\n,2.0,1\n")
+        message = refused(path, IngestionError, schema=fruit_schema)
+        assert message == f"{path}: line {before + 2} has an empty cell"
+
+
+@pytest.mark.parametrize("before", BEFORE)
+@pytest.mark.parametrize("gap", [0, 1, READ])
+def test_empty_cell_before_a_ragged_row_is_reported(tmp_path, fruit_schema, before, gap):
+    # the first error in the file wins, whichever kind it is and whichever
+    # block each sits in
+    path = tmp_path / "bad.csv"
+    body = fruit_rows(before)
+    path.write_text(body + "red,,1\n" + fruit_rows(gap, header=False) + "blue,2.0\n")
+    message = refused(path, IngestionError, schema=fruit_schema)
+    assert message == f"{path}: line {before + 2} has an empty cell"
+    path.write_text(body + "blue,2.0\n" + fruit_rows(gap, header=False) + "red,,1\n")
+    message = refused(path, IngestionError, schema=fruit_schema)
+    assert message == f"{path}: line {before + 2} has 2 values, expected 3"
 
 
 def test_non_numeric_continuous(tmp_path, fruit_schema):
     path = tmp_path / "bad.csv"
-    path.write_text("color,weight,y\nred,heavy,1\n")
-    with pytest.raises(SchemaError, match="continuous"):
-        load_csv(path, schema=fruit_schema)
+    for before in BEFORE:
+        path.write_text(fruit_rows(before) + "red,heavy,1\nred,light,1\n")
+        message = refused(path, SchemaError, schema=fruit_schema)
+        assert message == (
+            f"{path}: line {before + 2}: non-numeric value 'heavy' in continuous column 'weight'"
+        )
+
+
+def test_target_error_comes_before_a_continuous_one(tmp_path, fruit_schema):
+    path = tmp_path / "bad.csv"
+    path.write_text(fruit_rows(READ) + "red,heavy,1\nred,1.0,2\n")
+    message = refused(path, SchemaError, schema=fruit_schema)
+    assert message == f"{path}: line {READ + 3}: target value '2' is not in {{0,1}}"
 
 
 def test_nan_rejected_in_continuous(tmp_path, fruit_schema):
@@ -101,6 +157,18 @@ def test_infer_uses_distinct_count(tmp_path):
     assert ds.schema[0].kind is Kind.CATEGORICAL  # 5 distinct numeric values
     assert ds.schema[1].kind is Kind.CONTINUOUS  # 40 distinct values
     assert ds.target_name == "y"
+
+
+def test_infer_needs_more_distinct_values_than_the_threshold(tmp_path):
+    # a numeric column with exactly INFER_DISTINCT_THRESHOLD values stays
+    # categorical; one more makes it continuous
+    n = sigmine.data.INFER_DISTINCT_THRESHOLD
+    path = tmp_path / "t.csv"
+    path.write_text("at,over,y\n" + "".join(f"{i % n},{i}.5,{i % 2}\n" for i in range(n + 1)))
+    ds = load_csv(path, schema="infer")
+    assert [c.kind for c in ds.schema] == [Kind.CATEGORICAL, Kind.CONTINUOUS]
+    assert ds.values[0].tolist() == [*range(n), 0]
+    assert ds.values[1].tolist() == [i + 0.5 for i in range(n + 1)]
 
 
 def test_infer_target_override(tmp_path):
@@ -185,17 +253,22 @@ def decoded(ds):
 
 
 @settings(max_examples=150, deadline=None)
-@given(ds=datasets(), rows=st.sampled_from([1, 3, 1024]))
-def test_to_csv_writes_the_per_cell_bytes(tmp_path_factory, ds, rows):
+@given(
+    ds=datasets(),
+    rows=st.sampled_from([1, 3, sigmine.data.TO_CSV_ROWS]),
+    reads=st.sampled_from([1, 3, READ]),
+)
+def test_to_csv_writes_the_per_cell_bytes(tmp_path_factory, ds, rows, reads):
     path = tmp_path_factory.mktemp("csv")
     with mock.patch.object(sigmine.data, "TO_CSV_ROWS", rows):
         to_csv(ds, path / "columns.csv")
     to_csv_per_cell(ds, path / "cells.csv")
     assert (path / "columns.csv").read_bytes() == (path / "cells.csv").read_bytes()
-    # load_csv reads the same cells back, and a dataset it read round-trips
-    # exactly: codes, names and float bits
+    # load_csv reads the same cells back, in blocks of any size, and a
+    # dataset it read round-trips exactly: codes, names and float bits
     schema = [*ds.schema, ColumnSchema("y", Kind.TARGET)]
-    again = load_csv(path / "columns.csv", schema=schema)
+    with mock.patch.object(sigmine.data, "READ_ROWS", reads):
+        again = load_csv(path / "columns.csv", schema=schema)
     assert decoded(again) == decoded(ds) and again.target == ds.target
     to_csv(again, path / "again.csv")
     twice = load_csv(path / "again.csv", schema=schema)
@@ -226,3 +299,18 @@ def test_casts_that_would_change_a_value_are_refused():
         with pytest.raises(SchemaError, match="'c' has codes"):
             codes(values)
     assert codes([0.0, 2.0, 1.0]) == codes(np.array([0, 2, 1], dtype=np.int8)) == [0, 2, 1]
+
+
+def test_load_csv_holds_codes_not_rows(tmp_path):
+    # the bytes load_csv allocates at its peak stay within a small multiple
+    # of the arrays it returns; a list of every row would not
+    path = tmp_path / "mushroom.csv"
+    to_csv(generate(replace(mushroom_class_spec(), m=20_000)), path)
+    tracemalloc.start()
+    try:
+        ds = load_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.nbytes for a in ds.values) + ds.target.bits.nbytes
+    assert peak < 3 * arrays
