@@ -1,23 +1,15 @@
-"""Transaction-set bitsets.
+"""The searches' packed cover format.
 
-A single cover is a plain Python int used as a bitset: bit i is set iff
-transaction i is in the set, with cheap intersection (``&``) and population
-count (``int.bit_count``).  The searches pack many covers into one uint64
-word matrix instead, one cover per row, so a single numpy step serves them
+Outside the engine a cover is a numpy bool array of length m (see
+`sigmine.language.Cover`).  The searches pack many covers into one uint64
+word matrix instead, one cover per row, bit i of a row set iff transaction i
+is in that cover, so that a single numpy ``&`` and popcount step serves them
 all.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def pack(flags: np.ndarray) -> int:
-    """Pack a boolean/0-1 array into an int bitset (bit i == flags[i])."""
-    arr = np.asarray(flags, dtype=bool)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-d array")
-    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
 
 
 def pack_rows(flags: np.ndarray) -> np.ndarray:
@@ -32,8 +24,3 @@ def pack_rows(flags: np.ndarray) -> np.ndarray:
 def unpack_rows(words: np.ndarray, m: int) -> np.ndarray:
     """Inverse of `pack_rows`: the first m bits of each row, as 0/1 uint8."""
     return np.unpackbits(words.view(np.uint8), axis=1, count=m, bitorder="little")
-
-
-def full(m: int) -> int:
-    """Bitset with all m transactions set."""
-    return (1 << m) - 1

@@ -9,7 +9,6 @@ no tolerance.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -180,19 +179,6 @@ class BoundReport:
         d = asdict(self)
         d["mode"] = self.mode.value
         return {k: v for k, v in d.items() if v is not None}
-
-    @staticmethod
-    def from_dict(d: dict) -> "BoundReport":
-        d = dict(d)
-        d["mode"] = Mode(d["mode"])
-        return BoundReport(**d)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "BoundReport":
-        return BoundReport.from_dict(json.loads(text))
 
     def to_kv_block(self) -> str:
         lines = [f"# {k}={v!r}" if isinstance(v, str) else f"# {k}={v}"

@@ -19,7 +19,6 @@ from itertools import filterfalse, islice
 
 import numpy as np
 
-from . import bitset
 from .errors import IngestionError, SchemaError
 
 
@@ -58,11 +57,11 @@ def _cast(values, dtype) -> tuple[np.ndarray, bool]:
 class LabelVector:
     """A binary vector of length m: observed targets or one resample.
 
-    Keeps both the 0/1 array and the packed bitset form; the bitset is what
-    the search hot loop intersects with covers.
+    `bits` is a read-only 0/1 uint8 array; two vectors are equal when their
+    bits are.
     """
 
-    __slots__ = ("bits", "mask", "m", "ones")
+    __slots__ = ("bits", "m", "ones")
 
     def __init__(self, bits) -> None:
         arr, exact = _cast(bits, np.uint8)
@@ -73,17 +72,16 @@ class LabelVector:
         self.bits = arr
         self.bits.setflags(write=False)
         self.m = int(arr.size)
-        self.mask = bitset.pack(arr)
         self.ones = int(arr.sum())
 
     def mean(self) -> float:
         return self.ones / self.m
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LabelVector) and self.m == other.m and self.mask == other.mask
+        return isinstance(other, LabelVector) and np.array_equal(self.bits, other.bits)
 
     def __hash__(self) -> int:
-        return hash((self.m, self.mask))
+        return hash(self.bits.tobytes())
 
     def __repr__(self) -> str:
         return f"LabelVector(m={self.m}, ones={self.ones})"
@@ -175,7 +173,7 @@ def _reals(values) -> np.ndarray | None:
 def read_schema_file(path) -> list[ColumnSchema]:
     """Sidecar schema: one `name=kind` line per column, in column order."""
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             lines = list(fh)
         except UnicodeDecodeError as exc:
@@ -218,7 +216,8 @@ def _read_codes(path, reader, width: int) -> tuple[list[dict], list[np.ndarray]]
     order, and its int32 codes, read READ_ROWS rows at a time.
 
     The first error in the file is raised: an empty cell, or a row of the
-    wrong width; no row after it is read."""
+    wrong width; no row after it is read, and the error names the file line
+    where that row starts (`_line_of`)."""
     distinct: list[dict] = [{} for _ in range(width)]
     chunks: list[list[np.ndarray]] = [[] for _ in range(width)]
     m = 0
@@ -234,10 +233,11 @@ def _read_codes(path, reader, width: int) -> tuple[list[dict], list[np.ndarray]]
             chunk.append(np.fromiter(map(index.__getitem__, cells), np.int32, len(rows)))
         if empty:
             i = next(i for i, row in enumerate(rows) if any(not cell.strip() for cell in row))
-            raise IngestionError(f"{path}: line {m + i + 2} has an empty cell")
+            raise IngestionError(f"{path}: line {_line_of(path, m + i)} has an empty cell")
         if ragged < len(block):
             raise IngestionError(
-                f"{path}: line {m + ragged + 2} has {len(block[ragged])} values, expected {width}"
+                f"{path}: line {_line_of(path, m + ragged)} has {len(block[ragged])} values, "
+                f"expected {width}"
             )
         m += len(rows)
     if not m:
@@ -249,16 +249,28 @@ def _read_codes(path, reader, width: int) -> tuple[list[dict], list[np.ndarray]]
     return distinct, codes
 
 
-def _first_line(codes: np.ndarray, bad: list[bool]) -> tuple[int, int]:
+def _line_of(path, row: int) -> int:
+    """The file line where data row `row` (from 0) starts.  A quoted cell
+    may hold newlines, so rows and lines differ; the file is read again up
+    to that row, which is done only to word an error."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, row + 1):  # the header and the rows before
+            pass
+        return reader.line_num + 1
+
+
+def _first_line(path, codes: np.ndarray, bad: list[bool]) -> tuple[int, int]:
     """File line and code of the first cell whose value is bad: codes count
     values in first-appearance order, so that is the lowest bad code's first
     cell."""
     code = bad.index(True)
-    return int(np.argmax(codes == code)) + 2, code
+    return _line_of(path, int(np.argmax(codes == code))), code
 
 
 def load_csv(path, schema="infer", target_column: str | None = None) -> Dataset:
-    """Load a comma-separated UTF-8 file with a header row.
+    """Load a comma-separated UTF-8 file with a header row; a leading
+    byte-order mark is dropped.
 
     `schema` is a list of ColumnSchema covering every CSV column (exactly one
     of kind target), the string "infer", or a path to a sidecar schema file.
@@ -272,7 +284,7 @@ def load_csv(path, schema="infer", target_column: str | None = None) -> Dataset:
     array of them with the codes.  Text that is not UTF-8, or that the csv
     module refuses, raises IngestionError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -307,7 +319,7 @@ def load_csv(path, schema="infer", target_column: str | None = None) -> Dataset:
     bits = [v.strip() for v in distinct[tcol]]
     bad = [b not in ("0", "1") for b in bits]
     if any(bad):
-        lineno, code = _first_line(codes[tcol], bad)
+        lineno, code = _first_line(path, codes[tcol], bad)
         raise SchemaError(f"{path}: line {lineno}: target value {bits[code]!r} is not in {{0,1}}")
     target_bits = np.array([b == "1" for b in bits], np.uint8)[codes[tcol]]
 
@@ -321,7 +333,7 @@ def load_csv(path, schema="infer", target_column: str | None = None) -> Dataset:
         if col.kind is Kind.CONTINUOUS:
             parsed = reals[j] if j in reals else _reals(values)
             if parsed is None:
-                lineno, code = _first_line(codes[j], [_reals([v]) is None for v in values])
+                lineno, code = _first_line(path, codes[j], [_reals([v]) is None for v in values])
                 raise SchemaError(
                     f"{path}: line {lineno}: non-numeric value {values[code]!r} "
                     f"in continuous column '{col.name}'"

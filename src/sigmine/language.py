@@ -4,6 +4,9 @@ A pattern is a conjunction of at most z selectors, at most one per column,
 kept in canonical order so that equal patterns compare and hash equal.  The
 searches expand a pattern only with selectors on strictly larger column
 indices, so they generate every pattern of the language exactly once.
+
+A pattern's cover, the set of transactions it holds on, is a bool array of
+length m (`Cover`); the searches keep covers packed (`sigmine.bitset`).
 """
 
 from __future__ import annotations
@@ -14,11 +17,10 @@ from enum import Enum
 
 import numpy as np
 
-from . import bitset
 from .data import Dataset, Kind
 from .errors import ConfigError
 
-Cover = int  # transaction bitset, see sigmine.bitset
+Cover = np.ndarray  # bool array of length m: True where the pattern holds
 
 
 class Form(str, Enum):
@@ -156,12 +158,8 @@ def base_selectors(dataset: Dataset, cfg: LanguageConfig) -> list[Selector]:
                 out.extend(Selector(j, Form.LESS_THAN, c) for c in cuts)
             if Form.AT_LEAST in cfg.forms:
                 out.extend(Selector(j, Form.AT_LEAST, c) for c in cuts)
-            if Form.INTERVAL in cfg.forms:
-                out.extend(
-                    Selector(j, Form.INTERVAL, lo, hi)
-                    for lo, hi in zip(cuts, cuts[1:])
-                    if lo < hi
-                )
+            if Form.INTERVAL in cfg.forms:  # cuts strictly increase
+                out.extend(Selector(j, Form.INTERVAL, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
     return sorted(out, key=Selector.sort_key)
 
 
@@ -188,15 +186,11 @@ def selector_flags(sel: Selector, dataset: Dataset) -> np.ndarray:
     return sel.holds(dataset.values[sel.column])
 
 
-def selector_cover(sel: Selector, dataset: Dataset) -> Cover:
-    return bitset.pack(selector_flags(sel, dataset))
-
-
 def evaluate(pattern: Pattern, dataset: Dataset) -> Cover:
-    """Bitset of transactions satisfying every selector (conjunction)."""
-    cover = bitset.full(dataset.m)
+    """The pattern's cover: True where every selector holds (conjunction)."""
+    cover = np.ones(dataset.m, dtype=bool)
     for sel in pattern.selectors:
-        cover &= selector_cover(sel, dataset)
+        cover &= selector_flags(sel, dataset)
     return cover
 
 

@@ -9,7 +9,6 @@ coupling check relating permutation nulls to independent-resample nulls.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations, product
@@ -212,17 +211,6 @@ class TrialSummary:
     rejections: int
     empirical_fwer: float
     planted_hits: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "trials": self.trials,
-                "rejections": self.rejections,
-                "empirical_fwer": self.empirical_fwer,
-                "planted_hits": self.planted_hits,
-            },
-            sort_keys=True,
-        )
 
 
 def fwer_band(delta: float, trials: int) -> float:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .data import LabelVector
 from .language import Cover
 
@@ -38,10 +40,18 @@ def quality_estimate(pos, center: float, m: int):
     return (pos - pos * center) / m
 
 
+def cover_counts(cover: Cover, labels: LabelVector) -> tuple[int, int]:
+    """|cover| and the positives in it.  Anything but a bool array of the
+    labels' length is refused: numpy would read a 0/1 integer array as
+    indices, and an int as a scalar, and count wrong."""
+    if not (isinstance(cover, np.ndarray) and cover.dtype == bool and cover.shape == (labels.m,)):
+        raise ValueError(f"a cover must be a bool array of length {labels.m}")
+    return int(np.count_nonzero(cover)), int(np.count_nonzero(labels.bits[cover]))
+
+
 def empirical_quality(cover: Cover, labels: LabelVector, center: float) -> QualityStat:
     """Centered quality of one cover: value = (positives - |cover|*center)/m."""
-    n = cover.bit_count()
-    pos = (cover & labels.mask).bit_count()
+    n, pos = cover_counts(cover, labels)
     m = labels.m
     return QualityStat(centered_quality(pos, n, center, m), n / m, pos)
 

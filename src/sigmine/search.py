@@ -51,7 +51,7 @@ from .bounds import significance_cutoff
 from .data import Dataset, LabelVector
 from .errors import ConfigError
 from .language import Cover, LanguageConfig, Pattern, base_selectors, selector_flags
-from .quality import QualityStat, centered_quality, quality_estimate
+from .quality import QualityStat, centered_quality, cover_counts, quality_estimate
 
 
 def optimistic_estimate(cover: Cover, labels: LabelVector, center: float) -> float:
@@ -62,7 +62,7 @@ def optimistic_estimate(cover: Cover, labels: LabelVector, center: float) -> flo
     The bound also dominates the pattern's own quality since positives <= |cover|,
     and computed as `quality_estimate`, every descendant's computed quality.
     """
-    return quality_estimate((cover & labels.mask).bit_count(), center, labels.m)
+    return quality_estimate(cover_counts(cover, labels)[1], center, labels.m)
 
 
 # memory budget of the batched search's largest per-node temporary, and of

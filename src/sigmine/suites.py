@@ -115,8 +115,9 @@ def _runner(mode: Mode, z: int = 2):
     return run
 
 
-def suite_fwer(trials: int = 200, seed: int = 0, m: int = 2000) -> SuiteOutcome:
-    """Empirical family-wise error rate on null data, both testing modes.
+def suite_fwer(trials: int = 200, seed: int = 0) -> SuiteOutcome:
+    """Empirical family-wise error rate on null data of 2000 rows, both
+    testing modes.
 
     Labels are independent of the features, so any non-empty output is a
     false discovery; the rejection fraction must stay within the
@@ -128,7 +129,7 @@ def suite_fwer(trials: int = 200, seed: int = 0, m: int = 2000) -> SuiteOutcome:
     ok = True
     for mode in (Mode.CONDITIONAL, Mode.UNCONDITIONAL):
         summary = monte_carlo(
-            _null_spec(mode, m, seed), _runner(mode), trials, base_seed=seed
+            _null_spec(mode, 2000, seed), _runner(mode), trials, base_seed=seed
         )
         results[mode.value] = summary
         good = summary.empirical_fwer <= band
@@ -154,8 +155,9 @@ def planted_spec(m: int = 5000, seed: int = 0) -> SyntheticSpec:
     )
 
 
-def suite_power(trials: int = 200, seed: int = 0, m: int = 5000) -> SuiteOutcome:
-    """Recovery rate of the planted selector under both testing modes."""
+def suite_power(trials: int = 200, seed: int = 0) -> SuiteOutcome:
+    """Recovery rate of the planted selector (`planted_spec`, 5000 rows)
+    under both testing modes."""
     floors = {
         Mode.CONDITIONAL: POWER_FLOOR_CONDITIONAL,
         Mode.UNCONDITIONAL: POWER_FLOOR_UNCONDITIONAL,
@@ -164,7 +166,7 @@ def suite_power(trials: int = 200, seed: int = 0, m: int = 5000) -> SuiteOutcome
     lines = []
     ok = True
     for mode, floor in floors.items():
-        res = monte_carlo(planted_spec(m, seed), _runner(mode), trials, base_seed=seed)
+        res = monte_carlo(planted_spec(seed=seed), _runner(mode), trials, base_seed=seed)
         rate = res.planted_hits / trials
         summary[mode.value] = rate
         good = rate >= floor

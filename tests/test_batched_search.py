@@ -40,7 +40,7 @@ from sigmine.oracle import (
     generate,
 )
 from sigmine.baselines import permuted_labels, wy_quantile
-from sigmine.language import pattern_count, selector_cover
+from sigmine.language import pattern_count, selector_flags
 from sigmine.resample import bernoulli_labels
 from sigmine.search import BATCH_BYTES, PAIR_BYTES, derive_bases
 from sigmine.suites import (
@@ -133,10 +133,10 @@ def test_batch_matches_single_and_brute_force(size, prune, z):
 
 
 def own_search(ds, lv, center, cfg):
-    """A plain pruned DFS over int bitsets for one vector: supremum and
+    """A plain pruned DFS over bool covers for one vector: supremum and
     first maximizer."""
     ctx = SearchContext(ds, cfg)
-    masks = [selector_cover(s, ds) for s in ctx.base]
+    masks = [selector_flags(s, ds) for s in ctx.base]
     best, arg = -np.inf, None
 
     def walk(cover, chosen, start, depth):
@@ -149,7 +149,7 @@ def own_search(ds, lv, center, cfg):
             if depth + 1 < cfg.z and optimistic_estimate(child, lv, center) > best:
                 walk(child, here, ctx.next_start[i], depth + 1)
 
-    walk(bitset.full(ds.m), (), 0, 0)
+    walk(np.ones(ds.m, dtype=bool), (), 0, 0)
     return best, arg
 
 
@@ -350,7 +350,7 @@ def test_word_boundaries_and_degenerate_labels(m, prune):
 
 
 @pytest.mark.parametrize("prune", [True, False])
-def test_empty_selector_cover_deep_language(prune):
+def test_selector_with_empty_cover_deep_language(prune):
     # a constant continuous column makes `flat<2` cover nothing; without
     # pruning its subtree is entered and compacted down to zero transactions
     rng = np.random.default_rng(0)
@@ -456,7 +456,7 @@ def test_derived_selectors(name):
         for eps_t in (0.0, 0.05):
             got = threshold_mine(zctx, ds.target, center, eps, eps_t)
             want = sorted((idx, p, v) for p, v, idx in rows
-                          if v >= eps + eps_t * (evaluate(p, ds).bit_count() / ds.m))
+                          if v >= eps + eps_t * (np.count_nonzero(evaluate(p, ds)) / ds.m))
             assert [(p, q.value) for p, q in got] == [(p, v) for _, p, v in want]
         top = top_k(zctx, ds.target, center, 6)
         assert [(p, q.value) for p, q in top] == brute_force_top_k(ds, ds.target, center, zcfg, 6)

@@ -433,6 +433,17 @@ def test_non_utf8_schema_file_is_a_schema_error(tmp_path, capsys):
     assert err == f"error: {schema}: not UTF-8 text (invalid continuation byte)\n"
 
 
+def test_byte_order_marks_stay_out_of_pattern_names(tmp_path):
+    data = tmp_path / "bom.csv"
+    data.write_text("\ufeffa,y\nx,1\nx,1\nz,0\nz,0\n", encoding="utf-8")
+    schema = tmp_path / "bom.schema"
+    schema.write_text("\ufeffa=categorical\ny=target\n", encoding="utf-8")
+    out = tmp_path / "o.tsv"
+    for extra in ((), ("--schema", str(schema))):
+        assert run_mine(data, "--top-k", "1", "--output", str(out), *extra) == 0
+        assert out.read_text().splitlines()[1].split("\t")[:2] == ["1", "a=x"]
+
+
 def test_over_long_field_is_an_ingestion_error(tmp_path, capsys):
     # the csv module refuses a field over its limit, 131 072 characters
     bad = tmp_path / "long.csv"

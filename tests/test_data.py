@@ -125,6 +125,26 @@ def test_non_numeric_continuous(tmp_path, fruit_schema):
         )
 
 
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ("red, ,1\n", IngestionError, " has an empty cell"),
+        ("blue,2.0\n", IngestionError, " has 2 values, expected 3"),
+        ("blue,2.0,2\n", SchemaError, ": target value '2' is not in {0,1}"),
+        ("red,heavy,1\n", SchemaError,
+         ": non-numeric value 'heavy' in continuous column 'weight'"),
+    ],
+    ids=["empty cell", "ragged row", "bad target", "non-numeric"],
+)
+def test_error_lines_count_a_quoted_newline(tmp_path, fruit_schema, bad, error, message):
+    # a quoted cell holding a newline takes two file lines for one row
+    path = tmp_path / "bad.csv"
+    for before in BEFORE:
+        path.write_text(fruit_rows(before) + '"re\nd",1.5,1\n' + bad)
+        got = refused(path, error, schema=fruit_schema)
+        assert got == f"{path}: line {before + 4}{message}"
+
+
 def test_target_error_comes_before_a_continuous_one(tmp_path, fruit_schema):
     path = tmp_path / "bad.csv"
     path.write_text(fruit_rows(READ) + "red,heavy,1\nred,1.0,2\n")
@@ -186,6 +206,22 @@ def test_sidecar_schema_file(tmp_path, fruit_csv):
     assert [c.kind for c in cols] == [Kind.CATEGORICAL, Kind.CONTINUOUS, Kind.TARGET]
     ds = load_csv(fruit_csv, schema=str(sc))
     assert ds.m == 3
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeffy,a\n1,x\n0,z\n", encoding="utf-8")
+    ds = load_csv(path, schema="infer", target_column="y")
+    assert (ds.target_name, ds.schema[0].name) == ("y", "a")
+    path.write_text("\ufeffa,y\nx,1\nz,0\n", encoding="utf-8")
+    assert load_csv(path).schema[0].name == "a"
+
+
+def test_sidecar_schema_byte_order_mark_is_dropped(tmp_path, fruit_csv):
+    sc = tmp_path / "fruit.schema"
+    sc.write_text("\ufeffcolor=categorical\nweight=continuous\ny=target\n", encoding="utf-8")
+    assert read_schema_file(sc)[0].name == "color"
+    assert load_csv(fruit_csv, schema=str(sc)).schema[0].name == "color"
 
 
 def test_to_csv_round_trip(tmp_path, fruit, fruit_schema):

@@ -80,7 +80,7 @@ def test_end_to_end_determinism(planted_ds):
     a = run_discovery(planted_ds, _cfg(Mode.UNCONDITIONAL, seed=77))
     b = run_discovery(planted_ds, _cfg(Mode.UNCONDITIONAL, seed=77))
     assert a[0] == b[0]
-    assert a[1].to_json() == b[1].to_json()
+    assert a[1].to_dict() == b[1].to_dict()
 
 
 def test_report_always_emitted_on_empty_output():

@@ -72,6 +72,20 @@ def test_base_selectors_median_cut():
     assert {s.form for s in sels} == {Form.LESS_THAN, Form.AT_LEAST}
 
 
+def test_tied_cuts_collapse_to_one_selector():
+    # quantiles at 1/6 .. 5/6 of six 0s and four 1s: cuts 0, 0, 0, 1, 1
+    ds = _cont_dataset([0.0] * 6 + [1.0] * 4)
+    cfg = LanguageConfig(z=1, bins=5, forms=frozenset(Form))
+    sels = base_selectors(ds, cfg)
+    assert [(s.form, s.a, s.b) for s in sels] == [
+        (Form.LESS_THAN, 0.0, math.inf),
+        (Form.LESS_THAN, 1.0, math.inf),
+        (Form.AT_LEAST, 0.0, math.inf),
+        (Form.AT_LEAST, 1.0, math.inf),
+        (Form.INTERVAL, 0.0, 1.0),
+    ]
+
+
 def test_itemset_mode_presence_only():
     ds = binary_dataset([[0, 1, 1], [1, 0, 1]], [0, 1, 1])
     sels = base_selectors(ds, LanguageConfig(z=2, mode="itemset"))
@@ -89,9 +103,9 @@ def test_itemset_mode_rejects_continuous():
 
 def test_evaluate_conjunction(fruit):
     red = Pattern.of(Selector(0, Form.EQUALS, 0.0))
-    assert evaluate(red, fruit) == 0b101
+    assert evaluate(red, fruit).tolist() == [True, False, True]
     both = Pattern.of(Selector(0, Form.EQUALS, 0.0), Selector(1, Form.LESS_THAN, 1.0))
-    assert evaluate(both, fruit) == 0b100
+    assert evaluate(both, fruit).tolist() == [False, False, True]
 
 
 def test_child_cover_subset_of_parent():
@@ -101,8 +115,8 @@ def test_child_cover_subset_of_parent():
         cc = evaluate(child, ds)
         for sel in child.selectors:
             pc = evaluate(Pattern((sel,)), ds)
-            assert cc & pc == cc
-            assert cc.bit_count() <= pc.bit_count()
+            assert np.array_equal(cc & pc, cc)
+            assert cc.sum() <= pc.sum()
 
 
 def test_enumeration_total_for_single_selector_columns():
@@ -145,12 +159,15 @@ def test_pattern_canonicalization():
         Pattern.of(s0, Selector(0, Form.EQUALS, 2.0))
     with pytest.raises(ConfigError):
         Selector(0, Form.INTERVAL, 2.0, 1.0)
+    with pytest.raises(ConfigError):  # empty
+        Selector(0, Form.INTERVAL, 1.0, 1.0)
 
 
 def test_projection_bound_examples():
     assert projection_bound_log(2, 1, 1) == pytest.approx(3.0, abs=1e-12)
     assert math.exp(projection_bound_log(2, 1, 1)) == pytest.approx(math.e**3, rel=1e-12)
     assert projection_bound_log(100, 10, 2) == pytest.approx(22.0944, abs=1e-3)
+    assert projection_bound_log(1, 1, 1) == pytest.approx(3.0 + math.log(0.25), abs=1e-12)
 
 
 def test_projection_bound_monotone():
@@ -173,7 +190,8 @@ def test_projection_count_below_closed_form_all_continuous():
             SyntheticSpec(12, (ContColumn(), ContColumn("normal")), NullIID(0.5), seed=seed)
         )
         cfg = LanguageConfig(z=2, bins=2)
-        n = len({evaluate(p, ds) for p, _, _ in brute_force_qualities(ds, ds.target, 0.5, cfg)})
+        rows = brute_force_qualities(ds, ds.target, 0.5, cfg)
+        n = len({evaluate(p, ds).tobytes() for p, _, _ in rows})
         base = base_selectors(ds, cfg)
         bound = math.exp(projection_bound_log(ds.m, ds.n_features, cfg.z))
         assert n <= min(bound, pattern_count(base, cfg), 2**ds.m)

@@ -19,7 +19,6 @@ from sigmine import (
     LanguageConfig,
     Pattern,
     SearchContext,
-    bitset,
     empirical_quality,
     evaluate,
     optimistic_estimate,
@@ -42,10 +41,20 @@ def lv(bits):
 
 def test_optimistic_estimate_examples():
     labels = lv([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
-    cover = bitset.pack(np.arange(10) < 6)  # 3 positives
+    cover = np.arange(10) < 6  # 3 positives
     assert optimistic_estimate(cover, labels, 0.4) == pytest.approx(0.18, abs=1e-12)
-    no_pos = bitset.pack(np.isin(np.arange(10), [4, 5, 6]))
+    no_pos = np.isin(np.arange(10), [4, 5, 6])
     assert optimistic_estimate(no_pos, labels, 0.4) == 0.0
+
+
+@pytest.mark.parametrize(
+    "cover",
+    [0b111, np.array([1, 1, 1, 0]), np.ones(5, dtype=bool)],
+    ids=["int", "0/1 int array", "wrong length"],
+)
+def test_optimistic_estimate_refuses_what_is_not_a_bool_cover(cover):
+    with pytest.raises(ValueError, match="bool array of length 4"):
+        optimistic_estimate(cover, lv([1, 1, 0, 0]), 0.5)
 
 
 def test_optimistic_estimate_dominates_descendants():
@@ -73,9 +82,10 @@ def test_optimistic_estimate_dominates_in_floating_point(data):
     pos2 = data.draw(st.integers(0, pos))
     neg = data.draw(st.integers(0, m - ones))
     neg2 = data.draw(st.integers(0, neg))
-    labels = LabelVector(np.arange(m) < ones)
-    cover = bitset.full(pos) | (bitset.full(neg) << ones)
-    child = bitset.full(pos2) | (bitset.full(neg2) << ones)
+    rows = np.arange(m)
+    labels = LabelVector(rows < ones)
+    cover = (rows < pos) | ((rows >= ones) & (rows < ones + neg))
+    child = (rows < pos2) | ((rows >= ones) & (rows < ones + neg2))
     for center in (ones / m, data.draw(st.floats(0.0, 1.0 - 1e-9))):
         oe = optimistic_estimate(cover, labels, center)
         assert empirical_quality(child, labels, center).value <= oe
@@ -337,7 +347,7 @@ def test_threshold_mine_enters_subtrees_whose_estimate_ties_eps():
     ds = binary_dataset([a, b], y)
     center = ds.mean_target()
     cfg = LanguageConfig(z=2)
-    eps = optimistic_estimate(bitset.pack(np.array(a, dtype=bool)), ds.target, center)
+    eps = optimistic_estimate(np.array(a, dtype=bool), ds.target, center)
     got = threshold_mine(SearchContext(ds, cfg), ds.target, center, eps, 0.0)
     assert [(len(p), q.value) for p, q in got] == [(2, eps)]
 
