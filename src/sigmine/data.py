@@ -275,7 +275,9 @@ def load_csv(path, schema="infer", target_column: str | None = None) -> Dataset:
     `schema` is a list of ColumnSchema covering every CSV column (exactly one
     of kind target), the string "infer", or a path to a sidecar schema file.
     Under inference the last column is the target unless `target_column`
-    overrides it.  Rows with empty cells are rejected rather than imputed.
+    overrides it; a declared schema must name the header's columns in
+    order, whitespace stripped, and declare `target_column` its target when
+    that is given.  Rows with empty cells are rejected rather than imputed.
 
     The file is read READ_ROWS rows at a time into each column's int32
     codes of its distinct values, so no list of rows is ever held.  Every
@@ -311,10 +313,15 @@ def load_csv(path, schema="infer", target_column: str | None = None) -> Dataset:
         cols = list(schema)
     if len(cols) != len(header):
         raise SchemaError(f"schema has {len(cols)} columns, file has {len(header)}")
+    for j, (col, name) in enumerate(zip(cols, header)):
+        if col.name.strip() != name.strip():
+            raise SchemaError(f"schema column {j + 1} is {col.name!r}, file header has {name!r}")
     targets = [i for i, c in enumerate(cols) if c.kind is Kind.TARGET]
     if len(targets) != 1:
         raise SchemaError(f"schema must declare exactly one target column, found {len(targets)}")
     tcol = targets[0]
+    if target_column is not None and target_column.strip() != header[tcol].strip():
+        raise SchemaError(f"target column {target_column!r} is not the schema's {header[tcol]!r}")
 
     bits = [v.strip() for v in distinct[tcol]]
     bad = [b not in ("0", "1") for b in bits]

@@ -125,18 +125,9 @@ class SearchContext:
             raise ConfigError("language has no base selectors", "forms")
         self.m = m = dataset.m
         nsel = len(self.base)
-        # selector flags are packed in blocks of at most BATCH_BYTES: all of
-        # them at once would take 8 times the memory of `words`
-        flags = np.empty((min(nsel, max(1, BATCH_BYTES // m)), m), dtype=bool)
-        blocks = []
-        for a in range(0, nsel, len(flags)):
-            block = self.base[a : a + len(flags)]
-            for i, sel in enumerate(block):
-                flags[i] = selector_flags(sel, dataset)
-            blocks.append(bitset.pack_rows(flags[: len(block)]))
-        # allocated after the flags: allocated before them, it left glibc's
-        # heap in a state where the final scan page-faulted on every chunk
-        self.words = np.concatenate(blocks)
+        self.words = np.empty((nsel, (m + 63) // 64), dtype=np.uint64)
+        for k, sel in enumerate(self.base):
+            self.words[k] = bitset.pack_rows(selector_flags(sel, dataset)[None])[0]
         cols = np.array([s.column for s in self.base])
         # first base index on a column strictly greater than base[i]'s
         self.next_start = np.searchsorted(cols, cols, side="right")
@@ -274,17 +265,11 @@ def sup_quality(
     every vector, in blocks of whole columns: a scored child's leaves are
     counted as its children, a derived child's are the node's children
     minus its basis siblings' leaves, so only pairs of two scored selectors
-    take a popcount.  A depth z-3 node (the root when z=3) tables
-    all its children, a column at a time from the last one back, when their
-    tables fit its budget; a derived child's table is the node's counts and
-    the tables of its later siblings minus those of its basis siblings, with
-    no restriction and no popcount.  The children of a column are tabled in
-    groups: masked children share the node's cover rows and stack their own
-    label rows, so a group takes one count and one pair count, a (child,
-    vector) being one more column.  Each table raises the maxima once,
-    whole.  When z <= 2 the root tables itself.  A depth z-3 node whose
-    tables would not fit searches its children one by one, as the nodes
-    above it do.
+    take a popcount.  A depth z-3 node (the root when z=3) tables all its
+    children (`_BatchSearch.tables`) when their tables fit its budget
+    (`_BatchSearch.tables_fit`), and otherwise searches them one by one, as
+    the nodes above it do.  Each table raises the maxima once, whole.  When
+    z <= 2 the root tables itself.
 
     Each vector keeps a running maximum, which every value a table counts
     raises.  Above the tables, children are taken in canonical order: a
@@ -429,6 +414,20 @@ class _BatchSearch:
         pairs = ctx.scored_pairs[start]
         return (size - keep) * len(lab) * (rows + pairs) > 64 * (rows + len(lab)) * size
 
+    def tables_fit(self, start: int) -> bool:
+        """Whether a depth z-3 node whose children start at selector
+        `start` tables them all (`tables`) rather than searching them one
+        by one.  The tables hold counts, 8 bytes per pair and label row;
+        charged 16 * width - 8 bytes a pair, they take at most about half
+        of BATCH_BYTES.  The charge bounds those count tables only: the
+        groups' pair counts and the derived children's `dpc` come on top,
+        about as much again or more (120 selectors, 64 vectors: count
+        tables of 3.4 MiB peaked at 9.9 MiB traced, against 2.4 MiB one by
+        one).  A node whose tables take more, on a wide language, searches
+        its children one by one, and there pruning saves work."""
+        pairs = self.ctx.pair_start[-1] - self.ctx.pair_start[start]
+        return pairs * (16 * self.width - 8) <= BATCH_BYTES
+
     def pair_counts(self, kids, lab, start: int, cnt, a: int, b: int):
         """Counts of the (child, leaf) pairs of the children a..b, whole
         columns, of a node whose children start at selector `start`, given
@@ -547,12 +546,13 @@ class _BatchSearch:
         A node at depth z-2 is its own table: its children, then the
         (child, leaf) pairs of blocks of whole columns, raise each vector's
         maximum.  A node at depth z-3 tables all its children (`tables`)
-        when they fit its budget.  Any other node takes its children one by
-        one in canonical order: a child's value raises the maxima, then its
-        subtree is entered when some vector's estimate beats that vector's
-        maximum, and counts as pruned when none does.  The estimate does not
-        grow down the tree and the maxima only rise, so a vector whose
-        estimate fails at a node fails at every node below it."""
+        when they fit its budget (`tables_fit`).  Any other node takes its
+        children one by one in canonical order: a child's value raises the
+        maxima, then its subtree is entered when some vector's estimate
+        beats that vector's maximum, and counts as pruned when none does.
+        The estimate does not grow down the tree and the maxima only rise,
+        so a vector whose estimate fails at a node fails at every node
+        below it."""
         ctx = self.ctx
         nsel = len(ctx.base)
         cnt = _child_counts(lab, ctx.children(start), kids, start)
@@ -569,16 +569,7 @@ class _BatchSearch:
             for a, b in zip(blocks, [*blocks[1:], last]):
                 self.raise_best(self.pair_counts(kids, lab, start, cnt, a, b))
             return
-        # the tables hold counts, 8 bytes per pair and label row; charged
-        # 16 * width - 8 bytes a pair, they take at most about half of
-        # BATCH_BYTES.  The charge bounds those count tables only: the
-        # groups' pair counts and the derived children's `dpc` come on top,
-        # about as much again or more (120 selectors, 64 vectors: count
-        # tables of 3.4 MiB peaked at 9.9 MiB traced, against 2.4 MiB one by
-        # one).  A node whose tables take more, on a wide language, searches
-        # its children one by one, and there pruning saves work
-        pairs = ctx.pair_start[-1] - ctx.pair_start[start]
-        if depth + 3 == ctx.cfg.z and pairs * (16 * self.width - 8) <= BATCH_BYTES:
+        if depth + 3 == ctx.cfg.z and self.tables_fit(start):
             self.raise_best(cnt)
             self.tables(kids, lab, cnt, start, depth)
             return

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sigmine import (
+    ConfigError,
     LabelVector,
     LanguageConfig,
     Mode,
@@ -75,6 +76,24 @@ def test_quantile_position_rule():
     assert quantile_position(0.051, 1000) == 51
     assert quantile_position(0.05, 1) == 1
     assert quantile_position(0.07, 100) == 7  # float product 7.000000000000001
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_wy_rejection_position_controls_fwer():
+    # under the null the observed supremum and the p permuted ones are
+    # exchangeable, so rejecting above the order statistic at position k
+    # among p has an FWER of up to k / (p + 1); a valid rule keeps that at
+    # most delta at every permutation count the config accepts
+    over = []
+    for delta in (0.01, 0.05, 0.1):
+        for p in range(1, 3001):
+            try:
+                RunConfig(delta=delta, permutations=p)
+            except ConfigError:
+                continue
+            if quantile_position(delta, p) > round(delta * (p + 1), 9):
+                over.append((delta, p))
+    assert not over, f"{len(over)} (delta, p) over delta, the first {over[:5]}"
 
 
 def test_quantile_matches_brute_sort():

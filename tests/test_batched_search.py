@@ -64,6 +64,26 @@ def argmax(ctx, lv, center):
     return top_k(ctx, lv, center, 1)[0][0]
 
 
+def one_by_one(monkeypatch):
+    """Send every depth z-3 node of later searches through the one-by-one
+    loop, whatever its tables would take; batches stay whole."""
+    monkeypatch.setattr(sigmine.search._BatchSearch, "tables_fit", lambda *args: False)
+
+
+def least_table_budget(ctx, c, start=0):
+    """The least BATCH_BYTES at which a depth z-3 node of a search of `c`
+    vectors, whose children start at `start`, tables them: `tables_fit`,
+    bisected."""
+    fits = sigmine.search._BatchSearch(ctx, c, 0.0, True).tables_fit
+    lo, hi = 0, 1 << 40  # fits at hi, not at lo
+    with pytest.MonkeyPatch.context() as mp:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            mp.setattr(sigmine.search, "BATCH_BYTES", mid)
+            lo, hi = (lo, mid) if fits(start) else (mid, hi)
+    return hi
+
+
 def batch_for(ds, labels, size, seed):
     rates = np.linspace(0.1, 0.9, size - 1) if size > 1 else []
     return [labels] + [bernoulli_labels(ds.m, p, seed, j) for j, p in enumerate(rates)]
@@ -211,9 +231,9 @@ def test_batch_above_budget_and_split_pair_chunks(z, monkeypatch):
 def test_node_counts_match_the_language(z, prune, monkeypatch):
     # tables count every pattern below them, so a search that tables at
     # depth z-3 visits the whole language unless it searches one by one
-    # above (z=4); with BATCH_BYTES at 1 every depth z-3 node searches its
-    # children one by one, and there pruning skips subtrees, most of them
-    # under the planted target alone
+    # above (z=4); with `tables_fit` false every depth z-3 node searches
+    # its children one by one, and there pruning skips subtrees, most of
+    # them under the planted target alone
     ds = generate(replace(mushroom_class_spec(3), m=600))
     batch = [ds.target, *resample_target(ds, ResamplePlan(c=6, p=0.45, seed=2))]
     ctx = SearchContext(ds, LanguageConfig(z=z, bins=3))
@@ -223,7 +243,7 @@ def test_node_counts_match_the_language(z, prune, monkeypatch):
     tabled = counted(ctx, batch, center, prune)
     if z <= 3:
         assert (tabled.nodes_visited, tabled.nodes_pruned) == (total, 0)
-    monkeypatch.setattr(sigmine.search, "BATCH_BYTES", 1)
+    one_by_one(monkeypatch)
     alone = counted(ctx, batch, center, prune)
     assert alone.suprema == tabled.suprema
     target = counted(ctx, ds.target, center, prune)
@@ -240,14 +260,15 @@ def test_batch_of_one_equals_bare_vector():
 
 def test_batch_counts_cover_every_vector(monkeypatch):
     # the shared traversal enters every subtree that a vector's own search
-    # enters, whether the depth z-3 nodes table or, with BATCH_BYTES at 1,
-    # search their children one by one and prune
+    # enters, whether the depth z-3 nodes table or search their children
+    # one by one and prune
     ds, labels, center, cfg = _random_tiny_instance(6301)
     cfg = replace(cfg, z=4)
     batch = batch_for(ds, labels, 7, 6301)
     ctx = SearchContext(ds, cfg)
-    for budget in (BATCH_BYTES, 1):
-        monkeypatch.setattr(sigmine.search, "BATCH_BYTES", budget)
+    for tabled in (True, False):
+        if not tabled:
+            one_by_one(monkeypatch)
         shared = counted(ctx, batch, center)
         unpruned = counted(ctx, batch, center, prune=False)
         alone = [counted(ctx, lv, center) for lv in batch]
@@ -261,9 +282,9 @@ def test_batch_counts_cover_every_vector(monkeypatch):
 
 def test_pruning_skips_work(monkeypatch):
     # at a 5% target rate on a wide language, a pruned search skips
-    # subtrees and popcount words, most when every depth z-3 node searches
-    # its children one by one (BATCH_BYTES at 1, where batch_size() is 1
-    # and each vector takes a traversal of its own), to the same suprema
+    # subtrees and popcount words when every depth z-3 node searches its
+    # children one by one, most when each vector also takes a traversal of
+    # its own, to the same suprema
     ds = generate(SyntheticSpec(400, (ContColumn(),) * 5, NullIID(0.05), seed=2))
     ctx = SearchContext(ds, LanguageConfig(z=4, bins=3, forms=frozenset(Form)))
     batch = [bernoulli_labels(400, 0.05, 3, j) for j in range(4)]
@@ -274,18 +295,23 @@ def test_pruning_skips_work(monkeypatch):
         return popcounts(covers, lab)
 
     monkeypatch.setattr(sigmine.search, "_popcounts", record_popcounts)
+    # (depth z-3 nodes table, vectors per traversal, prune)
     want = {
-        (BATCH_BYTES, True): (23088, 2, 112275),
-        (BATCH_BYTES, False): (26280, 0, 121125),
-        (1, True): (29768, 655, 109440),
-        (1, False): (105120, 0, 303000),
+        (True, 4, True): (23088, 2, 112275),
+        (True, 4, False): (26280, 0, 121125),
+        (False, 4, True): (12752, 167, 111700),
+        (False, 4, False): (26280, 0, 189375),
+        (False, 1, True): (29768, 655, 109440),
+        (False, 1, False): (105120, 0, 303000),
     }
     suprema = []
-    for budget, prune in want:
-        monkeypatch.setattr(sigmine.search, "BATCH_BYTES", budget)
+    for tabled, per, prune in want:
+        if not tabled:
+            one_by_one(monkeypatch)
+        monkeypatch.setattr(SearchContext, "batch_size", lambda self, per=per: per)
         words.clear()
         res = counted(ctx, batch, 0.05, prune)
-        assert (res.nodes_visited, res.nodes_pruned, sum(words)) == want[budget, prune]
+        assert (res.nodes_visited, res.nodes_pruned, sum(words)) == want[tabled, per, prune]
         suprema.append(res.suprema)
     assert suprema[1:] == suprema[:-1]
     # no label is 1, so every estimate ties the maximum of 0 from the
@@ -637,6 +663,23 @@ def test_compaction_rule():
     assert search.compacts(1, lab, start, 1)
 
 
+def test_tables_fit_at_their_charge(monkeypatch):
+    # a depth z-3 node tables its children at a budget of exactly their
+    # charge and not at one byte less: 24 bytes a (child, grandchild) pair
+    # under one vector, 56 under three, whether its children start at the
+    # first selector (1 815 pairs) or on the second column (1 210)
+    spec = SyntheticSpec(128, tuple(ContColumn("normal") for _ in range(6)), NullIID(0.4), seed=1)
+    ctx = SearchContext(generate(spec), LanguageConfig(z=3, bins=4, forms=frozenset(Form)))
+    second = int(ctx.col_heads[1])
+    for c, charge in ((1, 24), (3, 56)):
+        fits = sigmine.search._BatchSearch(ctx, c, 0.0, True).tables_fit
+        for start, pairs in ((0, 1815), (second, 1210)):
+            monkeypatch.setattr(sigmine.search, "BATCH_BYTES", pairs * charge)
+            assert fits(start)
+            monkeypatch.setattr(sigmine.search, "BATCH_BYTES", pairs * charge - 1)
+            assert not fits(start)
+
+
 @pytest.mark.parametrize("shrunk", [False, True])
 @pytest.mark.parametrize("name", sorted(DERIVED))
 def test_grouped_tables_and_replay_pieces(name, shrunk, monkeypatch):
@@ -670,7 +713,7 @@ def test_grouped_tables_and_replay_pieces(name, shrunk, monkeypatch):
         if shrunk:
             monkeypatch.setattr(sigmine.search, "PAIR_BYTES", 1)
             # the root's tables just fit their budget
-            root = ctx.pair_start[-1] * (16 * w - 8)
+            root = least_table_budget(ctx, len(batch))
             monkeypatch.setattr(sigmine.search, "BATCH_BYTES", root)
         res = counted(ctx, batch, center)
         assert res.suprema == [o[0] for o in own]
@@ -782,13 +825,11 @@ def test_derived_children_of_table_nodes_are_not_counted(name, z, monkeypatch):
     # a derived child of a node above depth z-3 is still restricted
     assert any(ctx.is_derived[i] and d < z - 2 for i, d in descended) == (z > 3)
     assert sum(counted) == popcount_rows(ctx, 0, 0)
-    # tables over BATCH_BYTES: a depth z-3 node searches its children one
-    # by one, restricting the derived ones too, to the same result, in one
-    # traversal per vector (batch_size() is 1)
+    # tables that do not fit: a depth z-3 node searches its children one
+    # by one, restricting the derived ones too, to the same result
     descended.clear()
-    monkeypatch.setattr(sigmine.search, "BATCH_BYTES", 1)
-    one_by_one = fields(sup_quality(ctx, batch, ds.mean_target(), prune=False))
-    assert one_by_one == (want[0], len(batch) * want[1], want[2])
+    one_by_one(monkeypatch)
+    assert fields(sup_quality(ctx, batch, ds.mean_target(), prune=False)) == want
     assert any(ctx.is_derived[i] and d == z - 2 for i, d in descended)
     monkeypatch.undo()
     center = ds.mean_target()
@@ -816,7 +857,7 @@ def test_table_memory_is_bounded():
     ctx = SearchContext(ds, cfg)
     assert ctx.pair_start[-1] == 3932
     batch = [ds.target, *(bernoulli_labels(ds.m, 0.5, 9, j) for j in range(65))]
-    assert 3932 * (16 * 67 - 8) <= sigmine.search.BATCH_BYTES
+    assert sigmine.search._BatchSearch(ctx, len(batch), 0.0, True).tables_fit(0)
     assert search_peak(ctx, batch) < 3 * sigmine.search.BATCH_BYTES  # 12 MiB
 
 
@@ -842,6 +883,6 @@ def test_wide_language_memory_is_bounded(z):
     cfg = LanguageConfig(z=z, bins=2, forms=frozenset(Form))
     ctx = SearchContext(ds, cfg)
     assert (len(ctx.base), ctx.pair_start[-1]) == (120, 6900)
-    assert 6900 * (16 * 65 - 8) > sigmine.search.BATCH_BYTES
     batch = [ds.target, *(bernoulli_labels(ds.m, 0.4, 3, j) for j in range(63))]
+    assert not sigmine.search._BatchSearch(ctx, len(batch), 0.0, True).tables_fit(0)
     assert search_peak(ctx, batch) < sigmine.search.BATCH_BYTES

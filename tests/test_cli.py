@@ -279,13 +279,18 @@ def default_bytes(mixed_csv, tmp_path_factory):
     return [mined_bytes(mixed_csv, out, mode, top) for mode, top in BATCHING_RUNS]
 
 
-@pytest.mark.parametrize("budget", [1, 4096])
+@pytest.mark.parametrize("budget", [1, 4096, None])
 def test_output_bytes_do_not_depend_on_batching(mixed_csv, default_bytes, tmp_path, monkeypatch,
                                                 budget):
     # the search budgets size batches, tables, groups, pieces and chunks
-    # only: at one byte every batch holds one vector and every chunk one row
-    monkeypatch.setattr(sigmine.search, "BATCH_BYTES", budget)
-    monkeypatch.setattr(sigmine.search, "PAIR_BYTES", budget)
+    # only: at one byte every batch holds one vector and every chunk one
+    # row; at the default budgets with `tables_fit` false (None), whole
+    # batches search every depth z-3 node's children one by one
+    if budget is None:
+        monkeypatch.setattr(sigmine.search._BatchSearch, "tables_fit", lambda *args: False)
+    else:
+        monkeypatch.setattr(sigmine.search, "BATCH_BYTES", budget)
+        monkeypatch.setattr(sigmine.search, "PAIR_BYTES", budget)
     out = tmp_path / "out"
     assert [mined_bytes(mixed_csv, out, mode, top) for mode, top in BATCHING_RUNS] == default_bytes
 
@@ -331,8 +336,8 @@ def tsv_rows(data: bytes) -> list[list[str]]:
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(mine_inputs())
 def test_output_bytes_do_not_depend_on_batching_on_random_files(tmp_path_factory, case):
-    # the one-byte budgets send every depth z-3 node through the one-by-one
-    # loop, and every batch, group, piece and chunk down to one entry
+    # the one-byte budgets cut every batch, group, piece and chunk down to
+    # one entry, so that no depth z-3 node's tables fit either
     text, schema, flags = case
     folder = tmp_path_factory.mktemp("random")
     path, out = folder / "in.csv", folder / "out"
@@ -431,6 +436,15 @@ def test_non_utf8_schema_file_is_a_schema_error(tmp_path, capsys):
     assert run_mine(data, "--schema", str(schema)) == 3
     err = capsys.readouterr().err
     assert err == f"error: {schema}: not UTF-8 text (invalid continuation byte)\n"
+
+
+def test_schema_that_misnames_the_header_is_a_schema_error(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("a,b,y\nx,1.5,1\nz,2.5,0\n")
+    schema = tmp_path / "swapped.schema"
+    schema.write_text("b=continuous\na=categorical\ny=target\n")
+    assert run_mine(data, "--schema", str(schema)) == 3
+    assert capsys.readouterr().err == "error: schema column 1 is 'b', file header has 'a'\n"
 
 
 def test_byte_order_marks_stay_out_of_pattern_names(tmp_path):

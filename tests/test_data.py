@@ -169,6 +169,43 @@ def test_schema_needs_one_target(fruit_csv):
         load_csv(fruit_csv, schema=schema)
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("q=categorical\nr=categorical\ny=target\n", "schema column 1 is 'q', file header has 'a'"),
+        ("b=continuous\na=categorical\ny=target\n", "schema column 1 is 'b', file header has 'a'"),
+        ("a=categorical\nb=continuous\nz=target\n", "schema column 3 is 'z', file header has 'y'"),
+    ],
+    ids=["renamed", "swapped", "target renamed"],
+)
+def test_declared_schema_must_name_the_header(tmp_path, lines, message):
+    # a declared schema is read by position, so each name must be the
+    # header's at that position
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,y\nx,1.5,1\nz,2.5,0\n")
+    sc = tmp_path / "t.schema"
+    sc.write_text(lines)
+    assert refused(path, SchemaError, schema=str(sc)) == message
+    listed = [ColumnSchema(n, Kind(k)) for n, k in (line.split("=") for line in lines.split())]
+    assert refused(path, SchemaError, schema=listed) == message
+
+
+def test_declared_schema_names_compare_stripped(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(" a ,b,y\nx,1.5,1\nz,2.5,0\n")
+    sc = tmp_path / "t.schema"
+    sc.write_text(" a = categorical\nb=continuous\ny=target\n")
+    ds = load_csv(path, schema=str(sc))
+    assert [c.name for c in ds.schema] == ["a", "b"]
+    assert ds.values[1].tolist() == [1.5, 2.5]
+
+
+def test_declared_schema_refuses_another_target_column(fruit_csv, fruit_schema):
+    assert load_csv(fruit_csv, schema=fruit_schema, target_column="y").target_name == "y"
+    message = refused(fruit_csv, SchemaError, schema=fruit_schema, target_column="color")
+    assert message == "target column 'color' is not the schema's 'y'"
+
+
 def test_infer_uses_distinct_count(tmp_path):
     rows = [f"{i % 5},{i / 7.0},{i % 2}" for i in range(40)]
     path = tmp_path / "t.csv"
