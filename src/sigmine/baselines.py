@@ -27,6 +27,7 @@ from .bounds import (
     Mode,
     bound_statistic_ub,
     bound_target,
+    kv_block,
     variance_bracket,
 )
 from .data import Dataset, LabelVector
@@ -37,11 +38,11 @@ from .resample import STREAM_PERMUTE, generator
 from .search import SearchContext, sup_quality
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantileEstimate:
     """Supremum deviations over all permutations, sorted descending, and the
     delta-quantile: the ceil(delta * p)-th largest (1-based position).  The
-    WY method's report: its `epsilon` is `threshold`, its `eps_t` is 0."""
+    WY method's report, with an `epsilon` and an `eps_t` of 0."""
 
     deviations: np.ndarray
     delta_quantile: float
@@ -51,15 +52,13 @@ class QuantileEstimate:
     eps_t = 0.0
 
     @property
-    def threshold(self) -> float:
+    def epsilon(self) -> float:
         """The least float above the quantile: a quality clears it with the
         engine's inclusive ``>=`` exactly when it strictly beats the
         quantile, the Westfall-Young rule.  Thresholding at the quantile
         itself would report every quality-0 pattern on a constant target,
         where every supremum is 0."""
         return float(np.nextafter(self.delta_quantile, np.inf))
-
-    epsilon = threshold
 
     def to_dict(self) -> dict:
         return {
@@ -69,7 +68,7 @@ class QuantileEstimate:
         }
 
     def to_kv_block(self) -> str:
-        return "\n".join(f"# {self.key}.{k}={v}" for k, v in sorted(self.to_dict().items()))
+        return kv_block(self.to_dict(), f"{self.key}.")
 
 
 def quantile_position(delta: float, p: int) -> int:
@@ -130,10 +129,12 @@ def ub_report(ctx: SearchContext, cfg: RunConfig) -> BoundReport:
     eps_t = bound_target(Mode.UNCONDITIONAL, mu_d, m, cfg.delta)
     nu_t, nu = variance_bracket(mu_d, eps_t)
     n_hat_log = projection_bound_log(m, dataset.n_features, ctx.cfg.z)
+    n_hat_source = "closed_form"
     if n_hat_log < 0:
         # below ln 1 on tiny m the closed form is no ceiling; the language
         # size and the 2^m subsets of the data always bound distinct covers
         n_hat_log = math.log(min(pattern_count(ctx.base, ctx.cfg), 2**m))
+        n_hat_source = "language_or_subsets"
     r_hat, d_hat, eps = bound_statistic_ub(n_hat_log, nu_t, nu, m, cfg.delta)
     return BoundReport(
         mode=Mode.UNCONDITIONAL,
@@ -151,7 +152,7 @@ def ub_report(ctx: SearchContext, cfg: RunConfig) -> BoundReport:
         r_hat=r_hat,
         d_hat=d_hat,
         n_hat_log=n_hat_log,
-        n_hat_source="closed_form",
+        n_hat_source=n_hat_source,
     )
 
 

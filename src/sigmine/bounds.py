@@ -150,7 +150,13 @@ def significance_cutoff(eps, eps_t, frequency):
     return eps + eps_t * frequency
 
 
-@dataclass
+def kv_block(fields: dict, prefix: str = "") -> str:
+    """A report's `# name=value` lines in name order; strings print quoted."""
+    return "\n".join(f"# {prefix}{k}={v!r}" if isinstance(v, str) else f"# {prefix}{k}={v}"
+                     for k, v in sorted(fields.items()))
+
+
+@dataclass(frozen=True)
 class BoundReport:
     """Every intermediate of one bound computation, for audit and tests."""
 
@@ -176,11 +182,8 @@ class BoundReport:
     key = "bound_report"  # the JSON output's key for this report
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["mode"] = self.mode.value
+        d = {**asdict(self), "mode": self.mode.value}
         return {k: v for k, v in d.items() if v is not None}
 
     def to_kv_block(self) -> str:
-        lines = [f"# {k}={v!r}" if isinstance(v, str) else f"# {k}={v}"
-                 for k, v in sorted(self.to_dict().items())]
-        return "\n".join(lines)
+        return kv_block(self.to_dict())

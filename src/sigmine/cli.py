@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--format", default="tsv", choices=["tsv", "json"])
 
     val = sub.add_parser("validate", help="run a statistical validation harness")
-    val.add_argument("--suite", required=True, choices=["fwer", "power", "coupling", "oracle"])
+    val.add_argument("--suite", required=True, choices=list(SUITES))
     val.add_argument(
         "--trials",
         type=int,

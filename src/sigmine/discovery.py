@@ -100,7 +100,15 @@ def compute_bounds(ctx: SearchContext, cfg: RunConfig) -> BoundReport:
     resamples = resample_target(dataset, ResamplePlan(cfg.c, mu_hat, cfg.seed))
     dev = estimate_deviation(ctx, resamples, mu_check)
     sup_freq = ctx.sup_frequency()
-    report = BoundReport(
+    if cfg.mode is Mode.CONDITIONAL:
+        omega = variance_factor(mu_d, sup_freq)
+        eps = bound_statistic_conditional(dev.d_tilde, omega, m, cfg.c, cfg.delta)
+        terms = dict(omega=omega)
+    else:
+        nu_t, nu = variance_bracket(mu_d, eps_t)
+        r_hat, d_hat, eps = bound_statistic_unconditional(dev.d_tilde, nu_t, nu, m, cfg.c, cfg.delta)
+        terms = dict(nu_t=nu_t, nu=nu, r_hat=r_hat, d_hat=d_hat)
+    return BoundReport(
         mode=cfg.mode,
         delta=cfg.delta,
         m=m,
@@ -110,23 +118,10 @@ def compute_bounds(ctx: SearchContext, cfg: RunConfig) -> BoundReport:
         mu_check=mu_check,
         eps_t=eps_t,
         sup_freq=sup_freq,
-        epsilon=float("nan"),
+        epsilon=eps,
         d_tilde=dev.d_tilde,
+        **terms,
     )
-    if cfg.mode is Mode.CONDITIONAL:
-        report.omega = variance_factor(mu_d, sup_freq)
-        report.epsilon = bound_statistic_conditional(
-            dev.d_tilde, report.omega, m, cfg.c, cfg.delta
-        )
-    else:
-        nu_t, nu = variance_bracket(mu_d, eps_t)
-        r_hat, d_hat, eps = bound_statistic_unconditional(
-            dev.d_tilde, nu_t, nu, m, cfg.c, cfg.delta
-        )
-        report.nu_t, report.nu = nu_t, nu
-        report.r_hat, report.d_hat = r_hat, d_hat
-        report.epsilon = eps
-    return report
 
 
 def _discoveries(hits, report: BoundReport) -> list[Discovery]:

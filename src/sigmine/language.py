@@ -35,7 +35,7 @@ _FORM_RANK = {Form.EQUALS: 0, Form.LESS_THAN: 1, Form.AT_LEAST: 2, Form.INTERVAL
 
 @dataclass(frozen=True)
 class Selector:
-    """One condition on one column.
+    """One condition on one column; `describe` prints cuts lossless (repr).
 
     equals carries a categorical code in `a`; less_than / at_least carry the
     threshold in `a`; interval is the half-open [a, b).
@@ -70,10 +70,10 @@ class Selector:
             val = dataset.decode(self.column, int(self.a)) if dataset else str(int(self.a))
             return f"{name}={val}"
         if self.form is Form.LESS_THAN:
-            return f"{name}<{self.a:.6g}"
+            return f"{name}<{float(self.a)!r}"
         if self.form is Form.AT_LEAST:
-            return f"{name}>={self.a:.6g}"
-        return f"{name} in [{self.a:.6g},{self.b:.6g})"
+            return f"{name}>={float(self.a)!r}"
+        return f"{name} in [{float(self.a)!r},{float(self.b)!r})"
 
 
 @dataclass(frozen=True)

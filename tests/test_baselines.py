@@ -106,6 +106,8 @@ def test_quantile_matches_brute_sort():
         k = max(1, math.ceil(round(delta * len(devs), 9)))
         assert est.delta_quantile == srt[k - 1]
         assert list(est.deviations) == srt
+        assert est.epsilon == np.nextafter(srt[k - 1], np.inf)
+        assert not hasattr(est, "threshold")  # the cutoff has one name
 
 
 def test_exhaustive_permutation_oracle():
@@ -182,6 +184,7 @@ def test_ub_single_projection_reduces_to_unit_count():
     found, report = run_ub(ds, cfg)
     assert len(brute_force_qualities(ds, ds.target, 0.5, cfg.language)) == 1
     assert report.n_hat_log == 0.0
+    assert report.n_hat_source == "language_or_subsets"
     want = bound_statistic_ub(0.0, report.nu_t, report.nu, ds.m, cfg.delta)
     assert (report.r_hat, report.d_hat, report.epsilon) == want
 

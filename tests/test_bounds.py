@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -13,6 +14,7 @@ from sigmine import (
     variance_bracket,
     variance_factor,
 )
+from sigmine.bounds import kv_block
 
 LN80 = math.log(80.0)
 
@@ -78,6 +80,8 @@ def test_variance_bracket_cases():
     nu_t, nu = variance_bracket(0.2, 0.05)
     assert nu_t == nu == pytest.approx(0.25 * 0.75, abs=1e-12)
     assert variance_bracket(0.2, 0.4) == (0.25, 0.25)
+    # a bracket ending at 1/2 exactly still contains the peak
+    assert variance_bracket(0.25, 0.25) == (0.25, 0.25)
     # bracket clamped into [0, 1]
     nu_t, _ = variance_bracket(0.05, 0.2)
     assert nu_t == 0.25 * 0.75
@@ -107,6 +111,9 @@ def test_negative_d_tilde_floors_r_hat():
 
     want_d, want_e = _chain_d_hat_eps(0.0, 0.25, 0.25, 100, 0.05)
     assert (d, e) == (want_d, want_e)
+    # with zero variance both radicands are exactly 0, which is no error
+    r, d, e = bound_statistic_unconditional(-1.0, 0.0, 0.0, 100, 10, 0.05)
+    assert r < 0 and d == 0.0 and e == LN80 / 300
 
 
 def test_ub_spot_checks():
@@ -175,3 +182,20 @@ def test_bound_report_bracket_invariant():
         mu_hat=0.8, mu_check=0.2, eps_t=0.3, sup_freq=1.0, epsilon=0.5,
     )
     assert 0.0 <= rep.mu_check <= rep.mu_d <= rep.mu_hat <= 1.0
+
+
+def test_bound_report_is_built_once():
+    rep = BoundReport(
+        mode=Mode.CONDITIONAL, delta=0.05, m=10, c=1, mu_d=0.5,
+        mu_hat=0.5, mu_check=0.5, eps_t=0.0, sup_freq=1.0, epsilon=0.5, omega=0.25,
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.epsilon = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.omega = None
+
+
+def test_kv_block_prefixes_names_and_quotes_strings():
+    fields = {"n_hat_source": "closed_form", "epsilon": 0.1 + 0.2, "m": 7}
+    assert kv_block(fields) == "# epsilon=0.30000000000000004\n# m=7\n# n_hat_source='closed_form'"
+    assert kv_block(fields, "quantile.").splitlines()[1] == "# quantile.m=7"

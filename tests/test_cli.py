@@ -26,11 +26,11 @@ from sigmine import (
     run_wy,
     to_csv,
 )
-from sigmine.cli import main
+from sigmine.cli import build_parser, main
 from sigmine.discovery import mine
 from sigmine.report import METHODS, records_from_discoveries, records_tsv
 from sigmine.oracle import CatColumn, ContColumn, NullIID, Planted, SyntheticSpec, generate
-from sigmine.suites import planted_spec
+from sigmine.suites import SUITES, planted_spec
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +115,9 @@ def test_ub_mode_runs(planted_csv, tmp_path):
     out = tmp_path / "o.tsv"
     code = run_mine(planted_csv, "--mode", "ub", "--output", str(out))
     assert code == 0
-    assert "# n_hat_log=" in out.read_text()
+    text = out.read_text()
+    assert "# n_hat_log=" in text
+    assert "# n_hat_source='closed_form'" in text  # the closed form is >= ln 1 here
 
 
 # sha256 of `mine --seed 3` on planted_csv, default flags otherwise, taken
@@ -476,6 +478,8 @@ def test_ub_one_row_file(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())["bound_report"]
     assert report["n_hat_log"] == 0.0
+    # the count is the fallback's, min(language size, 2**m) = 1
+    assert report["n_hat_source"] == "language_or_subsets"
     assert math.isfinite(report["epsilon"])
 
 
@@ -497,6 +501,28 @@ def test_wy_constant_target_reports_nothing(tmp_path, capsys):
     records = json.loads(out.read_text())["records"]
     assert records and not any(r["significant"] for r in records)
     assert f"patterns reported: {len(records)}, significant: 0\n" in capsys.readouterr().err
+
+
+def test_validate_suite_choices_are_the_suites():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    suite = next(a for a in sub.choices["validate"]._actions if a.dest == "suite")
+    assert suite.choices == list(SUITES)
+
+
+def test_near_cuts_print_as_distinct_patterns(tmp_path):
+    # 31 integer values near 1.23e6: at six significant digits many cuts
+    # printed alike, so distinct selectors gave equal pattern strings
+    path = tmp_path / "income.csv"
+    rows = [(1234560 + (i * 7) % 31, int((i * 7) % 31 >= 15) ^ int(i % 11 == 0)) for i in range(400)]
+    path.write_text("income,target\n" + "".join(f"{a},{y}\n" for a, y in rows))
+    out = tmp_path / "o.tsv"
+    code = run_mine(path, "--depth", "1", "--bins", "9", "--top-k", "20", "--output", str(out))
+    assert code == 0
+    patterns = [line.split("\t")[1] for line in out.read_text().splitlines()[1:]
+                if not line.startswith("#")]
+    assert len(patterns) > 10
+    assert len(set(patterns)) == len(patterns)
+    assert all(p.startswith(("income<", "income>=")) and "e+" not in p for p in patterns)
 
 
 def test_validate_oracle_suite(capsys):

@@ -155,6 +155,7 @@ def test_run_config_validation():
             RunConfig(delta=delta)
     with pytest.raises(ConfigError):
         RunConfig(c=0)
+    assert RunConfig(c=1).c == 1  # one resample is allowed
     assert RunConfig(mode="conditional").mode is Mode.CONDITIONAL
     # the draw counts are capped at, not below, the generator's key space
     cfg = RunConfig(c=MAX_DRAWS, permutations=MAX_DRAWS)
@@ -215,6 +216,29 @@ def test_null_fwer_with_a_many_valued_column(mode, rule):
     # language is mostly tiny covers
     cols = (CatColumn((1 / 150,) * 150), CatColumn((0.5, 0.5)), CatColumn((0.5, 0.5)))
     summary = monte_carlo(SyntheticSpec(200, cols, rule), _runner(mode), trials=200, base_seed=0)
+    assert summary.empirical_fwer <= fwer_band(0.05, 200), summary
+
+
+@pytest.mark.parametrize(
+    "mode, rule",
+    [
+        (Mode.CONDITIONAL, NullConditional(100)),
+        (Mode.CONDITIONAL, NullConditional(4)),
+        (Mode.UNCONDITIONAL, NullIID(0.5)),
+        (Mode.UNCONDITIONAL, NullIID(0.02)),
+    ],
+)
+def test_null_fwer_in_itemset_mode(mode, rule):
+    # six binary items, itemsets of up to three of them: the language is
+    # the 41 presence conjunctions, at balanced and at rare labels
+    spec = SyntheticSpec(200, (CatColumn((0.5, 0.5)),) * 6, rule)
+    language = LanguageConfig(z=3, mode="itemset")
+    assert len(SearchContext(generate(spec), language).base) == 6
+
+    def run(ds, seed):
+        return run_discovery(ds, RunConfig(mode=mode, seed=seed, language=language))[0]
+
+    summary = monte_carlo(spec, run, trials=200, base_seed=0)
     assert summary.empirical_fwer <= fwer_band(0.05, 200), summary
 
 

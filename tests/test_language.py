@@ -199,9 +199,20 @@ def test_projection_count_below_closed_form_all_continuous():
 
 def test_describe(fruit):
     p = Pattern.of(Selector(0, Form.EQUALS, 0.0), Selector(1, Form.LESS_THAN, 1.0))
-    assert p.describe(fruit) == "color=red AND weight<1"
+    assert p.describe(fruit) == "color=red AND weight<1.0"
     iv = Pattern.of(Selector(1, Form.INTERVAL, 0.5, 1.5))
     assert "weight in [0.5,1.5)" == iv.describe(fruit)
+
+
+def test_describe_prints_cuts_lossless():
+    # at six significant digits both cuts printed as 1.23458e+06
+    near = [Selector(0, Form.AT_LEAST, a) for a in (1234575.0, 1234578.0)]
+    assert [s.describe() for s in near] == ["c0>=1234575.0", "c0>=1234578.0"]
+    # a numpy cut prints as the Python float it equals
+    cut = np.float64(0.1) + np.float64(0.2)
+    assert Selector(0, Form.LESS_THAN, cut).describe() == "c0<0.30000000000000004"
+    iv = Selector(0, Form.INTERVAL, cut, np.float64(1e7))
+    assert iv.describe() == "c0 in [0.30000000000000004,10000000.0)"
 
 
 from hypothesis import given, settings
