@@ -22,7 +22,6 @@ from .bounds import (
 from .data import ColumnSchema, Dataset, Kind, LabelVector, load_csv, to_csv
 from .discovery import Discovery, RunConfig, mine, run_discovery
 from .errors import (
-    ComputationError,
     ConfigError,
     IngestionError,
     OracleError,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "ColumnSchema",
-    "ComputationError",
     "ConfigError",
     "Dataset",
     "DeviationEstimate",

@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 
-from .errors import ComputationError, ConfigError
+from .errors import ConfigError
 
 
 class Mode(str, Enum):
@@ -90,16 +90,14 @@ def bound_statistic_conditional(
 def _chain_d_hat_eps(
     r_hat: float, nu_t: float, nu: float, m: int, delta: float
 ) -> tuple[float, float]:
-    """Shared tail of the unconditional chain: d_hat from r_hat, then eps."""
+    """Shared tail of the unconditional chain: d_hat from r_hat, then eps;
+    with r_hat, nu_T and nu >= 0, no radicand is negative."""
+    if nu_t < 0 or nu < 0:
+        raise ConfigError(f"nu_T and nu must be >= 0, got {nu_t} and {nu}")
     ln = math.log(4.0 / delta)
     inner = (2.0 * nu_t * ln / m) ** 2 + 2.0 * r_hat * ln / m
-    if inner < 0:
-        raise ComputationError("negative radicand in d_hat (r_hat < 0 unfloored?)")
     d_hat = r_hat + math.sqrt(inner) + 2.0 * nu_t * ln / m
-    outer = 2.0 * ln * (nu + 2.0 * d_hat) / m
-    if outer < 0:
-        raise ComputationError("negative radicand in eps")
-    eps = d_hat + math.sqrt(outer) + ln / (3.0 * m)
+    eps = d_hat + math.sqrt(2.0 * ln * (nu + 2.0 * d_hat) / m) + ln / (3.0 * m)
     return d_hat, eps
 
 

@@ -22,9 +22,5 @@ class ConfigError(SigmineError):
         self.field = field
 
 
-class ComputationError(SigmineError):
-    """A bound formula was evaluated outside its numeric domain."""
-
-
 class OracleError(SigmineError):
     """A test oracle refused to run (e.g. enumeration guard exceeded)."""

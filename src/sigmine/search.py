@@ -31,10 +31,12 @@ table is its siblings' tables subtracted, with no restriction and no
 popcount (see `_BatchSearch.tables`).  A table only raises each vector's
 running maximum, so it is counted in whatever order suits the counting.
 The children of one column share the selectors below them, so they are
-tabled in groups, each child's label rows one more block of columns of the
-same counts, so that the per-child work is a few numpy calls per group.
-A subtree is restricted to its root's transactions by one routine,
-`_BatchSearch.groups`, whether its root is tabled or searched one by one.
+tabled in groups, each child's counts one more block of columns of the
+same counts, from its label rows stacked below its siblings' or its segment
+of the words beside theirs, so that the per-child work is a few numpy calls
+per group.  A subtree is restricted to its root's transactions by one
+routine, `_BatchSearch.groups`, whether its root is tabled or searched one
+by one.
 """
 
 from __future__ import annotations
@@ -301,15 +303,25 @@ def _label_words(batch: Sequence[LabelVector], m: int) -> np.ndarray:
     return bitset.pack_rows(np.array([np.ones(m, dtype=np.uint8), *(lv.bits for lv in batch)]))
 
 
-def _popcounts(covers, lab):
+def _popcounts(covers, lab, seg=None):
     """Counts (covers x label rows) of `covers` by popcount; with row 0 of
     `lab` holding every transaction, column 0 is the size of each cover and
-    the others its positives under each vector.  Summed as uint32, exact
-    since a count is at most m < 2**32 (`SearchContext`)."""
-    return np.bitwise_count(covers[:, None, :] & lab).sum(axis=2, dtype=np.uint32)
+    the others its positives under each vector.  Given offsets `seg`
+    (`_restrict`), segment g, the words seg[g]..seg[g + 1], is counted apart,
+    as block g of columns.  Summed as uint32, exact since a count is at most
+    m < 2**32 (`SearchContext`)."""
+    bits = np.bitwise_count(covers[:, None, :] & lab)
+    if seg is None:
+        return bits.sum(axis=2, dtype=np.uint32)
+    # reduceat gives an empty segment the word at its offset, so it is left 0
+    cnt = np.zeros((len(covers), len(lab), len(seg) - 1), dtype=np.uint32)
+    full = np.flatnonzero(np.diff(seg))
+    if len(full):
+        cnt[..., full] = np.add.reduceat(bits, seg[full], axis=2, dtype=np.uint32)
+    return cnt.swapaxes(1, 2).reshape(len(covers), -1)
 
 
-def _popcount_rows(cnt, rows, lab, words, w, parents=None, p=None) -> None:
+def _popcount_rows(cnt, rows, lab, words, w, parents=None, p=None, seg=None) -> None:
     """Fill the rows `rows` of `cnt` with the counts (`_popcounts`) of the
     covers words[w], ANDed with parents[p] when given, in chunks of at most
     PAIR_BYTES of (rows x label rows x words) temporary (or one row's)."""
@@ -319,7 +331,7 @@ def _popcount_rows(cnt, rows, lab, words, w, parents=None, p=None) -> None:
         covers = words[w[chunk]]
         if parents is not None:  # not `&=`: in place, the scan faulted 3x as often
             covers = parents[p[chunk]] & covers
-        cnt[rows[chunk]] = _popcounts(covers, lab)
+        cnt[rows[chunk]] = _popcounts(covers, lab, seg)
 
 
 def _child_layout(ctx: SearchContext, starts, keep=None):
@@ -345,17 +357,18 @@ def _child_layout(ctx: SearchContext, starts, keep=None):
     return sel, par, np.flatnonzero(scored), d, np.cumsum(sizes) - sizes, basis
 
 
-def _child_counts(lab, children, words, first=0, parents=None, total=None):
-    """Counts (children x label rows) of the `children` (`_child_layout`)
-    of one or more parents: scored child k by popcount of row k - first of
-    `words`, ANDed with its parent's row of `parents` if given
-    (`_popcount_rows`); derived ones as their parent's counts `total[p]`,
-    by default those of `lab`, minus their basis siblings'."""
+def _child_counts(lab, children, words, first=0, parents=None, total=None, seg=None):
+    """Counts (children x label rows, per segment `seg` if given) of the
+    `children` (`_child_layout`) of one or more parents: scored child k by
+    popcount of row k - first of `words`, ANDed with its parent's row of
+    `parents` if given (`_popcount_rows`); derived ones as their parent's
+    counts `total[p]`, by default those of unsegmented `lab`, minus their
+    basis siblings'."""
     sel, par, rows, d, offsets, basis = children
     if total is None:
         total = np.bitwise_count(lab).sum(axis=1, dtype=np.int64)[None]
-    cnt = np.empty((len(sel), len(lab)), dtype=np.int64)
-    _popcount_rows(cnt, rows, lab, words, sel[rows] - first, parents, par[rows])
+    cnt = np.empty((len(sel), total.shape[1]), dtype=np.int64)
+    _popcount_rows(cnt, rows, lab, words, sel[rows] - first, parents, par[rows], seg)
     if len(d):
         cnt[d] = total[par[d]] - np.add.reduceat(cnt[basis], offsets, axis=0)
     return cnt
@@ -404,8 +417,11 @@ class _BatchSearch:
         word (64 transactions) per pair or child and vector, so it pays when
         it saves more popcount words than it moves bytes.  Compaction moves
         every row after the child's column, derived ones too, yet `rows`
-        counts only the scored ones, the rows that are popcounted: that is
-        the rule as it was measured on the benchmark workloads."""
+        counts only the scored ones, the rows that are popcounted; and the
+        children of a column that compact are restricted together
+        (`groups`), unpacking those rows once a group, yet the cost still
+        charges a full unpack per child: that is the rule as it was
+        measured on the benchmark workloads."""
         ctx = self.ctx
         if depth + 2 < ctx.cfg.z:
             return True
@@ -420,24 +436,33 @@ class _BatchSearch:
         by one.  The tables hold counts, 8 bytes per pair and label row;
         charged 16 * width - 8 bytes a pair, they take at most about half
         of BATCH_BYTES.  The charge bounds those count tables only: the
-        groups' pair counts and the derived children's `dpc` come on top,
-        about as much again or more (120 selectors, 64 vectors: count
-        tables of 3.4 MiB peaked at 9.9 MiB traced, against 2.4 MiB one by
-        one).  A node whose tables take more, on a wide language, searches
-        its children one by one, and there pruning saves work."""
+        groups' pair counts (`groups`) and the derived children's `dpc`
+        come on top, about as much again or more (120 selectors, 64
+        vectors: count tables of 3.4 MiB peaked at 9.9 MiB traced, against
+        2.4 MiB one by one).  A node whose tables take more, on a wide
+        language, searches its children one by one, and there pruning
+        saves work."""
         pairs = self.ctx.pair_start[-1] - self.ctx.pair_start[start]
         return pairs * (16 * self.width - 8) <= BATCH_BYTES
 
-    def pair_counts(self, kids, lab, start: int, cnt, a: int, b: int):
+    def fit(self, nxt: int, budget: int) -> int:
+        """The children of one column, whose children start at selector
+        `nxt`, that a group takes: as many as have pair counts, 8 bytes per
+        pair and label row, within `budget` bytes, or one."""
+        pairs = int(self.ctx.pair_start[-1] - self.ctx.pair_start[nxt])
+        return max(1, budget // max(8 * self.width * pairs, 1))
+
+    def pair_counts(self, kids, lab, start: int, cnt, a: int, b: int, seg=None):
         """Counts of the (child, leaf) pairs of the children a..b, whole
         columns, of a node whose children start at selector `start`, given
-        the children's counts `cnt`, child after child.  A scored child's
-        leaves are its children (`_child_counts`, its counts their total).
-        A derived child d's are the node's children from its next column on
-        minus its basis siblings' leaves, which have its column."""
+        the children's counts `cnt`, child after child, per segment `seg` if
+        given.  A scored child's leaves are its children (`_child_counts`,
+        its counts their total).  A derived child d's are the node's
+        children from its next column on minus its basis siblings' leaves,
+        which have its column."""
         ctx = self.ctx
         parents = slice(a - start, b - start)
-        pc = _child_counts(lab, ctx.children(a, b), kids, start, kids[parents], cnt[parents])
+        pc = _child_counts(lab, ctx.children(a, b), kids, start, kids[parents], cnt[parents], seg)
         # child a + j's pairs are the rows rows[j]:rows[j + 1] of pc
         rows = (ctx.pair_start[a : b + 1] - ctx.pair_start[a]).tolist()
         for j in np.flatnonzero(ctx.is_derived[a:b]).tolist():
@@ -455,8 +480,9 @@ class _BatchSearch:
 
         The children of one column share their children, the selectors
         after the column, so they are tabled in groups (`groups`): one
-        `_child_counts` and one `pair_counts` per group, on (children x
-        (1 + vectors)) label rows, each child's counts a block of columns.
+        `_child_counts` and one `pair_counts` per group, each child's
+        counts a block of (1 + vectors) columns, counted on its own stacked
+        label rows (masked) or its own segment of the words (compacted).
         A derived child d is not restricted or counted: its children's
         counts are the node's minus those of its basis siblings, and its
         pair counts are its later siblings' children's counts (the same
@@ -477,7 +503,7 @@ class _BatchSearch:
             col = slice(ctx.pair_start[a] - p0, r0 - p0)
             col_cnts = cnts[col].reshape(nxt - a, n, w)
             tail = cnts[r0 - p0 :]  # the pairs below the column: later siblings' tables
-            fit = max(1, PAIR_BYTES // max(tail.nbytes, 1))
+            fit = self.fit(nxt, PAIR_BYTES)
             # derived children a part at a time, each part with its basis
             # siblings, slot[b] the part's derived child whose basis holds b;
             # then the scored children in no basis
@@ -488,12 +514,13 @@ class _BatchSearch:
             free = [i for i in range(a, nxt) if ctx.basis[i] is None and i not in used]
             for ds, slot in [*parts, ([], dict.fromkeys(free))]:
                 dpc = None
-                groups = self.groups(kids, lab, cnt, [*slot], start, depth + 1, fit)
-                for group, sub_kids, sub_lab in groups:
+                groups = self.groups(kids, lab, cnt, [*slot], start, depth + 1)
+                for group, sub_kids, sub_lab, seg in groups:
                     total = cnt[group - start].reshape(1, -1)  # the group's own counts
-                    sub_cnt = _child_counts(sub_lab, ctx.children(nxt), sub_kids, nxt, total=total)
+                    layout = ctx.children(nxt)
+                    sub_cnt = _child_counts(sub_lab, layout, sub_kids, nxt, total=total, seg=seg)
                     col_cnts[group - a] = sub_cnt.reshape(n, len(group), w).swapaxes(0, 1)
-                    pc = self.pair_counts(sub_kids, sub_lab, nxt, sub_cnt, nxt, nsel)
+                    pc = self.pair_counts(sub_kids, sub_lab, nxt, sub_cnt, nxt, nsel, seg)
                     self.raise_best(pc)
                     if ds:
                         if dpc is None:  # allocated once the first basis group is tabled
@@ -509,32 +536,36 @@ class _BatchSearch:
                     del dpc
             self.raise_best(cnts[col])
 
-    def groups(self, kids, lab, cnt, children, start: int, depth: int, fit: int):
+    def groups(self, kids, lab, cnt, children, start: int, depth: int):
         """The `children`, of one column, of a node whose children start at
-        `start`, as groups at `depth` with the cover rows after their column
-        and the label rows they are counted on.  A child that `compacts` is
-        a group of its own, on the cover rows after its column and the
-        label rows compacted to its transactions (`_restrict`).  The
-        others are masked, `fit` children a group: they share the node's
-        cover rows, each with its own label rows, the node's ANDed with its
-        cover, stacked.  A node searching its children one by one takes
-        each, derived or scored, as a group of one."""
+        `start`, as groups at `depth` with the cover rows after their
+        column, the label rows they are counted on, and their segments'
+        offsets or None.  The children that `compacts` are restricted
+        together (`_restrict`), as many a group as have pair counts within
+        a quarter of BATCH_BYTES (`fit`; as fast as a half on the benchmark
+        workloads, at a lower peak), each child's transactions a segment of
+        the words.  The others are masked, as many a group as have pair
+        counts within PAIR_BYTES: they share the node's cover rows, each
+        with its own label rows, the node's ANDed with its cover, stacked.
+        A node searching its children one by one takes each, derived or
+        scored, as a group of one."""
         if not children:
             return
         nxt = self.ctx.next_start[children[0]]
-        size = lab.shape[1] * 64
-        masked = []
-        for i in children:
-            if self.compacts(int(cnt[i - start, 0]), lab, nxt, depth):
-                keep = np.flatnonzero(bitset.unpack_rows(kids[i - start : i - start + 1], size)[0])
-                sub_kids = _restrict(kids[nxt - start :], size, keep)
-                yield np.array([i]), sub_kids, _restrict(lab, size, keep)
-            else:
-                masked.append(i)
-        for x in range(0, len(masked), fit):
-            group = np.array(masked[x : x + fit])
+        size, after = lab.shape[1] * 64, kids[nxt - start :]
+        compact = [i for i in children if self.compacts(int(cnt[i - start, 0]), lab, nxt, depth)]
+        masked = [i for i in children if i not in compact]
+        step = self.fit(nxt, BATCH_BYTES // 4)
+        for x in range(0, len(compact), step):
+            group = np.array(compact[x : x + step])
+            keeps = [np.flatnonzero(f) for f in bitset.unpack_rows(kids[group - start], size)]
+            sub_kids, seg = _restrict(after, size, keeps)
+            yield group, sub_kids, _restrict(lab, size, keeps)[0], seg
+        step = self.fit(nxt, PAIR_BYTES)
+        for x in range(0, len(masked), step):
+            group = np.array(masked[x : x + step])
             stacked = lab & kids[group - start, None]
-            yield group, kids[nxt - start :], stacked.reshape(len(group) * len(lab), lab.shape[1])
+            yield group, after, stacked.reshape(len(group) * len(lab), lab.shape[1]), None
 
     def node(self, kids, lab, start: int, depth: int) -> None:
         """Search below one node.  `kids` holds the covers of selectors
@@ -584,7 +615,7 @@ class _BatchSearch:
             if self.prune and not (bound[r] > self.best).any():
                 self.pruned += 1
                 continue
-            [(_, sub_kids, sub_lab)] = self.groups(kids, lab, cnt, [i], start, depth + 1, 1)
+            [(_, sub_kids, sub_lab, _)] = self.groups(kids, lab, cnt, [i], start, depth + 1)
             self.node(sub_kids, sub_lab, nxt, depth + 1)
 
 
@@ -688,15 +719,20 @@ class _Scan:
         return [enter[a:b] for a, b in zip(heads, [*heads[1:], len(enter)])]
 
 
-def _restrict(words: np.ndarray, size: int, keep: np.ndarray) -> np.ndarray:
-    """Packed rows over `size` transactions, cut down to the `keep` ones;
-    rows are unpacked in blocks of at most BATCH_BYTES."""
+def _restrict(words: np.ndarray, size: int, keeps: Sequence[np.ndarray]):
+    """Packed rows over `size` transactions, cut down to each index array of
+    `keeps` in turn, and the offsets `seg` of the results: keeps[g]'s
+    transactions are the words seg[g]..seg[g + 1] of each row, a segment of
+    its own, word-aligned.  Rows are unpacked once, in blocks of at most
+    BATCH_BYTES."""
+    seg = np.cumsum([0, *((len(k) + 63) // 64 for k in keeps)])
     step = max(1, BATCH_BYTES // max(size, 1))
-    out = np.empty((len(words), (len(keep) + 63) // 64), dtype=np.uint64)
+    out = np.empty((len(words), seg[-1]), dtype=np.uint64)
     for i in range(0, len(words), step):
-        flags = bitset.unpack_rows(words[i : i + step], size).take(keep, axis=1)
-        out[i : i + step] = bitset.pack_rows(flags)
-    return out
+        flags = bitset.unpack_rows(words[i : i + step], size)
+        for g, keep in enumerate(keeps):
+            out[i : i + step, seg[g] : seg[g + 1]] = bitset.pack_rows(flags.take(keep, axis=1))
+    return out, seg
 
 
 def top_k(

@@ -290,9 +290,9 @@ def test_pruning_skips_work(monkeypatch):
     batch = [bernoulli_labels(400, 0.05, 3, j) for j in range(4)]
     popcounts, words = sigmine.search._popcounts, []
 
-    def record_popcounts(covers, lab):
+    def record_popcounts(covers, lab, seg=None):
         words.append(len(covers) * lab.size)
-        return popcounts(covers, lab)
+        return popcounts(covers, lab, seg)
 
     monkeypatch.setattr(sigmine.search, "_popcounts", record_popcounts)
     # (depth z-3 nodes table, vectors per traversal, prune)
@@ -680,6 +680,21 @@ def test_tables_fit_at_their_charge(monkeypatch):
             assert not fits(start)
 
 
+def test_groups_fit_at_their_charge():
+    # a group takes as many children of one column as have pair counts, 8
+    # bytes a pair and label row, within its budget, and at least one: on
+    # the instance above, 1 815 pairs below the first selector on and 1 210
+    # below the second column on
+    spec = SyntheticSpec(128, tuple(ContColumn("normal") for _ in range(6)), NullIID(0.4), seed=1)
+    ctx = SearchContext(generate(spec), LanguageConfig(z=3, bins=4, forms=frozenset(Form)))
+    for c in (1, 3):
+        search = sigmine.search._BatchSearch(ctx, c, 0.0, True)
+        for nxt, pairs in ((0, 1815), (int(ctx.col_heads[1]), 1210)):
+            one = 8 * (c + 1) * pairs
+            budgets = (0, one - 1, one, 3 * one - 1, 3 * one)
+            assert [search.fit(nxt, b) for b in budgets] == [1, 1, 1, 2, 3]
+
+
 @pytest.mark.parametrize("shrunk", [False, True])
 @pytest.mark.parametrize("name", sorted(DERIVED))
 def test_grouped_tables_and_replay_pieces(name, shrunk, monkeypatch):
@@ -742,12 +757,18 @@ def test_pair_counts_are_the_pairs_popcounts(name, pair_bytes, monkeypatch):
     batch = [ds.target, bernoulli_labels(ds.m, 0.4, 6, 0)]
     pair_counts, calls = sigmine.search._BatchSearch.pair_counts, []
 
-    def checked(self, kids, lab, start, cnt, a, b):
-        pc = pair_counts(self, kids, lab, start, cnt, a, b)
+    def checked(self, kids, lab, start, cnt, a, b, seg=None):
+        pc = pair_counts(self, kids, lab, start, cnt, a, b, seg)
         nsel, nxt = len(self.ctx.base), self.ctx.next_start
         pairs = [(i, k) for i in range(a, b) for k in range(nxt[i], nsel)]
-        want = [np.bitwise_count(kids[i - start] & kids[k - start] & lab).sum(axis=1) for i, k in pairs]
-        assert pc.tolist() == np.reshape(want, (len(pairs), len(lab))).tolist()
+        # a compacted group's words are segments, one per child, counted apart
+        cuts = [0, lab.shape[1]] if seg is None else seg.tolist()
+        want = [
+            [np.bitwise_count(kids[i - start, x:y] & kids[k - start, x:y] & lab[:, x:y]).sum(axis=1)
+             for x, y in zip(cuts, cuts[1:])]
+            for i, k in pairs
+        ]
+        assert pc.tolist() == np.reshape(want, (len(pairs), (len(cuts) - 1) * len(lab))).tolist()
         calls.append((start, len(lab), pairs))
         return pc
 
@@ -775,6 +796,57 @@ def test_pair_counts_are_the_pairs_popcounts(name, pair_bytes, monkeypatch):
         seen.update((bool(derived[i]), bool(derived[k])) for i, k in pairs)
     assert seen == ({(False, False), (False, True), (True, False), (True, True)}
                     if DERIVED[name] else {(False, False)})
+
+
+@pytest.mark.parametrize("compact", [False, True])
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_grouped_restriction_matches_one_child_groups(name, compact, monkeypatch):
+    # a depth z-3 node restricts a column's compacting children together,
+    # each child's transactions a segment of the words, and counts a group
+    # by segment; groups of one child give the same suprema, node counts
+    # and popcount words, whether children compact by the rule (on these
+    # small instances, seldom) or all of them do; an empty child's segment
+    # (an empty cut of the tied or the two-valued column) counts 0
+    ds, cfg = derived_instances()[name]
+    batch = [ds.target] + [bernoulli_labels(ds.m, p, 9, j) for j, p in enumerate((0.2, 0.5, 0.8))]
+    center = ds.mean_target()
+    popcounts, words, segments = sigmine.search._popcounts, [], []
+
+    def record_popcounts(covers, lab, seg=None):
+        words.append(len(covers) * lab.size)
+        segments.append(np.diff([0, lab.shape[1]] if seg is None else seg))
+        return popcounts(covers, lab, seg)
+
+    monkeypatch.setattr(sigmine.search, "_popcounts", record_popcounts)
+    if compact:
+        monkeypatch.setattr(sigmine.search._BatchSearch, "compacts", lambda *args: True)
+    empty = False
+    for z in (3, 4):
+        zcfg = replace(cfg, z=z)
+        ctx = SearchContext(ds, zcfg)
+        runs = []
+        for one in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                if one:
+                    mp.setattr(sigmine.search._BatchSearch, "fit", lambda *args: 1)
+                words.clear()
+                segments.clear()
+                runs.append((fields(counted(ctx, batch, center)), sum(words)))
+            widest = max(len(s) for s in segments)
+            if one:
+                assert widest == 1
+            elif compact:
+                # a column of several scored children before the last one
+                # is restricted as one group
+                cols = [s.column for s in ctx.base]
+                scored = [cols[i] for i in np.flatnonzero(~ctx.is_derived) if cols[i] != cols[-1]]
+                assert (widest > 1) == (len(scored) > len(set(scored)))
+                empty |= any(len(s) > 1 and (s == 0).any() for s in segments)
+        assert runs[0] == runs[1]
+        for lv, sup in zip(batch, runs[0][0][0]):
+            want = oracle if z == 3 else own_search
+            assert sup == want(ds, lv, center, zcfg)[0]
+    assert empty == (compact and name in ("tied", "equal_cuts"))
 
 
 def popcount_rows(ctx, start, depth):
@@ -809,14 +881,16 @@ def test_derived_children_of_table_nodes_are_not_counted(name, z, monkeypatch):
     descended, counted = [], []
     groups, popcounts = sigmine.search._BatchSearch.groups, sigmine.search._popcounts
 
-    def record_groups(self, kids, lab, cnt, children, start, depth, fit):
+    def record_groups(self, kids, lab, cnt, children, start, depth):
         descended.extend((i, depth) for i in children)
-        return groups(self, kids, lab, cnt, children, start, depth, fit)
+        return groups(self, kids, lab, cnt, children, start, depth)
 
-    def record_popcounts(covers, lab):
-        # a group's label rows stack one block per child it counts for
-        counted.append(len(covers) * (len(lab) // (len(batch) + 1)))
-        return popcounts(covers, lab)
+    def record_popcounts(covers, lab, seg=None):
+        # a group's label rows stack one block per child it counts for, or
+        # its words hold one segment per child
+        blocks = len(lab) // (len(batch) + 1) * (1 if seg is None else len(seg) - 1)
+        counted.append(len(covers) * blocks)
+        return popcounts(covers, lab, seg)
 
     monkeypatch.setattr(sigmine.search._BatchSearch, "groups", record_groups)
     monkeypatch.setattr(sigmine.search, "_popcounts", record_popcounts)

@@ -47,6 +47,20 @@ def test_bound_target_rejects_bad_delta():
             bound_target(Mode.UNCONDITIONAL, 0.5, 100, delta)
 
 
+def test_bound_target_rejects_no_rows():
+    for mode in Mode:
+        with pytest.raises(ConfigError, match="m must be >= 1"):
+            bound_target(mode, 0.5, 0, 0.05)
+
+
+def test_unconditional_chains_reject_negative_variances():
+    for nu_t, nu in ((-0.1, 0.25), (0.25, -0.1)):
+        with pytest.raises(ConfigError, match="nu_T and nu must be >= 0"):
+            bound_statistic_unconditional(0.01, nu_t, nu, 100, 10, 0.05)
+        with pytest.raises(ConfigError, match="nu_T and nu must be >= 0"):
+            bound_statistic_ub(1.0, nu_t, nu, 100, 0.05)
+
+
 def test_variance_factor_examples():
     assert variance_factor(0.5, 1.0) == 0.25
     assert variance_factor(0.0, 0.7) == 0.0

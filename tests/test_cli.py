@@ -406,6 +406,9 @@ def test_bad_forms_flag(null_csv, capsys):
     code = run_mine(null_csv, "--forms", "interval")
     assert code == 2
     assert "--forms" in capsys.readouterr().err
+    # no form at all
+    assert run_mine(null_csv, "--forms", " , ") == 2
+    assert capsys.readouterr().err == "error: --forms: at least one form is required\n"
 
 
 def test_ingestion_error_exit_code(tmp_path, capsys):
@@ -420,6 +423,39 @@ def test_ingestion_error_exit_code(tmp_path, capsys):
     bare.write_text("y\n1\n0\n")
     assert run_mine(bare) == 3
     assert "feature column" in capsys.readouterr().err
+
+
+def test_empty_file_and_header_only_file_exit_3(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert run_mine(empty) == 3
+    assert capsys.readouterr().err == f"error: {empty}: empty file\n"
+    header = tmp_path / "header.csv"
+    header.write_text("a,y\n")
+    assert run_mine(header) == 3
+    assert capsys.readouterr().err == f"error: {header}: no data rows\n"
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("a categorical\ny=target\n", "schema line 1: expected name=kind, got 'a categorical'"),
+    ("# kinds\na=ordinal\ny=target\n", "schema line 2: unknown kind 'ordinal'"),
+    ("a=categorical\nb=continuous\ny=target\n", "schema has 3 columns, file has 2"),
+])
+def test_malformed_schema_file_exit_3(tmp_path, capsys, lines, message):
+    data = tmp_path / "data.csv"
+    data.write_text("a,y\nx,1\nz,0\n")
+    schema = tmp_path / "bad.schema"
+    schema.write_text(lines)
+    assert run_mine(data, "--schema", str(schema)) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_target_column_not_in_header(tmp_path):
+    # the CLI takes the last column as the target; a library caller names one
+    data = tmp_path / "data.csv"
+    data.write_text("a,y\nx,1\nz,0\n")
+    with pytest.raises(sigmine.errors.SchemaError, match="target column 'label' not in header"):
+        load_csv(data, target_column="label")
 
 
 def test_non_utf8_input_is_an_ingestion_error(tmp_path, capsys):

@@ -170,6 +170,12 @@ def test_projection_bound_examples():
     assert projection_bound_log(1, 1, 1) == pytest.approx(3.0 + math.log(0.25), abs=1e-12)
 
 
+def test_projection_bound_rejects_empty_arguments():
+    for args in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+        with pytest.raises(ConfigError, match="must all be >= 1"):
+            projection_bound_log(*args)
+
+
 def test_projection_bound_monotone():
     for z in (1, 2, 3):
         prev = -math.inf
