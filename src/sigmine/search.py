@@ -445,12 +445,12 @@ class _BatchSearch:
         pairs = self.ctx.pair_start[-1] - self.ctx.pair_start[start]
         return pairs * (16 * self.width - 8) <= BATCH_BYTES
 
-    def fit(self, nxt: int, budget: int) -> int:
+    def fit(self, nxt: int) -> int:
         """The children of one column, whose children start at selector
         `nxt`, that a group takes: as many as have pair counts, 8 bytes per
-        pair and label row, within `budget` bytes, or one."""
+        pair and label row, within PAIR_BYTES, or one."""
         pairs = int(self.ctx.pair_start[-1] - self.ctx.pair_start[nxt])
-        return max(1, budget // max(8 * self.width * pairs, 1))
+        return max(1, PAIR_BYTES // max(8 * self.width * pairs, 1))
 
     def pair_counts(self, kids, lab, start: int, cnt, a: int, b: int, seg=None):
         """Counts of the (child, leaf) pairs of the children a..b, whole
@@ -503,7 +503,7 @@ class _BatchSearch:
             col = slice(ctx.pair_start[a] - p0, r0 - p0)
             col_cnts = cnts[col].reshape(nxt - a, n, w)
             tail = cnts[r0 - p0 :]  # the pairs below the column: later siblings' tables
-            fit = self.fit(nxt, PAIR_BYTES)
+            fit = self.fit(nxt)
             # derived children a part at a time, each part with its basis
             # siblings, slot[b] the part's derived child whose basis holds b;
             # then the scored children in no basis
@@ -540,13 +540,12 @@ class _BatchSearch:
         """The `children`, of one column, of a node whose children start at
         `start`, as groups at `depth` with the cover rows after their
         column, the label rows they are counted on, and their segments'
-        offsets or None.  The children that `compacts` are restricted
-        together (`_restrict`), as many a group as have pair counts within
-        a quarter of BATCH_BYTES (`fit`; as fast as a half on the benchmark
-        workloads, at a lower peak), each child's transactions a segment of
-        the words.  The others are masked, as many a group as have pair
-        counts within PAIR_BYTES: they share the node's cover rows, each
-        with its own label rows, the node's ANDed with its cover, stacked.
+        offsets or None, as many a group as have pair counts within
+        PAIR_BYTES (`fit`).  The children that `compacts` are restricted
+        together (`_restrict`), each child's transactions a segment of the
+        words.  The others are masked: they share the node's cover rows,
+        each with its own label rows, the node's ANDed with its cover,
+        stacked.
         A node searching its children one by one takes each, derived or
         scored, as a group of one."""
         if not children:
@@ -555,13 +554,12 @@ class _BatchSearch:
         size, after = lab.shape[1] * 64, kids[nxt - start :]
         compact = [i for i in children if self.compacts(int(cnt[i - start, 0]), lab, nxt, depth)]
         masked = [i for i in children if i not in compact]
-        step = self.fit(nxt, BATCH_BYTES // 4)
+        step = self.fit(nxt)
         for x in range(0, len(compact), step):
             group = np.array(compact[x : x + step])
             keeps = [np.flatnonzero(f) for f in bitset.unpack_rows(kids[group - start], size)]
             sub_kids, seg = _restrict(after, size, keeps)
             yield group, sub_kids, _restrict(lab, size, keeps)[0], seg
-        step = self.fit(nxt, PAIR_BYTES)
         for x in range(0, len(masked), step):
             group = np.array(masked[x : x + step])
             stacked = lab & kids[group - start, None]

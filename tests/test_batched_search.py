@@ -680,9 +680,9 @@ def test_tables_fit_at_their_charge(monkeypatch):
             assert not fits(start)
 
 
-def test_groups_fit_at_their_charge():
+def test_groups_fit_at_their_charge(monkeypatch):
     # a group takes as many children of one column as have pair counts, 8
-    # bytes a pair and label row, within its budget, and at least one: on
+    # bytes a pair and label row, within PAIR_BYTES, and at least one: on
     # the instance above, 1 815 pairs below the first selector on and 1 210
     # below the second column on
     spec = SyntheticSpec(128, tuple(ContColumn("normal") for _ in range(6)), NullIID(0.4), seed=1)
@@ -691,8 +691,11 @@ def test_groups_fit_at_their_charge():
         search = sigmine.search._BatchSearch(ctx, c, 0.0, True)
         for nxt, pairs in ((0, 1815), (int(ctx.col_heads[1]), 1210)):
             one = 8 * (c + 1) * pairs
-            budgets = (0, one - 1, one, 3 * one - 1, 3 * one)
-            assert [search.fit(nxt, b) for b in budgets] == [1, 1, 1, 2, 3]
+            fits = []
+            for budget in (0, one - 1, one, 3 * one - 1, 3 * one):
+                monkeypatch.setattr(sigmine.search, "PAIR_BYTES", budget)
+                fits.append(search.fit(nxt))
+            assert fits == [1, 1, 1, 2, 3]
 
 
 @pytest.mark.parametrize("shrunk", [False, True])

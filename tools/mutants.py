@@ -12,12 +12,12 @@ than TIMEOUT seconds, and survives when they pass.
     python tools/mutants.py src/sigmine/bounds.py src/sigmine/discovery.py \\
         --tests tests/test_bounds.py tests/test_discovery.py
 
-`--functions` and `--lines` keep only the sites inside one of the named
-functions (at any depth of nesting: a method by its own name) and within a
-line range, so that a change can mutate only the code it touched:
+`--functions` keeps only the sites inside one of the named functions (at
+any depth of nesting: a method by its own name), so that a change can
+mutate only the code it touched:
 
     python tools/mutants.py src/sigmine/search.py --functions groups _restrict \\
-        --lines 300-420 --tests tests/test_batched_search.py
+        --tests tests/test_batched_search.py
 
 The runner uses only the standard library and starts pytest in a
 subprocess.  It exits 0 when every mutant is killed and 1 otherwise.
@@ -64,27 +64,17 @@ def sites(tree: ast.AST) -> list[tuple[ast.AST, int | None, str, str]]:
     return found
 
 
-def selected(
-    tree: ast.AST, functions: list[str] | None, lines: tuple[int, int] | None
-) -> list[int]:
+def selected(tree: ast.AST, functions: list[str] | None) -> list[int]:
     """The indices into `sites(tree)` of the sites inside one of the
-    `functions` and on the `lines`, first to last, each filter applied when
-    given."""
+    `functions`, first to last, or of every site when None."""
     spans = [
         (node.lineno, node.end_lineno) for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in (functions or ())
     ]
     return [
         k for k, (node, *_) in enumerate(sites(tree))
-        if (functions is None or any(a <= node.lineno <= b for a, b in spans))
-        and (lines is None or lines[0] <= node.lineno <= lines[1])
+        if functions is None or any(a <= node.lineno <= b for a, b in spans)
     ]
-
-
-def line_range(text: str) -> tuple[int, int]:
-    """`--lines` as (first, last): "A-B", or "A" for one line."""
-    first, _, last = text.partition("-")
-    return int(first), int(last or first)
 
 
 def mutant(source: str, k: int) -> tuple[str, str]:
@@ -120,7 +110,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("modules", nargs="+", help="module files to mutate, relative to the repository")
     parser.add_argument("--tests", nargs="+", required=True, help="test files to run per mutant")
     parser.add_argument("--functions", nargs="+", help="mutate only inside functions of these names")
-    parser.add_argument("--lines", type=line_range, help="mutate only on these lines, A-B")
     args = parser.parse_args(argv)
     survived = total = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -134,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         for module in args.modules:
             target = copy / module
             source = target.read_text()
-            for k in selected(ast.parse(source), args.functions, args.lines):
+            for k in selected(ast.parse(source), args.functions):
                 text, where = mutant(source, k)
                 target.write_text(text)
                 killed = not run_tests(copy, args.tests)
