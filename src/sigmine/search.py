@@ -545,9 +545,8 @@ class _BatchSearch:
         together (`_restrict`), each child's transactions a segment of the
         words.  The others are masked: they share the node's cover rows,
         each with its own label rows, the node's ANDed with its cover,
-        stacked.
-        A node searching its children one by one takes each, derived or
-        scored, as a group of one."""
+        stacked.  A node searching its children one by one takes each,
+        derived or scored, as a group of one."""
         if not children:
             return
         nxt = self.ctx.next_start[children[0]]
