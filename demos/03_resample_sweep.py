@@ -17,7 +17,6 @@ cfg = RunConfig(language=SWEEP_LANGUAGE, seed=SWEEP_RUN_SEED)
 modes = (Mode.CONDITIONAL, Mode.UNCONDITIONAL)
 res = sweep_c(dataset, cfg, SWEEP_C_VALUES, modes=modes)
 
-print(f"dataset {res.dataset_id}, config {res.config_digest}\n")
 print(f"{'c':>4}  {'eps (conditional)':>18}  {'eps (unconditional)':>20}  {'seconds':>8}")
 for c in SWEEP_C_VALUES:
     ec, tc = res.cells[(c, "conditional")]

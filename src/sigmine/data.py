@@ -149,17 +149,6 @@ class Dataset:
             return vals[code]
         return str(code)
 
-    def fingerprint(self) -> str:
-        """Stable content hash used to identify datasets in reports."""
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(repr([(c.name, c.kind.value) for c in self.schema]).encode())
-        h.update(self.target.bits.tobytes())
-        for arr in self.values:
-            h.update(arr.tobytes())
-        return h.hexdigest()[:16]
-
 
 def _reals(values) -> np.ndarray | None:
     """`values` as float64, or None when one of them is not a finite real."""

@@ -14,8 +14,6 @@ one dataset with shared search machinery so timings are comparable.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -82,27 +80,8 @@ def records_json(records: list[OutputRecord]) -> list[dict]:
     return [asdict(r) for r in records]
 
 
-def config_hash(cfg: RunConfig) -> str:
-    """Stable digest of every semantically meaningful run setting."""
-    payload = {
-        "mode": cfg.mode.value,
-        "delta": cfg.delta,
-        "c": cfg.c,
-        "seed": cfg.seed,
-        "top_k": cfg.top_k,
-        "permutations": cfg.permutations,
-        "z": cfg.language.z,
-        "bins": cfg.language.bins,
-        "forms": sorted(f.value for f in cfg.language.forms),
-        "language_mode": cfg.language.mode,
-    }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-
-
 @dataclass
 class SweepResult:
-    dataset_id: str
-    config_digest: str
     cells: dict[tuple[int, str], tuple[float, float]]  # (c, mode) -> (epsilon, seconds)
 
     def epsilon(self, c: int, mode: str | Mode = Mode.CONDITIONAL) -> float:
@@ -132,7 +111,7 @@ def sweep_c(
             t0 = time.perf_counter()
             report = compute_bounds(ctx, replace(cfg, mode=mode, c=c))
             cells[(c, mode.value)] = (report.epsilon, time.perf_counter() - t0)
-    return SweepResult(dataset.fingerprint(), config_hash(cfg), cells)
+    return SweepResult(cells)
 
 
 @dataclass

@@ -65,7 +65,7 @@ def _random_tiny_instance(seed: int):
     if rng.random() < 0.5:
         forms |= {Form.LESS_THAN, Form.AT_LEAST}
     cfg = LanguageConfig(
-        z=int(rng.integers(1, 3)), bins=int(rng.integers(1, 4)), forms=frozenset(forms)
+        z=int(rng.integers(1, 5)), bins=int(rng.integers(1, 4)), forms=frozenset(forms)
     )
     ds = generate(SyntheticSpec(m, tuple(cols), NullIID(0.5), seed=seed))
     labels = LabelVector((rng.random(m) < rng.random()).astype(np.uint8))
@@ -75,12 +75,15 @@ def _random_tiny_instance(seed: int):
 
 def suite_oracle(instances: int = 200, seed: int = 0) -> SuiteOutcome:
     """Exact agreement of the pruned engine with brute force on random
-    tiny instances: supremum, pruning on/off, and top-k contents."""
+    tiny instances: supremum, pruning on/off, and top-k contents.  `pruned`
+    counts the instances whose pruned search skipped a subtree."""
     mismatches = []
+    pruned = 0
     for i in range(instances):
         ds, labels, center, cfg = _random_tiny_instance(seed + i)
         ctx = SearchContext(ds, cfg)
         res = sup_quality(ctx, labels, center)
+        pruned += res.nodes_pruned > 0
         res_noprune = sup_quality(ctx, labels, center, prune=False)
         truth = brute_force_sup(ds, labels, center, cfg)
         if not (res.supremum == truth == res_noprune.supremum):
@@ -96,7 +99,7 @@ def suite_oracle(instances: int = 200, seed: int = 0) -> SuiteOutcome:
     return SuiteOutcome(
         "oracle",
         ok,
-        {"instances": instances, "mismatches": len(mismatches)},
+        {"instances": instances, "mismatches": len(mismatches), "pruned": pruned},
         mismatches[:10],
     )
 

@@ -41,3 +41,15 @@ def binary_dataset(codes_per_column: list[list[int]], labels: list[int]) -> Data
         for j, col in enumerate(codes_per_column)
     }
     return Dataset(schema, values, LabelVector(np.asarray(labels, dtype=np.uint8)), cat_values)
+
+
+def contents(ds: Dataset) -> tuple:
+    """Everything a dataset holds, in a form `==` compares: schema, values
+    with their dtypes, category strings, target and target name."""
+    return (
+        ds.schema,
+        [(arr.dtype, arr.tobytes()) for arr in ds.values],
+        ds.cat_values,
+        ds.target,
+        ds.target_name,
+    )

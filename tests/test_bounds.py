@@ -61,6 +61,22 @@ def test_unconditional_chains_reject_negative_variances():
             bound_statistic_ub(1.0, nu_t, nu, 100, 0.05)
 
 
+def test_variance_factor_rejects_frequency_outside_unit_interval():
+    for sup_freq in (-0.1, 1.1):
+        with pytest.raises(ConfigError, match=r"sup_freq must lie in \[0, 1\]"):
+            variance_factor(0.5, sup_freq)
+
+
+def test_variance_bracket_rejects_negative_eps_t():
+    with pytest.raises(ConfigError, match="eps_t must be >= 0"):
+        variance_bracket(0.5, -0.01)
+
+
+def test_ub_rejects_negative_log_count():
+    with pytest.raises(ConfigError, match=r"ln\(N_hat\) must be >= 0"):
+        bound_statistic_ub(-0.5, 0.25, 0.25, 100, 0.05)
+
+
 def test_variance_factor_examples():
     assert variance_factor(0.5, 1.0) == 0.25
     assert variance_factor(0.0, 0.7) == 0.0

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 from dataclasses import replace
@@ -298,9 +300,9 @@ def test_output_bytes_do_not_depend_on_batching(mixed_csv, default_bytes, tmp_pa
 
 
 @st.composite
-def mine_inputs(draw):
-    """A small CSV of 1-3 feature columns and a target, its sidecar schema,
-    and the language flags of a `sigmine mine` run on it.  A `planted`
+def csv_inputs(draw):
+    """A small CSV of 1-3 feature columns and a target, and its sidecar
+    schema.  The target's rate is 0, 0.05, 0.5, 0.95 or 1; a `planted`
     column is the target in other words, so that some runs report
     significant patterns."""
     m = draw(st.integers(1, 200))
@@ -308,7 +310,8 @@ def mine_inputs(draw):
     def cells(values):
         return draw(st.lists(values, min_size=m, max_size=m))
 
-    target = cells(st.sampled_from("01"))
+    rate, rng = draw(st.sampled_from([0, 0.05, 0.5, 0.95, 1])), draw(st.randoms())
+    target = ["1" if rng.random() < rate else "0" for _ in range(m)]
     kinds = {
         "categorical": lambda: cells(st.sampled_from("abcdef"[: draw(st.integers(1, 6))])),
         "continuous": lambda: [repr(v) for v in cells(st.floats(-10, 10, allow_nan=False))],
@@ -324,6 +327,13 @@ def mine_inputs(draw):
         f"{name}={'categorical' if k in ('categorical', 'planted') else 'continuous'}\n"
         for name, k in zip(header, picked)
     ) + "y=target\n"
+    return text, schema
+
+
+@st.composite
+def mine_inputs(draw):
+    """`csv_inputs` and the language flags of a `sigmine mine` run on it."""
+    text, schema = draw(csv_inputs())
     forms = "equals,less_than,at_least" + (",interval" if draw(st.booleans()) else "")
     flags = ["--forms", forms, "--depth", str(draw(st.integers(1, 4))),
              "--permutations", str(draw(st.integers(1, 20)))]
@@ -370,6 +380,65 @@ def test_output_bytes_do_not_depend_on_batching_on_random_files(tmp_path_factory
         mp.setattr(sigmine.search, "BATCH_BYTES", 1)
         mp.setattr(sigmine.search, "PAIR_BYTES", 1)
         assert mined() == default
+
+
+FORMS = ("equals", "less_than", "at_least", "interval")
+
+
+@st.composite
+def run_flags(draw):
+    """Every flag of a `sigmine mine` run but its files, extreme values
+    included; a value out of range (`--bins 0`, `--top-k 0`) must
+    be refused by name."""
+    forms = draw(st.lists(st.sampled_from(FORMS), min_size=1, max_size=4, unique=True))
+    top = draw(st.sampled_from([None, 1, 3, 10_000, 0]))
+    return [
+        "--mode", draw(st.sampled_from(list(METHODS))),
+        "--delta", repr(draw(st.sampled_from([1e-9, 0.05, 0.5, 0.999]))),
+        "--permutations", str(draw(st.sampled_from([1, 2, 19, 40]))),
+        "--depth", str(draw(st.integers(1, 4))),
+        "--bins", str(draw(st.sampled_from([1, 2, 3, 5, 0]))),
+        "--forms", ",".join(forms),
+        "--format", draw(st.sampled_from(["tsv", "json"])),
+        *(() if top is None else ("--top-k", str(top))),
+    ]
+
+
+def report_numbers(data: bytes, fmt: str) -> list[float]:
+    """Every number of a `sigmine mine` output: the record fields and the
+    report's values."""
+    if fmt == "json":
+        return list(_numbers(json.loads(data)))
+    numbers = []
+    for line in data.decode().splitlines()[1:]:
+        for cell in [line.partition("=")[2]] if line.startswith("# ") else line.split("\t")[2:5]:
+            with contextlib.suppress(ValueError):  # a quoted name, None or a bool
+                numbers.append(float(cell))
+    return numbers
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(csv_inputs(), run_flags())
+def test_random_files_and_flags_end_in_a_finite_report_or_a_named_error(
+    tmp_path_factory, case, flags
+):
+    # the degenerate-input contract of test_degenerate_inputs on random
+    # files and flags: exit 0 and every number finite, or exit 2 or 3 and
+    # an `error:` line; an exception out of main fails the test
+    text, schema = case
+    folder = tmp_path_factory.mktemp("contract")
+    path, out = folder / "in.csv", folder / "out"
+    path.write_text(text)
+    (folder / "schema.txt").write_text(schema)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_mine(path, *flags, "--schema", str(folder / "schema.txt"),
+                        "--output", str(out))
+    if code != 0:
+        assert code in (2, 3) and err.getvalue().startswith("error: ")
+        return
+    numbers = report_numbers(out.read_bytes(), flags[flags.index("--format") + 1])
+    assert numbers and all(math.isfinite(v) for v in numbers)
 
 
 @pytest.mark.parametrize(
@@ -434,6 +503,14 @@ def test_empty_file_and_header_only_file_exit_3(tmp_path, capsys):
     header.write_text("a,y\n")
     assert run_mine(header) == 3
     assert capsys.readouterr().err == f"error: {header}: no data rows\n"
+
+
+@pytest.mark.parametrize("header", ["a,a,y", ",b,y"], ids=["repeated", "empty"])
+def test_repeated_or_empty_column_name_exit_3(tmp_path, capsys, header):
+    data = tmp_path / "data.csv"
+    data.write_text(f"{header}\nx,u,1\nz,v,0\n")
+    assert run_mine(data) == 3
+    assert capsys.readouterr().err == "error: column names must be unique and non-empty\n"
 
 
 @pytest.mark.parametrize("lines, message", [

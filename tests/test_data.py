@@ -23,6 +23,8 @@ from sigmine.data import read_schema_file
 from sigmine.oracle import generate
 from sigmine.suites import mushroom_class_spec
 
+from conftest import contents
+
 
 def test_load_csv_basic(fruit):
     assert fruit.m == 3
@@ -48,8 +50,7 @@ def test_mean_target_times_m_is_count(fruit):
 def test_reload_is_identical(fruit_csv, fruit_schema):
     a = load_csv(fruit_csv, schema=fruit_schema)
     b = load_csv(fruit_csv, schema=fruit_schema)
-    assert a.fingerprint() == b.fingerprint()
-    assert a.target == b.target
+    assert contents(a) == contents(b)
 
 
 # rows before the bad one: none, a first block's worth less one (the bad
@@ -345,13 +346,35 @@ def test_to_csv_writes_the_per_cell_bytes(tmp_path_factory, ds, rows, reads):
     assert decoded(again) == decoded(ds) and again.target == ds.target
     to_csv(again, path / "again.csv")
     twice = load_csv(path / "again.csv", schema=schema)
-    assert twice.fingerprint() == again.fingerprint()
-    assert twice.cat_values == again.cat_values
+    assert contents(twice) == contents(again)
 
 
 def test_label_vector_validates():
     with pytest.raises(ValueError):
         LabelVector(np.array([0, 2], dtype=np.uint8))
+
+
+def test_label_vector_must_be_one_dimensional():
+    with pytest.raises(ValueError, match="labels must be 1-d"):
+        LabelVector(np.zeros((2, 2), dtype=np.uint8))
+
+
+CAT, CONT = ColumnSchema("c", Kind.CATEGORICAL), ColumnSchema("x", Kind.CONTINUOUS)
+
+
+@pytest.mark.parametrize("schema, values, bits, message", [
+    pytest.param([CAT, CONT], [[0, 1]], [0, 1], "schema/values length mismatch", id="lengths"),
+    pytest.param([CAT], [[]], [], "dataset needs at least one transaction", id="no_rows"),
+    pytest.param([CONT], [[0.5, np.inf]], [0, 1], "column 'x' contains non-finite values",
+                 id="non_finite"),
+    pytest.param([ColumnSchema("t", Kind.TARGET)], [[0, 1]], [0, 1],
+                 "feature schema must not contain a target column", id="target_feature"),
+    pytest.param([CAT], [[0, 1, 0]], [0, 1], "column 'c' has length 3, expected 2",
+                 id="column_length"),
+])
+def test_dataset_refuses_inconsistent_parts(schema, values, bits, message):
+    with pytest.raises(SchemaError, match=message):
+        Dataset(schema, [np.asarray(v) for v in values], LabelVector(bits))
 
 
 def test_casts_that_would_change_a_value_are_refused():

@@ -101,6 +101,17 @@ def test_itemset_mode_rejects_continuous():
         base_selectors(ds, LanguageConfig(z=1, mode="itemset"))
 
 
+def test_itemset_mode_rejects_non_binary_categories():
+    ds = binary_dataset([[0, 1, 2]], [0, 1, 1])
+    with pytest.raises(ConfigError, match="requires binary 0/1 columns, 'b0' is not"):
+        base_selectors(ds, LanguageConfig(z=1, mode="itemset"))
+
+
+def test_pattern_needs_a_selector():
+    with pytest.raises(ConfigError, match="patterns must have at least one selector"):
+        Pattern.of()
+
+
 def test_evaluate_conjunction(fruit):
     red = Pattern.of(Selector(0, Form.EQUALS, 0.0))
     assert evaluate(red, fruit).tolist() == [True, False, True]

@@ -1,17 +1,33 @@
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import sigmine.oracle
-from sigmine import Form, LanguageConfig, OracleError, Selector
+from sigmine import (
+    ColumnSchema,
+    Dataset,
+    Form,
+    Kind,
+    LabelVector,
+    LanguageConfig,
+    OracleError,
+    Pattern,
+    Selector,
+    evaluate,
+)
+from sigmine.language import base_selectors, pattern_count
 from sigmine.oracle import (
     CatColumn,
     ContColumn,
+    CouplingPoint,
     NullConditional,
     NullIID,
     Planted,
     SyntheticSpec,
+    brute_force_qualities,
     brute_force_sup,
     coupling_check,
     fwer_band,
@@ -21,11 +37,13 @@ from sigmine.oracle import (
 from sigmine.resample import STREAM_SYNTH, generator
 from sigmine.suites import suite_coupling
 
+from conftest import binary_dataset, contents
+
 
 def test_generate_deterministic():
     spec = SyntheticSpec(50, (CatColumn((0.3, 0.7)), ContColumn()), NullIID(0.4), seed=2)
     a, b = generate(spec), generate(spec)
-    assert a.fingerprint() == b.fingerprint()
+    assert contents(a) == contents(b)
 
 
 def per_row_planted(spec):
@@ -94,6 +112,36 @@ def test_brute_force_guard():
         brute_force_sup(ds, ds.target, 0.5, cfg)
 
 
+def test_brute_force_covers_hold_their_cuts():
+    # cuts at 2, 2.5 and 3, each of 2 and 3 held by six rows: a selector
+    # holds at its lower cut and not at its upper one, as `evaluate` has it
+    x = np.repeat([1.0, 2.0, 3.0, 4.0], [3, 6, 6, 3])
+    ds = Dataset([ColumnSchema("x", Kind.CONTINUOUS)], [x], LabelVector(np.ones(18, np.uint8)))
+    rows = brute_force_qualities(ds, ds.target, 0.0, LanguageConfig(z=1, bins=3, forms=set(Form)))
+    assert {p.selectors[0].a for p, _, _ in rows} == {2.0, 2.5, 3.0}
+    for pattern, value, _ in rows:
+        assert value == evaluate(pattern, ds).sum() / ds.m
+
+
+def test_brute_force_guard_admits_a_language_of_its_size():
+    ds = binary_dataset([[0, 1, 2, 0], [1, 0, 1, 1]], [0, 1, 1, 0])
+    cfg = LanguageConfig(z=2)
+    n = pattern_count(base_selectors(ds, cfg), cfg)
+    assert len(brute_force_qualities(ds, ds.target, 0.5, cfg, guard=n)) == n
+    with pytest.raises(OracleError, match="language too large"):
+        brute_force_qualities(ds, ds.target, 0.5, cfg, guard=n - 1)
+
+
+def test_monte_carlo_counts_planted_hits():
+    sel = Selector(0, Form.EQUALS, 0.0)
+    spec = SyntheticSpec(100, (CatColumn((0.5, 0.5)),), Planted(sel, 0.9, 0.1), seed=0)
+    hit = SimpleNamespace(pattern=Pattern.of(sel))
+    miss = SimpleNamespace(pattern=Pattern.of(Selector(0, Form.EQUALS, 1.0)))
+    runs = [[miss], [miss, hit], []]
+    summary = monte_carlo(spec, lambda ds, seed: runs[seed % 3], trials=9, base_seed=0)
+    assert summary.rejections == 6 and summary.planted_hits == 3
+
+
 def test_monte_carlo_degenerate_single_trial():
     spec = SyntheticSpec(100, (CatColumn((0.5, 0.5)),), NullIID(0.5), seed=0)
     summary = monte_carlo(spec, lambda ds, seed: [], trials=1, base_seed=0)
@@ -126,11 +174,53 @@ def test_coupling_rejects_empty_family():
         coupling_check(10, 5, [], [0.1], samples=10)
 
 
+def test_coupling_rejects_no_samples():
+    covers = [[i < 5 for i in range(10)]]
+    with pytest.raises(OracleError, match="samples must be >= 1"):
+        coupling_check(10, 5, covers, [0.1], samples=0)
+    assert len(coupling_check(10, 5, covers, [0.1], samples=1)) == 1
+
+
+def test_coupling_point_holds_up_to_twice_iid_plus_slack():
+    # p_cond <= 2 p_iid + slack, equality included
+    assert CouplingPoint(0.1, 0.5, 0.25, 0.0).holds
+    assert CouplingPoint(0.1, 0.5, 0.0, 0.5).holds
+    assert not CouplingPoint(0.1, 0.5, 0.2, 0.05).holds
+
+
+def test_generate_rejects_unknown_column_spec():
+    with pytest.raises(OracleError, match="unknown column spec 'bogus'"):
+        generate(SyntheticSpec(10, ("bogus",), NullIID(0.5)))
+
+
+def test_generate_rejects_unknown_target_rule():
+    with pytest.raises(OracleError, match="unknown target rule 'bogus'"):
+        generate(SyntheticSpec(10, (CatColumn((0.5, 0.5)),), "bogus"))
+
+
+def test_brute_force_rejects_an_empty_language():
+    # in itemset mode a column that never holds "1" has no selector
+    ds = binary_dataset([[0, 0, 0]], [0, 1, 1])
+    with pytest.raises(OracleError, match="empty language"):
+        brute_force_sup(ds, ds.target, 0.5, LanguageConfig(z=1, mode="itemset"))
+
+
 def test_coupling_trivial_threshold():
     covers = [[i < 5 for i in range(10)]]
     pts = coupling_check(10, 5, covers, thresholds=[-1.0], samples=500, seed=1)
     assert pts[0].p_cond == 1.0 and pts[0].p_iid == 1.0
     assert pts[0].holds
+
+
+def test_coupling_tails_of_one_cover():
+    # one cover of 2 of 4 rows and 2 ones: the supremum is (x - 1) / 4 for
+    # the x ones in the cover, so it always reaches -1/4, reaches 1/4 with
+    # probability 1/6 under permutations and 1/4 under i.i.d. labels, and
+    # never passes 1/4
+    pts = coupling_check(4, 2, [[True, True, False, False]], [-0.25, 0.25, 0.3], 6000, seed=1)
+    assert [(p.p_cond, p.p_iid) for p in (pts[0], pts[2])] == [(1.0, 1.0), (0.0, 0.0)]
+    assert pts[1].p_cond == pytest.approx(1 / 6, abs=0.02)
+    assert pts[1].p_iid == pytest.approx(1 / 4, abs=0.02)
 
 
 def test_coupling_inequality_basic():
@@ -141,6 +231,10 @@ def test_coupling_inequality_basic():
     ]
     pts = coupling_check(20, 10, covers, thresholds=[0.05, 0.1], samples=20_000, seed=3)
     assert all(p.holds for p in pts)
+    for p in pts:
+        assert 0 < p.p_iid < 1 and 0 < p.p_cond < 1
+        var = (p.p_cond * (1 - p.p_cond) + 4 * p.p_iid * (1 - p.p_iid)) / 20_000
+        assert p.slack == pytest.approx(3 * math.sqrt(var), rel=1e-12)
 
 
 def test_coupling_chunks_keep_the_estimates(monkeypatch):

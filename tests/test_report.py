@@ -4,12 +4,11 @@ import time
 
 import pytest
 
-from sigmine import LanguageConfig, Mode, RunConfig, compare_methods, sweep_c
+from sigmine import LanguageConfig, RunConfig, compare_methods, sweep_c
 from sigmine.language import Form
 from sigmine.oracle import CatColumn, NullIID, SyntheticSpec, generate
 from sigmine.report import (
     OutputRecord,
-    config_hash,
     method_table,
     records_json,
     records_tsv,
@@ -50,32 +49,13 @@ def test_records_tsv_json_same_values():
     json.dumps(js)  # JSON-serializable
 
 
-def test_config_hash_sensitivity():
-    base = _cfg(seed=1)
-    assert config_hash(base) == config_hash(_cfg(seed=1))
-    changed = [
-        _cfg(seed=2),
-        _cfg(seed=1, delta=0.01),
-        _cfg(seed=1, c=20),
-        _cfg(seed=1, mode=Mode.UNCONDITIONAL),
-        _cfg(seed=1, language=LanguageConfig(z=3)),
-        _cfg(seed=1, language=LanguageConfig(z=2, bins=4)),
-        _cfg(seed=1, language=LanguageConfig(z=2, forms=frozenset({Form.EQUALS}))),
-        _cfg(seed=1, top_k=5),
-        _cfg(seed=1, permutations=50),
-    ]
-    digests = {config_hash(c) for c in changed}
-    assert config_hash(base) not in digests
-    assert len(digests) == len(changed)
-
-
 def test_forms_named_by_value_hash_and_sweep(ds):
-    # forms given by value are the same language: same hash, and sweep_c,
-    # which hashes the config, runs
+    # forms given by value are the same language: an equal config, and
+    # sweep_c gives it the same threshold
     named = _cfg(language=LanguageConfig(z=2, forms=frozenset({"less_than", "equals"})))
     forms = _cfg(language=LanguageConfig(z=2, forms=frozenset({Form.LESS_THAN, Form.EQUALS})))
-    assert config_hash(named) == config_hash(forms)
-    assert sweep_c(ds, named, [1]).config_digest == config_hash(forms)
+    assert named.language == forms.language
+    assert sweep_c(ds, named, [1]).epsilon(1) == sweep_c(ds, forms, [1]).epsilon(1)
 
 
 def test_sweep_deterministic_and_monotone_addend(ds):

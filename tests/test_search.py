@@ -131,6 +131,26 @@ def test_pruning_is_lossless(seed):
     assert on.nodes_visited <= off.nodes_visited
 
 
+def test_pruning_is_lossless_checks_pruned_searches():
+    # at depths 1 and 2 the root tables itself and never prunes: some of
+    # the instances above must search deep enough to prune
+    pruned = 0
+    for seed in range(25):
+        ds, labels, center, cfg = _random_tiny_instance(seed + 1200)
+        pruned += sup_quality(SearchContext(ds, cfg), labels, center).nodes_pruned
+    assert pruned > 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sup_frequency_is_the_largest_selector_frequency(seed):
+    # a pattern's frequency is at most its selectors', so the language's
+    # largest is a selector's
+    ds, _, _, cfg = _random_tiny_instance(seed + 300)
+    best = max(evaluate(Pattern.of(s), ds).sum() / ds.m for s in base_selectors(ds, cfg))
+    got = SearchContext(ds, cfg).sup_frequency()
+    assert got <= 1 and got == best
+
+
 def test_top_k_saturation_and_k1():
     ds, labels, center, cfg = _random_tiny_instance(77)
     base = base_selectors(ds, cfg)
@@ -324,6 +344,19 @@ def test_label_length_must_match_the_context(call):
     if call == "sup_quality":
         with pytest.raises(ConfigError, match=f"length {ds.m - 1} .* {ds.m} rows"):
             run([labels, lv(labels.bits[:-1])])
+
+
+def test_sup_quality_refuses_an_empty_batch():
+    ds, _, center, cfg = _random_tiny_instance(5)
+    with pytest.raises(ConfigError, match="sup_quality needs at least one label vector"):
+        sup_quality(SearchContext(ds, cfg), [], center)
+
+
+def test_top_k_refuses_k_below_one():
+    ds, labels, center, cfg = _random_tiny_instance(5)
+    for k in (0, -1):
+        with pytest.raises(ConfigError, match="k must be >= 1"):
+            top_k(SearchContext(ds, cfg), labels, center, k)
 
 
 def test_layouts_are_built_by_the_batched_search_only():
