@@ -72,6 +72,13 @@ def optimistic_estimate(cover: Cover, labels: LabelVector, center: float) -> flo
 BATCH_BYTES = 4 << 20
 # memory budget of one chunk of (child, leaf) pairs in the last two levels
 PAIR_BYTES = 512 << 10
+# glibc serves a block above its mmap threshold (128 KiB at start) by mmap
+# and returns it to the kernel on free, so each chunk temporary above it
+# page-faults anew.  Freeing an mmapped block raises the threshold to the block's size,
+# and the trim threshold to twice that (mallopt(3)): after this one free,
+# temporaries of up to 2 * BATCH_BYTES come from the heap and stay there.
+# Under other allocators it is one harmless malloc and free.
+np.empty(2 * BATCH_BYTES, dtype=np.uint8)
 # patterns per piece of the top-k scan: small, so that the threshold rises
 # between pieces and prunes the next ones
 TOP_K_PIECE = 16
@@ -329,8 +336,8 @@ def _popcount_rows(cnt, rows, lab, words, w, parents=None, p=None, seg=None) -> 
     for c in range(0, len(rows), step):
         chunk = slice(c, c + step)
         covers = words[w[chunk]]
-        if parents is not None:  # not `&=`: in place, the scan faulted 3x as often
-            covers = parents[p[chunk]] & covers
+        if parents is not None:
+            covers &= parents[p[chunk]]
         cnt[rows[chunk]] = _popcounts(covers, lab, seg)
 
 

@@ -1,6 +1,10 @@
 """The batched supremum search against single-vector searches and the
 brute-force oracle: every vector of a batch gets exactly its own result."""
 
+import os
+import platform
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -963,3 +967,29 @@ def test_wide_language_memory_is_bounded(z):
     batch = [ds.target, *(bernoulli_labels(ds.m, 0.4, 3, j) for j in range(63))]
     assert not sigmine.search._BatchSearch(ctx, len(batch), 0.0, True).tables_fit(0)
     assert search_peak(ctx, batch) < sigmine.search.BATCH_BYTES
+
+
+FAULTS_PER_OP = """
+import resource
+from sigmine import RunConfig, compare_methods
+from sigmine.oracle import generate
+from sigmine.suites import SWEEP_LANGUAGE, SWEEP_SPEC
+ds = generate(SWEEP_SPEC)
+cfg = RunConfig(language=SWEEP_LANGUAGE, seed=0)
+compare_methods(ds, cfg, permutations=40)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+compare_methods(ds, cfg, permutations=40)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mmap threshold")
+def test_repeated_op_keeps_its_temporaries_in_the_heap():
+    # a second sweep op in a fresh process: with the chunk temporaries
+    # served by mmap, each is returned to the kernel when freed and faults
+    # in again (about 1 900 minor faults an op); from the heap, almost none
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sigmine.search.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-c", FAULTS_PER_OP], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(done.stdout) < 200

@@ -7,7 +7,8 @@ for math.floor (and np.ceil for np.floor).  The repository is copied to a
 temporary directory once; each mutant is written into the copy, the named
 test files run against it once, stopping at the first failure, and the
 module is restored.  A mutant is killed when the tests fail or run longer
-than TIMEOUT seconds, and survives when they pass.
+than ten times the unmutated run (at least MIN_TIMEOUT seconds), and
+survives when they pass.
 
     python tools/mutants.py src/sigmine/bounds.py src/sigmine/discovery.py \\
         --tests tests/test_bounds.py tests/test_discovery.py
@@ -32,6 +33,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,7 +43,7 @@ FLIPS = {
 }
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
 ROUNDING = {"ceil": "floor", "floor": "ceil"}
-TIMEOUT = 600.0  # seconds per test run; a mutant that loops forever counts as killed
+MIN_TIMEOUT = 60.0  # seconds; a mutant's test run may take 10x the unmutated one's
 SYMBOLS = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
     ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
@@ -94,12 +96,13 @@ def mutant(source: str, k: int) -> tuple[str, str]:
     return ast.unparse(tree), where
 
 
-def run_tests(copy: Path, tests: list[str]) -> bool:
-    """Whether the test files pass on the copy."""
+def run_tests(copy: Path, tests: list[str], timeout: float | None = None) -> bool:
+    """Whether the test files pass on the copy within `timeout` seconds; a
+    run that outlasts it (a mutant that loops) counts as failing."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-o", "addopts=", *tests]
     try:
-        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT)
+        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return False
     return done.returncode == 0
@@ -117,16 +120,19 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copytree(
             ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
         )
+        start = time.perf_counter()
         if not run_tests(copy, args.tests):
             print("the tests fail on the unmutated tree", file=sys.stderr)
             return 2
+        timeout = max(MIN_TIMEOUT, 10 * (time.perf_counter() - start))
+        print(f"timeout per mutant: {timeout:.0f} s", flush=True)
         for module in args.modules:
             target = copy / module
             source = target.read_text()
             for k in selected(ast.parse(source), args.functions):
                 text, where = mutant(source, k)
                 target.write_text(text)
-                killed = not run_tests(copy, args.tests)
+                killed = not run_tests(copy, args.tests, timeout)
                 target.write_text(source)
                 total += 1
                 survived += not killed
