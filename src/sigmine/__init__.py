@@ -39,7 +39,7 @@ from .language import (
 )
 from .quality import QualityStat, empirical_quality
 from .report import MethodRow, OutputRecord, SweepResult, compare_methods, sweep_c
-from .resample import DeviationEstimate, ResamplePlan, estimate_deviation, resample_target
+from .resample import DeviationEstimate, estimate_deviation, resample_target
 from .search import (
     SearchContext,
     SearchResult,
@@ -70,7 +70,6 @@ __all__ = [
     "Pattern",
     "QualityStat",
     "QuantileEstimate",
-    "ResamplePlan",
     "RunConfig",
     "SchemaError",
     "SearchContext",

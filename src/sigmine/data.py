@@ -181,17 +181,13 @@ def read_schema_file(path) -> list[ColumnSchema]:
     return out
 
 
-def _infer_schema(
-    header: list[str], reals: dict[int, np.ndarray | None], target_column: str | None
-) -> list[ColumnSchema]:
-    """`reals[j]` is `_reals` of column j's distinct values, for each column
-    with more than INFER_DISTINCT_THRESHOLD of them."""
-    tgt = target_column if target_column is not None else header[-1]
-    if tgt not in header:
-        raise SchemaError(f"target column {tgt!r} not in header")
+def _infer_schema(header: list[str], reals: dict[int, np.ndarray | None]) -> list[ColumnSchema]:
+    """The last column is the target; `reals[j]` is `_reals` of column j's
+    distinct values, for each column with more than INFER_DISTINCT_THRESHOLD
+    of them."""
     out = []
     for j, name in enumerate(header):
-        if name == tgt:
+        if j == len(header) - 1:
             out.append(ColumnSchema(name, Kind.TARGET))
         elif reals.get(j) is not None:
             out.append(ColumnSchema(name, Kind.CONTINUOUS))
@@ -257,16 +253,15 @@ def _first_line(path, codes: np.ndarray, bad: list[bool]) -> tuple[int, int]:
     return _line_of(path, int(np.argmax(codes == code))), code
 
 
-def load_csv(path, schema="infer", target_column: str | None = None) -> Dataset:
+def load_csv(path, schema="infer") -> Dataset:
     """Load a comma-separated UTF-8 file with a header row; a leading
     byte-order mark is dropped.
 
     `schema` is a list of ColumnSchema covering every CSV column (exactly one
     of kind target), the string "infer", or a path to a sidecar schema file.
-    Under inference the last column is the target unless `target_column`
-    overrides it; a declared schema must name the header's columns in
-    order, whitespace stripped, and declare `target_column` its target when
-    that is given.  Rows with empty cells are rejected rather than imputed.
+    Under inference the last column is the target; a declared schema must
+    name the header's columns in order, whitespace stripped.  Rows with
+    empty cells are rejected rather than imputed.
 
     The file is read READ_ROWS rows at a time into each column's int32
     codes of its distinct values, so no list of rows is ever held.  Every
@@ -295,7 +290,7 @@ def load_csv(path, schema="infer", target_column: str | None = None) -> Dataset:
                 for j, values in enumerate(distinct)
                 if len(values) > INFER_DISTINCT_THRESHOLD
             }
-            cols = _infer_schema(header, reals, target_column)
+            cols = _infer_schema(header, reals)
         else:
             cols = read_schema_file(schema)
     else:
@@ -309,8 +304,6 @@ def load_csv(path, schema="infer", target_column: str | None = None) -> Dataset:
     if len(targets) != 1:
         raise SchemaError(f"schema must declare exactly one target column, found {len(targets)}")
     tcol = targets[0]
-    if target_column is not None and target_column.strip() != header[tcol].strip():
-        raise SchemaError(f"target column {target_column!r} is not the schema's {header[tcol]!r}")
 
     bits = [v.strip() for v in distinct[tcol]]
     bad = [b not in ("0", "1") for b in bits]

@@ -41,7 +41,7 @@ from .bounds import (
 from .data import Dataset
 from .errors import ConfigError
 from .language import LanguageConfig, Pattern
-from .resample import MAX_DRAWS, ResamplePlan, estimate_deviation, resample_target
+from .resample import MAX_DRAWS, estimate_deviation, resample_target
 from .search import SearchContext, threshold_mine, top_k
 
 
@@ -97,7 +97,7 @@ def compute_bounds(ctx: SearchContext, cfg: RunConfig) -> BoundReport:
     # needs p <= 1 and clamping only shifts label mass upward (conservative)
     mu_hat = min(1.0, mu_d + eps_t)
     mu_check = max(0.0, mu_d - eps_t)
-    resamples = resample_target(dataset, ResamplePlan(cfg.c, mu_hat, cfg.seed))
+    resamples = resample_target(dataset, cfg.c, mu_hat, cfg.seed)
     dev = estimate_deviation(ctx, resamples, mu_check)
     sup_freq = ctx.sup_frequency()
     if cfg.mode is Mode.CONDITIONAL:

@@ -50,6 +50,10 @@ class OutputRecord:
 
 
 TSV_COLUMNS = ("rank", "pattern", "quality", "frequency", "threshold_margin", "significant")
+# a column name or category value may hold any character, so a pattern's
+# backslashes, tabs and line breaks are escaped to keep each record one line
+# of six fields
+TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
 
 
 def records_from_discoveries(discoveries: list[Discovery], dataset: Dataset) -> list[OutputRecord]:
@@ -70,7 +74,7 @@ def records_tsv(records: list[OutputRecord]) -> str:
     lines = ["\t".join(TSV_COLUMNS)]
     for r in records:
         lines.append(
-            f"{r.rank}\t{r.pattern}\t{r.quality!r}\t{r.frequency!r}"
+            f"{r.rank}\t{r.pattern.translate(TSV_ESCAPES)}\t{r.quality!r}\t{r.frequency!r}"
             f"\t{r.threshold_margin!r}\t{int(r.significant)}"
         )
     return "\n".join(lines)

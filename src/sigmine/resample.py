@@ -11,6 +11,7 @@ seed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,23 +43,10 @@ def generator(seed: int, stream: int, j: int) -> np.random.Generator:
 
 def bernoulli_labels(m: int, p: float, seed: int, j: int) -> LabelVector:
     """One resampled label vector: entry i is 1 iff u_{i,j} < p."""
+    if not 0.0 <= p <= 1.0:
+        raise ConfigError("Bernoulli rate must lie in [0, 1]", "p")
     u = generator(seed, STREAM_RESAMPLE, j).random(m)
     return LabelVector((u < p).astype(np.uint8))
-
-
-@dataclass(frozen=True)
-class ResamplePlan:
-    """How many label resamples to draw, at which Bernoulli rate, which seed."""
-
-    c: int
-    p: float
-    seed: int
-
-    def __post_init__(self):
-        if not 1 <= self.c <= MAX_DRAWS:
-            raise ConfigError("resample count c must lie in [1, 2**32]", "c")
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigError("Bernoulli rate must lie in [0, 1]", "p")
 
 
 @dataclass
@@ -69,19 +57,21 @@ class DeviationEstimate:
     d_tilde: float
 
 
-def resample_target(dataset: Dataset, plan: ResamplePlan) -> list[LabelVector]:
-    """c label vectors of length m, fully determined by (plan.seed, j, i)."""
-    return [bernoulli_labels(dataset.m, plan.p, plan.seed, j) for j in range(plan.c)]
+def resample_target(dataset: Dataset, c: int, p: float, seed: int) -> Iterator[LabelVector]:
+    """c label vectors of length m at rate p, fully determined by (seed, j, i)
+    and drawn as they are read."""
+    return (bernoulli_labels(dataset.m, p, seed, j) for j in range(c))
 
 
 def estimate_deviation(
-    ctx: SearchContext, resamples: list[LabelVector], center: float
+    ctx: SearchContext, resamples: Iterable[LabelVector], center: float
 ) -> DeviationEstimate:
     """d_j = sup quality of resample j at the given center; d_tilde = mean.
 
-    One batched search serves all resamples (`sup_quality` splits them only
-    when c exceeds its memory budget); each d_j equals a search of resample
-    j alone.  The mean uses compensated summation so d_tilde is exactly
+    One batched search serves all resamples, `ctx.batch_size()` at a time
+    (`sup_quality`); each d_j equals a search of resample j alone.  A stream
+    of resamples is drawn as it is read, so only one chunk of them is held,
+    whatever c.  The mean uses compensated summation so d_tilde is exactly
     (1/c) sum d_j.
     """
     d = sup_quality(ctx, resamples, center).suprema

@@ -20,7 +20,6 @@ from sigmine import (
     Kind,
     LabelVector,
     LanguageConfig,
-    ResamplePlan,
     RunConfig,
     SearchContext,
     bitset,
@@ -239,7 +238,7 @@ def test_node_counts_match_the_language(z, prune, monkeypatch):
     # its children one by one, and there pruning skips subtrees, most of
     # them under the planted target alone
     ds = generate(replace(mushroom_class_spec(3), m=600))
-    batch = [ds.target, *resample_target(ds, ResamplePlan(c=6, p=0.45, seed=2))]
+    batch = [ds.target, *resample_target(ds, 6, 0.45, 2)]
     ctx = SearchContext(ds, LanguageConfig(z=z, bins=3))
     total = pattern_count(ctx.base, ctx.cfg)
     assert total == {2: 4023, 3: 111327, 4: 2186521}[z]
@@ -351,7 +350,7 @@ def test_wy_chunking_keeps_deviations(wy_instance, monkeypatch):
 def test_resample_chunking_keeps_deviations(wy_instance, monkeypatch):
     ds, cfg = wy_instance
     ctx = SearchContext(ds, cfg.language)
-    vecs = resample_target(ds, ResamplePlan(c=7, p=0.45, seed=12))
+    vecs = list(resample_target(ds, 7, 0.45, 12))
     whole = estimate_deviation(ctx, vecs, 0.4)
     monkeypatch.setattr(sigmine.search, "BATCH_BYTES", 3 * ctx.words.nbytes)
     chunked = estimate_deviation(ctx, vecs, 0.4)
@@ -368,9 +367,9 @@ def test_word_boundaries_and_degenerate_labels(m, prune):
     )
     cfg = LanguageConfig(z=3, bins=3)
     zeros = LabelVector(np.zeros(m, dtype=np.uint8))
-    ones = resample_target(ds, ResamplePlan(c=2, p=1.0, seed=m))  # constant resamples
+    ones = list(resample_target(ds, 2, 1.0, m))  # constant resamples
     assert all(lv.ones == m for lv in ones)
-    batch = [zeros, *ones, ds.target, *resample_target(ds, ResamplePlan(c=3, p=0.5, seed=m))]
+    batch = [zeros, *ones, ds.target, *resample_target(ds, 3, 0.5, m)]
     ctx = SearchContext(ds, cfg)
     for center in (0.0, 0.35, 1.0):
         res = sup_quality(ctx, batch, center, prune=prune)

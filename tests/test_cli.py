@@ -1,8 +1,10 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -527,14 +529,6 @@ def test_malformed_schema_file_exit_3(tmp_path, capsys, lines, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_target_column_not_in_header(tmp_path):
-    # the CLI takes the last column as the target; a library caller names one
-    data = tmp_path / "data.csv"
-    data.write_text("a,y\nx,1\nz,0\n")
-    with pytest.raises(sigmine.errors.SchemaError, match="target column 'label' not in header"):
-        load_csv(data, target_column="label")
-
-
 def test_non_utf8_input_is_an_ingestion_error(tmp_path, capsys):
     bad = tmp_path / "latin1.csv"
     bad.write_bytes(b"a,target\n\xe9t\xe9,1\nb,0\n")
@@ -571,6 +565,27 @@ def test_byte_order_marks_stay_out_of_pattern_names(tmp_path):
     for extra in ((), ("--schema", str(schema))):
         assert run_mine(data, "--top-k", "1", "--output", str(out), *extra) == 0
         assert out.read_text().splitlines()[1].split("\t")[:2] == ["1", "a=x"]
+
+
+def test_tsv_escapes_tabs_and_line_breaks_in_patterns(tmp_path):
+    # quoted cells may hold tabs and line breaks; escaped, each record stays
+    # one line of six fields, and no value can forge a `#` report line
+    values = ["red\tdark", "blue\nlight", "x\n# epsilon=0", "y\r\\n"]
+    data = tmp_path / "tabs.csv"
+    with open(data, "w", newline="") as fh:
+        csv.writer(fh).writerows([["tone\\x", "y"], *([v, i % 2] for i, v in enumerate(values * 5))])
+    tsv, js = tmp_path / "o.tsv", tmp_path / "o.json"
+    flags = ("--top-k", "4", "--depth", "1")
+    assert run_mine(data, *flags, "--output", str(tsv)) == 0
+    assert run_mine(data, *flags, "--format", "json", "--output", str(js)) == 0
+    lines = tsv.read_bytes().decode().splitlines()
+    rows = [line.split("\t") for line in lines[1:] if not line.startswith("#")]
+    assert len(rows) == 4 and all(len(row) == 6 for row in rows)
+    assert lines.count("# epsilon=0") == 0
+    unescape = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+    patterns = [re.sub(r"\\(.)", lambda e: unescape[e[1]], row[1]) for row in rows]
+    assert patterns == [r["pattern"] for r in json.loads(js.read_text())["records"]]
+    assert sorted(patterns) == sorted(f"tone\\x={v}" for v in values)
 
 
 def test_over_long_field_is_an_ingestion_error(tmp_path, capsys):

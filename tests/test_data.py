@@ -201,12 +201,6 @@ def test_declared_schema_names_compare_stripped(tmp_path):
     assert ds.values[1].tolist() == [1.5, 2.5]
 
 
-def test_declared_schema_refuses_another_target_column(fruit_csv, fruit_schema):
-    assert load_csv(fruit_csv, schema=fruit_schema, target_column="y").target_name == "y"
-    message = refused(fruit_csv, SchemaError, schema=fruit_schema, target_column="color")
-    assert message == "target column 'color' is not the schema's 'y'"
-
-
 def test_infer_uses_distinct_count(tmp_path):
     rows = [f"{i % 5},{i / 7.0},{i % 2}" for i in range(40)]
     path = tmp_path / "t.csv"
@@ -229,14 +223,6 @@ def test_infer_needs_more_distinct_values_than_the_threshold(tmp_path):
     assert ds.values[1].tolist() == [i + 0.5 for i in range(n + 1)]
 
 
-def test_infer_target_override(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("y,x\n1,a\n0,b\n")
-    ds = load_csv(path, schema="infer", target_column="y")
-    assert ds.target_name == "y"
-    assert ds.schema[0].name == "x"
-
-
 def test_sidecar_schema_file(tmp_path, fruit_csv):
     sc = tmp_path / "fruit.schema"
     sc.write_text("color=categorical\nweight=continuous\ny=target\n")
@@ -248,9 +234,6 @@ def test_sidecar_schema_file(tmp_path, fruit_csv):
 
 def test_byte_order_mark_is_dropped(tmp_path):
     path = tmp_path / "bom.csv"
-    path.write_text("\ufeffy,a\n1,x\n0,z\n", encoding="utf-8")
-    ds = load_csv(path, schema="infer", target_column="y")
-    assert (ds.target_name, ds.schema[0].name) == ("y", "a")
     path.write_text("\ufeffa,y\nx,1\nz,0\n", encoding="utf-8")
     assert load_csv(path).schema[0].name == "a"
 

@@ -17,7 +17,7 @@ from sigmine import (
 )
 from sigmine.discovery import compute_bounds, significant_patterns, top_k_patterns
 from sigmine.report import METHODS
-from sigmine.resample import MAX_DRAWS, STREAM_RESAMPLE, ResamplePlan, generator
+from sigmine.resample import MAX_DRAWS, STREAM_RESAMPLE, bernoulli_labels, generator
 from sigmine.search import SearchContext
 from sigmine.oracle import (
     CatColumn,
@@ -177,8 +177,8 @@ def test_config_errors_name_their_field():
         ("z", lambda: LanguageConfig(z=0)),
         ("bins", lambda: LanguageConfig(bins=0)),
         ("mode", lambda: LanguageConfig(mode="sequence")),
-        ("c", lambda: ResamplePlan(c=MAX_DRAWS + 1, p=0.5, seed=1)),
-        ("p", lambda: ResamplePlan(c=1, p=-0.5, seed=1)),
+        ("c", lambda: RunConfig(c=MAX_DRAWS + 1)),
+        ("p", lambda: bernoulli_labels(1, -0.5, 1, 0)),
         ("seed", lambda: generator(-1, STREAM_RESAMPLE, 0)),
         ("j", lambda: generator(1, STREAM_RESAMPLE, MAX_DRAWS)),
     ]
