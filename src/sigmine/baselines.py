@@ -32,7 +32,7 @@ from .bounds import (
 )
 from .data import Dataset, LabelVector
 # bench/layers.py wraps significant_patterns at this name
-from .discovery import Discovery, RunConfig, mine, significant_patterns  # noqa: F401
+from .discovery import Discovery, RunConfig, bound_report, mine, significant_patterns  # noqa: F401
 from .language import pattern_count, projection_bound_log
 from .resample import STREAM_PERMUTE, generator
 from .search import SearchContext, sup_quality
@@ -136,23 +136,9 @@ def ub_report(ctx: SearchContext, cfg: RunConfig) -> BoundReport:
         n_hat_log = math.log(min(pattern_count(ctx.base, ctx.cfg), 2**m))
         n_hat_source = "language_or_subsets"
     r_hat, d_hat, eps = bound_statistic_ub(n_hat_log, nu_t, nu, m, cfg.delta)
-    return BoundReport(
-        mode=Mode.UNCONDITIONAL,
-        delta=cfg.delta,
-        m=m,
-        c=0,
-        mu_d=mu_d,
-        mu_hat=min(1.0, mu_d + eps_t),
-        mu_check=max(0.0, mu_d - eps_t),
-        eps_t=eps_t,
-        sup_freq=ctx.sup_frequency(),
-        epsilon=eps,
-        nu_t=nu_t,
-        nu=nu,
-        r_hat=r_hat,
-        d_hat=d_hat,
-        n_hat_log=n_hat_log,
-        n_hat_source=n_hat_source,
+    return bound_report(
+        ctx, cfg, Mode.UNCONDITIONAL, 0, eps_t, eps, nu_t=nu_t, nu=nu, r_hat=r_hat, d_hat=d_hat,
+        n_hat_log=n_hat_log, n_hat_source=n_hat_source,
     )
 
 

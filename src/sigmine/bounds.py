@@ -56,8 +56,15 @@ def variance_factor(mu_d: float, sup_freq: float) -> float:
     return (1.0 - mu_d) * min(mu_d, sup_freq)
 
 
+def target_bracket(mu_d: float, eps_t: float) -> tuple[float, float]:
+    """The target bracket (mu_check, mu_hat): mu_d -/+ eps_t clamped to
+    [0, 1].  Bernoulli resampling at mu_hat needs p <= 1, and clamping only
+    shifts label mass upward (conservative)."""
+    return max(0.0, mu_d - eps_t), min(1.0, mu_d + eps_t)
+
+
 def variance_bracket(mu_d: float, eps_t: float) -> tuple[float, float]:
-    """Plug-in (nu_T, nu): max of x(1-x) over |x - mu_d| <= eps_t.
+    """Plug-in (nu_T, nu): max of x(1-x) over the target bracket.
 
     The parabola peaks at 1/2, so the max is 1/4 when the bracket contains
     1/2 and otherwise sits at the endpoint nearest 1/2.  The same value
@@ -65,8 +72,7 @@ def variance_bracket(mu_d: float, eps_t: float) -> tuple[float, float]:
     """
     if eps_t < 0:
         raise ConfigError("eps_t must be >= 0")
-    lo = max(0.0, mu_d - eps_t)
-    hi = min(1.0, mu_d + eps_t)
+    lo, hi = target_bracket(mu_d, eps_t)
     if lo <= 0.5 <= hi:
         v = 0.25
     else:

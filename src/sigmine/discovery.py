@@ -35,11 +35,12 @@ from .bounds import (
     bound_statistic_unconditional,
     bound_target,
     significance_cutoff,
+    target_bracket,
     variance_bracket,
     variance_factor,
 )
 from .data import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, integer
 from .language import LanguageConfig, Pattern
 from .resample import MAX_DRAWS, estimate_deviation, resample_target
 from .search import SearchContext, threshold_mine, top_k
@@ -62,13 +63,13 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}", "mode") from None
         if not 0.0 < self.delta < 1.0:
             raise ConfigError("delta must lie in (0, 1)", "delta")
-        if not 1 <= self.c <= MAX_DRAWS:
+        if not 1 <= integer(self.c, "c") <= MAX_DRAWS:
             raise ConfigError("c must lie in [1, 2**32]", "c")
-        if not 1 <= self.permutations <= MAX_DRAWS:
+        if not 1 <= integer(self.permutations, "permutations") <= MAX_DRAWS:
             raise ConfigError("permutation count must lie in [1, 2**32]", "permutations")
-        if self.top_k is not None and self.top_k < 1:
+        if self.top_k is not None and integer(self.top_k, "top_k") < 1:
             raise ConfigError("top_k must be >= 1", "top_k")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= integer(self.seed, "seed") < 2**64:
             raise ConfigError("seed must lie in [0, 2**64)", "seed")
 
 
@@ -93,34 +94,28 @@ def compute_bounds(ctx: SearchContext, cfg: RunConfig) -> BoundReport:
     m = dataset.m
     mu_d = dataset.mean_target()
     eps_t = bound_target(cfg.mode, mu_d, m, cfg.delta)
-    # the raw upper bracket mu_d + eps_t can exceed 1; Bernoulli resampling
-    # needs p <= 1 and clamping only shifts label mass upward (conservative)
-    mu_hat = min(1.0, mu_d + eps_t)
-    mu_check = max(0.0, mu_d - eps_t)
-    resamples = resample_target(dataset, cfg.c, mu_hat, cfg.seed)
-    dev = estimate_deviation(ctx, resamples, mu_check)
-    sup_freq = ctx.sup_frequency()
+    mu_check, mu_hat = target_bracket(mu_d, eps_t)
+    dev = estimate_deviation(ctx, resample_target(dataset, cfg.c, mu_hat, cfg.seed), mu_check)
     if cfg.mode is Mode.CONDITIONAL:
-        omega = variance_factor(mu_d, sup_freq)
+        omega = variance_factor(mu_d, ctx.sup_frequency())
         eps = bound_statistic_conditional(dev.d_tilde, omega, m, cfg.c, cfg.delta)
         terms = dict(omega=omega)
     else:
         nu_t, nu = variance_bracket(mu_d, eps_t)
         r_hat, d_hat, eps = bound_statistic_unconditional(dev.d_tilde, nu_t, nu, m, cfg.c, cfg.delta)
         terms = dict(nu_t=nu_t, nu=nu, r_hat=r_hat, d_hat=d_hat)
+    return bound_report(ctx, cfg, cfg.mode, cfg.c, eps_t, eps, d_tilde=dev.d_tilde, **terms)
+
+
+def bound_report(ctx: SearchContext, cfg: RunConfig, mode: Mode, c: int, eps_t: float,
+                 epsilon: float, **terms) -> BoundReport:
+    """A method's report: the fields every report holds, from the context,
+    `cfg.delta` and the method's eps_t and epsilon, and its own `terms`."""
+    mu_d = ctx.dataset.mean_target()
+    mu_check, mu_hat = target_bracket(mu_d, eps_t)
     return BoundReport(
-        mode=cfg.mode,
-        delta=cfg.delta,
-        m=m,
-        c=cfg.c,
-        mu_d=mu_d,
-        mu_hat=mu_hat,
-        mu_check=mu_check,
-        eps_t=eps_t,
-        sup_freq=sup_freq,
-        epsilon=eps,
-        d_tilde=dev.d_tilde,
-        **terms,
+        mode=mode, delta=cfg.delta, m=ctx.dataset.m, c=c, mu_d=mu_d, mu_hat=mu_hat,
+        mu_check=mu_check, eps_t=eps_t, sup_freq=ctx.sup_frequency(), epsilon=epsilon, **terms,
     )
 
 

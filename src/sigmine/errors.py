@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the configs' count check."""
+
+import operator
 
 
 class SigmineError(Exception):
@@ -24,3 +26,11 @@ class ConfigError(SigmineError):
 
 class OracleError(SigmineError):
     """A test oracle refused to run (e.g. enumeration guard exceeded)."""
+
+
+def integer(value, field: str) -> int:
+    """`value` as an int (numpy integers pass), else a `ConfigError` naming `field`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{field} must be an integer, got {value!r}", field) from None

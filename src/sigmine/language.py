@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset, Kind
-from .errors import ConfigError
+from .errors import ConfigError, integer
 
 Cover = np.ndarray  # bool array of length m: True where the pattern holds
 
@@ -115,9 +115,9 @@ class LanguageConfig:
     mode: str = "subgroup"  # or "itemset"
 
     def __post_init__(self):
-        if self.z < 1:
+        if integer(self.z, "z") < 1:
             raise ConfigError("z must be >= 1", "z")
-        if self.bins < 1:
+        if integer(self.bins, "bins") < 1:
             raise ConfigError("bins must be >= 1", "bins")
         if self.mode not in ("subgroup", "itemset"):
             raise ConfigError(f"unknown language mode {self.mode!r}", "mode")

@@ -51,9 +51,10 @@ class OutputRecord:
 
 TSV_COLUMNS = ("rank", "pattern", "quality", "frequency", "threshold_margin", "significant")
 # a column name or category value may hold any character, so a pattern's
-# backslashes, tabs and line breaks are escaped to keep each record one line
-# of six fields
-TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+# backslashes, tabs and `str.splitlines` line breaks are escaped as Python
+# writes them (\\ \t \n \r \x0b ... \u2029): each record is one line of six fields
+TSV_ESCAPES = str.maketrans({c: c.encode("unicode_escape").decode()
+                             for c in "\\\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
 def records_from_discoveries(discoveries: list[Discovery], dataset: Dataset) -> list[OutputRecord]:

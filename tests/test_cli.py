@@ -568,22 +568,26 @@ def test_byte_order_marks_stay_out_of_pattern_names(tmp_path):
 
 
 def test_tsv_escapes_tabs_and_line_breaks_in_patterns(tmp_path):
-    # quoted cells may hold tabs and line breaks; escaped, each record stays
-    # one line of six fields, and no value can forge a `#` report line
-    values = ["red\tdark", "blue\nlight", "x\n# epsilon=0", "y\r\\n"]
+    # quoted cells may hold tabs and line breaks, and any cell the other
+    # separators of `str.splitlines`; escaped, each record stays one line of
+    # six fields, and no value can forge a `#` report line
+    values = ["red\tdark", "blue\nlight", "x\n# epsilon=0", "y\r\\n", "a\x0bb", "c\x0cd",
+              "e\x1cf", "g\x1dh", "i\x1e# epsilon=0", "j\x85k", "l\u2028m", "n\u2029# epsilon=0"]
     data = tmp_path / "tabs.csv"
-    with open(data, "w", newline="") as fh:
+    with open(data, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([["tone\\x", "y"], *([v, i % 2] for i, v in enumerate(values * 5))])
     tsv, js = tmp_path / "o.tsv", tmp_path / "o.json"
-    flags = ("--top-k", "4", "--depth", "1")
+    flags = ("--top-k", str(len(values)), "--depth", "1")
     assert run_mine(data, *flags, "--output", str(tsv)) == 0
     assert run_mine(data, *flags, "--format", "json", "--output", str(js)) == 0
     lines = tsv.read_bytes().decode().splitlines()
     rows = [line.split("\t") for line in lines[1:] if not line.startswith("#")]
-    assert len(rows) == 4 and all(len(row) == 6 for row in rows)
+    assert len(rows) == len(values) and all(len(row) == 6 for row in rows)
     assert lines.count("# epsilon=0") == 0
-    unescape = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
-    patterns = [re.sub(r"\\(.)", lambda e: unescape[e[1]], row[1]) for row in rows]
+    unescape = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r", "x0b": "\x0b", "x0c": "\x0c",
+                "x1c": "\x1c", "x1d": "\x1d", "x1e": "\x1e", "x85": "\x85", "u2028": "\u2028",
+                "u2029": "\u2029"}
+    patterns = [re.sub(r"\\(x..|u....|.)", lambda e: unescape[e[1]], row[1]) for row in rows]
     assert patterns == [r["pattern"] for r in json.loads(js.read_text())["records"]]
     assert sorted(patterns) == sorted(f"tone\\x={v}" for v in values)
 

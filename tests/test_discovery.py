@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sigmine import (
@@ -181,11 +182,21 @@ def test_config_errors_name_their_field():
         ("p", lambda: bernoulli_labels(1, -0.5, 1, 0)),
         ("seed", lambda: generator(-1, STREAM_RESAMPLE, 0)),
         ("j", lambda: generator(1, STREAM_RESAMPLE, MAX_DRAWS)),
+        # a count that is no integer would run, or fail later, as another
+        ("z", lambda: LanguageConfig(z=2.5)),
+        ("bins", lambda: LanguageConfig(bins=2.5)),
+        ("c", lambda: RunConfig(c=2.5)),
+        ("permutations", lambda: RunConfig(permutations=3.5)),
+        ("top_k", lambda: RunConfig(top_k=2.5)),
+        ("seed", lambda: RunConfig(seed=1.5)),
     ]
     for field, make in refused:
         with pytest.raises(ConfigError) as info:
             make()
         assert info.value.field == field
+    # numpy integers are integers
+    assert RunConfig(c=np.int64(5), seed=np.uint64(2**64 - 1)).c == 5
+    assert LanguageConfig(z=np.int64(3), bins=np.int32(2)).z == 3
 
 
 def test_run_config_rejects_top_k_below_one():

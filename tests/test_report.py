@@ -92,7 +92,7 @@ def test_compare_methods_rows(ds):
     assert "conditional" in table and "ub" in table
     # reproducible thresholds given the seed; each row counts its method's
     # scan, whatever cfg.top_k
-    again = compare_methods(ds, _cfg(seed=13, top_k=5), permutations=20)
+    again = compare_methods(ds, _cfg(seed=13, top_k=5, permutations=20))
     assert [(r.threshold, r.outputs) for r in again] == [(r.threshold, r.outputs) for r in rows]
 
 
