@@ -46,7 +46,7 @@ from .resample import MAX_DRAWS, estimate_deviation, resample_target
 from .search import SearchContext, threshold_mine, top_k
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     mode: Mode = Mode.CONDITIONAL
     delta: float = 0.05
@@ -58,18 +58,18 @@ class RunConfig:
 
     def __post_init__(self):
         try:
-            self.mode = Mode(self.mode)
+            object.__setattr__(self, "mode", Mode(self.mode))
         except ValueError:
             raise ConfigError(f"unknown mode {self.mode!r}", "mode") from None
         if not 0.0 < self.delta < 1.0:
             raise ConfigError("delta must lie in (0, 1)", "delta")
-        if not 1 <= integer(self.c, "c") <= MAX_DRAWS:
+        if not 1 <= integer(self, "c") <= MAX_DRAWS:
             raise ConfigError("c must lie in [1, 2**32]", "c")
-        if not 1 <= integer(self.permutations, "permutations") <= MAX_DRAWS:
+        if not 1 <= integer(self, "permutations") <= MAX_DRAWS:
             raise ConfigError("permutation count must lie in [1, 2**32]", "permutations")
-        if self.top_k is not None and integer(self.top_k, "top_k") < 1:
+        if self.top_k is not None and integer(self, "top_k") < 1:
             raise ConfigError("top_k must be >= 1", "top_k")
-        if not 0 <= integer(self.seed, "seed") < 2**64:
+        if not 0 <= integer(self, "seed") < 2**64:
             raise ConfigError("seed must lie in [0, 2**64)", "seed")
 
 

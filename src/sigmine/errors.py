@@ -28,9 +28,12 @@ class OracleError(SigmineError):
     """A test oracle refused to run (e.g. enumeration guard exceeded)."""
 
 
-def integer(value, field: str) -> int:
-    """`value` as an int (numpy integers pass), else a `ConfigError` naming `field`."""
+def integer(config, field: str) -> int:
+    """Store `config.<field>` as an int (numpy integers pass) and return it,
+    else raise a `ConfigError` naming `field`."""
+    value = getattr(config, field)
     try:
-        return operator.index(value)
+        object.__setattr__(config, field, operator.index(value))
     except TypeError:
         raise ConfigError(f"{field} must be an integer, got {value!r}", field) from None
+    return getattr(config, field)

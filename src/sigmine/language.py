@@ -115,9 +115,9 @@ class LanguageConfig:
     mode: str = "subgroup"  # or "itemset"
 
     def __post_init__(self):
-        if integer(self.z, "z") < 1:
+        if integer(self, "z") < 1:
             raise ConfigError("z must be >= 1", "z")
-        if integer(self.bins, "bins") < 1:
+        if integer(self, "bins") < 1:
             raise ConfigError("bins must be >= 1", "bins")
         if self.mode not in ("subgroup", "itemset"):
             raise ConfigError(f"unknown language mode {self.mode!r}", "mode")

@@ -3,8 +3,9 @@
 Brute-force enumeration that shares nothing with the search engine's code
 path (numpy boolean covers, itertools enumeration, no pruning), synthetic
 dataset generators with a known generating process, a Monte-Carlo harness
-for empirical false-positive-rate and power checks, and the two-distribution
-coupling check relating permutation nulls to independent-resample nulls.
+for empirical false-positive-rate and power checks, and the exact
+two-distribution coupling check relating permutation nulls to
+independent-resample nulls.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .language import (
 from .resample import STREAM_SYNTH, generator
 
 BRUTE_FORCE_GUARD = 10**6
-# samples `coupling_check` draws and holds at once
-COUPLING_CHUNK = 4096
+# the most rows whose 2^m labelings `coupling_check` enumerates
+COUPLING_MAX_ROWS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -260,61 +261,53 @@ class CouplingPoint:
     threshold: float
     p_cond: float
     p_iid: float
-    slack: float  # 3-sigma Monte-Carlo slack on p_cond - 2 p_iid
 
     @property
     def holds(self) -> bool:
-        return self.p_cond <= 2.0 * self.p_iid + self.slack
+        return self.p_cond <= 2.0 * self.p_iid
 
 
-def coupling_check(
-    m: int,
-    k: int,
-    covers: list,
-    thresholds: list[float],
-    samples: int,
-    seed: int = 0,
-) -> list[CouplingPoint]:
-    """Estimate both sides of the permutation-vs-resample tail comparison.
+def coupling_check(m: int, k: int, covers: list, thresholds: list[float]) -> list[CouplingPoint]:
+    """Both sides of the permutation-vs-resample tail comparison, exactly.
 
     For a fixed non-empty family of covers, the tail probability of the
-    supremum deviation under exactly-k-ones permutations is at most twice
-    the tail under i.i.d. Bernoulli(k/m) labels.  Both tails are estimated
-    on `samples` vectors each and compared with a 3-sigma slack.
+    supremum deviation under exactly-k-ones labels is at most twice the tail
+    under i.i.d. Bernoulli(k/m) labels.  Every one of the 2^m labelings is
+    enumerated.  With N_j the hitting labelings that have j ones, p_cond is
+    N_k / C(m, k) and p_iid is the sum of N_j mu^j (1-mu)^(m-j), mu = k/m.
     """
     if not covers:
         raise OracleError("coupling check needs a non-empty cover family")
-    if samples < 1:
-        raise OracleError("samples must be >= 1")
-    cover_mat = np.stack([np.asarray(c, dtype=bool) for c in covers]).astype(np.float64)
-    sizes = cover_mat.sum(axis=1)
+    if not 1 <= m <= COUPLING_MAX_ROWS:
+        raise OracleError(f"coupling check enumerates 1 to {COUPLING_MAX_ROWS} rows, got m={m}")
+    if not 0 <= k <= m:
+        raise OracleError(f"k must lie in [0, m], got k={k} for m={m}")
+    covers = [np.asarray(c, dtype=bool) for c in covers]
+    if any(cover.shape != (m,) for cover in covers):
+        raise OracleError(f"each cover needs one flag per row, m={m}")
     mu_bar = k / m
-    rng = generator(seed, STREAM_SYNTH, 1)
-    zs = np.asarray(thresholds, dtype=np.float64)
+    half = m // 2
+    bits = [(np.arange(2**n)[:, None] >> np.arange(n)) & 1 for n in (half, m - half)]
 
-    def tails(vectors) -> np.ndarray:
-        """Per threshold, how many of the samples' suprema reach it; the
-        samples are drawn COUPLING_CHUNK rows at a time, in stream order."""
-        hits = np.zeros(len(zs), dtype=np.int64)
-        for lo in range(0, samples, COUPLING_CHUNK):
-            v = vectors(min(COUPLING_CHUNK, samples - lo))
-            sup = ((v @ cover_mat.T - mu_bar * sizes) / m).max(axis=1)
-            hits += (sup[:, None] >= zs).sum(axis=0)
-        return hits
+    def ones(rows: np.ndarray) -> np.ndarray:
+        """The ones on `rows` of each labeling, indexed by its (first-half
+        bits, second-half bits): an outer sum of one uint8 table per half."""
+        lo, hi = (b @ r for b, r in zip(bits, (rows[:half], rows[half:])))
+        return np.add.outer(lo.astype(np.uint8), hi.astype(np.uint8))
 
-    def exactly_k(n: int) -> np.ndarray:
-        # the k smallest of m uniform keys per row
-        ranks = np.argsort(rng.random((n, m)), axis=1)
-        v = np.zeros((n, m), dtype=np.float64)
-        np.put_along_axis(v, ranks[:, :k], 1.0, axis=1)
-        return v
-
-    # every permutation key is drawn before the first i.i.d. vector
-    cond = tails(exactly_k)
-    iid = tails(lambda n: (rng.random((n, m)) < mu_bar).astype(np.float64))
+    total = ones(np.ones(m, dtype=bool))
     out = []
-    for z, n_cond, n_iid in zip(thresholds, cond.tolist(), iid.tolist()):
-        p_cond, p_iid = n_cond / samples, n_iid / samples
-        var = p_cond * (1 - p_cond) / samples + 4.0 * p_iid * (1 - p_iid) / samples
-        out.append(CouplingPoint(z, p_cond, p_iid, 3.0 * math.sqrt(var)))
+    for z in thresholds:
+        hit = np.zeros(total.shape, dtype=bool)
+        for cover in covers:
+            n = int(cover.sum())
+            # the counts of ones in the cover whose deviation reaches z
+            reach = [x for x in range(n + 1) if (x - mu_bar * n) / m >= z]
+            if reach:  # one cover's table at a time keeps the peak near 4 MiB at m=20
+                hit |= ones(cover) >= reach[0]
+        counts = [int(np.count_nonzero(hit & (total == j))) for j in range(m + 1)]
+        p_iid = math.fsum(
+            n_j * mu_bar**j * (1.0 - mu_bar) ** (m - j) for j, n_j in enumerate(counts)
+        )
+        out.append(CouplingPoint(z, counts[k] / math.comb(m, k), p_iid))
     return out

@@ -2,7 +2,8 @@
 
 Each suite runs a fixed, seeded harness and reports whether the result sits
 inside its acceptance band.  Bands for Monte-Carlo quantities use a 3-sigma
-binomial slack; the oracle suite demands exact agreement.
+binomial slack; the oracle suite demands exact agreement, and the coupling
+suite compares exact probabilities.
 """
 
 from __future__ import annotations
@@ -189,16 +190,13 @@ COUPLING_COVERS = [
 COUPLING_THRESHOLDS = [0.05, 0.10, 0.15]
 
 
-def suite_coupling(samples: int = 100_000, seed: int = 0) -> SuiteOutcome:
-    """Tail comparison between the exactly-k-ones null and the i.i.d. null
-    on a fixed 3-cover family at three thresholds."""
-    points = coupling_check(
-        m=20, k=10, covers=COUPLING_COVERS, thresholds=COUPLING_THRESHOLDS,
-        samples=samples, seed=seed,
-    )
+def suite_coupling() -> SuiteOutcome:
+    """Exact tail comparison between the exactly-k-ones null and the i.i.d.
+    null on a fixed 3-cover family at three thresholds."""
+    points = coupling_check(20, 10, COUPLING_COVERS, COUPLING_THRESHOLDS)
     ok = all(p.holds for p in points)
     lines = [
-        f"z={p.threshold}: p_cond={p.p_cond:.4f} 2*p_iid+3s={2 * p.p_iid + p.slack:.4f} "
+        f"z={p.threshold}: p_cond={p.p_cond:.4f} 2*p_iid={2 * p.p_iid:.4f} "
         f"{'ok' if p.holds else 'VIOLATION'}"
         for p in points
     ]
@@ -211,12 +209,12 @@ def suite_coupling(samples: int = 100_000, seed: int = 0) -> SuiteOutcome:
 
 
 # each validation suite, and the parameter that `sigmine validate --trials`
-# sets: its instances, trials or samples
+# sets: its instances or trials; the exact coupling suite has none, and no seed
 SUITES = {
     "oracle": (suite_oracle, "instances"),
     "fwer": (suite_fwer, "trials"),
     "power": (suite_power, "trials"),
-    "coupling": (suite_coupling, "samples"),
+    "coupling": (suite_coupling, None),
 }
 
 

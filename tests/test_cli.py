@@ -665,24 +665,27 @@ def test_validate_oracle_suite(capsys):
 
 
 def test_validate_coupling_suite(capsys):
-    code = main(["validate", "--suite", "coupling", "--seed", "1"])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["ok"]
-
-
-def test_validate_coupling_trials_set_the_samples(capsys):
-    def summary(*trials):
-        assert main(["validate", "--suite", "coupling", "--seed", "1", *trials]) == 0
+    def run(*seed):
+        assert main(["validate", "--suite", "coupling", *seed]) == 0
         return capsys.readouterr()
 
-    # without the flag, the suite's own 100 000 samples, as before the flag
-    # reached it
-    default = summary()
+    # the suite enumerates every labeling, so the seed changes nothing
+    default = run()
+    assert "z=0.05: p_cond=0.6983 2*p_iid=1.2407 ok" in default.err
     payload = json.loads(default.out)
-    assert [payload[f"z={t}"]["p_cond"] for t in (0.05, 0.1, 0.15)] == [0.69852, 0.2539, 0.03486]
-    assert summary("--trials", "100000") == default
-    assert summary("--trials", "500").out != summary("--trials", "2000").out
+    assert payload["ok"]
+    assert [payload[f"z={t}"]["p_cond"] for t in (0.05, 0.1, 0.15)] == [
+        0.6982939660958237, 0.24920976855961377, 0.034521206347831734
+    ]
+    assert run("--seed", "1") == default
+
+
+@pytest.mark.parametrize("trials", ["1", "100000"])
+def test_validate_coupling_takes_no_trials(trials, capsys):
+    assert main(["validate", "--suite", "coupling", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "error: --trials: the coupling suite is exact" in captured.err
+    assert captured.out == ""
 
 
 def test_validate_fwer_suite_small(capsys):

@@ -1,5 +1,6 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -197,6 +198,28 @@ def test_config_errors_name_their_field():
     # numpy integers are integers
     assert RunConfig(c=np.int64(5), seed=np.uint64(2**64 - 1)).c == 5
     assert LanguageConfig(z=np.int64(3), bins=np.int32(2)).z == 3
+
+
+def test_numpy_counts_give_a_json_report(planted_ds):
+    # the configs store plain ints, so the report they feed serialises
+    cfg = RunConfig(
+        c=np.int64(3), seed=np.uint64(5), permutations=np.int32(20), top_k=np.int64(4),
+        language=LanguageConfig(z=np.int64(1), bins=np.int16(2)),
+    )
+    assert all(type(v) is int for v in (cfg.c, cfg.seed, cfg.permutations, cfg.top_k))
+    assert type(cfg.language.z) is int and type(cfg.language.bins) is int
+    _, report = run_discovery(planted_ds, cfg)
+    assert json.loads(json.dumps(report.to_dict()))["c"] == 3
+
+
+def test_run_config_is_frozen():
+    # a field set after the checks would skip them
+    cfg = RunConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.c = 0
+    assert replace(cfg, c=3).c == 3
+    with pytest.raises(ConfigError, match="c must lie"):
+        replace(cfg, c=0)
 
 
 def test_run_config_rejects_top_k_below_one():

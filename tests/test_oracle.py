@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -5,7 +6,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import sigmine.oracle
 from sigmine import (
     ColumnSchema,
     Dataset,
@@ -171,21 +171,34 @@ def test_fwer_band_value():
 
 def test_coupling_rejects_empty_family():
     with pytest.raises(OracleError):
-        coupling_check(10, 5, [], [0.1], samples=10)
+        coupling_check(10, 5, [], [0.1])
 
 
 def test_coupling_rejects_no_samples():
+    # the check is exact: it takes no sample count
     covers = [[i < 5 for i in range(10)]]
-    with pytest.raises(OracleError, match="samples must be >= 1"):
-        coupling_check(10, 5, covers, [0.1], samples=0)
-    assert len(coupling_check(10, 5, covers, [0.1], samples=1)) == 1
+    with pytest.raises(TypeError, match="samples"):
+        coupling_check(10, 5, covers, [0.1], samples=1)
+    assert len(coupling_check(10, 5, covers, [0.1])) == 1
+
+
+@pytest.mark.parametrize("m, k", [(0, 0), (21, 10), (10, -1), (10, 11)])
+def test_coupling_refuses_rows_or_ones_out_of_range(m, k):
+    # at most 20 rows are enumerated, and k ones must fit in m rows
+    with pytest.raises(OracleError, match=f"m={m}"):
+        coupling_check(m, k, [[i < 10 for i in range(m)]], [0.05, 0.3])
+
+
+def test_coupling_refuses_a_cover_of_another_length():
+    with pytest.raises(OracleError, match="one flag per row"):
+        coupling_check(7, 3, [[True] * 7, [True] * 6], [0.1])
 
 
 def test_coupling_point_holds_up_to_twice_iid_plus_slack():
-    # p_cond <= 2 p_iid + slack, equality included
-    assert CouplingPoint(0.1, 0.5, 0.25, 0.0).holds
-    assert CouplingPoint(0.1, 0.5, 0.0, 0.5).holds
-    assert not CouplingPoint(0.1, 0.5, 0.2, 0.05).holds
+    # p_cond <= 2 p_iid, equality included; the exact tails leave no slack
+    assert CouplingPoint(0.1, 0.5, 0.25).holds
+    assert CouplingPoint(0.1, 0.0, 0.0).holds
+    assert not CouplingPoint(0.1, 0.5, 0.2499).holds
 
 
 def test_generate_rejects_unknown_column_spec():
@@ -207,7 +220,7 @@ def test_brute_force_rejects_an_empty_language():
 
 def test_coupling_trivial_threshold():
     covers = [[i < 5 for i in range(10)]]
-    pts = coupling_check(10, 5, covers, thresholds=[-1.0], samples=500, seed=1)
+    pts = coupling_check(10, 5, covers, thresholds=[-1.0])
     assert pts[0].p_cond == 1.0 and pts[0].p_iid == 1.0
     assert pts[0].holds
 
@@ -217,10 +230,8 @@ def test_coupling_tails_of_one_cover():
     # the x ones in the cover, so it always reaches -1/4, reaches 1/4 with
     # probability 1/6 under permutations and 1/4 under i.i.d. labels, and
     # never passes 1/4
-    pts = coupling_check(4, 2, [[True, True, False, False]], [-0.25, 0.25, 0.3], 6000, seed=1)
-    assert [(p.p_cond, p.p_iid) for p in (pts[0], pts[2])] == [(1.0, 1.0), (0.0, 0.0)]
-    assert pts[1].p_cond == pytest.approx(1 / 6, abs=0.02)
-    assert pts[1].p_iid == pytest.approx(1 / 4, abs=0.02)
+    pts = coupling_check(4, 2, [[True, True, False, False]], [-0.25, 0.25, 0.3])
+    assert [(p.p_cond, p.p_iid) for p in pts] == [(1.0, 1.0), (1 / 6, 1 / 4), (0.0, 0.0)]
 
 
 def test_coupling_inequality_basic():
@@ -229,29 +240,39 @@ def test_coupling_inequality_basic():
         [5 <= i < 15 for i in range(20)],
         [i % 2 == 0 for i in range(20)],
     ]
-    pts = coupling_check(20, 10, covers, thresholds=[0.05, 0.1], samples=20_000, seed=3)
+    pts = coupling_check(20, 10, covers, thresholds=[0.05, 0.1, 0.15])
     assert all(p.holds for p in pts)
-    for p in pts:
-        assert 0 < p.p_iid < 1 and 0 < p.p_cond < 1
-        var = (p.p_cond * (1 - p.p_cond) + 4 * p.p_iid * (1 - p.p_iid)) / 20_000
-        assert p.slack == pytest.approx(3 * math.sqrt(var), rel=1e-12)
+    assert [(p.p_cond, p.p_iid) for p in pts] == [
+        (0.6982939660958237, 0.6203460693359375),
+        (0.24920976855961377, 0.3433685302734375),
+        (0.034521206347831734, 0.12935638427734375),
+    ]
 
 
-def test_coupling_chunks_keep_the_estimates(monkeypatch):
-    # samples are drawn in chunks, permutation keys first, from one stream;
-    # a chunk of 7 that leaves a partial last chunk gives the same floats
-    covers = [[i < 10 for i in range(20)], [i % 3 == 0 for i in range(20)]]
-    run = lambda: coupling_check(20, 10, covers, [0.05, 0.1, 0.15], samples=1000, seed=2)
-    whole = run()
-    monkeypatch.setattr(sigmine.oracle, "COUPLING_CHUNK", 7)
-    assert run() == whole
+@pytest.mark.parametrize("m, k", [(1, 0), (1, 1), (7, 0), (7, 3), (7, 6), (7, 7), (8, 5)])
+def test_coupling_matches_a_labeling_by_labeling_count(m, k):
+    # on odd m and uneven covers, count every labeling one at a time with
+    # itertools; the check splits each labeling into two halves instead
+    rng = np.random.default_rng(10 * m + k)
+    covers = (rng.random((3, m)) < 0.5).tolist()
+    thresholds = [-0.1, 0.0, 0.05, 0.1, 0.2]
+    mu = k / m
+    for point, z in zip(coupling_check(m, k, covers, thresholds), thresholds):
+        hits = [
+            bits for bits in itertools.product((0, 1), repeat=m)
+            if any((sum(b for b, c in zip(bits, cov) if c) - mu * sum(cov)) / m >= z
+                   for cov in covers)
+        ]
+        assert point.p_cond == sum(sum(b) == k for b in hits) / math.comb(m, k)
+        p_iid = math.fsum(mu ** sum(b) * (1 - mu) ** (m - sum(b)) for b in hits)
+        assert point.p_iid == pytest.approx(p_iid, rel=1e-12, abs=1e-300)
 
 
 def test_coupling_suite_memory_is_bounded():
-    # the default 100 000 samples are held a chunk at a time
+    # the 2^20 labelings are held as uint8 counts of ones, 1 MiB a table
     tracemalloc.start()
     try:
-        suite_coupling(seed=1)
+        suite_coupling()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
